@@ -70,8 +70,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   filterd serve  [-addr host:port] [-filter file.bbf] [-store dir] [-durability none|buffered|group|always]
-                 [-batch n] [-window dur] [-max-inflight n] [-max-inflight-writes n]
-                 [-n keys] [-bits bits/key] [-log-shards k] [-portfile path]
+                 [-max-inflight n] [-max-inflight-writes n] [-portfile path]
+                 [-n keys] [-bits bits/key] [-log-shards k]
   filterd build  (-o file.bbf | -store dir [-policy none|bloom|monkey|maplet]) [-n keys] [-bits bits/key] [-seed s]
   filterd probe  -addr host:port (-key k | -keys k1,k2,...) [-binary] [-get]
   filterd put    -addr host:port -key k [-value v]
@@ -89,8 +89,6 @@ func cmdServe(args []string) error {
 	filterPath := fs.String("filter", "", "serve this .bbf filter file (read-only membership)")
 	storeDir := fs.String("store", "", "attach an LSM key-value store in this directory")
 	durability := fs.String("durability", "group", "store WAL mode: none, buffered, group, always")
-	batch := fs.Int("batch", 0, "coalescing window capacity (0 = default)")
-	window := fs.Duration("window", 0, "coalescing window deadline (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "read admission budget in keys (0 = default)")
 	maxInflightWrites := fs.Int("max-inflight-writes", 0, "write admission budget (0 = default)")
 	n := fs.Int("n", 1<<20, "fresh mutable filter capacity (when -filter is not set)")
@@ -130,8 +128,6 @@ func cmdServe(args []string) error {
 	}
 
 	engine, err := server.NewEngine(filter, store, server.Config{
-		MaxBatch:          *batch,
-		Window:            *window,
 		MaxInflightKeys:   *maxInflight,
 		MaxInflightWrites: *maxInflightWrites,
 	})

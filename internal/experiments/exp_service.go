@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"beyondbloom/internal/bloom"
@@ -16,28 +15,29 @@ import (
 	"beyondbloom/internal/workload"
 )
 
-// runE21 measures the filter service end to end (§3.3, ROADMAP item 1):
-// does coalescing concurrent point requests into hash-once/probe-many
-// windows buy real capacity, and what does it cost in latency?
+// runE21 measures the filter service end to end (§3.3, ROADMAP item 2):
+// does feeding the batch kernels whatever point requests are already
+// waiting buy real capacity, and what does it cost in latency?
 //
 // The headline table is OPEN-LOOP: a Poisson arrival schedule is
 // replayed against the engine at offered loads set relative to the
 // measured scalar capacity, and each request's latency is measured
 // from its *scheduled* arrival — so queueing delay counts, and a
 // server that cannot keep up shows an exploding tail instead of a
-// flattering throughput number. The scalar baseline is the same
-// dispatcher paying one admission charge and one filter probe per
-// request; the batched server is the engine's real coalescer
-// (EnqueueAsync + sink). Batching raises the capacity ceiling, so past
-// the scalar knee the batched tail stays bounded where the scalar tail
-// diverges.
+// flattering throughput number. The scalar baseline is the dispatcher
+// paying one filter probe per request; the batched server is the same
+// dispatcher handing everything already due (at most one BatchChunk)
+// to Engine.ContainsBatch in one call — a few keys below the knee, full
+// batches past it, and never a wait for company. Batching raises
+// the capacity ceiling, so past the scalar knee the batched tail stays
+// bounded where the scalar tail diverges.
 //
-// The second table is CLOSED-LOOP with blocking requesters, reported
-// for honesty: with a handful of goroutines on one core, a blocking
-// request pays the coalescing window's deadline latency and goroutine
-// wakeups, so the coalescer only approaches the batch kernels'
-// throughput as fan-in grows. Open-loop arrival fan-in (the service
-// case) is where the window pays off.
+// The second table is CLOSED-LOOP with blocking requesters through
+// Engine.Contains — the engine's real coalescer. A request that finds
+// the coalescer idle is answered inline as a window of one, so the
+// coalesced column pays only the window bookkeeping over the scalar
+// probe; windows grow past one only when requests really overlap a
+// flush, which on one core they never do.
 func runE21(cfg Config) []*metrics.Table {
 	n := cfg.n(4 << 20)
 	filter, err := concurrent.NewShardedMutable(2, func(int) core.MutableFilter {
@@ -116,182 +116,134 @@ func e21Capacity(filter core.Filter, stream []uint64) (*metrics.Table, float64, 
 	return t, scalar, batched
 }
 
-// e21Server is one open-loop server shape: inject request i (nowNs is
-// the dispatcher's cached clock; the return value refreshes the cache,
-// so a server that reads the clock anyway shares the read with the
-// pacer instead of paying twice).
-type e21Server interface {
-	inject(i int, key uint64, nowNs int64) int64
-	drain() // block until every injected request has completed
-	stats() server.CoalescerStats
-}
-
-// e21Replay paces the stream onto srv along arr (nanosecond offsets
-// from start) and returns the wall-clock seconds the whole run took.
-// When the dispatcher falls behind schedule it injects as fast as it
-// can — open loop: the backlog becomes queueing latency, not a slower
-// offered rate. Pacing spins (with Gosched, so the coalescer's
-// deadline goroutine can run on one core) rather than sleeping, except
-// far ahead of schedule: the sleeper's wake-up slack is milliseconds,
-// which would inject phantom multi-ms tail latencies at low load.
-func e21Replay(srv e21Server, stream []uint64, arr []int64, start time.Time) float64 {
-	now := int64(0)
-	for i, k := range stream {
-		if now < arr[i] {
-			for {
-				now = time.Since(start).Nanoseconds()
-				if now >= arr[i] {
-					break
-				}
-				if ahead := arr[i] - now; ahead > 2_000_000 {
-					time.Sleep(time.Duration(ahead - 1_000_000))
-				} else {
-					runtime.Gosched()
-				}
-			}
-		}
-		now = srv.inject(i, k, now)
-	}
-	srv.drain()
-	return time.Since(start).Seconds()
-}
-
-// e21Scalar is the unbatched server: one synchronous probe per
-// request, completion stored by request index (no locks on the hot
-// path — every index is written once).
-type e21Scalar struct {
-	filter core.Filter
-	lats   []int64
-	arr    []int64
+// e21Load is one open-loop run: the stream, its arrival schedule, and
+// where the answers are checked and the latencies land. Its two serve
+// methods are the two server shapes; each answers request i (and, if it
+// likes, the requests after it that are already due at nowNs) and
+// returns how many it took and the clock after answering, which the
+// pacer reuses instead of reading the clock twice.
+type e21Load struct {
+	stream []uint64
+	arr    []int64 // scheduled arrivals, ns from start
 	expect []bool
-	wrong  int64
+	lats   []int64
 	start  time.Time
+	wrong  int64
+	calls  int64
+
+	filter core.Filter    // scalar
+	engine *server.Engine // batched
+	out    []bool
 }
 
-func (s *e21Scalar) inject(i int, key uint64, _ int64) int64 {
-	ok := s.filter.Contains(key)
-	now := time.Since(s.start).Nanoseconds()
-	if ok != s.expect[i] {
-		s.wrong++
+// complete records the answers of requests [i, i+len(got)) at the
+// current clock and returns that clock.
+func (l *e21Load) complete(i int, got []bool) int64 {
+	now := time.Since(l.start).Nanoseconds()
+	for j, ok := range got {
+		if ok != l.expect[i+j] {
+			l.wrong++
+		}
+		l.lats[i+j] = now - l.arr[i+j]
 	}
-	s.lats[i] = now - s.arr[i]
+	l.calls++
 	return now
 }
 
-func (s *e21Scalar) drain()                       {}
-func (s *e21Scalar) stats() server.CoalescerStats { return server.CoalescerStats{} }
-
-// e21Batched is the engine's real coalescer driven through its async
-// path; the sink stores completion latency against the scheduled
-// arrival, indexed by tag (tags are unique, so concurrent flushers
-// never write the same slot).
-type e21Batched struct {
-	engine *server.Engine
-	st     server.CoalescerStats
+// scalar is the unbatched server: one synchronous probe per request.
+func (l *e21Load) scalar(i int, _ int64) (int, int64) {
+	l.out[0] = l.filter.Contains(l.stream[i])
+	return 1, l.complete(i, l.out[:1])
 }
 
-func newE21Batched(filter core.Filter, arr []int64, expect []bool, lats []int64, start time.Time, wrong *atomic.Int64) *e21Batched {
-	e, err := server.NewEngine(filter, nil, server.Config{
-		MaxBatch: core.BatchChunk,
-		Window:   200 * time.Microsecond,
-		Sink: func(tag, _ uint64, found bool, err error) {
-			now := time.Since(start).Nanoseconds()
-			if err != nil || found != expect[tag] {
-				wrong.Add(1)
+// batched is the clockless front-end: whatever is due when the
+// dispatcher looks goes down the engine's direct batch path together.
+func (l *e21Load) batched(i int, nowNs int64) (int, int64) {
+	end := i + 1
+	for end < len(l.arr) && end-i < len(l.out) && l.arr[end] <= nowNs {
+		end++
+	}
+	if err := l.engine.ContainsBatch(l.stream[i:end], l.out); err != nil {
+		panic(err)
+	}
+	return end - i, l.complete(i, l.out[:end-i])
+}
+
+// e21Replay paces the schedule arr onto serve and returns the
+// wall-clock seconds the whole run took. When the dispatcher falls
+// behind schedule it serves as fast as it can — open loop: the backlog
+// becomes queueing latency, not a slower offered rate. Pacing spins
+// rather than sleeping, except far ahead of schedule: a sleeper on the
+// reference guest wakes more than a millisecond late, which would
+// inject phantom multi-ms tail latencies at low load.
+func e21Replay(serve func(i int, nowNs int64) (int, int64), arr []int64, start time.Time) float64 {
+	now := int64(0)
+	for i := 0; i < len(arr); {
+		for now < arr[i] {
+			now = time.Since(start).Nanoseconds()
+			if ahead := arr[i] - now; ahead > 5_000_000 {
+				time.Sleep(time.Duration(ahead - 3_000_000))
 			}
-			lats[tag] = now - arr[tag]
-		},
-	})
-	if err != nil {
-		panic(err)
+		}
+		n, t := serve(i, now)
+		i, now = i+n, t
 	}
-	return &e21Batched{engine: e}
+	return time.Since(start).Seconds()
 }
-
-func (b *e21Batched) inject(i int, key uint64, nowNs int64) int64 {
-	if err := b.engine.ContainsAsync(key, uint64(i)); err != nil {
-		panic(err)
-	}
-	return nowNs
-}
-
-// drain closes the engine: Close flushes the open window, so every
-// outstanding sink callback has run when it returns.
-func (b *e21Batched) drain() {
-	b.engine.Close()
-	b.st = b.engine.MembershipStats()
-}
-
-func (b *e21Batched) stats() server.CoalescerStats { return b.st }
 
 // e21OpenLoop sweeps offered load across the scalar capacity knee and
 // reports the latency distribution both server shapes deliver.
 func e21OpenLoop(cfg Config, filter core.Filter, stream []uint64, expect []bool, capScalar, capBatched float64) *metrics.Table {
 	t := metrics.NewTable(
-		fmt.Sprintf("E21a: open-loop Poisson sweep (q=%d, window=200us, maxbatch=%d; offered relative to scalar capacity %.1f Mops)",
+		fmt.Sprintf("E21a: open-loop Poisson sweep (q=%d, maxbatch=%d; offered relative to scalar capacity %.1f Mops)",
 			len(stream), core.BatchChunk, capScalar/1e6),
 		"offered_x_cap", "mode", "offered_kops", "achieved_kops", "p50_us", "p99_us", "p999_us", "avg_batch", "wrong_results")
+	engine, err := server.NewEngine(filter, nil, server.Config{})
+	if err != nil {
+		panic(err)
+	}
+	defer engine.Close()
 	for _, mult := range []float64{0.3, 0.6, 0.9, 1.1, 1.4} {
 		rate := mult * capScalar
 		arr := workload.PoissonArrivals(len(stream), rate, int64(2100+int(mult*100)))
 		for _, mode := range []string{"scalar", "batched"} {
-			lats := make([]int64, len(stream))
-			var wrongAsync atomic.Int64
-			var srv e21Server
-			start := time.Now()
-			if mode == "scalar" {
-				srv = &e21Scalar{filter: filter, lats: lats, arr: arr, expect: expect, start: start}
-			} else {
-				srv = newE21Batched(filter, arr, expect, lats, start, &wrongAsync)
+			l := &e21Load{
+				stream: stream, arr: arr, expect: expect,
+				lats: make([]int64, len(stream)), start: time.Now(),
+				filter: filter, engine: engine, out: make([]bool, core.BatchChunk),
 			}
-			wall := e21Replay(srv, stream, arr, start)
-			wrong := wrongAsync.Load()
-			if s, ok := srv.(*e21Scalar); ok {
-				wrong = s.wrong
+			serve := l.scalar
+			if mode == "batched" {
+				serve = l.batched
 			}
-			st := srv.stats()
-			avgBatch := 1.0
-			if st.Windows > 0 {
-				avgBatch = float64(st.Keys) / float64(st.Windows)
-			}
+			wall := e21Replay(serve, arr, l.start)
 			rec := workload.NewLatencyRecorder(0)
-			rec.RecordAll(lats)
+			rec.RecordAll(l.lats)
 			t.AddRow(mult, mode,
 				rate/1e3,
 				float64(len(stream))/wall/1e3,
 				float64(rec.Percentile(50))/1e3,
 				float64(rec.Percentile(99))/1e3,
 				float64(rec.Percentile(99.9))/1e3,
-				avgBatch,
-				wrong)
+				float64(len(stream))/float64(l.calls),
+				l.wrong)
 		}
 	}
 	return t
 }
 
 // e21ClosedLoop runs G blocking requesters through the coalescer and
-// through the scalar path. This is the shape where coalescing is
-// weakest on one core — a lone requester pays the whole window
-// deadline — and the table says so rather than hiding it.
+// through the scalar path.
 func e21ClosedLoop(cfg Config, filter core.Filter, stream []uint64) *metrics.Table {
 	opsTotal := cfg.n(20000)
 	t := metrics.NewTable(
-		fmt.Sprintf("E21b: closed-loop blocking requesters (ops=%d, window=50us, GOMAXPROCS=%d)",
+		fmt.Sprintf("E21b: closed-loop blocking requesters (ops=%d, GOMAXPROCS=%d)",
 			opsTotal, runtime.GOMAXPROCS(0)),
 		"goroutines", "mode", "kops_per_sec", "avg_batch")
 	for _, g := range []int{1, 4, 16, 64} {
 		opsEach := opsTotal / g
 		if opsEach == 0 {
 			opsEach = 1
-		}
-		// A lone blocking requester pays the full window deadline per op
-		// (~ms on an idle core), so capping per-goroutine ops keeps the
-		// low-fan-in points honest without letting them dominate the
-		// experiment's wall clock. Throughput is a rate; fewer ops at the
-		// same rate report the same number.
-		opsEachCoal := opsEach
-		if opsEachCoal > 1000 {
-			opsEachCoal = 1000
 		}
 
 		// Scalar: every goroutine probes directly.
@@ -313,10 +265,7 @@ func e21ClosedLoop(cfg Config, filter core.Filter, stream []uint64) *metrics.Tab
 		t.AddRow(g, "scalar", scalarKops, 1.0)
 
 		// Coalesced: every goroutine blocks in Engine.Contains.
-		e, err := server.NewEngine(filter, nil, server.Config{
-			MaxBatch: core.BatchChunk,
-			Window:   50 * time.Microsecond,
-		})
+		e, err := server.NewEngine(filter, nil, server.Config{})
 		if err != nil {
 			panic(err)
 		}
@@ -326,15 +275,15 @@ func e21ClosedLoop(cfg Config, filter core.Filter, stream []uint64) *metrics.Tab
 			go func(w int) {
 				defer wg.Done()
 				ctx := context.Background()
-				for i := 0; i < opsEachCoal; i++ {
-					if _, err := e.Contains(ctx, stream[(w*opsEachCoal+i)%len(stream)]); err != nil {
+				for i := 0; i < opsEach; i++ {
+					if _, err := e.Contains(ctx, stream[(w*opsEach+i)%len(stream)]); err != nil {
 						panic(err)
 					}
 				}
 			}(w)
 		}
 		wg.Wait()
-		coalescedKops := float64(g*opsEachCoal) / time.Since(start).Seconds() / 1e3
+		coalescedKops := float64(g*opsEach) / time.Since(start).Seconds() / 1e3
 		st := e.MembershipStats()
 		e.Close()
 		avgBatch := 0.0

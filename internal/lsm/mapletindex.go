@@ -41,9 +41,18 @@ func (mi *mapletIndex) GetBatch(keys []uint64, ends []int32, dst []uint64) ([]in
 	return mi.m.GetBatch(keys, ends, dst)
 }
 
-// PutExpanding associates a packed value with key, expanding the
-// maplet when it is full. The put and any expansions happen under one
-// critical section, so readers never observe a half-built table.
+// mapletMaxLoad is the load factor at which the maplet doubles before
+// admitting the next entry. A quotient table's clusters stay O(1)
+// expected below it; filling to the brim instead makes the last inserts
+// before each doubling re-encode a table-sized cluster, which is
+// quadratic in the key count.
+const mapletMaxLoad = 0.85
+
+// PutExpanding associates a packed value with key, doubling the maplet
+// first when it has reached mapletMaxLoad. The expansion and the put
+// happen under one critical section, so readers never observe a
+// half-built table. It fails with core.ErrFull once the maplet is at
+// that load with no remainder bit left to sacrifice.
 func (mi *mapletIndex) PutExpanding(key, val uint64) error {
 	mi.mu.Lock()
 	defer mi.mu.Unlock()
@@ -51,14 +60,12 @@ func (mi *mapletIndex) PutExpanding(key, val uint64) error {
 }
 
 func (mi *mapletIndex) putExpandingLocked(key, val uint64) error {
-	for {
-		if err := mi.m.Put(key, val); err == nil {
-			return nil
-		}
+	if mi.m.LoadFactor() >= mapletMaxLoad {
 		if err := mi.m.Expand(); err != nil {
 			return err
 		}
 	}
+	return mi.m.Put(key, val)
 }
 
 // Delete removes one (key, packed value) association (best effort).

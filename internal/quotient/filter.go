@@ -113,8 +113,11 @@ func (f *Filter) fingerprint(key uint64) (fq, fr uint64) {
 	return fp >> f.r, fp & hashutil.Mask(f.r)
 }
 
-// Insert adds key. It returns ErrFull when the filter is at capacity and
-// auto-expansion is off (or exhausted).
+// Insert adds key. The filter is a multiset of fingerprints: a key that
+// collides with a stored one (or is inserted twice) takes its own slot,
+// because Delete removes one copy and a shared copy would turn the
+// other key into a false negative. It returns ErrFull when the filter
+// is at capacity and auto-expansion is off (or exhausted).
 func (f *Filter) Insert(key uint64) error {
 	if f.saturated {
 		return nil // every query already returns true
@@ -128,13 +131,8 @@ func (f *Filter) Insert(key uint64) error {
 		}
 	}
 	fq, fr := f.fingerprint(key)
-	inserted := false
 	_, err := f.t.mutate(fq, func(slots []uint64) []uint64 {
 		i := sort.Search(len(slots), func(i int) bool { return slots[i] >= fr })
-		if i < len(slots) && slots[i] == fr {
-			return slots // already present
-		}
-		inserted = true
 		out := make([]uint64, 0, len(slots)+1)
 		out = append(out, slots[:i]...)
 		out = append(out, fr)
@@ -144,9 +142,7 @@ func (f *Filter) Insert(key uint64) error {
 	if err != nil {
 		return err
 	}
-	if inserted {
-		f.n++
-	}
+	f.n++
 	return nil
 }
 
@@ -216,10 +212,12 @@ func (f *Filter) ContainsBatch(keys []uint64, out []bool) {
 	}
 }
 
-// Delete removes key's fingerprint. Deleting a key that was never
-// inserted may remove a colliding key's fingerprint; callers must only
-// delete keys they know to be present. Returns ErrNotFound when the
-// fingerprint is absent.
+// Delete removes one copy of key's fingerprint, so a key inserted k
+// times stays present until its k-th Delete, and deleting one of two
+// colliding keys leaves the other's copy in place. Deleting a key that
+// was never inserted may remove a colliding key's copy; callers must
+// only delete keys they know to be present. Returns ErrNotFound when
+// no copy of the fingerprint is stored.
 func (f *Filter) Delete(key uint64) error {
 	if f.saturated {
 		return nil

@@ -77,19 +77,40 @@ func TestFilterDelete(t *testing.T) {
 	}
 }
 
+// TestFilterIdempotentInsert pins what a repeated Insert does in a
+// filter that offers Delete: it is not idempotent. The filter keeps one
+// copy per Insert and Delete removes one, so two keys sharing a
+// fingerprint can each be deleted without taking the other with it.
 func TestFilterIdempotentInsert(t *testing.T) {
 	f := New(8, 8)
-	for i := 0; i < 10; i++ {
-		f.Insert(42)
+	for i := 0; i < 2; i++ {
+		if err := f.Insert(42); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if f.Len() != 1 {
-		t.Fatalf("Len = %d after duplicate inserts, want 1", f.Len())
+	if f.Len() != 2 {
+		t.Fatalf("Len = %d after two inserts, want 2", f.Len())
+	}
+	if err := f.Delete(42); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Contains(42) {
+		t.Fatal("inserted twice, deleted once: must still be present")
 	}
 	if err := f.Delete(42); err != nil {
 		t.Fatal(err)
 	}
 	if f.Contains(42) {
-		t.Fatal("still present after delete")
+		t.Fatal("still present after the second delete")
+	}
+	if err := f.Delete(42); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("third delete: %v, want ErrNotFound", err)
+	}
+	if f.Len() != 0 {
+		t.Fatalf("Len = %d at the end, want 0", f.Len())
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

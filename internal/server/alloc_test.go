@@ -1,8 +1,8 @@
 package server
 
 import (
+	"context"
 	"testing"
-	"time"
 
 	"beyondbloom/internal/lsm"
 )
@@ -93,29 +93,25 @@ func TestEngineContainsBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCoalescerAsyncAmortizedAllocs pins the open-loop coalescer path:
-// windows are pooled, so per-request allocation at steady state is a
-// small fraction of an allocation (the occasional pool refill), not
-// one-plus per request.
-func TestCoalescerAsyncAmortizedAllocs(t *testing.T) {
-	c := NewCoalescer(256, time.Hour, func(keys, values []uint64, found []bool) error {
+// TestCoalescerLoneDoAllocs pins the idle coalescer path: a lone Do
+// allocates its window, the done channel and the window's three
+// slices, and nothing else.
+func TestCoalescerLoneDoAllocs(t *testing.T) {
+	c := NewCoalescer(256, func(keys, values []uint64, found []bool) error {
 		for i := range keys {
 			found[i] = keys[i]&1 == 1
 		}
 		return nil
-	}, func(tag, value uint64, found bool, err error) {})
+	})
 	defer c.Close()
-
-	run := func() { // exactly one capacity-sealed window per run
-		for i := uint64(0); i < 256; i++ {
-			if err := c.EnqueueAsync(i, i); err != nil {
-				t.Fatal(err)
-			}
+	ctx := context.Background()
+	run := func() {
+		if _, found, err := c.Do(ctx, 7); err != nil || !found {
+			t.Fatalf("Do(7) = %v, %v", found, err)
 		}
 	}
 	run()
-	avg := testing.AllocsPerRun(100, run)
-	if perReq := avg / 256; perReq > 0.05 {
-		t.Fatalf("async coalescing allocates %.3f per request at steady state (%.1f per window), want amortized ~0", perReq, avg)
+	if avg := testing.AllocsPerRun(200, run); avg > 5 {
+		t.Fatalf("lone Do allocates %.1f times, want <= 5", avg)
 	}
 }

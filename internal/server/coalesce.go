@@ -5,164 +5,90 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// ErrShutdown is returned to requests that arrive after (or are in
-// flight during a failed flush of) Close.
+// ErrShutdown is returned to requests that arrive after Close.
 var ErrShutdown = errors.New("server: shutting down")
 
 // FlushFunc answers one sealed window: it must fill found[i] (and, for
-// KV backends, values[i]) for every keys[i]. It is called outside the
-// coalescer lock, possibly from a request goroutine (capacity seal),
-// the deadline goroutine, or Close. values and found are sized to
-// keys. A non-nil error fails every request in the window.
+// KV backends, values[i]) for every keys[i]; values and found arrive
+// zeroed and sized to keys. It runs outside the coalescer lock on the
+// goroutine of the request that opened the window, concurrently for
+// windows that filled during one flush. A non-nil error fails every
+// request in the window.
 type FlushFunc func(keys []uint64, values []uint64, found []bool) error
-
-// SinkFunc receives the answers of asynchronously enqueued keys (the
-// load generator's open-loop path). It is called once per async key,
-// in window order, from whichever goroutine ran the flush.
-type SinkFunc func(tag uint64, value uint64, found bool, err error)
 
 // CoalescerStats is a snapshot of the coalescer's counters.
 type CoalescerStats struct {
 	Windows         int64 // sealed windows flushed
 	Keys            int64 // keys across all flushed windows
-	CapacityFlushes int64 // windows sealed by reaching MaxBatch
-	DeadlineFlushes int64 // windows sealed by the window deadline
-	CloseFlushes    int64 // windows sealed by Close
-	EmptyDeadlines  int64 // deadline fires that found nothing to flush
+	CapacityFlushes int64 // windows sealed holding MaxBatch keys
+	LoneFlushes     int64 // windows sealed holding their owner's key alone
 	Rejected        int64 // requests refused after Close
 }
 
-// cwindow is one coalescing window: the shared batch the current
-// burst of point requests lands in. Sync waiters block on done and
-// read their slot afterwards; async slots are delivered to the sink by
-// the flusher. A window that ever had a sync waiter is left to the GC
-// (a waiter may still be reading its slot after done closes); pure
-// async windows are pooled, so the open-loop hot path stays
-// allocation-free at steady state.
+// cwindow is one coalescing window: the shared batch a burst of point
+// requests lands in. Its owner fills vals, found and err, then closes
+// done; the other requests block on done and read their own slot after.
 type cwindow struct {
-	keys   []uint64
-	vals   []uint64
-	found  []bool
-	tags   []uint64
-	async  []bool
-	opened time.Time
-	done   chan struct{}
-	err    error
-	sync   bool // a sync waiter joined; do not pool
+	keys  []uint64
+	vals  []uint64
+	found []bool
+	done  chan struct{}
+	err   error
+}
+
+func (w *cwindow) answer(slot int) (uint64, bool, error) {
+	if w.err != nil {
+		return 0, false, w.err
+	}
+	return w.vals[slot], w.found[slot], nil
 }
 
 // Coalescer batches concurrent point requests into windows answered by
-// one FlushFunc call. A window seals when it reaches MaxBatch keys
-// (the sealing request flushes it inline) or when it has been open for
-// the window duration (a dedicated deadline goroutine flushes it), so
-// a lone request waits at most one window deadline and a saturating
-// stream pays one flush per MaxBatch keys.
+// one FlushFunc call, without a clock: the request that opens a window
+// owns it. The owner waits only for the flush already in flight (if
+// any), seals the window with whatever joined meanwhile (at most
+// MaxBatch keys), runs the flush on its own goroutine and wakes the
+// joiners. So every open window has a running owner; an idle coalescer
+// answers a lone request inline, as a window of one; a request waits
+// for at most one in-flight flush plus its own, so a busy coalescer
+// grows windows to "whatever arrived during one flush"; and Close
+// returns after the last owner has flushed (DESIGN.md §11).
 type Coalescer struct {
 	maxBatch int
-	window   time.Duration
 	flush    FlushFunc
-	sink     SinkFunc
 
 	mu     sync.Mutex
-	cur    *cwindow
+	cur    *cwindow      // the open window, nil if none (or the last one filled)
+	tail   chan struct{} // done of the most recently started flush
 	closed bool
-	timer  *time.Timer
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	pool   sync.Pool
+	owners sync.WaitGroup
 
 	windows         atomic.Int64
 	keys            atomic.Int64
 	capacityFlushes atomic.Int64
-	deadlineFlushes atomic.Int64
-	closeFlushes    atomic.Int64
-	emptyDeadlines  atomic.Int64
+	loneFlushes     atomic.Int64
 	rejected        atomic.Int64
 }
 
-// NewCoalescer builds a coalescer over flush. maxBatch <= 1 disables
-// batching-by-count (every request seals its own window — useful for
-// deterministic tests); window <= 0 selects 200µs. sink may be nil if
-// EnqueueAsync is never used.
-func NewCoalescer(maxBatch int, window time.Duration, flush FlushFunc, sink SinkFunc) *Coalescer {
+// NewCoalescer builds a coalescer over flush. maxBatch <= 1 makes every
+// request a window of its own.
+func NewCoalescer(maxBatch int, flush FlushFunc) *Coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	if window <= 0 {
-		window = 200 * time.Microsecond
-	}
-	c := &Coalescer{
-		maxBatch: maxBatch,
-		window:   window,
-		flush:    flush,
-		sink:     sink,
-		quit:     make(chan struct{}),
-	}
-	c.timer = time.NewTimer(time.Hour)
-	if !c.timer.Stop() {
-		<-c.timer.C
-	}
-	c.wg.Add(1)
-	go c.deadlineLoop()
-	return c
+	return &Coalescer{maxBatch: maxBatch, flush: flush}
 }
 
-// getWindow takes a window from the pool (or allocates one) and
-// readies it for a fresh batch.
-func (c *Coalescer) getWindow() *cwindow {
-	w, _ := c.pool.Get().(*cwindow)
-	if w == nil {
-		w = &cwindow{}
-	}
-	w.keys = w.keys[:0]
-	w.tags = w.tags[:0]
-	w.async = w.async[:0]
-	w.err = nil
-	w.sync = false
-	w.opened = time.Now()
-	w.done = make(chan struct{})
-	return w
-}
-
-// openLocked returns the current window, opening one (and arming the
-// deadline timer) if none is open. Callers hold mu.
-func (c *Coalescer) openLocked() *cwindow {
-	if c.cur == nil {
-		c.cur = c.getWindow()
-		if c.maxBatch > 1 {
-			c.timer.Reset(c.window)
-		}
-	}
-	return c.cur
-}
-
-// enqueueLocked appends one key and seals the window if it is full.
-// It returns the window, the key's slot, and whether the caller must
-// run the flush (it sealed the window by filling it).
-func (c *Coalescer) enqueueLocked(key, tag uint64, async bool) (w *cwindow, slot int, sealed bool) {
-	w = c.openLocked()
-	slot = len(w.keys)
-	w.keys = append(w.keys, key)
-	w.tags = append(w.tags, tag)
-	w.async = append(w.async, async)
-	if !async {
-		w.sync = true
-	}
-	if len(w.keys) >= c.maxBatch {
-		c.cur = nil // detach: requests arriving during the flush start a fresh window
-		sealed = true
-	}
-	return w, slot, sealed
-}
-
-// Do submits one point request and blocks until its window is flushed
-// or ctx is cancelled. A cancelled request simply abandons its slot:
-// the window still probes the key and nobody reads the answer, so
-// cancellation can never corrupt the shared batch. After Close, Do
-// fails fast with ErrShutdown.
+// Do submits one point request and blocks until its window is flushed.
+// A request that joins an open window may give up when ctx is
+// cancelled: it abandons its slot, the window still probes the key and
+// nobody reads the answer, so cancellation cannot corrupt the shared
+// batch. The request that opened the window may not abandon it — its
+// joiners have nobody else — so it ignores ctx and returns its real
+// answer; its wait is bounded by one in-flight flush plus its own.
+// After Close, Do fails fast with ErrShutdown.
 func (c *Coalescer) Do(ctx context.Context, key uint64) (value uint64, found bool, err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -170,125 +96,66 @@ func (c *Coalescer) Do(ctx context.Context, key uint64) (value uint64, found boo
 		c.rejected.Add(1)
 		return 0, false, ErrShutdown
 	}
-	w, slot, sealed := c.enqueueLocked(key, 0, false)
-	c.mu.Unlock()
-	if sealed {
-		c.flushWindow(w, &c.capacityFlushes)
-	}
-	select {
-	case <-w.done:
-		if w.err != nil {
-			return 0, false, w.err
+	if w := c.cur; w != nil {
+		slot := len(w.keys)
+		w.keys = append(w.keys, key)
+		if len(w.keys) >= c.maxBatch {
+			c.cur = nil // full: the next arrival opens, and owns, a fresh window
 		}
-		return w.vals[slot], w.found[slot], nil
-	case <-ctx.Done():
-		return 0, false, ctx.Err()
-	}
-}
-
-// EnqueueAsync submits one point request whose answer is delivered to
-// the sink (with the given tag) when its window flushes. It never
-// blocks beyond the window mutex.
-func (c *Coalescer) EnqueueAsync(key, tag uint64) error {
-	c.mu.Lock()
-	if c.closed {
 		c.mu.Unlock()
-		c.rejected.Add(1)
-		return ErrShutdown
+		select {
+		case <-w.done:
+			return w.answer(slot)
+		case <-ctx.Done():
+			return 0, false, ctx.Err()
+		}
 	}
-	w, _, sealed := c.enqueueLocked(key, tag, true)
+	w := &cwindow{keys: []uint64{key}, done: make(chan struct{})}
+	if c.maxBatch > 1 {
+		c.cur = w
+	}
+	inflight := c.tail
+	c.owners.Add(1)
 	c.mu.Unlock()
-	if sealed {
-		c.flushWindow(w, &c.capacityFlushes)
+	if inflight != nil {
+		<-inflight // company can only arrive while there is something to wait for
 	}
-	return nil
+	c.mu.Lock()
+	if c.cur == w {
+		c.cur = nil // seal: requests arriving during the flush open a fresh window
+	}
+	c.tail = w.done
+	c.mu.Unlock()
+	c.flushWindow(w)
+	c.owners.Done()
+	return w.answer(0)
 }
 
-// flushWindow answers a sealed window: size the result slots, run the
-// backend flush, wake the sync waiters, deliver the async slots, and
-// pool the window if no waiter can still be reading it.
-func (c *Coalescer) flushWindow(w *cwindow, cause *atomic.Int64) {
+// flushWindow answers a sealed window and wakes its joiners.
+func (c *Coalescer) flushWindow(w *cwindow) {
 	n := len(w.keys)
-	if cap(w.vals) < n {
-		w.vals = make([]uint64, n)
-		w.found = make([]bool, n)
-	}
-	w.vals = w.vals[:n]
-	w.found = w.found[:n]
-	for i := range w.vals {
-		w.vals[i] = 0
-		w.found[i] = false
-	}
+	w.vals = make([]uint64, n)
+	w.found = make([]bool, n)
 	w.err = c.flush(w.keys, w.vals, w.found)
 	close(w.done)
 	c.windows.Add(1)
 	c.keys.Add(int64(n))
-	cause.Add(1)
-	hasAsync := false
-	for i := range w.async {
-		if w.async[i] {
-			hasAsync = true
-			c.sink(w.tags[i], w.vals[i], w.found[i], w.err)
-		}
+	if n >= c.maxBatch {
+		c.capacityFlushes.Add(1)
 	}
-	if hasAsync && !w.sync {
-		c.pool.Put(w)
+	if n == 1 {
+		c.loneFlushes.Add(1)
 	}
 }
 
-// deadlineLoop seals windows that age past the deadline without
-// filling. A fire can be stale (the window it was armed for already
-// sealed at capacity, and a younger window is open): then the open
-// window keeps its remaining time and the timer is re-armed. A fire
-// with no open window is the "empty flush": counted, otherwise a
-// no-op.
-func (c *Coalescer) deadlineLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-c.timer.C:
-			c.mu.Lock()
-			w := c.cur
-			if w == nil {
-				c.emptyDeadlines.Add(1)
-				c.mu.Unlock()
-				continue
-			}
-			if rem := c.window - time.Since(w.opened); rem > 0 {
-				c.timer.Reset(rem)
-				c.mu.Unlock()
-				continue
-			}
-			c.cur = nil
-			c.mu.Unlock()
-			c.flushWindow(w, &c.deadlineFlushes)
-		}
-	}
-}
-
-// Close seals and flushes the open window — every in-flight waiter
-// gets its real answer — then rejects all later requests with
-// ErrShutdown. It is idempotent and returns once the deadline
-// goroutine has exited, so no flush can run after Close returns.
+// Close rejects all later requests with ErrShutdown and returns once
+// every window already open has been flushed by its owner: in-flight
+// waiters get real answers, no flush starts after it. It is idempotent.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return
-	}
 	c.closed = true
-	w := c.cur
-	c.cur = nil
-	c.timer.Stop()
-	close(c.quit)
 	c.mu.Unlock()
-	c.wg.Wait() // after this no deadline flush can race the final flush
-	if w != nil {
-		c.flushWindow(w, &c.closeFlushes)
-	}
+	c.owners.Wait()
 }
 
 // Stats snapshots the counters.
@@ -297,9 +164,7 @@ func (c *Coalescer) Stats() CoalescerStats {
 		Windows:         c.windows.Load(),
 		Keys:            c.keys.Load(),
 		CapacityFlushes: c.capacityFlushes.Load(),
-		DeadlineFlushes: c.deadlineFlushes.Load(),
-		CloseFlushes:    c.closeFlushes.Load(),
-		EmptyDeadlines:  c.emptyDeadlines.Load(),
+		LoneFlushes:     c.loneFlushes.Load(),
 		Rejected:        c.rejected.Load(),
 	}
 }

@@ -34,10 +34,6 @@ type Config struct {
 	// core.BatchChunk, so a full window is exactly one hash-once/
 	// probe-many pass).
 	MaxBatch int
-	// Window is the coalescing deadline: the longest a lone point
-	// request waits for company before its window is flushed anyway
-	// (default 200µs).
-	Window time.Duration
 	// MaxInflightKeys is the read admission budget: the total keys
 	// admitted and not yet answered, across point and batch requests
 	// (default 65536). Excess requests fail fast with ErrOverloaded.
@@ -47,17 +43,11 @@ type Config struct {
 	// backpressure mechanism; this budget converts "stalled too deep"
 	// into fast 429s instead of unbounded goroutine pileup.
 	MaxInflightWrites int
-	// Sink receives async probe completions (see Engine.ContainsAsync).
-	// Only the load generator uses it; nil is fine for servers.
-	Sink SinkFunc
 }
 
 func (c *Config) fill() {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = core.BatchChunk
-	}
-	if c.Window == 0 {
-		c.Window = 200 * time.Microsecond
 	}
 	if c.MaxInflightKeys == 0 {
 		c.MaxInflightKeys = 65536
@@ -99,9 +89,9 @@ func NewEngine(filter core.Filter, store *lsm.Store, cfg Config) (*Engine, error
 	cfg.fill()
 	e := &Engine{cfg: cfg, store: store, start: time.Now()}
 	e.fh.install(filter, "")
-	e.membership = NewCoalescer(cfg.MaxBatch, cfg.Window, e.flushMembership, cfg.Sink)
+	e.membership = NewCoalescer(cfg.MaxBatch, e.flushMembership)
 	if store != nil {
-		e.kv = NewCoalescer(cfg.MaxBatch, cfg.Window, e.flushKV, cfg.Sink)
+		e.kv = NewCoalescer(cfg.MaxBatch, e.flushKV)
 	}
 	return e, nil
 }
@@ -143,13 +133,6 @@ func (e *Engine) Contains(ctx context.Context, key uint64) (bool, error) {
 	defer e.releaseKeys(1)
 	_, found, err := e.membership.Do(ctx, key)
 	return found, err
-}
-
-// ContainsAsync coalesces key like Contains but delivers the answer to
-// cfg.Sink with tag instead of blocking. It bypasses admission — the
-// open-loop load generator is the admission experiment.
-func (e *Engine) ContainsAsync(key, tag uint64) error {
-	return e.membership.EnqueueAsync(key, tag)
 }
 
 // ContainsBatch probes a whole batch directly against the current
@@ -272,10 +255,11 @@ func (e *Engine) Metrics() *Metrics { return &e.m }
 // MembershipStats returns the membership coalescer's counters.
 func (e *Engine) MembershipStats() CoalescerStats { return e.membership.Stats() }
 
-// Close drains the coalescers: open windows are flushed so every
-// in-flight waiter gets a real answer, then all later requests fail
-// fast with ErrShutdown. The store, if any, stays open — its owner
-// closes it after the engine so final flushes still have a backend.
+// Close drains the coalescers: all later requests fail fast with
+// ErrShutdown, and every window already open is flushed by its owner,
+// so every in-flight waiter gets a real answer. The store, if any,
+// stays open — its owner closes it after the engine so final flushes
+// still have a backend.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return

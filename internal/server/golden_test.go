@@ -39,8 +39,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestMetricsGolden pins the full /metrics page for a fixed request
 // sequence. Every piece is deterministic by construction: the filter
 // seeds are fixed, the store is synchronous (bit-identical I/O replay),
-// and MaxBatch=1 disables the deadline timer, so every coalesced
-// request seals its own window. Any change to a counter name, label,
+// and the requests are sequential, so every coalesced request finds
+// the coalescer idle and is flushed as its own window. Any change to a counter name, label,
 // render order, or to which requests bump which counters shows up as a
 // diff here.
 func TestMetricsGolden(t *testing.T) {

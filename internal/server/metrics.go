@@ -72,9 +72,7 @@ func gatherCoalescer(role string, s CoalescerStats) []metricPoint {
 		{prefix + "windows_total", "role", role, s.Windows},
 		{prefix + "keys_total", "role", role, s.Keys},
 		{prefix + "capacity_flushes_total", "role", role, s.CapacityFlushes},
-		{prefix + "deadline_flushes_total", "role", role, s.DeadlineFlushes},
-		{prefix + "close_flushes_total", "role", role, s.CloseFlushes},
-		{prefix + "empty_deadline_fires_total", "role", role, s.EmptyDeadlines},
+		{prefix + "lone_flushes_total", "role", role, s.LoneFlushes},
 		{prefix + "rejected_total", "role", role, s.Rejected},
 	}
 }

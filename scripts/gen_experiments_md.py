@@ -278,25 +278,29 @@ flat from 1× to 2× design load): two-choice balancing controls the
 per-block load *spread* (tail), not the mean, under uniform inserts.""",
 
     "E21": """The filter service measured end to end (DESIGN.md §11): does
-coalescing concurrent point requests into hash-once/probe-many windows
-buy real capacity, and what does it cost in latency? The capacity
-table is the ceiling — the batched probe engine runs 1.4-1.6× the
-scalar engine over the Zipfian service stream on this 1-core
-container. The headline E21a sweep is OPEN-LOOP: Poisson arrivals
-replayed at offered loads set relative to measured scalar capacity,
-with each request's latency taken from its *scheduled* arrival, so
-queueing counts and an overloaded server shows a diverging tail
-instead of a flattering throughput number. Below the scalar knee the
-scalar path wins on p50 (sub-µs inline probe vs the coalescer's
-deadline wait); past the knee the coalescing server both achieves
-more throughput and holds a lower p99 — the BENCH_service.json
-acceptance predicate — with zero wrong membership answers in every
-cell. E21b is the honest closed-loop counterpoint: a lone blocking
-requester pays the whole window deadline (~1000× slower on one core),
-and coalesced throughput only climbs toward the batch kernels as
-fan-in grows (avg_batch tracks goroutine count almost exactly).
-Open-loop arrival fan-in — the service case — is where the window
-pays off; captive closed-loop clients are the wrong shape for it.""",
+batching the point requests that are already waiting buy real
+capacity, and what does it cost in latency when nobody is waiting?
+The capacity table is the ceiling — the batched probe engine runs
+1.4-1.7× the scalar engine over the Zipfian service stream. The
+headline E21a sweep is OPEN-LOOP: Poisson arrivals replayed at offered
+loads set relative to measured scalar capacity, with each request's
+latency taken from its *scheduled* arrival, so queueing counts and an
+overloaded server shows a diverging tail instead of a flattering
+throughput number. The batched server never waits for company: when
+the dispatcher looks, everything already due (at most one 256-key
+chunk) goes down `Engine.ContainsBatch` in one call. Below the scalar
+knee that is a batch of a few keys at a ~1 µs p50; as load rises
+avg_batch grows by itself to the full 256, and past the knee the
+batched server still keeps up where the scalar one has saturated at
+its per-request ceiling — more throughput at a p99 an order of
+magnitude lower, the BENCH_service.json acceptance predicate — with
+zero wrong membership answers in every cell. E21b drives blocking
+requesters through `Engine.Contains`, the real clockless coalescer: a
+request that finds it idle is flushed inline as a window of one, so
+the coalesced column costs 5-8× the bare probe (the window's
+bookkeeping) at every fan-in instead of a timer's wake-up latency, and
+avg_batch reads 1.00 on one core because no request ever overlaps
+another's flush. The same tables at GOMAXPROCS=2 have the same shape.""",
 
     "A1": """SuRF's own design space: hash suffixes cut point FPR (in space) but do
 nothing for correlated range queries, which need real suffixes — and even
