@@ -7,6 +7,7 @@
 //	beyondbloom exp E7               run one experiment
 //	beyondbloom exp all              run every experiment
 //	beyondbloom exp E7 -scale 0.2    run at reduced workload scale
+//	beyondbloom exp E19 -json        the same run as one JSON document
 //	beyondbloom exp E2 -cpuprofile cpu.out -memprofile mem.out
 //	                                 profile a run with runtime/pprof
 package main
@@ -14,12 +15,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"beyondbloom/internal/experiments"
+	"beyondbloom/internal/metrics"
 )
 
 func main() {
@@ -35,6 +38,7 @@ func main() {
 	case "exp":
 		fs := flag.NewFlagSet("exp", flag.ExitOnError)
 		scale := fs.Float64("scale", 1.0, "workload scale factor")
+		asJSON := fs.Bool("json", false, "write each experiment as one JSON document instead of text tables")
 		cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
 		memprofile := fs.String("memprofile", "", "write an allocation profile to `file` on exit")
 		if len(os.Args) < 3 {
@@ -49,7 +53,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}
-		code := runExp(id, cfg)
+		code := runExp(id, cfg, *asJSON)
 		// Flush profiles before exiting — os.Exit skips defers, so the
 		// teardown is explicit and runs even when experiments failed
 		// (a failing run is exactly the one worth profiling).
@@ -65,13 +69,13 @@ func main() {
 
 // runExp runs one experiment (or all of them) and returns the process
 // exit code instead of calling os.Exit, so profile teardown still runs.
-func runExp(id string, cfg experiments.Config) int {
+func runExp(id string, cfg experiments.Config, asJSON bool) int {
 	if id == "all" {
 		// A panicking experiment must not take down the rest of the
 		// suite: report it, keep going, and exit non-zero at the end.
 		var failed []string
 		for _, e := range experiments.All() {
-			if err := run(e, cfg); err != nil {
+			if err := run(os.Stdout, e, cfg, asJSON); err != nil {
 				failed = append(failed, e.ID)
 			}
 		}
@@ -86,7 +90,7 @@ func runExp(id string, cfg experiments.Config) int {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try `beyondbloom list`)\n", id)
 		return 1
 	}
-	if err := run(e, cfg); err != nil {
+	if err := run(os.Stdout, e, cfg, asJSON); err != nil {
 		return 1
 	}
 	return 0
@@ -127,27 +131,42 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	}, nil
 }
 
-// run executes one experiment, converting a mid-run panic into a
-// reported error instead of a crash.
-func run(e experiments.Experiment, cfg experiments.Config) (err error) {
+// run executes one experiment and writes its tables to w as text
+// or as one JSON document. A mid-run panic and a failing gating
+// acceptance check are both reported errors, in either rendering.
+func run(w io.Writer, e experiments.Experiment, cfg experiments.Config, asJSON bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiment %s panicked: %v", e.ID, r)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n\n", err)
 		}
 	}()
-	fmt.Printf("### %s — %s\n", e.ID, e.Title)
-	start := time.Now()
-	for _, t := range e.Run(cfg) {
-		t.Render(os.Stdout)
-		fmt.Println()
+	if !asJSON {
+		fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
 	}
-	fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	tables := e.Run(cfg)
+	if asJSON {
+		if err := metrics.WriteJSON(w, e.ID, tables); err != nil {
+			return err
+		}
+	} else {
+		for _, t := range tables {
+			t.Render(w)
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	if failed := metrics.GatingFailures(tables); len(failed) > 0 {
+		return fmt.Errorf("experiment %s failed acceptance: %v", e.ID, failed)
+	}
 	return nil
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   beyondbloom list
-  beyondbloom exp <id|all> [-scale f] [-cpuprofile file] [-memprofile file]`)
+  beyondbloom exp <id|all> [-scale f] [-json] [-cpuprofile file] [-memprofile file]`)
 }

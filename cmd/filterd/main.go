@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -121,7 +122,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		store, err = lsm.OpenStore(*storeDir, lsm.Options{Background: true, Durability: mode})
+		store, err = openStore(*storeDir, mode)
 		if err != nil {
 			return err
 		}
@@ -176,6 +177,19 @@ func cmdServe(args []string) error {
 	}
 	fmt.Println("filterd: clean shutdown")
 	return nil
+}
+
+// openStore opens dir for serving. A bare directory is bootstrapped
+// with per-run Bloom filters (the zero Options.Policy is PolicyNone). A
+// directory with a manifest keeps the policy it was written with: the
+// manifest is authoritative and OpenStore rejects an explicit policy
+// that disagrees with it, so none is passed.
+func openStore(dir string, mode lsm.Durability) (*lsm.Store, error) {
+	opts := lsm.Options{Background: true, Durability: mode}
+	if _, err := os.Stat(filepath.Join(dir, lsm.ManifestName)); errors.Is(err, os.ErrNotExist) {
+		opts.Policy = lsm.PolicyBloom
+	}
+	return lsm.OpenStore(dir, opts)
 }
 
 func parsePolicy(s string) (lsm.FilterPolicy, error) {

@@ -121,7 +121,8 @@ func (p probeDBG) Contains(key uint64) bool {
 // than the SBT at comparable query quality.
 func runE13(cfg Config) []*metrics.Table {
 	numExp := 32
-	genomeLen := cfg.n(20000)
+	// A genome is 1.25 genomeLen; queries start up to 948 bases from its end.
+	genomeLen := max(cfg.n(20000), 800)
 	const k = 15
 	backbone := workload.DNA(genomeLen, 131)
 	sets := make([][]uint64, numExp)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +27,19 @@ import (
 // under the E18-style chaos workload on the sharded wrapper, where
 // wrong_results is a live correctness invariant.
 func runE23(cfg Config) []*metrics.Table {
-	return []*metrics.Table{e23Drift(cfg), e23Latency(cfg), e23Chaos(cfg)}
+	drift, lat, chaos := e23Drift(cfg), e23Latency(cfg), e23Chaos(cfg)
+	return []*metrics.Table{drift, lat, chaos, e23Acceptance(drift, lat, chaos)}
+}
+
+// e23Acceptance gates on all three E23 claims: taffy's FPR within 1.5x
+// its budget at every checkpoint, its worst insert microbatch within 10x
+// its steady-state p99, and no wrong result in the chaos run.
+func e23Acceptance(drift, lat, chaos *metrics.Table) *metrics.Table {
+	a := metrics.NewAcceptance("E23: acceptance")
+	a.AtMost("fpr_within_1_5x", slices.Max(where(drift, "structure", "taffy", "fpr")), 1.5*e23Eps, true)
+	a.AtMost("pause_within_10x", where(lat, "strategy", "taffy", "pause_ratio")[0], 10, true)
+	a.AtMost("wrong_results_total", total[int64](chaos, "wrong_results"), 0, true)
+	return a
 }
 
 const (
@@ -71,7 +84,8 @@ func e23Drift(cfg Config) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("E23: FPR and bits/key growing 2^10 -> n=%d (eps=1/256, budget_x1.5=%.5f, baseline_cap=%d)",
 			nFinal, 1.5*e23Eps, capN),
-		"n", "structure", "fpr", "bits_per_key", "expansions")
+		"n", "structure", "fpr", "bits_per_key", "expansions").
+		Named("drift").With("n_final", nFinal).With("eps", e23Eps).With("baseline_cap", capN)
 
 	tf, err := taffy.New(e23Start, e23Eps)
 	if err != nil {
@@ -140,7 +154,7 @@ func e23Latency(cfg Config) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("E23b: insert latency during growth, %d-insert microbatches (taffy_n=%d, rebuild_n=%d)",
 			batch, nTaffy, nRebuild),
-		"strategy", "n", "p50_us", "p99_us", "max_batch_us", "pause_ratio")
+		"strategy", "n", "p50_us", "p99_us", "max_batch_us", "pause_ratio").Named("latency")
 
 	// Taffy: one structure, one uninterrupted insert stream.
 	addE23Lat(t, "taffy", nTaffy, e23BestOfTrials(nTaffy, batch, func() func(uint64) {
@@ -222,7 +236,7 @@ func e23Chaos(cfg Config) *metrics.Table {
 
 	t := metrics.NewTable(
 		fmt.Sprintf("E23c: sharded growth under chaos probes (n=%d, shards=%d)", n, 1<<logShards),
-		"writers", "readers", "expansions", "Minserts_per_sec", "Mprobes_per_sec", "wrong_results")
+		"writers", "readers", "expansions", "Minserts_per_sec", "Mprobes_per_sec", "wrong_results").Named("chaos")
 
 	for _, rw := range []struct{ writers, readers int }{{2, 2}, {4, 4}} {
 		s, err := concurrent.NewShardedMutable(logShards, func(int) core.MutableFilter {

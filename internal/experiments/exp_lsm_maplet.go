@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"beyondbloom/internal/lsm"
 	"beyondbloom/internal/metrics"
 	"beyondbloom/internal/workload"
@@ -36,7 +38,8 @@ func runE22(cfg Config) []*metrics.Table {
 		{"maplet_first", lsm.PolicyMaplet},
 	}
 	t := metrics.NewTable("E22: maplet-first point reads vs per-run filters (n="+itoa(n)+", T=4)",
-		"shape", "policy", "runs", "reads_per_hit", "reads_per_miss", "filter_bytes_per_key", "wrong_results")
+		"shape", "policy", "runs", "reads_per_hit", "reads_per_miss", "filter_bytes_per_key", "wrong_results").
+		Named("point_reads").With("n", n)
 	for _, sh := range shapes {
 		for _, pc := range policies {
 			s := lsm.New(lsm.Options{
@@ -99,7 +102,7 @@ func runE22(cfg Config) []*metrics.Table {
 	// view walk per attempt) vs scalar Gets over the same half-present
 	// half-absent stream. Timed best-of-3 to damp scheduler noise.
 	bt := metrics.NewTable("E22b: PolicyMaplet GetBatch vs scalar Get (n="+itoa(n)+")",
-		"batch", "scalar_mkeys_s", "batch_mkeys_s", "speedup")
+		"batch", "scalar_mkeys_s", "batch_mkeys_s", "speedup").Named("batch")
 	s := lsm.New(lsm.Options{Policy: lsm.PolicyMaplet, MemtableSize: 1024, SizeRatio: 4})
 	for i, k := range keys {
 		s.Put(k, uint64(i))
@@ -137,5 +140,16 @@ func runE22(cfg Config) []*metrics.Table {
 		})
 		bt.AddRow(bs, 1e3/scalarNs, 1e3/batchNs, scalarNs/batchNs)
 	}
-	return []*metrics.Table{t, bt}
+	return []*metrics.Table{t, bt, e22Acceptance(t, bt)}
+}
+
+// e22Acceptance gates on the exact-model cross-check and the maplet-first
+// reads per present key (counters of a seeded workload); the batch-256
+// speedup against its 1.3x bar is wall-clock, so it is only reported.
+func e22Acceptance(reads, batch *metrics.Table) *metrics.Table {
+	a := metrics.NewAcceptance("E22: acceptance")
+	a.AtMost("wrong_results_total", total[int](reads, "wrong_results"), 0, true)
+	a.AtMost("maplet_hit_within_1_2", slices.Max(where(reads, "policy", "maplet_first", "reads_per_hit")), 1.2, true)
+	a.AtLeast("batch_256_at_least_1_3x", where(batch, "batch", 256, "speedup")[0], 1.3, false)
+	return a
 }

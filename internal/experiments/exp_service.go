@@ -71,11 +71,26 @@ func runE21(cfg Config) []*metrics.Table {
 	core.ContainsBatch(filter, stream, expect)
 
 	capTable, capScalar, capBatched := e21Capacity(filter, stream)
-	return []*metrics.Table{
+	tables := []*metrics.Table{
 		capTable,
 		e21OpenLoop(cfg, filter, stream, expect, capScalar, capBatched),
 		e21ClosedLoop(cfg, filter, stream),
 	}
+	return append(tables, e21Acceptance(tables[1]))
+}
+
+// e21Acceptance gates on wrong membership answers (seeded stream, exact
+// expectations) and reports the wall-clock claim without gating: at the
+// highest offered load — the sweep's last two rows, scalar then batched
+// — the batched server achieves at least the throughput at no worse a p99.
+func e21Acceptance(open *metrics.Table) *metrics.Table {
+	a := metrics.NewAcceptance("E21: acceptance")
+	a.AtMost("wrong_results_total", total[int64](open, "wrong_results"), 0, true)
+	kops, p99 := metrics.Column[float64](open, "achieved_kops"), metrics.Column[float64](open, "p99_us")
+	scalar, batched := len(kops)-2, len(kops)-1
+	a.AtLeast("batched_beats_scalar_at_high_load_kops", kops[batched]/kops[scalar], 1, false)
+	a.AtMost("batched_beats_scalar_at_high_load_p99", p99[batched]/p99[scalar], 1, false)
+	return a
 }
 
 // e21Capacity measures the two probe kernels' saturation throughput
@@ -110,7 +125,8 @@ func e21Capacity(filter core.Filter, stream []uint64) (*metrics.Table, float64, 
 
 	t := metrics.NewTable(
 		fmt.Sprintf("E21: probe-engine capacity (stream=%d, GOMAXPROCS=%d)", len(stream), runtime.GOMAXPROCS(0)),
-		"engine", "Mops_per_sec", "speedup_vs_scalar")
+		"engine", "Mops_per_sec", "speedup_vs_scalar").
+		Named("capacity").With("stream", len(stream)).With("gomaxprocs", runtime.GOMAXPROCS(0))
 	t.AddRow("scalar", scalar/1e6, 1.0)
 	t.AddRow("batched", batched/1e6, batched/scalar)
 	return t, scalar, batched
@@ -197,7 +213,7 @@ func e21OpenLoop(cfg Config, filter core.Filter, stream []uint64, expect []bool,
 	t := metrics.NewTable(
 		fmt.Sprintf("E21a: open-loop Poisson sweep (q=%d, maxbatch=%d; offered relative to scalar capacity %.1f Mops)",
 			len(stream), core.BatchChunk, capScalar/1e6),
-		"offered_x_cap", "mode", "offered_kops", "achieved_kops", "p50_us", "p99_us", "p999_us", "avg_batch", "wrong_results")
+		"offered_x_cap", "mode", "offered_kops", "achieved_kops", "p50_us", "p99_us", "p999_us", "avg_batch", "wrong_results").Named("open_loop")
 	engine, err := server.NewEngine(filter, nil, server.Config{})
 	if err != nil {
 		panic(err)
@@ -239,7 +255,7 @@ func e21ClosedLoop(cfg Config, filter core.Filter, stream []uint64) *metrics.Tab
 	t := metrics.NewTable(
 		fmt.Sprintf("E21b: closed-loop blocking requesters (ops=%d, GOMAXPROCS=%d)",
 			opsTotal, runtime.GOMAXPROCS(0)),
-		"goroutines", "mode", "kops_per_sec", "avg_batch")
+		"goroutines", "mode", "kops_per_sec", "avg_batch").Named("closed_loop")
 	for _, g := range []int{1, 4, 16, 64} {
 		opsEach := opsTotal / g
 		if opsEach == 0 {

@@ -23,7 +23,20 @@ import (
 // coordination, checkpoint scheduling) from raw device fsync cost,
 // which is reported separately as fsyncs per 1k puts.
 func runE19(cfg Config) []*metrics.Table {
-	return []*metrics.Table{e19CrashSweep(), e19Latency(cfg)}
+	sweep, lat := e19CrashSweep(), e19Latency(cfg)
+	return []*metrics.Table{sweep, lat, e19Acceptance(sweep, lat)}
+}
+
+// e19Acceptance gates on the sweep's seeded, deterministic counters and
+// reports group commit's p99.9 over the no-WAL baseline against its 2x
+// bound without gating on it: that ratio is wall-clock.
+func e19Acceptance(sweep, lat *metrics.Table) *metrics.Table {
+	a := metrics.NewAcceptance("E19: acceptance")
+	a.AtMost("lost_acked_total", total[int](sweep, "lost_acked"), 0, true)
+	a.AtMost("invented_total", total[int](sweep, "invented"), 0, true)
+	p999 := func(mode string) float64 { return where(lat, "mode", mode, "p99_9_us")[0] }
+	a.AtMost("within_2x", p999("group_commit")/p999("no_wal"), 2, false)
+	return a
 }
 
 // e19Script mirrors the workload of the lsm crash tests: overlapping
@@ -87,7 +100,7 @@ func e19CrashSweep() *metrics.Table {
 
 	t := metrics.NewTable(
 		fmt.Sprintf("E19a: crash-point sweep (%d ops, memtable=8, segment=256B)", len(script)),
-		"mode", "crash_points", "recovered", "lost_acked", "invented", "torn_repairs")
+		"mode", "crash_points", "recovered", "lost_acked", "invented", "torn_repairs").Named("crash_sweep")
 	for _, mode := range []struct {
 		name string
 		d    lsm.Durability
@@ -188,7 +201,8 @@ func e19Latency(cfg Config) *metrics.Table {
 	perWriter := n / writers
 	t := metrics.NewTable(
 		fmt.Sprintf("E19b: put latency by durability mode (puts=%d, writers=%d)", perWriter*writers, writers),
-		"mode", "Mputs_per_sec", "p50_us", "p99_us", "p99_9_us", "fsyncs_per_1k")
+		"mode", "Mputs_per_sec", "p50_us", "p99_us", "p99_9_us", "fsyncs_per_1k").
+		Named("latency").With("puts", perWriter*writers).With("writers", writers)
 	for _, mode := range []struct {
 		name string
 		d    lsm.Durability

@@ -85,6 +85,28 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// total sums a typed count column.
+func total[T int | int64](t *metrics.Table, header string) float64 {
+	var n T
+	for _, v := range metrics.Column[T](t, header) {
+		n += v
+	}
+	return float64(n)
+}
+
+// where returns a float column's cells in the rows whose key column
+// reads label.
+func where[K comparable](t *metrics.Table, key string, label K, value string) []float64 {
+	var cells []float64
+	vals := metrics.Column[float64](t, value)
+	for i, k := range metrics.Column[K](t, key) {
+		if k == label {
+			cells = append(cells, vals[i])
+		}
+	}
+	return cells
+}
+
 // opsPerSec times fn over n operations.
 func opsPerSec(n int, fn func()) float64 {
 	start := time.Now()

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"beyondbloom/internal/metrics"
 )
 
 // small runs every experiment at reduced scale: primarily a smoke test
@@ -15,12 +17,14 @@ func TestAllRegistered(t *testing.T) {
 	if len(exps) != 29 { // E1-E23 plus ablations A1-A6
 		t.Fatalf("registry has %d experiments, want 29", len(exps))
 	}
-	for i, e := range exps[:20] {
-		if e.ID != "E"+itoa(i+1) {
-			t.Errorf("experiment %d has ID %s", i, e.ID)
+	for i, e := range exps {
+		want := "E" + itoa(i+1)
+		if i >= 23 {
+			want = "A" + itoa(i-22)
 		}
-	}
-	for _, e := range exps {
+		if e.ID != want {
+			t.Errorf("experiment %d has ID %s, want %s", i, e.ID, want)
+		}
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("%s incomplete", e.ID)
 		}
@@ -33,31 +37,66 @@ func TestAllRegistered(t *testing.T) {
 	}
 }
 
-func runOne(t *testing.T, id string) string {
+// runAt runs one experiment at scale and returns its typed tables,
+// failing the test if any of them has no rows.
+func runAt(t *testing.T, id string, scale float64) []*metrics.Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("missing %s", id)
 	}
-	tables := e.Run(Config{Scale: smallScale})
+	tables := e.Run(Config{Scale: scale})
 	if len(tables) == 0 {
 		t.Fatalf("%s produced no tables", id)
 	}
-	var sb strings.Builder
 	for _, tb := range tables {
-		tb.Render(&sb)
-		if !strings.Contains(sb.String(), "--") {
-			t.Fatalf("%s produced an empty table", id)
+		if tb.Len() == 0 {
+			t.Fatalf("%s produced an empty table:\n%s", id, tb)
 		}
 	}
-	return sb.String()
+	return tables
+}
+
+func runOne(t *testing.T, id string) []*metrics.Table { return runAt(t, id, smallScale) }
+
+// wantLabels checks that a string column holds every one of labels.
+func wantLabels(t *testing.T, tb *metrics.Table, header string, labels ...string) {
+	t.Helper()
+	have := map[string]bool{}
+	for _, l := range metrics.Column[string](tb, header) {
+		have[l] = true
+	}
+	for _, l := range labels {
+		if !have[l] {
+			t.Errorf("column %s is missing %s:\n%s", header, l, tb)
+		}
+	}
+}
+
+// wantAllZero checks that a count column reads 0 in every row.
+func wantAllZero[T int | int64](t *testing.T, tb *metrics.Table, header string) {
+	t.Helper()
+	if total[T](tb, header) != 0 {
+		t.Errorf("column %s must read 0 everywhere:\n%s", header, tb)
+	}
+}
+
+// wantGatesHold checks an experiment's acceptance table: it carries
+// every named check, and every check that gates holds.
+func wantGatesHold(t *testing.T, tables []*metrics.Table, checks ...string) {
+	t.Helper()
+	wantLabels(t, tables[len(tables)-1], "check", checks...)
+	if failed := metrics.GatingFailures(tables); len(failed) != 0 {
+		t.Errorf("gating checks failed: %v\n%s", failed, tables[len(tables)-1])
+	}
 }
 
 func TestE1SpaceShape(t *testing.T) {
-	out := runOne(t, "E1")
+	tb := runOne(t, "E1")[0]
+	have := strings.Join(metrics.Column[string](tb, "filter"), " ")
 	for _, name := range []string{"bloom", "quotient", "cuckoo", "xor", "ribbon", "prefix"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("E1 missing filter %s:\n%s", name, out)
+		if !strings.Contains(have, name) {
+			t.Errorf("E1 missing filter %s:\n%s", name, tb)
 		}
 	}
 }
@@ -77,155 +116,116 @@ func TestE13Runs(t *testing.T) { runOne(t, "E13") }
 func TestE14Runs(t *testing.T) { runOne(t, "E14") }
 func TestE15Runs(t *testing.T) { runOne(t, "E15") }
 
+// TestE13TinyScale pins the genome-length clamp: below -scale ~0.05 the
+// query window used to start before the genome and panic.
+func TestE13TinyScale(t *testing.T) { runAt(t, "E13", 0.01) }
+
 // TestE16FaultExperiment checks the acceptance claims of the fault
 // experiment: under 20% transient remote errors the adaptive loop still
 // converges with zero false negatives, and the LSM store answers every
-// query correctly at strictly higher I/O than the healthy run.
+// query correctly under every device/filter fault scenario.
 func TestE16FaultExperiment(t *testing.T) {
-	out := runOne(t, "E16")
-	if !strings.Contains(out, "err20%_retry4") || !strings.Contains(out, "dev_err20%") {
-		t.Fatalf("E16 missing fault scenarios:\n%s", out)
-	}
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		// Every E16a row ends with its false-negative count; every E16b
-		// row with its wrong-answer count. Both must be zero everywhere.
-		switch fields[0] {
-		case "healthy", "err20%_no_retry", "err20%_retry4", "outage_then_recover",
-			"dev_err20%", "filter_corrupt20%", "dev_err20%+perm2%+filter10%":
-			if fields[len(fields)-1] != "0" {
-				t.Errorf("scenario %s reports wrong answers / false negatives:\n%s", fields[0], line)
-			}
-		}
-		if fields[0] == "err20%_retry4" && fields[2] == "never" {
-			t.Errorf("20%% transient errors with retry must still converge:\n%s", line)
+	tables := runOne(t, "E16")
+	adaptive, store := tables[0], tables[1]
+	wantLabels(t, adaptive, "scenario", "healthy", "err20%_no_retry", "err20%_retry4", "outage_then_recover")
+	wantLabels(t, store, "scenario", "dev_err20%", "filter_corrupt20%", "dev_err20%+perm2%+filter10%")
+	wantAllZero[int](t, adaptive, "false_negatives")
+	wantAllZero[int](t, store, "wrong_answers")
+	rounds := metrics.Column[string](adaptive, "rounds_to_clean")
+	for i, sc := range metrics.Column[string](adaptive, "scenario") {
+		if sc == "err20%_retry4" && rounds[i] == "never" {
+			t.Errorf("20%% transient errors with retry must still converge:\n%s", adaptive)
 		}
 	}
 }
 
 // TestE17PersistExperiment checks the persistence experiment's shape:
 // all filter types appear in the throughput table and both comparison
-// tables report a reload/reopen row with a speedup column.
+// tables report their rebuild and reload/reopen rows.
 func TestE17PersistExperiment(t *testing.T) {
-	out := runOne(t, "E17")
-	for _, name := range []string{"bloom", "blocked", "cuckoo", "quotient", "xor", "sharded",
-		"rebuild_from_keys", "reload_from_file", "rebuild_with_puts", "reopen_from_disk"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("E17 missing row %s:\n%s", name, out)
-		}
-	}
+	tables := runOne(t, "E17")
+	wantLabels(t, tables[0], "filter", "bloom", "blocked", "cuckoo", "quotient", "xor", "sharded(cuckoo,8)")
+	wantLabels(t, tables[1], "path", "rebuild_from_keys", "reload_from_file")
+	wantLabels(t, tables[2], "path", "rebuild_with_puts", "reopen_from_disk")
 }
 
 // TestE18ConcurrentExperiment checks the concurrency experiment's
 // invariant: every read-scaling row reports zero wrong results, with
 // and without the churn writer.
 func TestE18ConcurrentExperiment(t *testing.T) {
-	out := runOne(t, "E18")
-	rows := 0
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 3 || (fields[1] != "none" && fields[1] != "churn") {
-			continue
-		}
-		rows++
-		if fields[len(fields)-1] != "0" {
-			t.Errorf("E18 row reports wrong results:\n%s", line)
-		}
+	tables := runOne(t, "E18")
+	if rows := tables[0].Len(); rows != 8 {
+		t.Errorf("E18 produced %d read-scaling rows, want 8:\n%s", rows, tables[0])
 	}
-	if rows != 8 {
-		t.Errorf("E18 produced %d read-scaling rows, want 8:\n%s", rows, out)
-	}
-	for _, name := range []string{"sync_inline", "bg_budget=2", "bg_budget=16"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("E18b missing mode %s:\n%s", name, out)
-		}
-	}
+	wantLabels(t, tables[0], "write_load", "none", "churn")
+	wantAllZero[int64](t, tables[0], "wrong_results")
+	wantLabels(t, tables[1], "mode", "sync_inline", "bg_budget=2", "bg_budget=16")
 }
 
 // TestE19DurableExperiment checks the durability experiment's
 // invariant: the crash sweep reports zero lost acknowledged writes and
-// zero invented writes in every mode, and the latency ablation covers
-// all four durability modes.
+// zero invented writes in every mode, the latency ablation covers all
+// four durability modes, and the gating checks say the same.
 func TestE19DurableExperiment(t *testing.T) {
-	out := runOne(t, "E19")
-	sweep, _, _ := strings.Cut(out, "E19b")
-	rows := 0
-	for _, line := range strings.Split(sweep, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 6 {
-			continue
-		}
-		switch fields[0] {
-		case "group", "always", "buffered":
-			rows++
-			if fields[3] != "0" || fields[4] != "0" {
-				t.Errorf("E19a crash sweep lost or invented writes:\n%s", line)
-			}
-		}
+	tables := runOne(t, "E19")
+	sweep, lat := tables[0], tables[1]
+	wantLabels(t, sweep, "mode", "group", "always", "buffered")
+	if sweep.Len() != 3 {
+		t.Errorf("E19a produced %d sweep rows, want 3:\n%s", sweep.Len(), sweep)
 	}
-	if rows != 3 {
-		t.Errorf("E19a produced %d sweep rows, want 3:\n%s", rows, out)
-	}
-	for _, name := range []string{"no_wal", "buffered", "group_commit", "fsync_per_op"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("E19b missing mode %s:\n%s", name, out)
-		}
-	}
+	wantAllZero[int](t, sweep, "lost_acked")
+	wantAllZero[int](t, sweep, "invented")
+	wantLabels(t, lat, "mode", "no_wal", "buffered", "group_commit", "fsync_per_op")
+	wantGatesHold(t, tables, "lost_acked_total", "invented_total", "within_2x")
 }
 
 // TestE20FrontierExperiment checks the Bloom-variant frontier's shape:
 // all three variants appear at every bits/key budget, and the overfill
 // table covers both blocked variants.
 func TestE20FrontierExperiment(t *testing.T) {
-	out := runOne(t, "E20")
+	tables := runOne(t, "E20")
 	rows := map[string]int{}
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		switch fields[1] {
-		case "bloom", "blocked", "choices":
-			rows[fields[1]]++
+	for _, tb := range tables {
+		for _, name := range metrics.Column[string](tb, "filter") {
+			rows[name]++
 		}
 	}
 	// 6 bits/key budgets in the frontier table; blocked and choices also
 	// appear in 4 overfill rows each.
 	if rows["bloom"] != 6 || rows["blocked"] != 10 || rows["choices"] != 10 {
-		t.Errorf("E20 row counts bloom=%d blocked=%d choices=%d, want 6/10/10:\n%s",
-			rows["bloom"], rows["blocked"], rows["choices"], out)
+		t.Errorf("E20 row counts bloom=%d blocked=%d choices=%d, want 6/10/10:\n%s%s",
+			rows["bloom"], rows["blocked"], rows["choices"], tables[0], tables[1])
 	}
 }
 
 // TestE22MapletFirstExperiment checks the maplet-first experiment's
 // invariant: every shape×policy cell answers with zero wrong results
 // against the exact model, all three policies appear in all three tree
-// shapes, and the batch table covers the sweep.
+// shapes, the batch table covers the sweep, and the gating checks hold.
 func TestE22MapletFirstExperiment(t *testing.T) {
-	out := runOne(t, "E22")
-	rows := 0
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 7 {
-			continue
-		}
-		switch fields[0] {
-		case "uniform_leveling", "uniform_tiering", "churn_lazy_leveling":
-			rows++
-			if fields[6] != "0" {
-				t.Errorf("E22 cell reports wrong results:\n%s", line)
-			}
-		}
+	tables := runOne(t, "E22")
+	reads, batch := tables[0], tables[1]
+	if reads.Len() != 9 {
+		t.Errorf("E22 produced %d point-read rows, want 9:\n%s", reads.Len(), reads)
 	}
-	if rows != 9 {
-		t.Errorf("E22 produced %d point-read rows, want 9:\n%s", rows, out)
+	wantLabels(t, reads, "shape", "uniform_leveling", "uniform_tiering", "churn_lazy_leveling")
+	wantLabels(t, reads, "policy", "bloom_uniform", "monkey", "maplet_first")
+	wantAllZero[int](t, reads, "wrong_results")
+	if batch.Len() != 4 {
+		t.Errorf("E22b produced %d batch rows, want 4:\n%s", batch.Len(), batch)
 	}
-	for _, name := range []string{"bloom_uniform", "monkey", "maplet_first", "E22b"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("E22 missing %s:\n%s", name, out)
+	wantGatesHold(t, tables, "wrong_results_total", "maplet_hit_within_1_2", "batch_256_at_least_1_3x")
+}
+
+// TestE23GrowthGates checks that all three E23 claims gate and hold at
+// smoke scale.
+func TestE23GrowthGates(t *testing.T) {
+	tables := runOne(t, "E23")
+	wantGatesHold(t, tables, "fpr_within_1_5x", "pause_within_10x", "wrong_results_total")
+	acc := tables[len(tables)-1]
+	for _, gates := range metrics.Column[bool](acc, "gates") {
+		if !gates {
+			t.Errorf("every E23 check must gate:\n%s", acc)
 		}
 	}
 }

@@ -235,7 +235,7 @@ type Options struct {
 	// memtable before it is frozen and flushed (default 1024).
 	MemtableSize int
 	SizeRatio    int          // level capacity ratio T (default 4)
-	Policy       FilterPolicy // default PolicyBloom
+	Policy       FilterPolicy // zero value is PolicyNone: no filters
 	BitsPerKey   float64      // Bloom budget per key (default 10)
 	// MonkeyBaseFPR is the false-positive rate of the largest level under
 	// PolicyMonkey (smaller levels get geometrically lower rates).

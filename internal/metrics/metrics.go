@@ -5,8 +5,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -94,31 +96,61 @@ func RangeFPR(f RangeProber, emptyRanges [][2]uint64) float64 {
 	return float64(fp) / float64(len(emptyRanges))
 }
 
-// Table accumulates rows and renders them with aligned columns. It is
-// the uniform output format of `beyondbloom exp`.
+// Table accumulates typed rows, the one representation of an
+// experiment's results: Render and WriteJSON are two renderings of the
+// same cells, so nothing parses a rendered table back into numbers.
 type Table struct {
 	Title   string
+	name    string
+	params  []param
 	headers []string
-	rows    [][]string
+	rows    [][]any
+}
+
+type param struct {
+	key   string
+	value any
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, headers ...string) *Table {
-	return &Table{Title: title, headers: headers}
+	return &Table{Title: title, name: title, headers: headers}
 }
 
-// AddRow appends a row; cells are formatted with %v.
+// Named gives the table the stable short name it is keyed by in the
+// JSON document, in place of its title.
+func (t *Table) Named(name string) *Table {
+	t.name = name
+	return t
+}
+
+// With records a typed parameter of the run (the values a title only
+// prints); WriteJSON collects every table's parameters under "meta".
+func (t *Table) With(key string, value any) *Table {
+	t.params = append(t.params, param{key, value})
+	return t
+}
+
+// AddRow appends a row of typed cells, one per header.
 func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = formatFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
+	t.rows = append(t.rows, cells)
+}
+
+// Len is the number of rows added so far.
+func (t *Table) Len() int { return len(t.rows) }
+
+// Column returns the named column's cells as T. A missing header or a
+// cell of another type is a bug in the caller and panics.
+func Column[T any](t *Table, header string) []T {
+	i := slices.Index(t.headers, header)
+	if i < 0 {
+		panic(fmt.Sprintf("metrics: table %q has no column %q", t.Title, header))
 	}
-	t.rows = append(t.rows, row)
+	col := make([]T, len(t.rows))
+	for j, row := range t.rows {
+		col[j] = row[i].(T)
+	}
+	return col
 }
 
 func formatFloat(v float64) string {
@@ -136,16 +168,22 @@ func formatFloat(v float64) string {
 	}
 }
 
-// Render writes the table to w.
+// Render writes the table to w as aligned text columns.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
 		widths[i] = len(h)
 	}
-	for _, row := range t.rows {
+	rows := make([][]string, len(t.rows))
+	for j, row := range t.rows {
+		rows[j] = make([]string, len(row))
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			rows[j][i] = fmt.Sprintf("%v", c)
+			if v, ok := c.(float64); ok {
+				rows[j][i] = formatFloat(v)
+			}
+			if i < len(widths) && len(rows[j][i]) > widths[i] {
+				widths[i] = len(rows[j][i])
 			}
 		}
 	}
@@ -165,7 +203,7 @@ func (t *Table) Render(w io.Writer) {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, row := range t.rows {
+	for _, row := range rows {
 		line(row)
 	}
 }
@@ -182,4 +220,84 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
+}
+
+// object marshals as a JSON object whose keys keep their order.
+type object []param
+
+func (o object) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i, p := range o {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		k, _ := json.Marshal(p.key)
+		v, err := json.Marshal(p.value)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.key, err)
+		}
+		b = append(append(append(b, k...), ':'), v...)
+	}
+	return append(b, '}'), nil
+}
+
+// WriteJSON writes one indented JSON document for an experiment's
+// tables: "meta" (the experiment id, then every table's parameters),
+// then one array per table under its name, each row an object keyed by
+// column header. Every cell is marshalled from its typed value.
+func WriteJSON(w io.Writer, experiment string, tables []*Table) error {
+	meta := object{{"experiment", experiment}}
+	doc := object{{"meta", nil}}
+	for _, t := range tables {
+		meta = append(meta, t.params...)
+		rows := make([]object, len(t.rows))
+		for j, row := range t.rows {
+			for i, c := range row {
+				rows[j] = append(rows[j], param{t.headers[i], c})
+			}
+		}
+		doc = append(doc, param{t.name, rows})
+	}
+	doc[0].value = meta
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
+// acceptanceName is how GatingFailures finds an experiment's checks.
+const acceptanceName = "acceptance"
+
+// NewAcceptance starts an experiment's acceptance table: one row per
+// predicate with its value, its bound, whether it holds, and whether it
+// gates `beyondbloom exp`'s exit code (a wall-clock ratio does not).
+func NewAcceptance(title string) *Table {
+	return NewTable(title, "check", "value", "op", "bound", "ok", "gates").Named(acceptanceName)
+}
+
+// AtMost adds the check value <= bound to an acceptance table.
+func (t *Table) AtMost(check string, value, bound float64, gates bool) {
+	t.AddRow(check, value, "at_most", bound, value <= bound, gates)
+}
+
+// AtLeast adds the check value >= bound to an acceptance table.
+func (t *Table) AtLeast(check string, value, bound float64, gates bool) {
+	t.AddRow(check, value, "at_least", bound, value >= bound, gates)
+}
+
+// GatingFailures returns the names of the gating checks that do not
+// hold in the acceptance tables among tables.
+func GatingFailures(tables []*Table) []string {
+	var failed []string
+	for _, t := range tables {
+		if t.name != acceptanceName {
+			continue
+		}
+		ok, gates := Column[bool](t, "ok"), Column[bool](t, "gates")
+		for i, check := range Column[string](t, "check") {
+			if gates[i] && !ok[i] {
+				failed = append(failed, check)
+			}
+		}
+	}
+	return failed
 }

@@ -67,3 +67,77 @@ func TestTableAlignment(t *testing.T) {
 		t.Errorf("header not padded:\n%s", out)
 	}
 }
+
+// TestTableJSONGolden pins the JSON rendering of a small mixed-type
+// table: cells keep their types (a float below 0.001 is a number, not
+// the "1.00e-07" of the text rendering), rows keep header order, and
+// params land in meta after the experiment id.
+func TestTableJSONGolden(t *testing.T) {
+	tb := NewTable("demo (n=4, eps=1/256)", "filter", "keys", "fpr", "exact").
+		Named("demo").With("n", 4).With("eps", 1.0/256)
+	tb.AddRow("bloom", 3, 0.0039, false)
+	tb.AddRow("xor", uint64(1)<<40, 0.0000001, true)
+	acc := NewAcceptance("demo: acceptance")
+	acc.AtMost("fpr_within_budget", 0.0039, 0.005, true)
+	acc.AtLeast("speedup", 1.25, 1.3, false)
+	var sb strings.Builder
+	if err := WriteJSON(&sb, "E0", []*Table{tb, acc}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "meta": {
+    "experiment": "E0",
+    "n": 4,
+    "eps": 0.00390625
+  },
+  "demo": [
+    {
+      "filter": "bloom",
+      "keys": 3,
+      "fpr": 0.0039,
+      "exact": false
+    },
+    {
+      "filter": "xor",
+      "keys": 1099511627776,
+      "fpr": 1e-7,
+      "exact": true
+    }
+  ],
+  "acceptance": [
+    {
+      "check": "fpr_within_budget",
+      "value": 0.0039,
+      "op": "at_most",
+      "bound": 0.005,
+      "ok": true,
+      "gates": true
+    },
+    {
+      "check": "speedup",
+      "value": 1.25,
+      "op": "at_least",
+      "bound": 1.3,
+      "ok": false,
+      "gates": false
+    }
+  ]
+}
+`
+	if got := sb.String(); got != want {
+		t.Errorf("JSON rendering changed:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(tb.String(), "1.00e-07") {
+		t.Errorf("text rendering of the same table lost its float format:\n%s", tb.String())
+	}
+	if got := GatingFailures([]*Table{tb, acc}); len(got) != 0 {
+		t.Errorf("GatingFailures = %v, want none (the failing check does not gate)", got)
+	}
+	acc.AtMost("wrong_results_total", 2, 0, true)
+	if got := GatingFailures([]*Table{tb, acc}); len(got) != 1 || got[0] != "wrong_results_total" {
+		t.Errorf("GatingFailures = %v, want [wrong_results_total]", got)
+	}
+	if got := Column[float64](tb, "fpr"); len(got) != 2 || got[1] != 0.0000001 {
+		t.Errorf("Column[float64](fpr) = %v, want the typed cells", got)
+	}
+}

@@ -3,10 +3,10 @@ package beyondbloom
 // Concurrent LSM store benchmarks. Each sub-benchmark drives the
 // Background-mode store from b.RunParallel readers — quiescent, then
 // with a churn writer forcing flushes and compactions underneath — so
-// `go test -bench LSMConcurrent` reports snapshot-read throughput and
-// scripts/bench.sh records the results in BENCH_lsm_concurrent.json.
-// -short shrinks the fixture so the 1-iteration smoke run in
-// scripts/check.sh stays cheap.
+// `go test -bench LSMConcurrent` reports snapshot-read throughput. No
+// BENCH file records it; E18 is the committed measurement. -short
+// shrinks the fixture so the 1-iteration smoke run in scripts/check.sh
+// stays cheap.
 
 import (
 	"sync"

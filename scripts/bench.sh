@@ -1,14 +1,14 @@
 #!/bin/sh
-# Run the batched-vs-scalar filter benchmarks (-> BENCH_batch.json, see
-# batch_bench_test.go), the persistence codec benchmarks
-# (-> BENCH_persist.json, see persist_bench_test.go), the
-# concurrent LSM store benchmarks (-> BENCH_lsm_concurrent.json, see
-# lsm_concurrent_bench_test.go), the WAL durability ablation
-# (-> BENCH_wal.json, see exp_wal.go), the filter-service sweep
-# (-> BENCH_service.json, see exp_service.go), the maplet-first
-# LSM read path (-> BENCH_lsm_maplet.json, see exp_lsm_maplet.go),
-# and the growable-filter drift/pause measurement
-# (-> BENCH_growth.json, see exp_growth.go).
+# Regenerate the committed BENCH_*.json files. Two kinds of source:
+#   go test -bench | scripts/bench_to_json.py (go's own benchmark format)
+#     BENCH_batch.json    batched vs scalar probes (batch_bench_test.go)
+#     BENCH_persist.json  persistence codec (persist_bench_test.go)
+#   beyondbloom exp EXX -json (typed rows + acceptance, written by Go;
+#   exits 1 when a gating check fails, and then the file is not replaced)
+#     BENCH_wal.json         E19 crash sweep + durability latency (exp_wal.go)
+#     BENCH_service.json     E21 filter-service sweep (exp_service.go)
+#     BENCH_lsm_maplet.json  E22 maplet-first LSM reads (exp_lsm_maplet.go)
+#     BENCH_growth.json      E23 growable-filter drift/pause (exp_growth.go)
 # Setup builds multi-MB filters, so a full run takes a few minutes.
 #
 # Usage:
@@ -47,28 +47,15 @@ go test -run '^$' -bench 'Persist(Encode|Decode)' \
 python3 scripts/bench_to_json.py <"$RAW" >BENCH_persist.json
 echo "wrote BENCH_persist.json"
 
-echo "== go test -bench LSMConcurrent =="
-go test -run '^$' -bench 'LSMConcurrent' \
-	-benchmem -benchtime 1s -timeout 1800s . | tee "$RAW"
-python3 scripts/bench_to_json.py <"$RAW" >BENCH_lsm_concurrent.json
-echo "wrote BENCH_lsm_concurrent.json"
-
-echo "== exp E19 (WAL crash sweep + durability latency ablation) =="
-go run ./cmd/beyondbloom exp E19 | tee "$RAW"
-python3 scripts/wal_bench_to_json.py <"$RAW" >BENCH_wal.json
-echo "wrote BENCH_wal.json"
-
-echo "== exp E21 (filter service: open-loop coalescing sweep) =="
-go run ./cmd/beyondbloom exp E21 | tee "$RAW"
-python3 scripts/service_bench_to_json.py <"$RAW" >BENCH_service.json
-echo "wrote BENCH_service.json"
-
-echo "== exp E22 (maplet-first LSM reads + batched maplet probes) =="
-go run ./cmd/beyondbloom exp E22 | tee "$RAW"
-python3 scripts/lsm_maplet_bench_to_json.py <"$RAW" >BENCH_lsm_maplet.json
-echo "wrote BENCH_lsm_maplet.json"
-
-echo "== exp E23 (growable filters: FPR drift + pause-free expansion) =="
-go run ./cmd/beyondbloom exp E23 | tee "$RAW"
-python3 scripts/growth_bench_to_json.py <"$RAW" >BENCH_growth.json
-echo "wrote BENCH_growth.json"
+# exp_json ID FILE: one experiment through the typed path. A failing
+# gating check stops the script before FILE is replaced.
+exp_json() {
+	echo "== beyondbloom exp $1 -json =="
+	go run ./cmd/beyondbloom exp "$1" -json >"$RAW"
+	cp "$RAW" "$2"
+	echo "wrote $2"
+}
+exp_json E19 BENCH_wal.json
+exp_json E21 BENCH_service.json
+exp_json E22 BENCH_lsm_maplet.json
+exp_json E23 BENCH_growth.json

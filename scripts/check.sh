@@ -28,16 +28,16 @@ echo "== concurrent engine smoke (exp E18 -scale 0.1) =="
 go run ./cmd/beyondbloom exp E18 -scale 0.1 >/dev/null
 
 echo "== crash-injection smoke (exp E19 -scale 0.1) =="
-go run ./cmd/beyondbloom exp E19 -scale 0.1 | python3 scripts/wal_bench_to_json.py >/dev/null
+go run ./cmd/beyondbloom exp E19 -scale 0.1 -json >/dev/null
 
 echo "== filter-service smoke (exp E21 -scale 0.1) =="
-go run ./cmd/beyondbloom exp E21 -scale 0.1 | python3 scripts/service_bench_to_json.py >/dev/null
+go run ./cmd/beyondbloom exp E21 -scale 0.1 -json >/dev/null
 
 echo "== maplet-first smoke (exp E22 -scale 0.1) =="
-go run ./cmd/beyondbloom exp E22 -scale 0.1 | python3 scripts/lsm_maplet_bench_to_json.py >/dev/null
+go run ./cmd/beyondbloom exp E22 -scale 0.1 -json >/dev/null
 
 echo "== growable-filter smoke (exp E23 -scale 0.05) =="
-go run ./cmd/beyondbloom exp E23 -scale 0.05 | python3 scripts/growth_bench_to_json.py >/dev/null
+go run ./cmd/beyondbloom exp E23 -scale 0.05 -json >/dev/null
 
 echo "== filterd end-to-end smoke =="
 sh scripts/filterd_smoke.sh
