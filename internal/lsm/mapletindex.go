@@ -43,9 +43,10 @@ func (mi *mapletIndex) GetBatch(keys []uint64, ends []int32, dst []uint64) ([]in
 
 // mapletMaxLoad is the load factor at which the maplet doubles before
 // admitting the next entry. A quotient table's clusters stay O(1)
-// expected below it; filling to the brim instead makes the last inserts
-// before each doubling re-encode a table-sized cluster, which is
-// quadratic in the key count.
+// expected below it, and an insert shifts at most the rest of its
+// cluster; filling to the brim instead makes the last inserts before
+// each doubling shift a table-sized cluster, which is quadratic in the
+// key count.
 const mapletMaxLoad = 0.85
 
 // PutExpanding associates a packed value with key, doubling the maplet

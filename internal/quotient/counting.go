@@ -185,30 +185,37 @@ func (c *Counting) encodeCounts(pairs []pair) []uint64 {
 	return out
 }
 
+// run decodes fq's counter run; n is its length in slots.
+func (c *Counting) run(fq uint64) (pairs []pair, n int) {
+	s, length := c.t.locate(fq)
+	return c.decodeCounts(c.t.runSlots(s, length)), int(length)
+}
+
+// search returns the index of the first pair whose remainder is >= fr,
+// and whether it is fr.
+func search(pairs []pair, fr uint64) (int, bool) {
+	i := sort.Search(len(pairs), func(i int) bool { return pairs[i].rem >= fr })
+	return i, i < len(pairs) && pairs[i].rem == fr
+}
+
 // Add inserts delta occurrences of key.
 func (c *Counting) Add(key uint64, delta uint64) error {
 	if delta == 0 {
 		return nil
 	}
 	fq, fr := c.fingerprint(key)
-	newDistinct := false
-	_, err := c.t.mutate(fq, func(slots []uint64) []uint64 {
-		pairs := c.decodeCounts(slots)
-		i := sort.Search(len(pairs), func(i int) bool { return pairs[i].rem >= fr })
-		if i < len(pairs) && pairs[i].rem == fr {
-			pairs[i].count += delta
-		} else {
-			newDistinct = true
-			pairs = append(pairs, pair{})
-			copy(pairs[i+1:], pairs[i:])
-			pairs[i] = pair{rem: fr, count: delta}
-		}
-		return c.encodeCounts(pairs)
-	})
-	if err != nil {
+	pairs, n := c.run(fq)
+	i, found := search(pairs, fr)
+	if !found {
+		pairs = append(pairs, pair{})
+		copy(pairs[i+1:], pairs[i:])
+		pairs[i] = pair{rem: fr}
+	}
+	pairs[i].count += delta
+	if err := c.t.splice(fq, 0, n, c.encodeCounts(pairs)...); err != nil {
 		return err
 	}
-	if newDistinct {
+	if !found {
 		c.distinct++
 	}
 	c.total += delta
@@ -227,38 +234,20 @@ func (c *Counting) Remove(key uint64, delta uint64) error {
 		return nil
 	}
 	fq, fr := c.fingerprint(key)
-	found := false
-	removedKey := false
-	var removedCount uint64
-	_, err := c.t.mutate(fq, func(slots []uint64) []uint64 {
-		pairs := c.decodeCounts(slots)
-		i := sort.Search(len(pairs), func(i int) bool { return pairs[i].rem >= fr })
-		if i >= len(pairs) || pairs[i].rem != fr {
-			return slots
-		}
-		found = true
-		d := delta
-		if d > pairs[i].count {
-			d = pairs[i].count
-		}
-		removedCount = d
-		pairs[i].count -= d
-		if pairs[i].count == 0 {
-			removedKey = true
-			pairs = append(pairs[:i], pairs[i+1:]...)
-		}
-		return c.encodeCounts(pairs)
-	})
-	if err != nil {
-		return err
-	}
+	pairs, n := c.run(fq)
+	i, found := search(pairs, fr)
 	if !found {
 		return core.ErrNotFound
 	}
-	if removedKey {
+	d := min(delta, pairs[i].count)
+	pairs[i].count -= d // encodeCounts drops a pair whose count reaches zero
+	if err := c.t.splice(fq, 0, n, c.encodeCounts(pairs)...); err != nil {
+		return err
+	}
+	if pairs[i].count == 0 {
 		c.distinct--
 	}
-	c.total -= removedCount
+	c.total -= d
 	return nil
 }
 
@@ -269,13 +258,8 @@ func (c *Counting) Delete(key uint64) error { return c.Remove(key, 1) }
 // fingerprint collision, never undercounts).
 func (c *Counting) Count(key uint64) uint64 {
 	fq, fr := c.fingerprint(key)
-	start, length, ok := c.t.findRun(fq)
-	if !ok {
-		return 0
-	}
-	pairs := c.decodeCounts(c.t.runSlots(start, length))
-	i := sort.Search(len(pairs), func(i int) bool { return pairs[i].rem >= fr })
-	if i < len(pairs) && pairs[i].rem == fr {
+	pairs, _ := c.run(fq)
+	if i, found := search(pairs, fr); found {
 		return pairs[i].count
 	}
 	return 0
@@ -299,14 +283,13 @@ func (c *Counting) SizeBits() int { return c.t.sizeBits() }
 // Pairs returns every (fingerprint, count) in ascending fingerprint
 // order. Used by iteration-driven applications (Squeakr, deBGR, Mantis).
 func (c *Counting) Pairs() []struct{ Fingerprint, Count uint64 } {
-	runs := c.t.allRuns()
 	out := make([]struct{ Fingerprint, Count uint64 }, 0, c.distinct)
-	for _, rn := range runs {
-		for _, p := range c.decodeCounts(rn.slots) {
-			out = append(out, struct{ Fingerprint, Count uint64 }{rn.quotient<<c.r | p.rem, p.count})
+	_ = c.t.walk(func(fq, s, n uint64) error { // fn never fails; the table is consistent
+		for _, p := range c.decodeCounts(c.t.runSlots(s, n)) {
+			out = append(out, struct{ Fingerprint, Count uint64 }{fq<<c.r | p.rem, p.count})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
+		return nil
+	})
 	return out
 }
 

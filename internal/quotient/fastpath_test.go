@@ -37,23 +37,12 @@ func TestFindRunFastMatchesSlow(t *testing.T) {
 // hand back to the circular bit-walk rather than mis-resolve.
 func TestFindRunFastWraparound(t *testing.T) {
 	f := New(6, 8) // 64 slots: one metadata word, maximal edge exposure
-	// Synthesize fingerprints whose quotients pile up at the table end.
+	// Synthesize fingerprints whose quotients pile up at the table end;
+	// each remainder is the largest in its run, so it goes last.
 	for i := uint64(0); i < 20; i++ {
 		fq := (62 + i%3) & f.t.mask
-		fr := i & 0xFF
-		if _, err := f.t.mutate(fq, func(slots []uint64) []uint64 {
-			for _, s := range slots {
-				if s == fr {
-					return slots
-				}
-			}
-			out := append(append([]uint64{}, slots...), fr)
-			// keep sorted like Insert does
-			for j := len(out) - 1; j > 0 && out[j-1] > out[j]; j-- {
-				out[j-1], out[j] = out[j], out[j-1]
-			}
-			return out
-		}); err != nil {
+		_, n := f.t.locate(fq)
+		if err := f.t.splice(fq, int(n), 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,5 +116,37 @@ func TestContainsBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ContainsBatch allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestWritesZeroAllocs pins the in-place write path: a steady-state
+// insert or delete (no expansion) is one splice on the table's own
+// storage, for the filter and the maplet alike.
+func TestWritesZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	f := New(14, 12)
+	m := NewMaplet(14, 12, 32)
+	for i := 0; i < 12000; i++ {
+		k := rng.Uint64()
+		if f.Insert(k) != nil || m.Put(k, k) != nil {
+			t.Fatal("full")
+		}
+	}
+	k := rng.Uint64()
+	for name, op := range map[string]func(){
+		"Filter.Insert+Delete": func() {
+			if f.Insert(k) != nil || f.Delete(k) != nil {
+				t.Fatal("write failed")
+			}
+		},
+		"Maplet.Put+Delete": func() {
+			if m.Put(k, 7) != nil || m.Delete(k, 7) != nil {
+				t.Fatal("write failed")
+			}
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s allocates %v times per run, want 0", name, allocs)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package quotient
 import (
 	"fmt"
 
-	"sort"
-
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
 )
@@ -15,14 +13,14 @@ import (
 // implicitly by slot position, the low r bits (the remainder) explicitly,
 // giving n·r payload bits plus 3 metadata bits per slot.
 //
-// Insert is idempotent at the fingerprint level: inserting a key whose
-// fingerprint is already present is a no-op, and Delete removes the
-// fingerprint entirely. Use Counting for multiset semantics.
+// The filter is a multiset of fingerprints: every Insert takes a slot and
+// every Delete frees one, so colliding keys never delete each other.
+// Counting stores the same multiset with logarithmic-size counters.
 type Filter struct {
 	spec core.Spec // construction parameters (q, r, seed)
 	t    *table
 	r    uint // current remainder bits (spec.R minus expansions)
-	n    int  // distinct fingerprints stored
+	n    int  // fingerprints stored, counting repeats
 
 	// autoExpand, when set, doubles capacity (sacrificing one remainder
 	// bit per doubling, §2.2) when load exceeds maxLoad. When remainder
@@ -131,15 +129,7 @@ func (f *Filter) Insert(key uint64) error {
 		}
 	}
 	fq, fr := f.fingerprint(key)
-	_, err := f.t.mutate(fq, func(slots []uint64) []uint64 {
-		i := sort.Search(len(slots), func(i int) bool { return slots[i] >= fr })
-		out := make([]uint64, 0, len(slots)+1)
-		out = append(out, slots[:i]...)
-		out = append(out, fr)
-		out = append(out, slots[i:]...)
-		return out
-	})
-	if err != nil {
+	if err := f.t.insert(fq, fr); err != nil {
 		return err
 	}
 	f.n++
@@ -223,20 +213,8 @@ func (f *Filter) Delete(key uint64) error {
 		return nil
 	}
 	fq, fr := f.fingerprint(key)
-	found := false
-	_, err := f.t.mutate(fq, func(slots []uint64) []uint64 {
-		i := sort.Search(len(slots), func(i int) bool { return slots[i] >= fr })
-		if i >= len(slots) || slots[i] != fr {
-			return slots
-		}
-		found = true
-		return append(append([]uint64{}, slots[:i]...), slots[i+1:]...)
-	})
-	if err != nil {
+	if err := f.t.remove(fq, fr); err != nil {
 		return err
-	}
-	if !found {
-		return core.ErrNotFound
 	}
 	f.n--
 	return nil
@@ -260,16 +238,13 @@ func (f *Filter) SizeBits() int {
 }
 
 // Fingerprints returns all stored q+r-bit fingerprints in ascending
-// order. Used by expansion and merging.
+// order, one per copy.
 func (f *Filter) Fingerprints() []uint64 {
-	runs := f.t.allRuns()
 	out := make([]uint64, 0, f.n)
-	for _, rn := range runs {
-		for _, fr := range rn.slots {
-			out = append(out, rn.quotient<<f.r|fr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	_ = f.t.each(func(fq, fr uint64) error { // fn never fails; the table is consistent
+		out = append(out, fq<<f.r|fr)
+		return nil
+	})
 	return out
 }
 
@@ -282,59 +257,32 @@ func (f *Filter) expand() error {
 		f.t = nil
 		return core.ErrFull
 	}
-	fps := f.Fingerprints()
-	nf := &Filter{spec: f.spec, t: newTable(f.t.q+1, f.r-1), r: f.r - 1}
-	for _, fp := range fps {
-		fq, fr := fp>>nf.r, fp&hashutil.Mask(nf.r)
-		if _, err := nf.t.mutate(fq, func(slots []uint64) []uint64 {
-			i := sort.Search(len(slots), func(i int) bool { return slots[i] >= fr })
-			if i < len(slots) && slots[i] == fr {
-				return slots
-			}
-			out := make([]uint64, 0, len(slots)+1)
-			out = append(out, slots[:i]...)
-			out = append(out, fr)
-			out = append(out, slots[i:]...)
-			return out
-		}); err != nil {
-			return err
-		}
+	t, err := f.t.doubled()
+	if err != nil {
+		return err
 	}
-	f.t = nf.t
-	f.r = nf.r
-	f.n = nf.t.used
+	f.t = t
+	f.r--
 	f.expansions++
 	return nil
 }
 
-// Merge inserts every fingerprint of other (which must share q, r, and
-// seed) into f. The merged filter answers true for any key either input
-// answered true for.
+// Merge adds every fingerprint of other (which must share q, r, and
+// seed) to f. The result is the multiset sum: it answers true for any
+// key either input answered true for, and each copy is deleted on its
+// own. It rebuilds into a fresh table and leaves f unchanged on ErrFull.
 func (f *Filter) Merge(other *Filter) error {
 	if other.t.q != f.t.q || other.r != f.r || other.spec.Seed != f.spec.Seed {
 		return core.ErrImmutable
 	}
-	for _, fp := range other.Fingerprints() {
-		fq, fr := fp>>f.r, fp&hashutil.Mask(f.r)
-		inserted := false
-		if _, err := f.t.mutate(fq, func(slots []uint64) []uint64 {
-			i := sort.Search(len(slots), func(i int) bool { return slots[i] >= fr })
-			if i < len(slots) && slots[i] == fr {
-				return slots
-			}
-			inserted = true
-			out := make([]uint64, 0, len(slots)+1)
-			out = append(out, slots[:i]...)
-			out = append(out, fr)
-			out = append(out, slots[i:]...)
-			return out
-		}); err != nil {
+	t := newTable(f.t.q, f.r)
+	for _, src := range [...]*table{f.t, other.t} {
+		if err := src.each(t.insert); err != nil {
 			return err
 		}
-		if inserted {
-			f.n++
-		}
 	}
+	f.t = t
+	f.n += other.n
 	return nil
 }
 

@@ -2,7 +2,6 @@ package quotient
 
 import (
 	"fmt"
-	"sort"
 
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
@@ -74,16 +73,7 @@ func (m *Maplet) fingerprint(key uint64) (fq, fr uint64) {
 // duplicate entries; callers that want set semantics should Get first.
 func (m *Maplet) Put(key, value uint64) error {
 	fq, fr := m.fingerprint(key)
-	entry := fr<<m.vBits | (value & hashutil.Mask(m.vBits))
-	_, err := m.t.mutate(fq, func(slots []uint64) []uint64 {
-		i := sort.Search(len(slots), func(i int) bool { return slots[i] >= entry })
-		out := make([]uint64, 0, len(slots)+1)
-		out = append(out, slots[:i]...)
-		out = append(out, entry)
-		out = append(out, slots[i:]...)
-		return out
-	})
-	if err != nil {
+	if err := m.t.insert(fq, fr<<m.vBits|value&hashutil.Mask(m.vBits)); err != nil {
 		return err
 	}
 	m.n++
@@ -171,21 +161,8 @@ func (m *Maplet) GetBatch(keys []uint64, ends []int32, dst []uint64) ([]int32, [
 // matching entry exists.
 func (m *Maplet) Delete(key, value uint64) error {
 	fq, fr := m.fingerprint(key)
-	entry := fr<<m.vBits | (value & hashutil.Mask(m.vBits))
-	found := false
-	_, err := m.t.mutate(fq, func(slots []uint64) []uint64 {
-		i := sort.Search(len(slots), func(i int) bool { return slots[i] >= entry })
-		if i >= len(slots) || slots[i] != entry {
-			return slots
-		}
-		found = true
-		return append(append([]uint64{}, slots[:i]...), slots[i+1:]...)
-	})
-	if err != nil {
+	if err := m.t.remove(fq, fr<<m.vBits|value&hashutil.Mask(m.vBits)); err != nil {
 		return err
-	}
-	if !found {
-		return core.ErrNotFound
 	}
 	m.n--
 	return nil
@@ -209,19 +186,16 @@ func (m *Maplet) LoadFactor() float64 { return float64(m.t.used) / float64(m.t.s
 func (m *Maplet) SizeBits() int { return m.t.sizeBits() }
 
 // Entries returns all (fingerprint, value) pairs, ascending by
-// fingerprint. Used by expansion.
+// fingerprint.
 func (m *Maplet) Entries() []struct{ Fingerprint, Value uint64 } {
-	runs := m.t.allRuns()
 	out := make([]struct{ Fingerprint, Value uint64 }, 0, m.n)
-	for _, rn := range runs {
-		for _, e := range rn.slots {
-			out = append(out, struct{ Fingerprint, Value uint64 }{
-				Fingerprint: rn.quotient<<m.r | e>>m.vBits,
-				Value:       e & hashutil.Mask(m.vBits),
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
+	_ = m.t.each(func(fq, e uint64) error { // fn never fails; the table is consistent
+		out = append(out, struct{ Fingerprint, Value uint64 }{
+			Fingerprint: fq<<m.r | e>>m.vBits,
+			Value:       e & hashutil.Mask(m.vBits),
+		})
+		return nil
+	})
 	return out
 }
 
@@ -231,26 +205,12 @@ func (m *Maplet) Expand() error {
 	if m.r <= 1 {
 		return core.ErrFull
 	}
-	entries := m.Entries()
-	nm := NewMaplet(m.t.q+1, m.r-1, m.vBits)
-	nm.seed = m.seed
-	for _, e := range entries {
-		fq := e.Fingerprint >> nm.r
-		fr := e.Fingerprint & hashutil.Mask(nm.r)
-		entry := fr<<nm.vBits | e.Value
-		if _, err := nm.t.mutate(fq, func(slots []uint64) []uint64 {
-			i := sort.Search(len(slots), func(i int) bool { return slots[i] >= entry })
-			out := make([]uint64, 0, len(slots)+1)
-			out = append(out, slots[:i]...)
-			out = append(out, entry)
-			out = append(out, slots[i:]...)
-			return out
-		}); err != nil {
-			return err
-		}
-		nm.n++
+	t, err := m.t.doubled()
+	if err != nil {
+		return err
 	}
-	*m = *nm
+	m.t = t
+	m.r--
 	return nil
 }
 
@@ -263,26 +223,14 @@ func (m *Maplet) RemapValues(vBits uint, f func(uint64) uint64) (*Maplet, error)
 	if vBits < 1 || m.r+vBits > 58 {
 		return nil, fmt.Errorf("quotient: remapped maplet geometry r=%d vBits=%d out of range", m.r, vBits)
 	}
-	nm := NewMaplet(m.t.q, m.r, vBits)
-	nm.seed = m.seed
-	nm.identity = m.identity
-	for _, e := range m.Entries() {
-		fq := e.Fingerprint >> m.r
-		fr := e.Fingerprint & hashutil.Mask(m.r)
-		entry := fr<<vBits | (f(e.Value) & hashutil.Mask(vBits))
-		if _, err := nm.t.mutate(fq, func(slots []uint64) []uint64 {
-			i := sort.Search(len(slots), func(i int) bool { return slots[i] >= entry })
-			out := make([]uint64, 0, len(slots)+1)
-			out = append(out, slots[:i]...)
-			out = append(out, entry)
-			out = append(out, slots[i:]...)
-			return out
-		}); err != nil {
-			return nil, err
-		}
-		nm.n++
+	nm := *m
+	nm.t, nm.vBits = newTable(m.t.q, m.r+vBits), vBits
+	if err := m.t.each(func(fq, e uint64) error {
+		return nm.t.insert(fq, e>>m.vBits<<vBits|f(e&hashutil.Mask(m.vBits))&hashutil.Mask(vBits))
+	}); err != nil {
+		return nil, err
 	}
-	return nm, nil
+	return &nm, nil
 }
 
 // ValueBits returns the value width in bits.

@@ -37,7 +37,8 @@ func (t *table) writeTo(w io.Writer) (int64, error) {
 
 // readTable decodes one KindQTable frame and validates it fully: the
 // geometry, the substrate lengths, and — via the package's invariant
-// checker — that the metadata bits describe a consistent set of runs.
+// checker, whose walk reports bad metadata as an error — that the
+// metadata bits describe a consistent set of runs.
 func readTable(r io.Reader) (*table, error) {
 	payload, err := codec.ReadFrame(r, codec.KindQTable)
 	if err != nil {
@@ -91,22 +92,10 @@ func readTable(r io.Reader) (*table, error) {
 		payload:      &payloadBits,
 		used:         int(used),
 	}
-	if err := t.validate(); err != nil {
-		return nil, fmt.Errorf("%w: quotient: %v", codec.ErrCorrupt, err)
+	if err := t.checkInvariants(); err != nil {
+		return nil, fmt.Errorf("%w: quotient: inconsistent table: %v", codec.ErrCorrupt, err)
 	}
 	return t, nil
-}
-
-// validate runs the invariant checker defensively: the run decoder
-// panics on metadata-bit patterns that cannot arise from the mutation
-// path but can arrive from a corrupt file, so panics convert to errors.
-func (t *table) validate() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("inconsistent table: %v", r)
-		}
-	}()
-	return t.checkInvariants()
 }
 
 // TypeID returns the stable wire-format id (see core.Persistent).
@@ -165,7 +154,7 @@ func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
 			return 0, d.Corruptf("quotient: geometry q=%d r=%d width=%d disagrees with spec q=%d r=%d after %d expansions",
 				t.q, curR, t.width, spec.Q, spec.R, expansions)
 		}
-		// Distinct fingerprints each occupy exactly one slot.
+		// Every stored fingerprint, repeats included, occupies one slot.
 		if n != uint64(t.used) {
 			return 0, d.Corruptf("quotient: n=%d but table holds %d fingerprints", n, t.used)
 		}

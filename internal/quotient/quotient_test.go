@@ -26,9 +26,9 @@ func TestFilterInsertContains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3000 keys in a 2^20 fingerprint space collide ~4 times (birthday);
-	// idempotent insert dedups collisions, so Len is slightly under 3000.
-	if f.Len() < 2980 || f.Len() > 3000 {
-		t.Fatalf("Len = %d, want 3000 minus a few collisions", f.Len())
+	// the filter is a multiset, so colliding keys each keep a slot.
+	if f.Len() != 3000 || f.t.used != 3000 {
+		t.Fatalf("Len = %d, used = %d, want 3000", f.Len(), f.t.used)
 	}
 }
 
@@ -110,6 +110,65 @@ func TestFilterIdempotentInsert(t *testing.T) {
 		t.Fatalf("Len = %d at the end, want 0", f.Len())
 	}
 	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newColliding returns New(7, 6) holding keys, after checking that 41
+// and 99 share a fingerprint there.
+func newColliding(t *testing.T, keys ...uint64) *Filter {
+	t.Helper()
+	f := New(7, 6)
+	fq1, fr1 := f.fingerprint(41)
+	fq2, fr2 := f.fingerprint(99)
+	if fq1 != fq2 || fr1 != fr2 {
+		t.Fatal("keys 41 and 99 no longer collide in New(7, 6)")
+	}
+	for _, k := range keys {
+		if err := f.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// TestFilterExpandKeepsCollisions: auto-expansion must carry both copies
+// of a shared fingerprint, or deleting one key loses the other.
+func TestFilterExpandKeepsCollisions(t *testing.T) {
+	f := newColliding(t, 41, 99)
+	f.SetAutoExpand(true)
+	for k := uint64(1000); f.Expansions() == 0; k++ {
+		if err := f.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Delete(41); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Contains(99) {
+		t.Fatal("99 is a false negative after expansion and Delete(41)")
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFilterMergeKeepsCollisions: Merge is the multiset sum.
+func TestFilterMergeKeepsCollisions(t *testing.T) {
+	a, b := newColliding(t, 41), newColliding(t, 99)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() != 2 {
+		t.Fatalf("merged Len = %d, want 2", a.Len())
+	}
+	if err := a.Delete(41); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Contains(99) {
+		t.Fatal("99 is a false negative after Merge and Delete(41)")
+	}
+	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

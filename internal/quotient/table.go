@@ -8,11 +8,13 @@
 package quotient
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
 	"beyondbloom/internal/bitvec"
 	"beyondbloom/internal/core"
+	"beyondbloom/internal/hashutil"
 	"beyondbloom/internal/swar"
 )
 
@@ -22,12 +24,10 @@ import (
 // contiguously and sorted, shifted right of their canonical slot when
 // necessary; a cluster is a maximal chain of shifted runs.
 //
-// Mutations go through a decode/modify/re-encode cycle on the enclosing
-// region (a maximal contiguous stretch of non-empty slots): the region is
-// decoded into logical runs, the run is edited, and the region re-encoded
-// with all metadata rebuilt. This trades peak speed for one correct code
-// path shared by the set, counting and maplet variants; lookups use the
-// classic O(cluster) walk and never rewrite.
+// Every mutation is one splice (tutorial §2.1): edit a run in place and
+// shift the rest of its cluster by the change in length. A run starts at
+// its canonical slot or right after the run before it, so the layout is
+// a function of the stored runs, whatever order they were written in.
 type table struct {
 	q     uint // log2 of slot count
 	width uint // payload bits per slot (remainder [+ value])
@@ -62,227 +62,131 @@ func newTable(q, width uint) *table {
 	}
 }
 
+// isEmptySlot reports whether slot i holds no element. In a consistent
+// table is_occupied implies the slot is full, so emptiness is the
+// all-three-bits-zero test.
 func (t *table) isEmptySlot(i uint64) bool {
 	return !t.occupied.Bit(int(i)) && !t.continuation.Bit(int(i)) && !t.shifted.Bit(int(i))
 }
 
-// physicallyEmpty reports whether slot i holds no element. A slot with
-// only is_occupied set is still physically empty only in transient
-// states; in a consistent table is_occupied implies the slot is full, so
-// emptiness is the all-three-bits-zero test.
-func (t *table) physicallyEmpty(i uint64) bool { return t.isEmptySlot(i) }
-
-// run is the logical content of one quotient: the raw payload slots in
-// storage order. The interpretation of the slot sequence (sorted set,
-// counter encoding, multiset of payloads) belongs to the variant.
-type run struct {
-	quotient uint64
-	slots    []uint64
+// locate returns where fq's run starts and how many slots it has. An
+// unoccupied fq has length 0 and starts where its run would go: its own
+// slot if that is empty, else right after the run of the nearest
+// occupied quotient below it.
+func (t *table) locate(fq uint64) (s, n uint64) {
+	if s, n, ok := t.findRunFast(fq); ok {
+		return s, n
+	}
+	if !t.shifted.Bit(int(fq)) {
+		return fq, 0 // an unshifted full slot would be fq's own run
+	}
+	q := (fq - 1) & t.mask
+	for !t.occupied.Bit(int(q)) {
+		q = (q - 1) & t.mask
+	}
+	s, n, _ = t.findRunFast(q)
+	return (s + n) & t.mask, 0
 }
 
-// regionStart walks left from pos to the first slot of the contiguous
-// non-empty region containing pos. pos itself may be empty, in which case
-// it is returned unchanged.
-func (t *table) regionStart(pos uint64) uint64 {
-	if t.physicallyEmpty(pos) {
-		return pos
-	}
-	for steps := uint64(0); steps < t.slots; steps++ {
-		prev := (pos - 1) & t.mask
-		if t.physicallyEmpty(prev) {
-			return pos
-		}
-		pos = prev
-	}
-	panic("quotient: table has no empty slot (overfull)")
-}
-
-// decodeRegion reads the contiguous region starting at start (which must
-// be a region start) into logical runs. It returns the runs and the
-// region length in slots.
-func (t *table) decodeRegion(start uint64) ([]run, uint64) {
-	var runs []run
-	var fifo []uint64
-	pos := start
-	var n uint64
-	for !t.physicallyEmpty(pos) {
-		if t.occupied.Bit(int(pos)) {
-			fifo = append(fifo, pos)
-		}
-		if !t.continuation.Bit(int(pos)) {
-			if len(fifo) == 0 {
-				panic("quotient: corrupt region (run without quotient)")
-			}
-			q := fifo[0]
-			fifo = fifo[1:]
-			runs = append(runs, run{quotient: q})
-		}
-		cur := &runs[len(runs)-1]
-		cur.slots = append(cur.slots, t.payload.Get(int(pos)))
-		pos = (pos + 1) & t.mask
-		n++
-		if n > t.slots {
-			panic("quotient: table has no empty slot (overfull)")
-		}
-	}
-	return runs, n
-}
-
-// clearSpan clears metadata for n slots starting at start. The occupied
-// bits cleared are exactly the quotients of runs stored in the span
-// (every run's quotient lies inside its region).
-func (t *table) clearSpan(start, n uint64) {
-	pos := start
+// lowerBound returns the index of the first slot of fq's run whose
+// payload is >= v, and whether that slot holds v.
+func (t *table) lowerBound(fq, v uint64) (int, bool) {
+	s, n := t.locate(fq)
 	for i := uint64(0); i < n; i++ {
-		t.occupied.Clear(int(pos))
-		t.continuation.Clear(int(pos))
-		t.shifted.Clear(int(pos))
-		pos = (pos + 1) & t.mask
+		if p := t.payload.Get(int((s + i) & t.mask)); p >= v {
+			return int(i), p == v
+		}
+	}
+	return int(n), false
+}
+
+// insert adds v to fq's run at its sorted position.
+func (t *table) insert(fq, v uint64) error {
+	at, _ := t.lowerBound(fq, v)
+	return t.splice(fq, at, 0, v)
+}
+
+// remove deletes one copy of v from fq's run; ErrNotFound if there is none.
+func (t *table) remove(fq, v uint64) error {
+	at, ok := t.lowerBound(fq, v)
+	if !ok {
+		return core.ErrNotFound
+	}
+	return t.splice(fq, at, 1)
+}
+
+// splice replaces the del slots at index at of fq's run with ins. The
+// rest of the cluster shifts right (into the next empty slot) or left
+// (up to the next empty slot or unshifted run start) by len(ins)-del,
+// and occupied[fq] ends up set exactly when the run is non-empty. It
+// returns ErrFull, before touching anything, if the change would use
+// the last empty slot.
+func (t *table) splice(fq uint64, at, del int, ins ...uint64) error {
+	s, n := t.locate(fq)
+	d := len(ins) - del
+	if t.used+d > int(t.slots)-1 {
+		return core.ErrFull
+	}
+	p := s + uint64(at)
+	for i := 0; i < d; i++ {
+		t.shiftRight((p + uint64(del+i)) & t.mask)
+	}
+	for i := d; i < 0; i++ {
+		t.shiftLeft((p+uint64(len(ins)))&t.mask, fq)
+	}
+	for i, v := range ins {
+		t.payload.Set(int((p+uint64(i))&t.mask), v)
+	}
+	// The written slots and the first survivor behind them are the only
+	// ones whose place in the run (first or continuation) can change.
+	m := int(n) + d
+	for i := at; i <= at+len(ins) && i < m; i++ {
+		pos := (s + uint64(i)) & t.mask
+		t.continuation.SetTo(int(pos), i > 0)
+		t.shifted.SetTo(int(pos), pos != fq)
+	}
+	t.occupied.SetTo(int(fq), m > 0)
+	t.used += d
+	return nil
+}
+
+// shiftRight opens slot x by moving every slot from x up to the next
+// empty one right by one; each moved slot is now off its home. Slot x
+// keeps its old contents for the caller to overwrite.
+func (t *table) shiftRight(x uint64) {
+	e := x
+	for !t.isEmptySlot(e) {
+		e = (e + 1) & t.mask
+	}
+	for ; e != x; e = (e - 1) & t.mask {
+		prev := (e - 1) & t.mask
+		t.payload.Set(int(e), t.payload.Get(int(prev)))
+		t.continuation.SetTo(int(e), t.continuation.Bit(int(prev)))
+		t.shifted.Set(int(e))
 	}
 }
 
-// encodeRegion writes runs back starting at regionStart. Runs must be in
-// scan order with quotients inside the span. Slots the encoding skips
-// (gaps before a run's canonical slot) are left empty, naturally
-// splitting the region when content shrank. Returns the number of slots
-// consumed from regionStart to the end of the last written run.
-func (t *table) encodeRegion(regionStart uint64, runs []run) uint64 {
-	off := func(x uint64) uint64 { return (x - regionStart) & t.mask }
-	pos := regionStart
-	for _, rn := range runs {
-		if len(rn.slots) == 0 {
-			continue
-		}
-		if off(pos) < off(rn.quotient) {
-			pos = rn.quotient // slots in between stay empty
-		}
-		t.occupied.Set(int(rn.quotient))
-		for i, v := range rn.slots {
-			t.payload.Set(int(pos), v)
-			t.continuation.SetTo(int(pos), i > 0)
-			t.shifted.SetTo(int(pos), pos != rn.quotient)
-			pos = (pos + 1) & t.mask
-		}
-	}
-	return off(pos)
-}
-
-// rewriteRegion replaces the region at start (old length oldLen) with the
-// given runs, growing into following regions if necessary. delta is the
-// change in physical slot usage (new total minus old), applied to used.
-func (t *table) rewriteRegion(start, oldLen uint64, runs []run) {
-	newLen := uint64(0)
-	for _, rn := range runs {
-		newLen += uint64(len(rn.slots))
-	}
-	// Extend the working span over following regions until the new
-	// content provably fits: the encode needs at most oldSpan+growth
-	// slots, and every slot beyond consumed regions is empty.
-	span := oldLen
-	absorbed := runs
-	for {
-		// Count the empty gap right after the current span.
-		gapStart := (start + span) & t.mask
-		needed := newLen
-		if needed <= span {
-			break
-		}
-		grow := needed - span
-		gap := uint64(0)
-		for gap < grow && t.physicallyEmpty((gapStart+gap)&t.mask) {
-			gap++
-		}
-		if gap >= grow {
-			span += gap
-			break
-		}
-		// Next region starts inside the window we need: absorb it.
-		nextStart := (gapStart + gap) & t.mask
-		nextRuns, nextLen := t.decodeRegion(nextStart)
-		t.clearSpan(nextStart, nextLen)
-		absorbed = append(absorbed, nextRuns...)
-		span += gap + nextLen
-		newLen += nextLen
-	}
-	t.clearSpan(start, oldLen)
-	written := t.encodeRegion(start, absorbed)
-	_ = written
-	// Recompute used from the delta of this region's own content: caller
-	// adjusts used explicitly, so nothing to do here.
-}
-
-// updateRun rewrites the run for quotient fq using edit, which receives
-// the current raw slot sequence (nil if the quotient has no run) and
-// returns the replacement (nil/empty to delete the run). It returns the
-// change in slot count.
-func (t *table) updateRun(fq uint64, edit func(slots []uint64) []uint64) int {
-	start := t.regionStart(fq)
-	runs, oldLen := t.decodeRegion(start)
-	idx := -1
-	for i := range runs {
-		if runs[i].quotient == fq {
-			idx = i
-			break
-		}
-	}
-	var old []uint64
-	if idx >= 0 {
-		old = runs[idx].slots
-	}
-	replacement := edit(old)
-	delta := len(replacement) - len(old)
-	if delta == 0 && idx >= 0 {
-		// In-place length: still re-encode to pick up content changes.
-	}
-	switch {
-	case idx >= 0 && len(replacement) == 0:
-		runs = append(runs[:idx], runs[idx+1:]...)
-	case idx >= 0:
-		runs[idx].slots = replacement
-	case len(replacement) > 0:
-		// Insert a new run in quotient scan order.
-		off := func(x uint64) uint64 { return (x - start) & t.mask }
-		pos := len(runs)
-		for i := range runs {
-			if off(fq) < off(runs[i].quotient) {
-				pos = i
-				break
+// shiftLeft drops slot x, moving the slots behind it left by one up to
+// the next empty slot or unshifted run start, and empties the last one.
+// fq is the quotient of x's run: each run start crossed claims the next
+// occupied quotient, and is shifted unless that is its new slot. The
+// emptied slot keeps its payload bits, which nothing reads; rewriting
+// them would change saved images relative to earlier releases.
+func (t *table) shiftLeft(x, fq uint64) {
+	q := fq
+	for next := (x + 1) & t.mask; t.shifted.Bit(int(next)); next = (x + 1) & t.mask {
+		cont := t.continuation.Bit(int(next))
+		if !cont {
+			for q = (q + 1) & t.mask; !t.occupied.Bit(int(q)); q = (q + 1) & t.mask {
 			}
 		}
-		runs = append(runs, run{})
-		copy(runs[pos+1:], runs[pos:])
-		runs[pos] = run{quotient: fq, slots: replacement}
-	default:
-		return 0 // no run and nothing to write
+		t.payload.Set(int(x), t.payload.Get(int(next)))
+		t.continuation.SetTo(int(x), cont)
+		t.shifted.SetTo(int(x), cont || x != q)
+		x = next
 	}
-	if t.used+delta > int(t.slots)-1 {
-		// Re-encoding would fill the last empty slot; caller must treat
-		// this as full. No mutation has happened yet... but edit already
-		// ran; we simply don't apply it.
-		panic(errTableFull{})
-	}
-	t.rewriteRegion(start, oldLen, runs)
-	t.used += delta
-	return delta
-}
-
-type errTableFull struct{}
-
-func (errTableFull) Error() string { return core.ErrFull.Error() }
-
-// mutate wraps updateRun, converting the full-table panic into ErrFull.
-func (t *table) mutate(fq uint64, edit func(slots []uint64) []uint64) (delta int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errTableFull); ok {
-				err = core.ErrFull
-				return
-			}
-			panic(r)
-		}
-	}()
-	delta = t.updateRun(fq, edit)
-	return delta, nil
+	t.continuation.Clear(int(x))
+	t.shifted.Clear(int(x))
 }
 
 // findRun locates the run of quotient fq with the classic cluster walk.
@@ -500,42 +404,6 @@ func (t *table) runSlots(startPos, length uint64) []uint64 {
 	return out
 }
 
-// allRuns decodes the entire table into runs in circular scan order
-// starting after some empty slot. Used by iteration, resize and merge.
-func (t *table) allRuns() []run {
-	if t.used == 0 {
-		return nil
-	}
-	// Find an empty anchor slot.
-	anchor := uint64(0)
-	found := false
-	for i := uint64(0); i < t.slots; i++ {
-		if t.physicallyEmpty(i) {
-			anchor = i
-			found = true
-			break
-		}
-	}
-	if !found {
-		panic("quotient: table has no empty slot (overfull)")
-	}
-	var all []run
-	pos := (anchor + 1) & t.mask
-	scanned := uint64(0)
-	for scanned < t.slots-1 {
-		if t.physicallyEmpty(pos) {
-			pos = (pos + 1) & t.mask
-			scanned++
-			continue
-		}
-		runs, n := t.decodeRegion(pos)
-		all = append(all, runs...)
-		pos = (pos + n) & t.mask
-		scanned += n
-	}
-	return all
-}
-
 // sizeBits returns the physical footprint: payload plus 3 metadata bits
 // per slot.
 func (t *table) sizeBits() int {
@@ -543,43 +411,113 @@ func (t *table) sizeBits() int {
 		t.continuation.SizeBits() + t.shifted.SizeBits()
 }
 
-// checkInvariants validates table consistency; tests call it after
-// mutation sequences. It verifies that the decoded content round-trips:
-// every run's quotient has its occupied bit, slot usage matches, and
-// lookups agree with decode.
-func (t *table) checkInvariants() error {
-	runs := t.allRuns()
-	total := 0
-	for _, rn := range runs {
-		total += len(rn.slots)
-		if !t.occupied.Bit(int(rn.quotient)) {
-			return fmt.Errorf("quotient %d has run but no occupied bit", rn.quotient)
+// walk visits every run in ascending quotient order, calling fn with its
+// quotient, first slot and length, and checks the metadata on the way:
+// a continuation slot must extend a run and be shifted; a run start must
+// claim the next occupied quotient, which lies in its region (maximal
+// stretch of full slots) at or before it, and be shifted exactly when it
+// is off that slot; no occupied quotient may go unclaimed; and the full
+// slots must number used. It returns the first inconsistency, or fn's
+// first error, and never reads outside the table.
+//
+// The march starts after an empty slot a. Circular order from a meets
+// the quotients above a before those below it, so the first pass reports
+// the runs below a and the second the rest.
+func (t *table) walk(fn func(fq, start, n uint64) error) error {
+	a := uint64(0)
+	for !t.isEmptySlot(a) {
+		if a++; a == t.slots {
+			return errors.New("no empty slot")
 		}
-		start, length, ok := t.findRun(rn.quotient)
-		if !ok {
-			return fmt.Errorf("findRun(%d) failed", rn.quotient)
+	}
+	off := func(x uint64) uint64 { return (x - a) & t.mask }
+	for pass := 0; pass < 2; pass++ {
+		q, region, full := a, uint64(1), 0
+		var start, n uint64
+		for i := uint64(1); i <= t.slots; i++ { // i == slots revisits a to end the last run
+			pos := (a + i) & t.mask
+			empty, cont := t.isEmptySlot(pos), t.continuation.Bit(int(pos))
+			if n > 0 && (empty || !cont) {
+				if (q < a) == (pass == 0) {
+					if err := fn(q, start, n); err != nil {
+						return err
+					}
+				}
+				n = 0
+			}
+			switch {
+			case empty:
+				region = i + 1
+				continue
+			case cont:
+				if n == 0 || !t.shifted.Bit(int(pos)) {
+					return fmt.Errorf("continuation slot %d extends no run", pos)
+				}
+				n++
+			default:
+				for q = (q + 1) & t.mask; off(q) < i && !t.occupied.Bit(int(q)); q = (q + 1) & t.mask {
+				}
+				if !t.occupied.Bit(int(q)) {
+					return fmt.Errorf("run at slot %d has no occupied quotient", pos)
+				}
+				if off(q) < region {
+					return fmt.Errorf("occupied quotient %d has no run", q)
+				}
+				if t.shifted.Bit(int(pos)) != (q != pos) {
+					return fmt.Errorf("run of quotient %d at slot %d has the wrong shifted bit", q, pos)
+				}
+				start, n = pos, 1
+			}
+			full++
 		}
-		if length != uint64(len(rn.slots)) {
-			return fmt.Errorf("findRun(%d) length %d, decode %d", rn.quotient, length, len(rn.slots))
-		}
-		got := t.runSlots(start, length)
-		for i := range got {
-			if got[i] != rn.slots[i] {
-				return fmt.Errorf("findRun(%d) slot %d mismatch", rn.quotient, i)
+		for q = (q + 1) & t.mask; q != a; q = (q + 1) & t.mask {
+			if t.occupied.Bit(int(q)) {
+				return fmt.Errorf("occupied quotient %d has no run", q)
 			}
 		}
-	}
-	if total != t.used {
-		return fmt.Errorf("used=%d but decoded %d slots", t.used, total)
-	}
-	occ := 0
-	for i := uint64(0); i < t.slots; i++ {
-		if t.occupied.Bit(int(i)) {
-			occ++
+		if full != t.used {
+			return fmt.Errorf("used=%d but %d slots are full", t.used, full)
 		}
 	}
-	if occ != len(runs) {
-		return fmt.Errorf("%d occupied bits but %d runs", occ, len(runs))
-	}
 	return nil
+}
+
+// each calls fn with every stored payload and its quotient, in ascending
+// (quotient, run position) order.
+func (t *table) each(fn func(fq, v uint64) error) error {
+	return t.walk(func(fq, s, n uint64) error {
+		for i := uint64(0); i < n; i++ {
+			if err := fn(fq, t.payload.Get(int((s+i)&t.mask))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// doubled returns a table with twice the slots holding the same entries,
+// each giving its top payload bit to the quotient (§2.2 expansion). The
+// entries arrive in ascending order, so each lands at the end of its
+// cluster and the rebuild shifts nothing.
+func (t *table) doubled() (*table, error) {
+	nt := newTable(t.q+1, t.width-1)
+	err := t.each(func(fq, v uint64) error {
+		w := fq<<t.width | v
+		return nt.insert(w>>nt.width, w&hashutil.Mask(nt.width))
+	})
+	return nt, err
+}
+
+// checkInvariants validates the table: walk's metadata checks, plus
+// findRun and findRunFast agreeing with the walk on every run. readTable
+// runs it on every loaded table; tests run it after mutation sequences.
+func (t *table) checkInvariants() error {
+	return t.walk(func(fq, s, n uint64) error {
+		s1, n1, _ := t.findRun(fq)
+		s2, n2, _ := t.findRunFast(fq)
+		if s1 != s || n1 != n || s2 != s || n2 != n {
+			return fmt.Errorf("run %d at (%d,%d): findRun (%d,%d), findRunFast (%d,%d)", fq, s, n, s1, n1, s2, n2)
+		}
+		return nil
+	})
 }
