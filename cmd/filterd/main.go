@@ -1,6 +1,7 @@
 // Command filterd serves a membership filter (and optionally an LSM
-// key-value store) over HTTP, batching concurrent point probes into
-// hash-once/probe-many windows (DESIGN.md §11). It also bundles the
+// key-value store) over HTTP. Point probes are answered directly;
+// clients batch by sending binary frames, which run through the
+// hash-once/probe-many kernels whole (DESIGN.md §11). It also bundles the
 // small client verbs the smoke tests and operators need: build a
 // filter file, probe a running server, write keys, and trigger a
 // zero-downtime filter reload.
@@ -81,9 +82,10 @@ func usage() {
 }
 
 // cmdServe builds the engine from flags and serves until SIGINT or
-// SIGTERM, then shuts down in dependency order: stop accepting HTTP,
-// drain the coalescers (every in-flight waiter gets a real answer),
-// and only then close the store so final flushes still have a backend.
+// SIGTERM, then shuts down in dependency order: stop accepting HTTP and
+// wait for in-flight requests to finish, close the engine so anything
+// later fails fast, and only then close the store, so every drained
+// request still had a backend.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8077", "listen address")
@@ -292,11 +294,10 @@ func parseKeys(one string, many string) ([]uint64, error) {
 	if (one == "") == (many == "") {
 		return nil, errors.New("exactly one of -key or -keys is required")
 	}
-	raw := one
+	parts := []string{one}
 	if many != "" {
-		raw = many
+		parts = strings.Split(many, ",")
 	}
-	parts := strings.Split(raw, ",")
 	keys := make([]uint64, 0, len(parts))
 	for _, p := range parts {
 		k, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
@@ -309,8 +310,10 @@ func parseKeys(one string, many string) ([]uint64, error) {
 }
 
 // cmdProbe queries a running server. JSON mode hits /v1/contains or
-// /v1/get; -binary sends one wire frame to /v1/probe and decodes the
-// response, exercising the same hot path the golden tests pin.
+// /v1/get, sending -key as {"key": k} (a scalar answer) and -keys as
+// {"keys": [...]} (arrays, whatever the count); -binary sends one wire
+// frame to /v1/probe and decodes the response, exercising the same hot
+// path the golden tests pin.
 func cmdProbe(args []string) error {
 	fs := flag.NewFlagSet("probe", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8077", "server address")
@@ -353,6 +356,9 @@ func cmdProbe(args []string) error {
 		path = "/v1/get"
 	}
 	req := fmt.Sprintf(`{"keys": [%s]}`, joinKeys(ks))
+	if *key != "" {
+		req = fmt.Sprintf(`{"key": %d}`, ks[0])
+	}
 	body, err := post("http://"+*addr+path, "application/json", []byte(req))
 	if err != nil {
 		return err

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"beyondbloom/internal/bloom"
@@ -31,13 +29,6 @@ import (
 // batches past it, and never a wait for company. Batching raises
 // the capacity ceiling, so past the scalar knee the batched tail stays
 // bounded where the scalar tail diverges.
-//
-// The second table is CLOSED-LOOP with blocking requesters through
-// Engine.Contains — the engine's real coalescer. A request that finds
-// the coalescer idle is answered inline as a window of one, so the
-// coalesced column pays only the window bookkeeping over the scalar
-// probe; windows grow past one only when requests really overlap a
-// flush, which on one core they never do.
 func runE21(cfg Config) []*metrics.Table {
 	n := cfg.n(4 << 20)
 	filter, err := concurrent.NewShardedMutable(2, func(int) core.MutableFilter {
@@ -71,12 +62,8 @@ func runE21(cfg Config) []*metrics.Table {
 	core.ContainsBatch(filter, stream, expect)
 
 	capTable, capScalar, capBatched := e21Capacity(filter, stream)
-	tables := []*metrics.Table{
-		capTable,
-		e21OpenLoop(cfg, filter, stream, expect, capScalar, capBatched),
-		e21ClosedLoop(cfg, filter, stream),
-	}
-	return append(tables, e21Acceptance(tables[1]))
+	open := e21OpenLoop(cfg, filter, stream, expect, capScalar, capBatched)
+	return []*metrics.Table{capTable, open, e21Acceptance(open)}
 }
 
 // e21Acceptance gates on wrong membership answers (seeded stream, exact
@@ -95,8 +82,8 @@ func e21Acceptance(open *metrics.Table) *metrics.Table {
 
 // e21Capacity measures the two probe kernels' saturation throughput
 // over the stream: one scalar Contains per request vs one ContainsBatch
-// per chunk. Their ratio is the capacity headroom coalescing can
-// unlock for the service.
+// per chunk. Their ratio is the capacity headroom batching can unlock
+// for the service.
 func e21Capacity(filter core.Filter, stream []uint64) (*metrics.Table, float64, float64) {
 	const rounds = 4
 
@@ -244,69 +231,6 @@ func e21OpenLoop(cfg Config, filter core.Filter, stream []uint64, expect []bool,
 				float64(len(stream))/float64(l.calls),
 				l.wrong)
 		}
-	}
-	return t
-}
-
-// e21ClosedLoop runs G blocking requesters through the coalescer and
-// through the scalar path.
-func e21ClosedLoop(cfg Config, filter core.Filter, stream []uint64) *metrics.Table {
-	opsTotal := cfg.n(20000)
-	t := metrics.NewTable(
-		fmt.Sprintf("E21b: closed-loop blocking requesters (ops=%d, GOMAXPROCS=%d)",
-			opsTotal, runtime.GOMAXPROCS(0)),
-		"goroutines", "mode", "kops_per_sec", "avg_batch").Named("closed_loop")
-	for _, g := range []int{1, 4, 16, 64} {
-		opsEach := opsTotal / g
-		if opsEach == 0 {
-			opsEach = 1
-		}
-
-		// Scalar: every goroutine probes directly.
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var sink bool
-				for i := 0; i < opsEach; i++ {
-					sink = sink != filter.Contains(stream[(w*opsEach+i)%len(stream)])
-				}
-				_ = sink
-			}(w)
-		}
-		wg.Wait()
-		scalarKops := float64(g*opsEach) / time.Since(start).Seconds() / 1e3
-		t.AddRow(g, "scalar", scalarKops, 1.0)
-
-		// Coalesced: every goroutine blocks in Engine.Contains.
-		e, err := server.NewEngine(filter, nil, server.Config{})
-		if err != nil {
-			panic(err)
-		}
-		start = time.Now()
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ctx := context.Background()
-				for i := 0; i < opsEach; i++ {
-					if _, err := e.Contains(ctx, stream[(w*opsEach+i)%len(stream)]); err != nil {
-						panic(err)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		coalescedKops := float64(g*opsEach) / time.Since(start).Seconds() / 1e3
-		st := e.MembershipStats()
-		e.Close()
-		avgBatch := 0.0
-		if st.Windows > 0 {
-			avgBatch = float64(st.Keys) / float64(st.Windows)
-		}
-		t.AddRow(g, "coalesced", coalescedKops, avgBatch)
 	}
 	return t
 }

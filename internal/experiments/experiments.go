@@ -61,7 +61,7 @@ func All() []Experiment {
 		{"E18", "Concurrent LSM: read scaling under background compaction (§3.1)", runE18},
 		{"E19", "Durable LSM: crash-point sweep and durability-mode put latency (§3.1)", runE19},
 		{"E20", "Bloom variant frontier: classic vs blocked vs two-choice at equal bits/key (§2)", runE20},
-		{"E21", "Filter service: open-loop coalescing sweep and closed-loop fan-in (§3.3)", runE21},
+		{"E21", "Filter service: batch-probe capacity and open-loop batching sweep (§3.3)", runE21},
 		{"E22", "Maplet-first LSM: device reads per lookup and the batched maplet probe path (§3.1)", runE22},
 		{"E23", "Growable filters: FPR drift, bits/key and pause-free expansion 2^10 -> 2^26 (§2.2)", runE23},
 	}

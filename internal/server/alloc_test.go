@@ -93,25 +93,58 @@ func TestEngineContainsBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCoalescerLoneDoAllocs pins the idle coalescer path: a lone Do
-// allocates its window, the done channel and the window's three
-// slices, and nothing else.
-func TestCoalescerLoneDoAllocs(t *testing.T) {
-	c := NewCoalescer(256, func(keys, values []uint64, found []bool) error {
-		for i := range keys {
-			found[i] = keys[i]&1 == 1
-		}
-		return nil
-	})
-	defer c.Close()
-	ctx := context.Background()
-	run := func() {
-		if _, found, err := c.Do(ctx, 7); err != nil || !found {
-			t.Fatalf("Do(7) = %v, %v", found, err)
-		}
+// TestEnginePointZeroAlloc pins the point paths: Contains probes the
+// filter snapshot and Get reads the store on the caller's goroutine, so
+// neither allocates per request — for a key in the memtable, in a run,
+// or absent, under every store filter policy that serves point reads.
+func TestEnginePointZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	run()
-	if avg := testing.AllocsPerRun(200, run); avg > 5 {
-		t.Fatalf("lone Do allocates %.1f times, want <= 5", avg)
+	for _, tc := range []struct {
+		name   string
+		policy lsm.FilterPolicy
+	}{
+		{"none", lsm.PolicyNone},
+		{"bloom", lsm.PolicyBloom},
+		{"maplet", lsm.PolicyMaplet},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := lsm.NewStore(lsm.Options{MemtableSize: 64, Policy: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			e, err := NewEngine(newTestFilter(t, 4096), store, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for k := uint64(0); k < 200; k++ {
+				if err := e.Insert(k); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Apply(lsm.Entry{Key: k, Value: k + 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			run := func() {
+				for _, k := range []uint64{3, 199, 1 << 40} {
+					found, err := e.Contains(ctx, k)
+					if err != nil || (k < 200 && !found) {
+						t.Fatalf("Contains(%d) = %v, %v", k, found, err)
+					}
+					v, found, err := e.Get(ctx, k)
+					if err != nil || found != (k < 200) || (found && v != k+1) {
+						t.Fatalf("Get(%d) = %d, %v, %v", k, v, found, err)
+					}
+				}
+			}
+			run()
+			if avg := testing.AllocsPerRun(100, run); avg != 0 {
+				t.Fatalf("point Contains+Get allocate %.1f times per round, want 0", avg)
+			}
+		})
 	}
 }

@@ -25,8 +25,8 @@ func svcChaosValue(k uint64) uint64 { return k*2654435761 + 1 }
 
 // TestServiceChaos is the service's -race chaos test, in the mold of
 // the store's TestChaosConcurrentStore but through the Engine: point
-// reads ride the coalescing windows, batch reads the direct path,
-// writes the admission-controlled Apply path — all while a reloader
+// reads take the point path, batch reads the batch path, writes the
+// admission-controlled Apply path — all while a reloader
 // swaps the serving filter between two .bbf snapshots and the store's
 // device and filter blocks fault on an injector schedule. Every
 // operation with established ordering asserts its exact answer; the
@@ -70,11 +70,11 @@ func TestServiceChaos(t *testing.T) {
 		saveFilterFile(t, dir, "gen-b.bbf", memKeys),
 	}
 
-	e, err := NewEngine(filter, store, Config{MaxBatch: 64, MaxInflightKeys: 1 << 20})
+	e, err := NewEngine(filter, store, Config{MaxInflightKeys: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close() // runs before store.Close: final flushes still have a backend
+	defer e.Close() // runs before store.Close, as in cmd/filterd
 	ts := httptest.NewServer(New(e))
 	defer ts.Close()
 
@@ -165,8 +165,8 @@ func TestServiceChaos(t *testing.T) {
 
 	var readers sync.WaitGroup
 
-	// Coalesced KV point reader: the window path must stay exact while
-	// its backing store compacts, faults, and stalls.
+	// KV point reader: the point path must stay exact while its backing
+	// store compacts, faults, and stalls.
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
@@ -225,7 +225,7 @@ func TestServiceChaos(t *testing.T) {
 		}
 	}()
 
-	// Coalesced membership point reader: every membership key is in
+	// Membership point reader: every membership key is in
 	// every filter generation, so a false negative is a wrong result no
 	// matter when the reload lands.
 	readers.Add(1)
@@ -341,8 +341,8 @@ func TestServiceChaos(t *testing.T) {
 	if gen := e.Filter().Gen; gen < 2 {
 		t.Fatalf("filter generation %d after %d reloads", gen, reloads)
 	}
-	if st := e.MembershipStats(); st.Windows == 0 || st.Keys == 0 {
-		t.Fatalf("membership coalescer never flushed: %+v", st)
+	if m := e.Metrics(); m.ReqContains.Load() == 0 || m.ReqGet.Load() == 0 {
+		t.Fatalf("point paths never ran: %d contains, %d gets", m.ReqContains.Load(), m.ReqGet.Load())
 	}
 	stats := store.Device().Counters()
 	if stats.FailedReads+stats.FailedWrites == 0 {

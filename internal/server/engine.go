@@ -26,14 +26,12 @@ var (
 	// ErrReadOnly means an insert was attempted while the serving filter
 	// is not a concurrency-safe mutable (sharded) filter.
 	ErrReadOnly = errors.New("server: serving filter is read-only")
+	// ErrShutdown is returned to requests that arrive after Close.
+	ErrShutdown = errors.New("server: shutting down")
 )
 
 // Config sizes the service core. The zero value selects the defaults.
 type Config struct {
-	// MaxBatch is the coalescing window capacity (default 256 — one
-	// core.BatchChunk, so a full window is exactly one hash-once/
-	// probe-many pass).
-	MaxBatch int
 	// MaxInflightKeys is the read admission budget: the total keys
 	// admitted and not yet answered, across point and batch requests
 	// (default 65536). Excess requests fail fast with ErrOverloaded.
@@ -46,9 +44,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = core.BatchChunk
-	}
 	if c.MaxInflightKeys == 0 {
 		c.MaxInflightKeys = 65536
 	}
@@ -58,18 +53,16 @@ func (c *Config) fill() {
 }
 
 // Engine is the service core: the membership filter behind an atomic
-// reload handle, an optional LSM KV store, one coalescer per read op,
-// and admission control in front of both. The HTTP layer (server.go)
-// and the load generator drive the same Engine methods, so what the
-// experiment measures is what the server serves.
+// reload handle, an optional LSM KV store, and admission control in
+// front of both. Every request runs on its caller's goroutine; batching
+// is the client's job, via ContainsBatch/GetBatch frames. The HTTP
+// layer (server.go) and the load generator drive the same Engine
+// methods, so what the experiment measures is what the server serves.
 type Engine struct {
 	cfg   Config
 	m     Metrics
 	fh    filterHandle
 	store *lsm.Store
-
-	membership *Coalescer
-	kv         *Coalescer
 
 	inflightKeys   atomic.Int64
 	inflightWrites atomic.Int64
@@ -80,8 +73,7 @@ type Engine struct {
 
 // NewEngine builds the service core over a serving filter (required)
 // and an optional KV store (nil disables the KV endpoints). The store
-// is borrowed, not owned: Close shuts the coalescers down but leaves
-// the store to its creator.
+// is borrowed, not owned: Close leaves the store to its creator.
 func NewEngine(filter core.Filter, store *lsm.Store, cfg Config) (*Engine, error) {
 	if filter == nil {
 		return nil, fmt.Errorf("server: nil serving filter")
@@ -89,24 +81,7 @@ func NewEngine(filter core.Filter, store *lsm.Store, cfg Config) (*Engine, error
 	cfg.fill()
 	e := &Engine{cfg: cfg, store: store, start: time.Now()}
 	e.fh.install(filter, "")
-	e.membership = NewCoalescer(cfg.MaxBatch, e.flushMembership)
-	if store != nil {
-		e.kv = NewCoalescer(cfg.MaxBatch, e.flushKV)
-	}
 	return e, nil
-}
-
-// flushMembership answers one membership window against a single
-// filter snapshot — a reload mid-window cannot split the batch.
-func (e *Engine) flushMembership(keys []uint64, _ []uint64, found []bool) error {
-	core.ContainsBatch(e.fh.load().Filter, keys, found)
-	return nil
-}
-
-// flushKV answers one KV window via the store's batched read path.
-func (e *Engine) flushKV(keys []uint64, values []uint64, found []bool) error {
-	e.store.GetBatch(keys, values, found)
-	return nil
 }
 
 // admitKeys charges n keys against the read budget; the caller must
@@ -123,16 +98,20 @@ func (e *Engine) admitKeys(n int) bool {
 
 func (e *Engine) releaseKeys(n int) { e.inflightKeys.Add(int64(-n)) }
 
-// Contains reports membership of key, coalesced into the current
-// window.
-func (e *Engine) Contains(ctx context.Context, key uint64) (bool, error) {
+// Contains reports membership of key against the current filter
+// snapshot. The request is synchronous, so ctx is not consulted; the
+// HTTP layer handles cancellation. The hot path allocates nothing.
+func (e *Engine) Contains(_ context.Context, key uint64) (bool, error) {
 	e.m.ReqContains.Add(1)
+	if e.closed.Load() {
+		return false, ErrShutdown
+	}
 	if !e.admitKeys(1) {
 		return false, ErrOverloaded
 	}
-	defer e.releaseKeys(1)
-	_, found, err := e.membership.Do(ctx, key)
-	return found, err
+	found := e.fh.load().Filter.Contains(key)
+	e.releaseKeys(1)
+	return found, nil
 }
 
 // ContainsBatch probes a whole batch directly against the current
@@ -151,17 +130,24 @@ func (e *Engine) ContainsBatch(keys []uint64, out []bool) error {
 	return nil
 }
 
-// Get performs one coalesced LSM point lookup.
-func (e *Engine) Get(ctx context.Context, key uint64) (uint64, bool, error) {
+// Get performs one LSM point lookup; like Contains it is synchronous
+// and ignores ctx. lsm.Store.Get and GetBatch give identical results
+// and I/O accounting, so a point read answers exactly as a one-key
+// batch would.
+func (e *Engine) Get(_ context.Context, key uint64) (uint64, bool, error) {
 	e.m.ReqGet.Add(1)
 	if e.store == nil {
 		return 0, false, ErrNoStore
 	}
+	if e.closed.Load() {
+		return 0, false, ErrShutdown
+	}
 	if !e.admitKeys(1) {
 		return 0, false, ErrOverloaded
 	}
-	defer e.releaseKeys(1)
-	return e.kv.Do(ctx, key)
+	value, found := e.store.Get(key)
+	e.releaseKeys(1)
+	return value, found, nil
 }
 
 // GetBatch performs a batch of LSM point lookups directly.
@@ -227,9 +213,10 @@ func (e *Engine) Insert(key uint64) error {
 }
 
 // Reload loads a .bbf file and atomically hands the serving filter
-// over to it. In-flight windows finish against the snapshot they
-// started with; the next window probes the new generation. Reloads
-// are serialized but never block the read path.
+// over to it. Each request loads the snapshot once, so one in flight
+// answers wholly from the generation it loaded; the next request
+// probes the new one. Reloads are serialized but never block the read
+// path.
 func (e *Engine) Reload(path string) (*FilterSnapshot, error) {
 	e.m.ReqReload.Add(1)
 	e.reloadMu.Lock()
@@ -252,33 +239,18 @@ func (e *Engine) Store() *lsm.Store { return e.store }
 // Metrics returns the counter block.
 func (e *Engine) Metrics() *Metrics { return &e.m }
 
-// MembershipStats returns the membership coalescer's counters.
-func (e *Engine) MembershipStats() CoalescerStats { return e.membership.Stats() }
+// Close makes every later request fail fast with ErrShutdown. It waits
+// for nothing: requests are synchronous, so draining the ones in flight
+// is the caller's HTTP server's job (cmd/filterd runs
+// http.Server.Shutdown first). The store, if any, stays open — its
+// owner closes it after the engine. Close is idempotent.
+func (e *Engine) Close() { e.closed.Store(true) }
 
-// Close drains the coalescers: all later requests fail fast with
-// ErrShutdown, and every window already open is flushed by its owner,
-// so every in-flight waiter gets a real answer. The store, if any,
-// stays open — its owner closes it after the engine so final flushes
-// still have a backend.
-func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		return
-	}
-	e.membership.Close()
-	if e.kv != nil {
-		e.kv.Close()
-	}
-}
-
-// gatherAll collects every metric point: server counters, per-role
-// coalescer counters, filter snapshot gauges, and (when a store is
-// attached) the store's device and filter counters.
+// gatherAll collects every metric point: server counters, filter
+// snapshot gauges, and (when a store is attached) the store's device
+// and filter counters.
 func (e *Engine) gatherAll() []metricPoint {
 	points := e.m.gather()
-	points = append(points, gatherCoalescer("membership", e.membership.Stats())...)
-	if e.kv != nil {
-		points = append(points, gatherCoalescer("kv", e.kv.Stats())...)
-	}
 	snap := e.fh.load()
 	points = append(points,
 		metricPoint{"filterd_filter_generation", "", "", int64(snap.Gen)},

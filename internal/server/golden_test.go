@@ -39,8 +39,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestMetricsGolden pins the full /metrics page for a fixed request
 // sequence. Every piece is deterministic by construction: the filter
 // seeds are fixed, the store is synchronous (bit-identical I/O replay),
-// and the requests are sequential, so every coalesced request finds
-// the coalescer idle and is flushed as its own window. Any change to a counter name, label,
+// and the requests are sequential. Any change to a counter name, label,
 // render order, or to which requests bump which counters shows up as a
 // diff here.
 func TestMetricsGolden(t *testing.T) {
@@ -49,7 +48,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	e, err := NewEngine(newTestFilter(t, 4096), store, Config{MaxBatch: 1})
+	e, err := NewEngine(newTestFilter(t, 4096), store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // FilterSnapshot is one immutable generation of the serving filter.
-// Probes grab the current snapshot once and use it for a whole window,
-// so a reload never splits a batch across two filters; old snapshots
-// drain naturally as their in-flight windows finish.
+// A request grabs the current snapshot once and uses it for all its
+// keys, so a reload never splits a batch across two filters; old
+// snapshots drain naturally as their in-flight requests finish.
 type FilterSnapshot struct {
 	Filter   core.Filter
 	Gen      uint64 // monotonically increasing generation

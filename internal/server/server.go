@@ -102,19 +102,21 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleContains answers membership: {"key": k} goes through the
-// coalescing window, {"keys": [...]} through the direct batch path.
+// handleContains answers membership in the form it was asked:
+// {"key": k} gets a scalar from the point path, {"keys": [...]} an
+// array from the batch path, even for a one-element list.
 func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
 	var req Request
-	if err := DecodeJSONKeys(OpContains, body, &req); err != nil {
+	point, err := decodeJSONKeys(OpContains, body, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if len(req.Keys) == 1 {
+	if point {
 		found, err := s.e.Contains(r.Context(), req.Keys[0])
 		if err != nil {
 			s.fail(w, err)
@@ -131,19 +133,20 @@ func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string][]bool{"found": out})
 }
 
-// handleGet answers LSM point lookups, coalesced for single keys and
-// direct for batches, mirroring handleContains.
+// handleGet answers LSM lookups, dispatching on the body's form as
+// handleContains does.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
 	var req Request
-	if err := DecodeJSONKeys(OpGet, body, &req); err != nil {
+	point, err := decodeJSONKeys(OpGet, body, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if len(req.Keys) == 1 {
+	if point {
 		value, found, err := s.e.Get(r.Context(), req.Keys[0])
 		if err != nil {
 			s.fail(w, err)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"beyondbloom/internal/bloom"
@@ -99,7 +100,7 @@ func saveFilterFile(t *testing.T, dir, name string, keys []uint64) string {
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
-	e := newTestEngine(t, true, Config{MaxBatch: 1})
+	e := newTestEngine(t, true, Config{})
 	ts := httptest.NewServer(New(e))
 	defer ts.Close()
 
@@ -186,6 +187,42 @@ func TestHTTPRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(buf.String(), `filterd_requests_total{op="contains"} 2`) {
 		t.Fatalf("/metrics missing contains counter:\n%s", buf.String())
+	}
+}
+
+// TestJSONAnswerShape pins that a body's form, not its key count,
+// picks the path and the answer's form: {"key": k} gets a scalar from
+// the point path, {"keys": [k]} a one-element array from the batch path.
+func TestJSONAnswerShape(t *testing.T) {
+	e := newTestEngine(t, true, Config{})
+	ts := httptest.NewServer(New(e))
+	defer ts.Close()
+	if err := e.Insert(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Apply(lsm.Entry{Key: 7, Value: 70}); err != nil {
+		t.Fatal(err)
+	}
+	m := e.Metrics()
+	for _, tc := range []struct {
+		name, path, body, want string
+		counter                *atomic.Int64
+	}{
+		{"contains key", "/v1/contains", `{"key": 7}`, `{"found":true}`, &m.ReqContains},
+		{"contains keys", "/v1/contains", `{"keys": [7]}`, `{"found":[true]}`, &m.ReqContainsBatch},
+		{"get key", "/v1/get", `{"key": 7}`, `{"found":true,"value":70}`, &m.ReqGet},
+		{"get keys", "/v1/get", `{"keys": [7]}`, `{"found":[true],"values":[70]}`, &m.ReqGetBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := tc.counter.Load()
+			code, body := postJSON(t, ts, tc.path, tc.body)
+			if code != 200 || strings.TrimSpace(body) != tc.want {
+				t.Fatalf("%s %s = %d %s, want %s", tc.path, tc.body, code, strings.TrimSpace(body), tc.want)
+			}
+			if got := tc.counter.Load() - before; got != 1 {
+				t.Fatalf("request counted %d times under its op, want 1", got)
+			}
+		})
 	}
 }
 

@@ -1,13 +1,13 @@
-// Package server is the network front-end of the library: a batched,
+// Package server is the network front-end of the library: a
 // backpressured membership/KV service over concurrent.Sharded filters
-// and the lsm.Store (ROADMAP item 1, the tutorial's §3.3 serving
-// story). The pieces compose bottom-up:
+// and the lsm.Store (the tutorial's §3.3 serving story). A point
+// request probes the filter or store directly on its caller's
+// goroutine; batching is the client's job, and a batch arrives as one
+// frame of up to MaxWireBatch keys that goes down the
+// hash-once/probe-many kernels whole. The pieces compose bottom-up:
 //
 //   - wire.go: the request/response wire formats — JSON for humans and
 //     a pinned little-endian binary frame for hot clients.
-//   - coalesce.go: the request coalescer, which batches concurrent
-//     point lookups into ContainsBatch/GetBatch windows so the
-//     hash-once/probe-many kernels pay off under fan-in.
 //   - reload.go: zero-downtime filter reload by atomic snapshot
 //     hand-off from .bbf files.
 //   - metrics.go: atomic counters rendered at /metrics and /debug/vars.
@@ -208,25 +208,33 @@ type jsonKeys struct {
 // MaxWireBatch bound as the binary parser and rejects bodies with
 // both, neither, or an empty key list.
 func DecodeJSONKeys(op byte, data []byte, req *Request) error {
+	_, err := decodeJSONKeys(op, data, req)
+	return err
+}
+
+// decodeJSONKeys is DecodeJSONKeys that also reports the body's form:
+// point is true for {"key": k} and false for {"keys": [...]}, whatever
+// the list's length. The handlers answer in the form they were asked.
+func decodeJSONKeys(op byte, data []byte, req *Request) (point bool, err error) {
 	var body jsonKeys
 	if err := json.Unmarshal(data, &body); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformed, err)
+		return false, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	switch {
 	case body.Key != nil && body.Keys != nil:
-		return fmt.Errorf(`%w: body has both "key" and "keys"`, ErrMalformed)
+		return false, fmt.Errorf(`%w: body has both "key" and "keys"`, ErrMalformed)
 	case body.Key != nil:
 		req.Op = op
 		req.Keys = append(req.Keys[:0], *body.Key)
-		return nil
+		return true, nil
 	case len(body.Keys) > MaxWireBatch:
-		return fmt.Errorf("%w: %d keys", ErrTooLarge, len(body.Keys))
+		return false, fmt.Errorf("%w: %d keys", ErrTooLarge, len(body.Keys))
 	case len(body.Keys) > 0:
 		req.Op = op
 		req.Keys = append(req.Keys[:0], body.Keys...)
-		return nil
+		return false, nil
 	default:
-		return fmt.Errorf(`%w: body needs "key" or a non-empty "keys"`, ErrMalformed)
+		return false, fmt.Errorf(`%w: body needs "key" or a non-empty "keys"`, ErrMalformed)
 	}
 }
 

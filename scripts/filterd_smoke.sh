@@ -44,6 +44,12 @@ fail() {
 # Probe via both request paths: JSON batch, then the binary frame.
 OUT=$("$WORK/filterd" probe -addr "$ADDR" -keys 1,2,3)
 echo "$OUT" | grep -q '"found"' || fail "JSON probe gave no found array: $OUT"
+# The body's form picks the answer's: a one-key "keys" list still gets
+# an array, a "key" a scalar.
+OUT=$("$WORK/filterd" probe -addr "$ADDR" -keys 7)
+echo "$OUT" | grep -q '"found":\[' || fail "JSON probe of a one-key list gave no array: $OUT"
+OUT=$("$WORK/filterd" probe -addr "$ADDR" -key 7)
+echo "$OUT" | grep -q '"found":[tf]' || fail "JSON probe of one key gave no scalar: $OUT"
 
 # KV round trip: put, JSON get, binary get.
 "$WORK/filterd" put -addr "$ADDR" -key 7 -value 99 >/dev/null

@@ -278,8 +278,8 @@ flat from 1× to 2× design load): two-choice balancing controls the
 per-block load *spread* (tail), not the mean, under uniform inserts.""",
 
     "E21": """The filter service measured end to end (DESIGN.md §11): does
-batching the point requests that are already waiting buy real
-capacity, and what does it cost in latency when nobody is waiting?
+probing the requests that are already waiting as one batch buy real
+capacity, and what does it cost in latency when few are waiting?
 The capacity table is the ceiling — the batched probe engine runs
 1.4-1.7× the scalar engine over the Zipfian service stream. The
 headline E21a sweep is OPEN-LOOP: Poisson arrivals replayed at offered
@@ -295,13 +295,9 @@ batched server still keeps up where the scalar one has saturated at
 its per-request ceiling — more throughput at a far lower p99, the
 non-gating `batched_beats_scalar_at_high_load_*` acceptance rows — with
 zero wrong membership answers in every cell (`wrong_results_total`,
-which gates). E21b drives blocking requesters through
-`Engine.Contains`, the real clockless coalescer: a request that
-finds it idle is flushed inline as a window of one, so
-the coalesced column costs 6-9× the bare probe (the window's
-bookkeeping) at every fan-in instead of a timer's wake-up latency, and
-avg_batch reads 1.00-1.15 on two cores (exactly 1.00 at GOMAXPROCS=1):
-a request only rarely overlaps another's flush.""",
+which gates). The dispatcher is the client's side of the service: the
+server itself answers point requests directly and probes a batch frame
+whole, so this is the batching a client gets by framing what it has.""",
 
     "A1": """SuRF's own design space: hash suffixes cut point FPR (in space) but do
 nothing for correlated range queries, which need real suffixes — and even
