@@ -3,6 +3,7 @@ package bloom
 import (
 	"testing"
 
+	"beyondbloom/internal/hashutil"
 	"beyondbloom/internal/workload"
 )
 
@@ -64,6 +65,40 @@ func TestBlockedBatchMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// benchBlockedContainsBatch probes a blocked filter of n keys at 12
+// bits/key with 4096-key batches, every other key absent: the shape of
+// the served probe_batch workload, whose filter is the n = 2^24 one.
+// ns/key is per probed key. Comparing the cache-resident size with the
+// DRAM-sized one tells whether the batched kernel waits on memory or
+// on its own instructions.
+func benchBlockedContainsBatch(b *testing.B, n int) {
+	f := NewBlocked(n, 12)
+	for i := 0; i < n; i++ {
+		f.Insert(hashutil.Mix64(uint64(i)))
+	}
+	probe := make([]uint64, 1<<16)
+	for i := range probe {
+		j := uint64(i) * 2654435761 % uint64(n)
+		if i&1 == 1 {
+			j += uint64(n) // Mix64 is a bijection, so these are absent
+		}
+		probe[i] = hashutil.Mix64(j)
+	}
+	out := make([]bool, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i * len(out) % len(probe)
+		f.ContainsBatch(probe[at:at+len(out)], out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/key")
+}
+
+// BenchmarkBlockedContainsBatchResident: 2^14 keys, a 24 KB filter.
+func BenchmarkBlockedContainsBatchResident(b *testing.B) { benchBlockedContainsBatch(b, 1<<14) }
+
+// BenchmarkBlockedContainsBatchDRAM: 2^24 keys, a 24 MiB filter.
+func BenchmarkBlockedContainsBatchDRAM(b *testing.B) { benchBlockedContainsBatch(b, 1<<24) }
 
 func TestBlockedProbesStayInOneBlock(t *testing.T) {
 	f := NewBlocked(1000, 16)

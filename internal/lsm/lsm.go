@@ -372,35 +372,26 @@ func (r *run) minKey() uint64 { return r.entries[0].Key }
 func (r *run) maxKey() uint64 { return r.entries[len(r.entries)-1].Key }
 
 // find binary-searches the run; the caller has already paid the I/O.
-func (r *run) find(key uint64) (Entry, bool) {
-	i := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].Key >= key })
-	if i < len(r.entries) && r.entries[i].Key == key {
-		return r.entries[i], true
-	}
-	return Entry{}, false
-}
+func (r *run) find(key uint64) (Entry, bool) { return search(r.entries, key) }
 
-// findInBlock binary-searches one entriesPerBlock-sized block; the
-// caller has already paid the (single-block) I/O. An out-of-range
-// block — a stale offset left by a recycled-id collision — misses.
-func (r *run) findInBlock(key uint64, block uint64) (Entry, bool) {
-	if block > uint64(len(r.entries))/entriesPerBlock {
-		return Entry{}, false
-	}
-	lo := int(block) * entriesPerBlock
-	if lo >= len(r.entries) {
-		return Entry{}, false
-	}
-	hi := lo + entriesPerBlock
-	if hi > len(r.entries) {
-		hi = len(r.entries)
-	}
-	seg := r.entries[lo:hi]
+// search binary-searches a sorted span of entries for key.
+func search(seg []Entry, key uint64) (Entry, bool) {
 	i := sort.Search(len(seg), func(i int) bool { return seg[i].Key >= key })
 	if i < len(seg) && seg[i].Key == key {
 		return seg[i], true
 	}
 	return Entry{}, false
+}
+
+// block returns the entriesPerBlock-sized block at offset b. An
+// out-of-range block — a stale offset left by a recycled-id collision —
+// is empty, so a search of it misses.
+func (r *run) block(b uint64) []Entry {
+	if b > uint64(len(r.entries))/entriesPerBlock {
+		return nil
+	}
+	lo := int(b) * entriesPerBlock
+	return r.entries[lo:min(lo+entriesPerBlock, len(r.entries))]
 }
 
 // memRun is a frozen memtable: immutable once published in a view,
@@ -618,8 +609,14 @@ func (s *Store) MapletFallbacks() int { return int(s.mapletFallbacks.Load()) }
 // devRead performs a fallible read of blocks: faulted attempts are
 // retried (each attempt pays its I/O), and exhausted retries recover
 // from the replica at a further blocks of cost. It never fails — the
-// degraded path trades I/O for correctness.
+// degraded path trades I/O for correctness. Without an injector no
+// attempt can fail, so the read is one counter add and skips the
+// Retrier, whose only job is retrying injected errors.
 func (s *Store) devRead(blocks int) {
+	if s.dev.Faults == nil {
+		s.dev.reads.Add(int64(blocks))
+		return
+	}
 	if err := s.ioRetry.Do(context.Background(), func(context.Context) error {
 		return s.dev.read(blocks)
 	}); err != nil {
@@ -628,8 +625,28 @@ func (s *Store) devRead(blocks int) {
 	}
 }
 
+// devReads charges n single-block reads a batch has performed: one
+// counter add on a fault-free device, and with an injector armed n
+// reads each judged (and retried) through devRead.
+func (s *Store) devReads(n int) {
+	if n == 0 {
+		return
+	}
+	if s.dev.Faults == nil {
+		s.dev.reads.Add(int64(n))
+		return
+	}
+	for ; n > 0; n-- {
+		s.devRead(1)
+	}
+}
+
 // devWrite is devRead's write-side twin.
 func (s *Store) devWrite(blocks int) {
+	if s.dev.Faults == nil {
+		s.dev.writes.Add(int64(blocks))
+		return
+	}
 	if err := s.ioRetry.Do(context.Background(), func(context.Context) error {
 		return s.dev.write(blocks)
 	}); err != nil {

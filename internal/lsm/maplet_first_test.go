@@ -16,9 +16,9 @@ import (
 // allocation-free, and its checkpoint image must reconstruct the exact
 // same routing.
 
-// TestMapletGetZeroAlloc pins the scalar maplet lookup's allocation
-// contract: at steady state (scratch pool warm) a Get allocates
-// nothing, hit or miss.
+// TestMapletGetZeroAlloc pins the maplet lookups' allocation contract:
+// at steady state (scratch pools warm) a Get allocates nothing, hit or
+// miss, and neither does a 256-key GetBatch of hits and misses.
 func TestMapletGetZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -37,6 +37,17 @@ func TestMapletGetZeroAlloc(t *testing.T) {
 		s.Get(miss[3])
 	}); avg != 0 {
 		t.Fatalf("maplet Get allocates %.1f objects per 3 lookups, want 0", avg)
+	}
+	frame := workload.DisjointKeys(256, 17)
+	for i := 0; i < len(frame); i += 2 {
+		frame[i] = keys[i*7]
+	}
+	vals, found := make([]uint64, len(frame)), make([]bool, len(frame))
+	s.GetBatch(frame, vals, found) // warm the batch scratch pools
+	if avg := testing.AllocsPerRun(200, func() {
+		s.GetBatch(frame, vals, found)
+	}); avg != 0 {
+		t.Fatalf("maplet GetBatch allocates %.1f objects per 256-key batch, want 0", avg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -60,7 +61,9 @@ func (s *Store) Get(key uint64) (uint64, bool) {
 // calling Get per key; the win is on the filter side: each run's filter
 // is probed with the whole surviving key batch through its native
 // batched path (hash-once/probe-many) before any data block is touched,
-// instead of re-entering the filter once per key.
+// instead of re-entering the filter once per key. The batch's filter
+// probes and fault-free device reads are charged to the shared counters
+// once per call, not once per key.
 func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 	_ = values[:len(keys)]
 	_ = found[:len(keys)]
@@ -99,13 +102,6 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 		return
 	}
 	if s.opts.Policy == PolicyMaplet {
-		// Native maplet batch path: one batched maplet probe per attempt
-		// (hash-once under a single read lock) fetches every pending key's
-		// packed (run, block) candidates, then one newest-first walk over
-		// the view's runs probes them — grouping the block reads by run
-		// instead of re-walking the view per key. Results and I/O
-		// accounting match the scalar mapletGet exactly, retries and
-		// fallback included.
 		s.mapletGetBatch(keys, values, found, pending)
 		return
 	}
@@ -134,6 +130,7 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 	for i := range resolved {
 		resolved[i] = false
 	}
+	probes, reads := 0, 0
 	for level := 0; level < len(v.levels) && len(pending) > 0; level++ {
 		for _, r := range v.levels[level] { // newest first
 			if len(pending) == 0 {
@@ -159,8 +156,8 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 			mustProbe = mustProbe[:len(inRange)]
 			if r.filter != nil {
 				probeKeys = probeKeys[:0]
+				probes += len(inRange)
 				for j, i := range inRange {
-					s.filterProbes.Add(1)
 					usable := true
 					if s.opts.FilterFaults != nil {
 						if o := s.opts.FilterFaults.Next(); o.Err != nil || o.FlipBit >= 0 {
@@ -192,7 +189,7 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 				if !mustProbe[j] {
 					continue
 				}
-				s.devRead(1)
+				reads++
 				if e, ok := r.find(keys[i]); ok {
 					values[i], found[i] = e.Value, !e.Tombstone
 					resolved[i] = true
@@ -210,6 +207,10 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 			}
 		}
 	}
+	if probes > 0 {
+		s.filterProbes.Add(int64(probes))
+	}
+	s.devReads(reads)
 }
 
 // getBatchScratch holds GetBatch's per-call worklists. They are pooled
@@ -316,14 +317,7 @@ func (s *Store) mapletResolve(v *view, key uint64, cand []uint64) (value uint64,
 					continue
 				}
 				s.devRead(1)
-				var e Entry
-				var ok bool
-				if off, exact := s.mapletValOffset(c); exact {
-					e, ok = r.findInBlock(key, off)
-				} else {
-					e, ok = r.find(key)
-				}
-				if ok {
+				if e, ok := search(s.candEntries(r, c), key); ok {
 					return e.Value, !e.Tombstone, true, true
 				}
 			}
@@ -350,29 +344,25 @@ type mapletGetScratch struct{ cand []uint64 }
 
 var mapletGetPool = sync.Pool{New: func() any { return new(mapletGetScratch) }}
 
-// mapletGetBatch is mapletGet over a pending sub-batch: per attempt,
-// one batched maplet probe resolves every unresolved key's candidates,
-// then a single newest-first walk over the view's runs probes them —
-// each run answers all of its keys before the walk moves on. Keys
-// whose candidates reference a run the view does not hold (a
-// compaction remap mid-flight) stay unresolved and retry with the next
-// view; after the attempt budget they fall back to probing every
-// overlapping run, exactly like the scalar path.
+// mapletGetBatch is mapletGet over a pending sub-batch, with the same
+// results, ordering rules, retries and fallback, and the same charge:
+// one read per probed candidate. It is a batch kernel rather than a
+// loop of mapletGet: per attempt, one maplet probe (hash-once under a
+// single read lock) fetches every unresolved key's candidates, one pass
+// ranks each candidate's run in the view, every key's newest candidate
+// block is searched together (searchBlocks), and only a key that misses
+// there walks its older candidates, newest first. The batch's probes
+// and fault-free reads reach the shared counters once per call.
 func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pending []int32) {
 	sc := mapletBatchPool.Get().(*mapletBatchScratch)
-	rem, kbuf, ends, cand := sc.rem[:0], sc.keys, sc.ends, sc.cand
-	state, val, liv := sc.state, sc.val, sc.liv
-	defer func() {
-		sc.rem, sc.keys, sc.ends, sc.cand = rem, kbuf, ends, cand
-		sc.state, sc.val, sc.liv = state, val, liv
-		mapletBatchPool.Put(sc)
-	}()
-	// Fault pass: judge each key's maplet probe once, exactly as the
-	// scalar path does; faulted keys degrade to the filterless walk.
+	defer mapletBatchPool.Put(sc)
+	// Fault pass: judge each key's maplet probe once, as a run filter
+	// probe is judged; faulted keys degrade to the filterless walk.
+	s.filterProbes.Add(int64(len(pending)))
+	rem := sc.rem[:0]
 	for _, i := range pending {
-		s.filterProbes.Add(1)
-		if s.opts.FilterFaults != nil {
-			if o := s.opts.FilterFaults.Next(); o.Err != nil || o.FlipBit >= 0 {
+		if ff := s.opts.FilterFaults; ff != nil {
+			if o := ff.Next(); o.Err != nil || o.FlipBit >= 0 {
 				s.filterFallbacks.Add(1)
 				values[i], found[i] = s.probeAllRuns(s.view.Load(), keys[i])
 				continue
@@ -380,87 +370,91 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 		}
 		rem = append(rem, i)
 	}
+	reads := 0
 	for attempt := 0; attempt < 4 && len(rem) > 0; attempt++ {
 		v := s.view.Load()
-		kbuf = kbuf[:0]
+		runs, rank := sc.rankRuns(v)
+		kbuf := sc.keys[:0]
 		for _, i := range rem {
 			kbuf = append(kbuf, keys[i])
 		}
-		ends, cand = s.maplet.GetBatch(kbuf, ends[:0], cand[:0])
-		n := len(rem)
-		if cap(state) < n {
-			state = make([]int8, n)
-			val = make([]uint64, n)
-			liv = make([]bool, n)
-		}
-		state, val, liv = state[:n], val[:n], liv[:n]
-		// state per key: 0 = unresolved, 1 = hit (val/liv), 2 =
-		// conclusively absent, 3 = inconclusive (some candidate's run is
-		// unknown to this view — retry).
-		for j := 0; j < n; j++ {
-			state[j] = 0
-			lo := int32(0)
-			if j > 0 {
-				lo = ends[j-1]
-			}
-			if lo == ends[j] {
-				state[j] = 2
-				continue
-			}
-			for ci := lo; ci < ends[j]; ci++ {
+		ends, cand := s.maplet.GetBatch(kbuf, sc.ends[:0], sc.cand[:0])
+		state, hits := resize(sc.state, len(rem)), resize(sc.hits, len(rem))
+		crank := resize(sc.crank, len(cand))
+		sc.keys, sc.ends, sc.cand, sc.state, sc.hits, sc.crank = kbuf, ends, cand, state, hits, crank
+		// Rank pass: crank[ci] is candidate ci's position in runs (-1 for
+		// a duplicate: colliding fingerprints packed identically sit
+		// adjacent in the value-ordered maplet run and are probed once).
+		// Each key with candidates all in the view stages its newest.
+		probes := sc.probes[:0]
+		lo := int32(0)
+		for j, hi := range ends {
+			state[j] = keyAbsent
+			newest := int32(-1)
+			for ci := lo; ci < hi; ci++ {
+				crank[ci] = -1
 				if ci > lo && cand[ci] == cand[ci-1] {
 					continue
 				}
-				if !viewHasRun(v, s.mapletValRun(cand[ci])) {
-					state[j] = 3
+				id := s.mapletValRun(cand[ci])
+				if id >= uint64(len(rank)) || rank[id] < 0 {
+					state[j] = keyRetry
 					break
 				}
+				crank[ci] = rank[id]
+				if newest < 0 || crank[ci] < crank[newest] {
+					newest = ci
+				}
 			}
+			if state[j] == keyAbsent && newest >= 0 {
+				probes = append(probes, blockProbe{
+					seg: s.candEntries(runs[crank[newest]], cand[newest]),
+					key: kbuf[j], j: int32(j), ci: newest,
+				})
+			}
+			lo = hi
 		}
-		for level := 0; level < len(v.levels); level++ {
-			for _, r := range v.levels[level] { // newest first
-				for j := 0; j < n; j++ {
-					if state[j] != 0 {
+		reads += len(probes)
+		searchBlocks(probes)
+		for k := range probes {
+			p := &probes[k]
+			if e, ok := p.result(); ok {
+				state[p.j], hits[p.j] = keyHit, e
+				continue
+			}
+			// Missed: walk the key's older candidates in view order — the
+			// rest of the probed candidate's run, then the runs after it —
+			// re-staging this probe for each until one hits.
+			lo, hi, first, top := int32(0), ends[p.j], p.ci, crank[p.ci]
+			if p.j > 0 {
+				lo = ends[p.j-1]
+			}
+			for rk := top; hi-lo > 1 && rk < int32(len(runs)) && state[p.j] != keyHit; rk++ {
+				for ci := lo; ci < hi; ci++ {
+					if crank[ci] != rk || (rk == top && ci <= first) {
 						continue
 					}
-					lo := int32(0)
-					if j > 0 {
-						lo = ends[j-1]
-					}
-					for ci := lo; ci < ends[j]; ci++ {
-						c := cand[ci]
-						if ci > lo && c == cand[ci-1] {
-							continue
-						}
-						if s.mapletValRun(c) != r.id {
-							continue
-						}
-						s.devRead(1)
-						var e Entry
-						var ok bool
-						if off, exact := s.mapletValOffset(c); exact {
-							e, ok = r.findInBlock(keys[rem[j]], off)
-						} else {
-							e, ok = r.find(keys[rem[j]])
-						}
-						if ok {
-							state[j], val[j], liv[j] = 1, e.Value, !e.Tombstone
-							break
-						}
+					reads++
+					p.seg, p.ci = s.candEntries(runs[rk], cand[ci]), ci
+					searchBlocks(probes[k : k+1])
+					if e, ok := p.result(); ok {
+						state[p.j], hits[p.j] = keyHit, e
+						break
 					}
 				}
 			}
 		}
+		clear(probes) // pool no references into the store's runs
+		sc.probes = probes
 		if s.view.Load() != v {
 			continue // commit nothing; retry the whole remainder
 		}
 		next := rem[:0]
-		for j := 0; j < n; j++ {
-			i := rem[j]
+		for j, i := range rem {
 			switch state[j] {
-			case 1:
-				values[i], found[i] = val[j], liv[j]
-			case 2, 0: // absent, or every candidate probed without a hit
+			case keyHit:
+				values[i], found[i] = hits[j].Value, !hits[j].Tombstone
+			case keyAbsent:
 				values[i], found[i] = 0, false
 			default:
 				next = append(next, i)
@@ -468,25 +462,127 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 		}
 		rem = next
 	}
+	clear(sc.runs)
+	sc.rem = rem
+	s.devReads(reads)
 	for _, i := range rem {
 		s.mapletFallbacks.Add(1)
 		values[i], found[i] = s.probeAllRuns(s.view.Load(), keys[i])
 	}
 }
 
-// mapletBatchScratch pools mapletGetBatch's worklists; nothing in it
-// retains store data, only key copies, packed values, and positions.
+// A key's outcome in one mapletGetBatch attempt.
+const (
+	keyAbsent int8 = iota // no candidate, or every candidate probed without a hit
+	keyHit                // hits holds the key's newest entry
+	keyRetry              // a candidate's run is not in this view
+)
+
+// mapletBatchScratch pools mapletGetBatch's worklists. Its run
+// references are cleared before it is pooled, so it retains no store
+// data, only key copies, packed values, entry copies and positions.
 type mapletBatchScratch struct {
-	rem   []int32
-	keys  []uint64
-	ends  []int32
-	cand  []uint64
-	state []int8
-	val   []uint64
-	liv   []bool
+	rem    []int32  // pending positions still unresolved
+	keys   []uint64 // their keys: the maplet probe's input
+	ends   []int32  // the probe's output: per-key candidate bounds
+	cand   []uint64 // and packed candidates
+	crank  []int32  // each candidate's position in runs (-1: duplicate)
+	state  []int8   // per remaining key: keyAbsent, keyHit or keyRetry
+	hits   []Entry
+	probes []blockProbe
+	runs   []*run  // the attempt's view in probe order
+	rank   []int32 // run id → position in runs (-1: not in the view)
 }
 
 var mapletBatchPool = sync.Pool{New: func() any { return new(mapletBatchScratch) }}
+
+// rankRuns flattens v's runs into probe order — levels top-down, runs
+// newest first — and indexes them by id.
+func (sc *mapletBatchScratch) rankRuns(v *view) (runs []*run, rank []int32) {
+	runs = sc.runs[:0]
+	top := uint64(0)
+	for _, level := range v.levels {
+		for _, r := range level {
+			runs = append(runs, r)
+			top = max(top, r.id)
+		}
+	}
+	rank = resize(sc.rank, int(top)+1)
+	for i := range rank {
+		rank[i] = -1
+	}
+	for i, r := range runs {
+		rank[r.id] = int32(i)
+	}
+	sc.runs, sc.rank = runs, rank
+	return runs, rank
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// candEntries is the span one charged read of candidate c covers: its
+// block of r when the offset is exact, all of r for the unknown-offset
+// sentinel.
+func (s *Store) candEntries(r *run, c uint64) []Entry {
+	if off, exact := s.mapletValOffset(c); exact {
+		return r.block(off)
+	}
+	return r.entries
+}
+
+// blockProbe is one staged search for key in seg, a sorted span of one
+// run. searchBlocks narrows the window seg[base:base+n] to at most one
+// entry, which is key's if seg holds it.
+type blockProbe struct {
+	seg     []Entry
+	key     uint64
+	base, n int
+	j, ci   int32 // the key's position in the attempt, and its candidate
+}
+
+// searchBlocks searches every probe's span at once. Each round halves
+// every open window with one branch-free step, so a round's loads are
+// independent and their cache misses overlap, where searching one key
+// at a time pays its ~7 dependent misses back to back.
+func searchBlocks(ps []blockProbe) {
+	rounds := 0
+	for i := range ps {
+		n := len(ps[i].seg)
+		ps[i].base, ps[i].n = 0, n
+		if n > 1 {
+			rounds = max(rounds, bits.Len(uint(n-1))) // halvings to reach 1
+		}
+	}
+	for ; rounds > 0; rounds-- {
+		for i := range ps {
+			p := &ps[i]
+			n, base := p.n, p.base
+			if n <= 1 {
+				continue
+			}
+			half := n >> 1
+			if p.seg[base+half].Key <= p.key {
+				base += half // a conditional move: the compare's outcome is a coin flip
+			}
+			p.base, p.n = base, n-half
+		}
+	}
+}
+
+// result reports what searchBlocks found for the probe.
+func (p *blockProbe) result() (Entry, bool) {
+	if p.n == 1 && p.seg[p.base].Key == p.key {
+		return p.seg[p.base], true
+	}
+	return Entry{}, false
+}
 
 // probeAllRuns is the filterless fallback: binary-search every run whose
 // key range covers key, newest first, paying one read per probed run.

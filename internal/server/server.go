@@ -309,9 +309,6 @@ func (s *Server) probeFrame(sc *probeScratch) ([]byte, error) {
 			return nil, err
 		}
 	case OpGet:
-		for i := range sc.vals {
-			sc.vals[i] = 0
-		}
 		if err := s.e.GetBatch(sc.req.Keys, sc.vals, sc.found); err != nil {
 			return nil, err
 		}
