@@ -19,6 +19,11 @@ const blockWords = 8
 // bits two mixes provide (9 bits each to address 512 positions).
 const blockedMaxK = 8
 
+// mixSeedMul is hashutil.MixSeed's seed multiplier, so the batch
+// kernels can hoist seed*mixSeedMul out of their hash loops; the
+// batch ≡ scalar tests pin the two together.
+const mixSeedMul = 0xA24BAED4963EE407
+
 // Blocked is a cache-line-blocked Bloom filter (Putze, Sanders &
 // Singler): one hash picks a 512-bit block and all k probe bits land
 // inside it, so a negative lookup costs one cache miss instead of up to
@@ -139,9 +144,17 @@ func (f *Blocked) Contains(key uint64) bool {
 // keys whose first probe already missed, but removes the 50/50
 // data-dependent branch whose mispredictions would flush the very
 // pipeline the staged loads are trying to fill.
+//
+// The hash and load passes stay separate: fusing them measured slower
+// at DRAM size, because the load loop is what keeps the misses
+// overlapped. The resolve loop is one straight-line body for every k
+// (see probeSkip).
 func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 	_ = out[:len(keys)]
 	words := f.words
+	seed := f.spec.Seed * mixSeedMul
+	numBlocks := f.numBlocks
+	skip := probeSkip(f.k)
 	var bases, g1s, g2s, w0s [core.BatchChunk]uint64
 	for start := 0; start < len(keys); start += core.BatchChunk {
 		chunk := keys[start:]
@@ -150,31 +163,45 @@ func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 		}
 		co := out[start : start+len(chunk)]
 		for i, k := range chunk {
-			bases[i], g1s[i], g2s[i] = f.hashState(k)
+			h := hashutil.Mix64(k ^ seed)
+			bases[i] = hashutil.Reduce(h, numBlocks) * blockWords
+			g1s[i] = hashutil.Mix64(h + 1)
+			g2s[i] = hashutil.Mix64(h + 2)
 		}
 		for i := range chunk {
 			w0s[i] = words[bases[i]+(g1s[i]&511)>>6]
 		}
-		k := f.k
 		for i := range chunk {
-			base, g1, g2 := bases[i], g1s[i], g2s[i]
-			// Reslicing to the 8-word block lets the compiler prove
-			// every pos>>6 index in range and drop the bounds checks
-			// that would otherwise dominate this L1-resident loop.
-			blk := words[base : base+blockWords : base+blockWords]
-			hit := w0s[i] >> (g1 & 63)
-			g := g1 >> 9
-			for j := uint(1); j < k; j++ {
-				pos := g & 511
-				hit &= blk[pos>>6] >> (pos & 63)
-				g >>= 9
-				if j == 6 {
-					g = g2 // probes 7+ take their 9 bits from the second mix
-				}
-			}
+			g1, g2 := g1s[i], g2s[i]
+			// Probe 0 is the staged word; probe i < 7 reads word
+			// (g1>>(9i+6))&7, bit (g1>>9i)&63, and probe 7 reads word
+			// (g2>>6)&7, bit g2&63 — probePos's positions, cut with
+			// constant shifts. An 8-word array needs no bounds checks.
+			// The body is written inline here and in BlockedChoices: as
+			// a function it is over the inlining budget, and the call
+			// measured ~20 % slower at cache-resident size.
+			blk := (*[blockWords]uint64)(words[bases[i]:])
+			hit := w0s[i] >> (g1 & 63) &
+				(blk[g1>>15&7]>>(g1>>9&63) | skip[1]) &
+				(blk[g1>>24&7]>>(g1>>18&63) | skip[2]) &
+				(blk[g1>>33&7]>>(g1>>27&63) | skip[3]) &
+				(blk[g1>>42&7]>>(g1>>36&63) | skip[4]) &
+				(blk[g1>>51&7]>>(g1>>45&63) | skip[5]) &
+				(blk[g1>>60&7]>>(g1>>54&63) | skip[6]) &
+				(blk[g2>>6&7]>>(g2&63) | skip[7])
 			co[i] = hit&1 != 0
 		}
 	}
+}
+
+// probeSkip returns the resolve body's per-probe masks: all ones for
+// every probe j >= k, so OR-ing it into that probe's term makes the
+// term a no-op and one unrolled body serves every k <= blockedMaxK.
+func probeSkip(k uint) (skip [blockedMaxK]uint64) {
+	for j := k; j < blockedMaxK; j++ {
+		skip[j] = ^uint64(0)
+	}
+	return skip
 }
 
 // Len returns the number of inserted keys.

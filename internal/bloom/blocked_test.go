@@ -3,6 +3,7 @@ package bloom
 import (
 	"testing"
 
+	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
 	"beyondbloom/internal/workload"
 )
@@ -50,18 +51,44 @@ func TestBlockedFPRReasonable(t *testing.T) {
 	}
 }
 
+// TestBlockedBatchMatchesScalar checks both blocked kernels
+// against their scalar Contains at every k from 1 to blockedMaxK —
+// bits/key 1…12 walk BloomOptimalK up to 8, and 16 and 24 hit the
+// blockedMaxK clamp — with batch lengths that end on a partial
+// BatchChunk.
 func TestBlockedBatchMatchesScalar(t *testing.T) {
-	const n = 20000
-	keys := workload.Keys(n, 3)
-	f := NewBlocked(n, 10)
-	for _, k := range keys[:n/2] {
-		f.Insert(k)
+	const n = 2000
+	keys := workload.Keys(2*n+97, 3) // first n inserted, the rest absent
+	seen := map[uint]bool{}
+	for _, bpk := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 24} {
+		blocked, choices := NewBlocked(n, bpk), NewBlockedChoices(n, bpk)
+		if blocked.K() != choices.K() {
+			t.Fatalf("bits/key %v: k differs between variants", bpk)
+		}
+		seen[blocked.K()] = true
+		for _, k := range keys[:n] {
+			blocked.Insert(k)
+			choices.Insert(k)
+		}
+		for _, f := range []interface {
+			core.BatchFilter
+			Contains(uint64) bool
+		}{blocked, choices} {
+			for _, m := range []int{1, 255, 257, len(keys)} {
+				out := make([]bool, m)
+				f.ContainsBatch(keys[:m], out)
+				for i, k := range keys[:m] {
+					if want := f.Contains(k); out[i] != want {
+						t.Fatalf("%T bits/key %v k=%d len %d: batch[%d] = %v, scalar %v",
+							f, bpk, blocked.K(), m, i, out[i], want)
+					}
+				}
+			}
+		}
 	}
-	out := make([]bool, n)
-	f.ContainsBatch(keys, out)
-	for i, k := range keys {
-		if out[i] != f.Contains(k) {
-			t.Fatalf("batch/scalar disagree at %d", i)
+	for k := uint(1); k <= blockedMaxK; k++ {
+		if !seen[k] {
+			t.Fatalf("no budget exercised k=%d", k)
 		}
 	}
 }

@@ -179,11 +179,14 @@ func (f *BlockedChoices) Contains(key uint64) bool {
 // two cache misses a two-choice lookup risks are both in flight
 // before any key resolves — the memory-level-parallelism window covers
 // 2×BatchChunk lines instead of serializing choice two behind choice
-// one. The resolve loop then finishes both candidates branchlessly out
-// of the warm lines and ORs the verdicts.
+// one. The resolve loop then finishes both candidates with Blocked's
+// straight-line skip-mask body and ORs the verdicts.
 func (f *BlockedChoices) ContainsBatch(keys []uint64, out []bool) {
 	_ = out[:len(keys)]
 	words := f.words
+	seed := f.spec.Seed * mixSeedMul
+	numBlocks := f.numBlocks
+	skip := probeSkip(f.k)
 	var b1s, b2s, g1s, g2s, w1s, w2s [core.BatchChunk]uint64
 	for start := 0; start < len(keys); start += core.BatchChunk {
 		chunk := keys[start:]
@@ -192,30 +195,37 @@ func (f *BlockedChoices) ContainsBatch(keys []uint64, out []bool) {
 		}
 		co := out[start : start+len(chunk)]
 		for i, key := range chunk {
-			b1s[i], b2s[i], g1s[i], g2s[i] = f.hashState(key)
+			h := hashutil.Mix64(key ^ seed)
+			b1s[i] = hashutil.Reduce(h, numBlocks) * blockWords
+			b2s[i] = hashutil.Reduce(hashutil.Mix64(h^choiceMix), numBlocks) * blockWords
+			g1s[i] = hashutil.Mix64(h + 1)
+			g2s[i] = hashutil.Mix64(h + 2)
 		}
 		for i := range chunk {
 			off := (g1s[i] & 511) >> 6
 			w1s[i] = words[b1s[i]+off]
 			w2s[i] = words[b2s[i]+off]
 		}
-		k := f.k
 		for i := range chunk {
 			g1, g2 := g1s[i], g2s[i]
-			blk1 := words[b1s[i] : b1s[i]+blockWords : b1s[i]+blockWords]
-			blk2 := words[b2s[i] : b2s[i]+blockWords : b2s[i]+blockWords]
-			hit1 := w1s[i] >> (g1 & 63)
-			hit2 := w2s[i] >> (g1 & 63)
-			g := g1 >> 9
-			for j := uint(1); j < k; j++ {
-				pos := g & 511
-				hit1 &= blk1[pos>>6] >> (pos & 63)
-				hit2 &= blk2[pos>>6] >> (pos & 63)
-				g >>= 9
-				if j == 6 {
-					g = g2 // probes 7+ take their 9 bits from the second mix
-				}
-			}
+			blk1 := (*[blockWords]uint64)(words[b1s[i]:])
+			blk2 := (*[blockWords]uint64)(words[b2s[i]:])
+			hit1 := w1s[i] >> (g1 & 63) &
+				(blk1[g1>>15&7]>>(g1>>9&63) | skip[1]) &
+				(blk1[g1>>24&7]>>(g1>>18&63) | skip[2]) &
+				(blk1[g1>>33&7]>>(g1>>27&63) | skip[3]) &
+				(blk1[g1>>42&7]>>(g1>>36&63) | skip[4]) &
+				(blk1[g1>>51&7]>>(g1>>45&63) | skip[5]) &
+				(blk1[g1>>60&7]>>(g1>>54&63) | skip[6]) &
+				(blk1[g2>>6&7]>>(g2&63) | skip[7])
+			hit2 := w2s[i] >> (g1 & 63) &
+				(blk2[g1>>15&7]>>(g1>>9&63) | skip[1]) &
+				(blk2[g1>>24&7]>>(g1>>18&63) | skip[2]) &
+				(blk2[g1>>33&7]>>(g1>>27&63) | skip[3]) &
+				(blk2[g1>>42&7]>>(g1>>36&63) | skip[4]) &
+				(blk2[g1>>51&7]>>(g1>>45&63) | skip[5]) &
+				(blk2[g1>>60&7]>>(g1>>54&63) | skip[6]) &
+				(blk2[g2>>6&7]>>(g2&63) | skip[7])
 			co[i] = (hit1|hit2)&1 != 0
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"beyondbloom/internal/lsm"
@@ -283,7 +284,11 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", BinaryContentType)
+	// An explicit length keeps replies over net/http's 2 KiB buffer
+	// (a 256-key OpGet frame is 2088 bytes) from going out chunked.
+	h := w.Header()
+	h.Set("Content-Type", BinaryContentType)
+	h.Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)
 }
 

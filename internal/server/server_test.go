@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -277,6 +278,52 @@ func TestHTTPBinaryProbe(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnsupportedMediaType {
 		t.Fatalf("json to /v1/probe: status %d, want 415", resp.StatusCode)
+	}
+}
+
+// TestBinaryProbeContentLength pins the framing of binary replies: a
+// 4096-key contains reply (520 bytes) and a 256-key OpGet reply (2088
+// bytes, over net/http's 2 KiB pre-chunking buffer) both carry a
+// Content-Length equal to the frame length and are never chunked.
+func TestBinaryProbeContentLength(t *testing.T) {
+	e := newTestEngine(t, true, Config{})
+	ts := httptest.NewServer(New(e))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name string
+		op   byte
+		n    int
+		want int64
+	}{
+		{"contains 4096", OpContains, 4096, 520},
+		{"get 256", OpGet, 256, 2088},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := make([]uint64, tc.n)
+			for i := range keys {
+				keys[i] = uint64(i)
+			}
+			frame := AppendBinaryRequest(nil, tc.op, keys)
+			resp, err := http.Post(ts.URL+"/v1/probe", BinaryContentType, bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			if len(resp.TransferEncoding) != 0 {
+				t.Fatalf("Transfer-Encoding = %v, want none", resp.TransferEncoding)
+			}
+			if resp.ContentLength != tc.want || int64(len(body)) != tc.want {
+				t.Fatalf("Content-Length = %d, body %d bytes, want both %d", resp.ContentLength, len(body), tc.want)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Binary wire format v1 (pinned by the golden tests in testdata/):
@@ -108,49 +109,98 @@ func DecodeBinaryRequest(data []byte, req *Request) error {
 		return fmt.Errorf("%w: frame is %d bytes, op/count say %d", ErrMalformed, len(data), want)
 	}
 	req.Op = op
-	req.Keys = req.Keys[:0]
-	for off := reqHeaderLen; off < want; off += 8 {
-		req.Keys = append(req.Keys, binary.LittleEndian.Uint64(data[off:off+8]))
+	n := int(count)
+	if cap(req.Keys) < n {
+		req.Keys = make([]uint64, n)
 	}
+	req.Keys = req.Keys[:n]
+	getUint64s(req.Keys, data[reqHeaderLen:want])
 	return nil
+}
+
+// getUint64s fills dst with the little-endian words of src, eight per
+// round: one bounds check per 64 bytes instead of two per word, which
+// is what an indexed loop pays and what dominates a 4096-key decode.
+func getUint64s(dst []uint64, src []byte) {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		d := (*[8]uint64)(dst[i:])
+		s := (*[64]byte)(src[8*i:])
+		d[0] = binary.LittleEndian.Uint64(s[0:])
+		d[1] = binary.LittleEndian.Uint64(s[8:])
+		d[2] = binary.LittleEndian.Uint64(s[16:])
+		d[3] = binary.LittleEndian.Uint64(s[24:])
+		d[4] = binary.LittleEndian.Uint64(s[32:])
+		d[5] = binary.LittleEndian.Uint64(s[40:])
+		d[6] = binary.LittleEndian.Uint64(s[48:])
+		d[7] = binary.LittleEndian.Uint64(s[56:])
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+	}
 }
 
 // AppendBinaryRequest appends the canonical encoding of (op, keys) to
 // dst and returns the extended slice.
 func AppendBinaryRequest(dst []byte, op byte, keys []uint64) []byte {
-	dst = append(dst, 'B', 'Q', wireVersion, op)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
-	for _, k := range keys {
-		dst = binary.LittleEndian.AppendUint64(dst, k)
+	size := reqHeaderLen + 8*len(keys)
+	dst = slices.Grow(dst, size)
+	frame := dst[len(dst) : len(dst)+size]
+	frame[0], frame[1], frame[2], frame[3] = 'B', 'Q', wireVersion, op
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(keys)))
+	body := frame[reqHeaderLen:]
+	for i, k := range keys {
+		binary.LittleEndian.PutUint64(body[8*i:], k)
 	}
-	return dst
+	return dst[:len(dst)+size]
 }
 
 // AppendBinaryResponse appends a response frame for (op, found) — plus
 // values when op is OpGet — to dst. len(values) must equal len(found)
-// for OpGet; values is ignored for OpContains.
+// for OpGet; values is ignored for OpContains. The frame is sized up
+// front and filled by index; the bitmap packs eight answers per byte
+// with branch-free bool→bit terms, since a half-absent batch would
+// mispredict a per-answer branch on every other key.
 func AppendBinaryResponse(dst []byte, op byte, found []bool, values []uint64) []byte {
-	dst = append(dst, 'B', 'R', wireVersion, op)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(found)))
-	var b byte
-	for i, ok := range found {
-		if ok {
-			b |= 1 << (i & 7)
-		}
-		if i&7 == 7 {
-			dst = append(dst, b)
-			b = 0
-		}
+	n := len(found)
+	size := respHeaderLen + (n+7)/8
+	if op == OpGet {
+		size += 8 * n
 	}
-	if len(found)&7 != 0 {
-		dst = append(dst, b)
+	dst = slices.Grow(dst, size)
+	frame := dst[len(dst) : len(dst)+size]
+	frame[0], frame[1], frame[2], frame[3] = 'B', 'R', wireVersion, op
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(n))
+	bitmap := frame[respHeaderLen : respHeaderLen+(n+7)/8]
+	full := n &^ 7
+	for i := 0; i < full; i += 8 {
+		f := (*[8]bool)(found[i:])
+		bitmap[i>>3] = bit(f[0]) | bit(f[1])<<1 | bit(f[2])<<2 | bit(f[3])<<3 |
+			bit(f[4])<<4 | bit(f[5])<<5 | bit(f[6])<<6 | bit(f[7])<<7
+	}
+	if full < n {
+		var b byte
+		for i, ok := range found[full:] {
+			b |= bit(ok) << i
+		}
+		bitmap[full>>3] = b
 	}
 	if op == OpGet {
-		for _, v := range values[:len(found)] {
-			dst = binary.LittleEndian.AppendUint64(dst, v)
+		vals := frame[respHeaderLen+(n+7)/8:]
+		for i, v := range values[:n] {
+			binary.LittleEndian.PutUint64(vals[8*i:], v)
 		}
 	}
-	return dst
+	return dst[:len(dst)+size]
+}
+
+// bit is b as 0 or 1. A bool is stored as 0 or 1, so the compiler
+// lowers this to a zero-extending move, not a branch.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // DecodeBinaryResponse parses a response frame into resp, reusing its
@@ -182,16 +232,28 @@ func DecodeBinaryResponse(data []byte, resp *Response) error {
 		return fmt.Errorf("%w: response is %d bytes, op/count say %d", ErrMalformed, len(data), want)
 	}
 	resp.Op = op
-	resp.Found = resp.Found[:0]
-	resp.Values = resp.Values[:0]
-	for i := 0; i < n; i++ {
-		resp.Found = append(resp.Found, data[respHeaderLen+i>>3]>>(i&7)&1 == 1)
+	if cap(resp.Found) < n {
+		resp.Found = make([]bool, n)
 	}
+	resp.Found = resp.Found[:n]
+	found := resp.Found
+	bitmap := data[respHeaderLen : respHeaderLen+(n+7)/8]
+	full := n &^ 7
+	for i := 0; i < full; i += 8 {
+		f, b := (*[8]bool)(found[i:]), bitmap[i>>3]
+		f[0], f[1], f[2], f[3] = b&1 != 0, b&2 != 0, b&4 != 0, b&8 != 0
+		f[4], f[5], f[6], f[7] = b&16 != 0, b&32 != 0, b&64 != 0, b&128 != 0
+	}
+	for i := full; i < n; i++ {
+		found[i] = bitmap[i>>3]>>(i&7)&1 == 1
+	}
+	resp.Values = resp.Values[:0]
 	if op == OpGet {
-		off := respHeaderLen + (n+7)/8
-		for i := 0; i < n; i++ {
-			resp.Values = append(resp.Values, binary.LittleEndian.Uint64(data[off+8*i:]))
+		if cap(resp.Values) < n {
+			resp.Values = make([]uint64, n)
 		}
+		resp.Values = resp.Values[:n]
+		getUint64s(resp.Values, data[respHeaderLen+(n+7)/8:])
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Regenerate the committed BENCH_*.json files. Two kinds of source:
 #   go test -bench | scripts/bench_to_json.py (go's own benchmark format)
-#     BENCH_batch.json    batched vs scalar probes (batch_bench_test.go)
+#     BENCH_batch.json    batched vs scalar probes (batch_bench_test.go),
+#                         the blocked kernel at cache-resident and DRAM
+#                         size (internal/bloom) and the binary frame
+#                         codec (internal/server)
 #     BENCH_persist.json  persistence codec (persist_bench_test.go)
 #   beyondbloom exp EXX -json (typed rows + acceptance, written by Go;
 #   exits 1 when a gating check fails, and then the file is not replaced)
@@ -23,11 +26,15 @@ cd "$(dirname "$0")/.."
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
+# The batch section: every package holding a probe-path benchmark.
+BATCH_BENCH='Filter.*Contains(Scalar|Batch)|FilterBatchSweep|BlockedContainsBatch|WireProbeFrame'
+BATCH_PKGS='. ./internal/bloom ./internal/server'
+
 if [ "${1:-}" = "--compare" ]; then
 	[ -f BENCH_batch.json ] || { echo "no committed BENCH_batch.json to compare against" >&2; exit 2; }
-	echo "== go test -bench Filter*Contains{Scalar,Batch} (compare mode) =="
-	go test -run '^$' -bench 'Filter.*Contains(Scalar|Batch)|FilterBatchSweep' \
-		-benchmem -benchtime 1s -timeout 1800s . | tee "$RAW"
+	echo "== go test -bench $BATCH_BENCH (compare mode) =="
+	go test -run '^$' -bench "$BATCH_BENCH" \
+		-benchmem -benchtime 1s -timeout 1800s $BATCH_PKGS | tee "$RAW"
 	python3 scripts/bench_to_json.py <"$RAW" >BENCH_batch.new.json
 	status=0
 	python3 scripts/bench_compare.py BENCH_batch.json BENCH_batch.new.json || status=$?
@@ -35,9 +42,9 @@ if [ "${1:-}" = "--compare" ]; then
 	exit $status
 fi
 
-echo "== go test -bench Filter*Contains{Scalar,Batch} =="
-go test -run '^$' -bench 'Filter.*Contains(Scalar|Batch)|FilterBatchSweep' \
-	-benchmem -benchtime 1s -timeout 1800s . | tee "$RAW"
+echo "== go test -bench $BATCH_BENCH =="
+go test -run '^$' -bench "$BATCH_BENCH" \
+	-benchmem -benchtime 1s -timeout 1800s $BATCH_PKGS | tee "$RAW"
 python3 scripts/bench_to_json.py <"$RAW" >BENCH_batch.json
 echo "wrote BENCH_batch.json"
 

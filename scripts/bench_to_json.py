@@ -33,7 +33,9 @@ def parse(lines):
     for line in lines:
         m = META_RE.match(line.strip())
         if m:
-            meta[m.group(1)] = m.group(2).strip()
+            # First occurrence wins: a multi-package run repeats the
+            # header per package, and the first package names the suite.
+            meta.setdefault(m.group(1), m.group(2).strip())
             continue
         m = BENCH_RE.match(line.strip())
         if m:
