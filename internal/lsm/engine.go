@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"beyondbloom/internal/bloom"
-	"beyondbloom/internal/core"
-	"beyondbloom/internal/taffy"
 )
 
 // This file is the flush/compaction engine: every function here mutates
@@ -23,7 +21,7 @@ func (s *Store) flushMem(fm *memRun) {
 		entries = append(entries, e)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	s.pushRun(entries, 0, nil)
+	s.pushRun(entries, nil, 0)
 }
 
 // levelCapacity returns the entry capacity of level i.
@@ -42,30 +40,36 @@ func (s *Store) ensureLevel(level int) {
 	}
 }
 
-// pushRun installs entries at the given level. Under Leveling (or at the
-// last level under LazyLeveling) the new entries merge with the level's
-// existing run; otherwise the run is appended, newest first. sources
-// lists the already-merged runs the entries came from (nil for a fresh
-// flush); level runs merged away here join it, and under PolicyMaplet
-// the whole set feeds the in-place maplet remap in buildRun.
-func (s *Store) pushRun(entries []Entry, level int, sources []*run) {
+// pushRun installs one new run at level, merged from its inputs, each
+// newer than the next: fresh (a flushed memtable's sorted entries, nil
+// for a compaction), the drained runs of the level above (newest
+// first), and — under Leveling, or at the last level under
+// LazyLeveling — the level's own runs, which the new run replaces.
+// Otherwise the new run joins the level as its newest.
+func (s *Store) pushRun(fresh []Entry, drained []*run, level int) {
 	s.ensureLevel(level)
 	// Lazy leveling merges only at the largest level, and never at level
 	// 0 (before any compaction has opened deeper levels, level 0 is
 	// trivially "last" and merging there would rewrite it every flush).
-	merge := s.opts.Compaction == Leveling ||
-		(s.opts.Compaction == LazyLeveling && level > 0 && s.isLastDataLevel(level))
-	if merge && len(s.tree[level]) > 0 {
-		for _, old := range s.tree[level] {
-			entries = s.mergeEntries(entries, old.entries, s.isLastDataLevel(level))
-			s.devRead((len(old.entries) + entriesPerBlock - 1) / entriesPerBlock)
-			sources = append(sources, old)
-			old.remapped = s.maplet != nil
-			s.retireRun(old)
-		}
+	if s.opts.Compaction == Leveling ||
+		(s.opts.Compaction == LazyLeveling && level > 0 && s.isLastDataLevel(level)) {
+		drained = append(drained[:len(drained):len(drained)], s.tree[level]...)
 		s.tree[level] = nil
 	}
-	r := s.buildRun(entries, level, sources)
+	for _, old := range drained {
+		s.devRead((len(old.entries) + entriesPerBlock - 1) / entriesPerBlock)
+		s.retireRun(old)
+	}
+	// Tombstones drop only where nothing older than the inputs survives,
+	// and only in a real merge: a lone input is rewritten as it is.
+	inputs := len(drained)
+	if fresh != nil {
+		inputs++
+	}
+	drop := inputs > 1 && len(s.tree[level]) == 0 && s.isLastDataLevel(level)
+	r := &run{id: s.allocRunID(), level: level}
+	r.entries = s.merge(r.id, fresh, drained, drop)
+	s.buildRun(r)
 	s.tree[level] = append([]*run{r}, s.tree[level]...)
 }
 
@@ -88,39 +92,6 @@ func (s *Store) levelEntries(level int) int {
 	return n
 }
 
-// mergeEntries merges newer over older; tombstones survive unless this is
-// the last level.
-func (s *Store) mergeEntries(newer, older []Entry, lastLevel bool) []Entry {
-	out := make([]Entry, 0, len(newer)+len(older))
-	i, j := 0, 0
-	for i < len(newer) || j < len(older) {
-		var e Entry
-		switch {
-		case i >= len(newer):
-			e = older[j]
-			j++
-		case j >= len(older):
-			e = newer[i]
-			i++
-		case newer[i].Key < older[j].Key:
-			e = newer[i]
-			i++
-		case newer[i].Key > older[j].Key:
-			e = older[j]
-			j++
-		default:
-			e = newer[i] // newer wins
-			i++
-			j++
-		}
-		if e.Tombstone && lastLevel {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // allocRunID takes an id from the recycle pool (or mints a fresh one).
 func (s *Store) allocRunID() uint64 {
 	s.idMu.Lock()
@@ -137,75 +108,149 @@ func (s *Store) allocRunID() uint64 {
 	return s.nextID
 }
 
-// buildRun constructs the run plus its filters, charging write I/O.
-// sources lists the retired runs the entries were merged from (nil for
-// a fresh flush); PolicyMaplet uses it to remap the surviving keys'
-// maplet entries in place.
-func (s *Store) buildRun(entries []Entry, level int, sources []*run) *run {
-	r := &run{id: s.allocRunID(), entries: entries, level: level}
-	s.devWrite((len(entries) + entriesPerBlock - 1) / entriesPerBlock)
-	keys := make([]uint64, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Key
+// mergeHead is one merge input's unconsumed tail. src is the retired
+// run it reads, nil for a flushed memtable, whose keys the maplet does
+// not index yet.
+type mergeHead struct {
+	rest []Entry
+	src  *run
+}
+
+// merge k-way merges pushRun's inputs — fresh, then runs, each newer
+// than the next — into the entries of run id: each key keeps its newest
+// entry, and tombstones go when drop is set. A lone input is already
+// the run and is not copied. Under PolicyMaplet the same pass re-points
+// the index at run id before the view swap publishes it, key by key
+// under the maplet's write lock (mapletEditChunk keys per critical
+// section): a key's entry in one retired run is rewritten in place, its
+// older versions are deleted, a key no retired run indexed is put, and
+// a dropped key's entries are deleted. The fingerprint never changes,
+// so only fresh keys can grow the maplet. A reader whose view is
+// unchanged across its maplet read therefore holds candidates covering
+// every run of that view; candidates naming the unpublished run mark
+// the lookup inconclusive and it retries (see mapletGet).
+func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry {
+	var buf [8]mergeHead // a merge has a handful of inputs; keep them off the heap
+	in := buf[:0]
+	total := len(fresh)
+	if fresh != nil {
+		in = append(in, mergeHead{rest: fresh})
 	}
+	for _, r := range runs {
+		in = append(in, mergeHead{rest: r.entries, src: r})
+		total += len(r.entries)
+	}
+	out := in[0].rest
+	if len(in) > 1 {
+		out = make([]Entry, 0, total)
+	}
+	mi := s.maplet
+	if mi != nil {
+		mi.mu.Lock()
+	}
+	n, misses := 0, 0
+	for keys := 0; ; keys++ {
+		w := -1 // the newest input holding the smallest key
+		for i := range in {
+			if len(in[i].rest) > 0 && (w < 0 || in[i].rest[0].Key < in[w].rest[0].Key) {
+				w = i
+			}
+		}
+		if w < 0 {
+			break
+		}
+		if mi != nil && keys > 0 && keys%mapletEditChunk == 0 {
+			mi.mu.Unlock()
+			mi.mu.Lock()
+		}
+		e := in[w].rest[0]
+		keep := !drop || !e.Tombstone
+		put := keep && mi != nil
+		val := s.mapletPack(id, n)
+		for i := w; i < len(in); i++ {
+			h := &in[i]
+			if len(h.rest) == 0 || h.rest[0].Key != e.Key {
+				continue
+			}
+			if h.src != nil && mi != nil {
+				old := s.mapletPack(h.src.id, len(h.src.entries)-len(h.rest))
+				if s.mapletRetireLocked(e.Key, old, val, put) {
+					put = false
+				} else {
+					misses++
+				}
+			}
+			h.rest = h.rest[1:]
+		}
+		if put {
+			if err := mi.putExpandingLocked(e.Key, val); err != nil {
+				mi.mu.Unlock()
+				panic(fmt.Sprintf("lsm: maplet cannot expand: %v", err))
+			}
+		}
+		if keep {
+			if len(in) > 1 {
+				out = append(out, e)
+			}
+			n++
+		}
+	}
+	if mi != nil {
+		mi.mu.Unlock()
+	}
+	if misses > 0 {
+		s.mapletDeleteMisses.Add(int64(misses))
+	}
+	return out
+}
+
+// mapletRetireLocked edits key's maplet entry old, the value a retired
+// run gave it: move rewrites it in place to val, otherwise it is
+// deleted. An entry absent under old is retried under its
+// unknown-offset sentinel, the shape entries loaded from v1 images
+// carry. It reports whether either was found. Callers hold the
+// maplet's write lock.
+func (s *Store) mapletRetireLocked(key, old, val uint64, move bool) bool {
+	m := s.maplet.m
+	for _, v := range [2]uint64{old, s.mapletSentinel(old)} {
+		var err error
+		if move {
+			err = m.Update(key, v, val)
+		} else {
+			err = m.Delete(key, v)
+		}
+		if err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// buildRun charges a new run's write I/O, builds its filters and
+// registers it with the engine.
+func (s *Store) buildRun(r *run) {
+	s.devWrite((len(r.entries) + entriesPerBlock - 1) / entriesPerBlock)
+	var bf *bloom.Filter
 	switch s.opts.Policy {
 	case PolicyBloom:
-		if s.opts.GrowableFilters {
-			r.filter = growableRunFilter(core.BloomEpsForBits(s.opts.BitsPerKey), keys)
-			break
-		}
-		bf := bloom.NewBits(len(entries), s.opts.BitsPerKey)
-		for _, k := range keys {
-			bf.Insert(k)
-		}
-		r.filter = bf
+		bf = bloom.NewBits(len(r.entries), s.opts.BitsPerKey)
 	case PolicyMonkey:
-		fpr := s.monkeyFPR(level)
-		if s.opts.GrowableFilters {
-			r.filter = growableRunFilter(fpr, keys)
-			break
-		}
-		bf := bloom.New(len(entries), fpr)
-		for _, k := range keys {
-			bf.Insert(k)
+		bf = bloom.New(len(r.entries), s.monkeyFPR(r.level))
+	}
+	if bf != nil {
+		for _, e := range r.entries {
+			bf.Insert(e.Key)
 		}
 		r.filter = bf
-	case PolicyMaplet:
-		// Maplet maintenance happens before the view swap: a fresh flush
-		// inserts packed (run, block) values for its keys, a compaction
-		// re-points each surviving key from its source runs to the new run
-		// in one per-key step. A reader whose view is unchanged across its
-		// maplet read therefore holds candidates covering every run of
-		// that view; candidates naming a not-yet-published run mark the
-		// lookup inconclusive and it retries (see mapletGet).
-		s.mapletRemapRun(r, sources)
 	}
 	if s.opts.RangeFilter != nil {
+		keys := make([]uint64, len(r.entries))
+		for i, e := range r.entries {
+			keys[i] = e.Key
+		}
 		r.rangeF = s.opts.RangeFilter(keys)
 	}
 	s.runByID[r.id] = r
-	return r
-}
-
-// growableRunFilter builds a taffy run filter with false-positive
-// budget eps (clamped to the supported range): it starts at a small
-// capacity and grows under the insert stream, so no run size needs to
-// be known — or over-provisioned — up front.
-func growableRunFilter(eps float64, keys []uint64) core.Filter {
-	if eps < taffy.MinEps {
-		eps = taffy.MinEps
-	}
-	if eps > taffy.MaxEps {
-		eps = taffy.MaxEps
-	}
-	tf, err := taffy.New(256, eps)
-	if err != nil {
-		panic(err) // unreachable: eps is clamped, capacity is constant
-	}
-	for _, k := range keys {
-		tf.Insert(k)
-	}
-	return tf
 }
 
 // monkeyFPR returns the Monkey-assigned false-positive rate for a level:
@@ -226,74 +271,16 @@ func (s *Store) monkeyFPR(level int) float64 {
 	return fpr
 }
 
-// mapletRemapRun maintains the global maplet for a new run: a k-way
-// merge by key over the sorted source runs and the new run's entries
-// builds one remap op per key — delete every source incarnation's
-// packed value, insert the new run's packed value when the key
-// survived the merge — and mapletIndex.Apply executes them atomically
-// per key. Compared with the old insert-all-then-delete-all churn this
-// keeps the maplet's footprint flat (it never transiently doubles) and
-// halves the mutation count for overwritten keys. Keys present only in
-// the new run (a fresh flush, or memtable-only keys) degenerate to
-// pure inserts; keys only in sources (tombstones dropped at the last
-// level) to pure deletes.
-func (s *Store) mapletRemapRun(r *run, sources []*run) {
-	total := 0
-	for _, src := range sources {
-		total += len(src.entries)
-	}
-	arena := make([]uint64, 0, total)
-	ops := make([]mapletRemap, 0, len(r.entries)+total)
-	cur := make([]int, len(sources))
-	ni := 0
-	for {
-		var key uint64
-		have := false
-		if ni < len(r.entries) {
-			key, have = r.entries[ni].Key, true
-		}
-		for si, src := range sources {
-			if cur[si] < len(src.entries) {
-				if k := src.entries[cur[si]].Key; !have || k < key {
-					key, have = k, true
-				}
-			}
-		}
-		if !have {
-			break
-		}
-		start := len(arena)
-		for si, src := range sources {
-			if cur[si] < len(src.entries) && src.entries[cur[si]].Key == key {
-				arena = append(arena, s.mapletPack(src.id, cur[si]))
-				cur[si]++
-			}
-		}
-		op := mapletRemap{key: key, olds: arena[start:len(arena):len(arena)]}
-		if ni < len(r.entries) && r.entries[ni].Key == key {
-			op.put, op.newVal = true, s.mapletPack(r.id, ni)
-			ni++
-		}
-		ops = append(ops, op)
-	}
-	misses, err := s.maplet.Apply(ops, s.mapletSentinel)
-	if err != nil {
-		panic(fmt.Sprintf("lsm: maplet cannot expand: %v", err))
-	}
-	if misses > 0 {
-		s.mapletDeleteMisses.Add(int64(misses))
-	}
-}
-
-// retireRun removes a compaction-superseded run from the engine's index.
-// Synchronously it also strips its maplet entries and recycles its id on
-// the spot (the deterministic legacy order); in Background mode both
-// steps wait until after the view swap (finishRetired), so a concurrent
-// reader holding stale maplet candidates still finds the run's data.
-// Durable stores always defer, and drain inside checkpoint() instead: a
-// retired id may be recycled only after a committed manifest stops
-// referencing the run and its files are deleted, or a recycled id's
-// fresh data could collide with a stale file.
+// retireRun removes a compaction-superseded run from the engine's index
+// and returns its id to the pool. Synchronously the id is recycled on
+// the spot (the deterministic legacy order); in Background mode only
+// after the view swap (finishRetired), so a reader of the view that
+// still holds the run never resolves a maplet candidate against a new
+// run that took its id. Durable stores always defer, and drain inside
+// checkpoint() instead: a retired id may be recycled only after a
+// committed manifest stops referencing the run and its files are
+// deleted, or a recycled id's fresh data could collide with a stale
+// file.
 func (s *Store) retireRun(old *run) {
 	delete(s.runByID, old.id)
 	if s.deferRetire {
@@ -305,38 +292,19 @@ func (s *Store) retireRun(old *run) {
 	s.recycleRun(old)
 }
 
-// recycleRun strips a retired run's remaining maplet entries, then
-// returns its id to the pool. The maplet deletes come first: once the
-// id is in the pool a concurrent allocator may reuse it and insert
-// fresh entries under it, which in-flight deletes for the old
-// incarnation would wrongly strip. Runs consumed by a compaction are
-// marked remapped — the compaction's in-place remap already moved or
-// deleted their entries, so the strip loop is skipped for them; it
-// survives as a safety net for any retirement path that bypasses the
-// remap, and its misses feed the drift counter.
+// recycleRun returns a retired run's id to the pool. The compaction
+// that retired the run has already moved or deleted its maplet entries.
 func (s *Store) recycleRun(old *run) {
-	if s.maplet != nil && !old.remapped {
-		for i, e := range old.entries {
-			v := s.mapletPack(old.id, i)
-			if s.maplet.Delete(e.Key, v) == nil {
-				continue
-			}
-			if alt := s.mapletSentinel(v); alt != v && s.maplet.Delete(e.Key, alt) == nil {
-				continue
-			}
-			s.mapletDeleteMisses.Add(1)
-		}
-	}
 	s.idMu.Lock()
 	s.freeIDs = append(s.freeIDs, old.id)
 	s.idMu.Unlock()
 }
 
-// finishRetired performs the deferred half of retirement: maplet
-// deletions and id recycling, strictly after the view swap that
-// removed the runs (retire-after-swap). Only non-durable Background
-// stores use it; durable stores drain selectively inside checkpoint(),
-// after the commit that stops referencing the runs.
+// finishRetired performs the deferred half of retirement, id recycling,
+// strictly after the view swap that removed the runs (retire-after-swap).
+// Only non-durable Background stores use it; durable stores drain
+// selectively inside checkpoint(), after the commit that stops
+// referencing the runs.
 func (s *Store) finishRetired() {
 	s.retMu.Lock()
 	retired := s.retired
@@ -347,59 +315,32 @@ func (s *Store) finishRetired() {
 	}
 }
 
-// compact cascades oversized levels downward. Leveling moves a level's
-// single run down when it outgrows its capacity; tiering merges a
-// level's T runs into one run a level down once T accumulate.
+// compact cascades oversized levels downward: a level that is full
+// drains into the next one. Leveling drains a level's single run when it
+// outgrows its capacity; tiering drains a level's runs once T
+// accumulate.
 func (s *Store) compact() {
 	for level := 0; level < len(s.tree); level++ {
+		var full bool
 		switch s.opts.Compaction {
 		case Leveling:
-			if s.levelEntries(level) <= s.levelCapacity(level) {
-				continue
-			}
-			runs := s.tree[level]
-			s.tree[level] = nil
-			merged := s.drainRuns(runs, s.isLastDataLevel(level))
-			s.pushRun(merged, level+1, runs)
+			full = s.levelEntries(level) > s.levelCapacity(level)
 		case Tiering:
-			if len(s.tree[level]) < s.opts.SizeRatio {
-				continue
-			}
-			runs := s.tree[level]
-			s.tree[level] = nil
-			merged := s.drainRuns(runs, s.isLastDataLevel(level))
-			s.pushRun(merged, level+1, runs)
+			full = len(s.tree[level]) >= s.opts.SizeRatio
 		case LazyLeveling:
 			// Tier every level except the largest; the largest spills to
 			// a fresh deeper level when it outgrows its capacity.
 			if level > 0 && s.isLastDataLevel(level) {
-				if s.levelEntries(level) <= s.levelCapacity(level) {
-					continue
-				}
-			} else if len(s.tree[level]) < s.opts.SizeRatio {
-				continue
+				full = s.levelEntries(level) > s.levelCapacity(level)
+			} else {
+				full = len(s.tree[level]) >= s.opts.SizeRatio
 			}
-			runs := s.tree[level]
-			s.tree[level] = nil
-			merged := s.drainRuns(runs, s.isLastDataLevel(level))
-			s.pushRun(merged, level+1, runs)
 		}
-	}
-}
-
-// drainRuns merges runs (newest first) into one entry list, retiring
-// them and charging the read I/O of the rewrite.
-func (s *Store) drainRuns(runs []*run, lastLevel bool) []Entry {
-	var merged []Entry
-	for i, r := range runs {
-		s.devRead((len(r.entries) + entriesPerBlock - 1) / entriesPerBlock)
-		if i == 0 {
-			merged = append(merged, r.entries...)
-		} else {
-			merged = s.mergeEntries(merged, r.entries, lastLevel)
+		if !full {
+			continue
 		}
-		r.remapped = s.maplet != nil
-		s.retireRun(r)
+		runs := s.tree[level]
+		s.tree[level] = nil
+		s.pushRun(nil, runs, level+1)
 	}
-	return merged
 }

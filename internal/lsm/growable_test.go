@@ -1,201 +1,108 @@
 package lsm
 
 import (
-	"errors"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"beyondbloom/internal/fault"
+	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/taffy"
 	"beyondbloom/internal/workload"
 )
 
-// TestGrowableRunFilters checks the Options.GrowableFilters knob: point
-// lookups stay exact, absent keys stay mostly absent, and every run
-// filter the engine built is actually the growable type.
-func TestGrowableRunFilters(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"bloom", Options{Policy: PolicyBloom, MemtableSize: 256, GrowableFilters: true}},
-		{"monkey", Options{Policy: PolicyMonkey, MemtableSize: 256, GrowableFilters: true}},
-		{"monkey-tiering", Options{Policy: PolicyMonkey, MemtableSize: 256, Compaction: Tiering, GrowableFilters: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := New(tc.opts)
-			keys := fillStore(t, s, 10000, 23)
-			for i, k := range keys {
-				v, ok := s.Get(k)
-				if !ok || v != uint64(i) {
-					t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, v, ok, i)
-				}
-			}
-			for _, k := range workload.DisjointKeys(1000, 23) {
-				if _, ok := s.Get(k); ok {
-					t.Fatal("phantom key with growable run filters")
-				}
-			}
-			v := s.view.Load()
-			nRuns := 0
-			for _, level := range v.levels {
-				for _, r := range level {
-					if r.filter == nil {
-						continue
-					}
-					nRuns++
-					if _, ok := r.filter.(*taffy.Filter); !ok {
-						t.Fatalf("run %d filter is %T, want *taffy.Filter", r.id, r.filter)
-					}
-				}
-			}
-			if nRuns == 0 {
-				t.Fatal("no run filters built; workload never flushed")
-			}
-		})
+// growableFixtureModel replays the script testdata/growable-v3 was
+// written with: a PolicyBloom store (MemtableSize 64) whose run filters
+// were growable taffy filters, recorded as such in a v3 manifest.
+func growableFixtureModel() (model map[uint64]uint64, absent []uint64) {
+	keys := workload.Keys(400, 61)
+	model = make(map[uint64]uint64, len(keys))
+	for i, k := range keys {
+		model[k] = uint64(i)
+	}
+	for _, k := range keys[:100] {
+		delete(model, k)
+	}
+	for i, k := range keys[100:200] {
+		model[k] = uint64(i)*7 + 1
+	}
+	return model, append(append([]uint64(nil), keys[:100]...), workload.DisjointKeys(400, 61)...)
+}
+
+// checkModel asserts s holds exactly model's keys and none of absent.
+func checkModel(t *testing.T, s *Store, model map[uint64]uint64, absent []uint64) {
+	t.Helper()
+	for k, want := range model {
+		if got, ok := s.Get(k); !ok || got != want {
+			t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, got, ok, want)
+		}
+	}
+	for _, k := range absent {
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("Get(%d) found an absent key", k)
+		}
 	}
 }
 
-// TestGrowableReopenIdenticalAnswersAndIO is the durability acceptance
-// check for the growable flush path: a reopened growable store answers
-// identically to the original with the identical I/O trajectory, and
-// the manifest (not the caller's Options) supplies the knob.
-func TestGrowableReopenIdenticalAnswersAndIO(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"bloom", Options{Policy: PolicyBloom, MemtableSize: 256, GrowableFilters: true}},
-		{"monkey", Options{Policy: PolicyMonkey, MemtableSize: 256, GrowableFilters: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := New(tc.opts)
-			keys := fillStore(t, s, 20000, 29)
-			for _, k := range keys[:500] {
-				s.Delete(k)
-			}
-			s.Put(987654321, 7)
-
-			// Reopen with empty Options: GrowableFilters must come back
-			// from the manifest, not the caller.
-			got := reopen(t, s, Options{})
-			if !got.opts.GrowableFilters {
-				t.Fatal("reopened store lost the GrowableFilters flag")
-			}
-			if got.Levels() != s.Levels() || got.Runs() != s.Runs() {
-				t.Fatalf("shape: got %d levels/%d runs, want %d/%d", got.Levels(), got.Runs(), s.Levels(), s.Runs())
-			}
-			if got.FilterMemoryBits() != s.FilterMemoryBits() {
-				t.Fatalf("FilterMemoryBits: got %d, want %d", got.FilterMemoryBits(), s.FilterMemoryBits())
-			}
-			probe := append(append([]uint64{}, keys...), workload.DisjointKeys(5000, 29)...)
-			for _, k := range probe {
-				v1, ok1 := s.Get(k)
-				v2, ok2 := got.Get(k)
-				if v1 != v2 || ok1 != ok2 {
-					t.Fatalf("Get(%d): original (%d,%v), reopened (%d,%v)", k, v1, ok1, v2, ok2)
-				}
-			}
-			if got.Device().Reads() != s.Device().Reads() {
-				t.Fatalf("lookups diverged: %d reads vs %d", got.Device().Reads(), s.Device().Reads())
-			}
-			if got.FilterProbes() != s.FilterProbes() {
-				t.Fatalf("filter probes diverged: %d vs %d", got.FilterProbes(), s.FilterProbes())
-			}
-			// The store must keep working after reopen.
-			got.Put(42, 4242)
-			if v, ok := got.Get(42); !ok || v != 4242 {
-				t.Fatal("post-reopen write lost")
-			}
-		})
-	}
-}
-
-// TestOpenStoreRejectsGrowableMismatch: asking for growable run filters
-// on a store saved with fixed-capacity ones is a structural conflict,
-// not something OpenStore may silently paper over.
-func TestOpenStoreRejectsGrowableMismatch(t *testing.T) {
-	s := New(Options{Policy: PolicyBloom, MemtableSize: 256})
-	fillStore(t, s, 5000, 31)
+// TestGrowableStoreFixture opens a store saved while run filters could
+// be growable: its manifest sets the v3 growable flag, which is read
+// and ignored, and its run filter files hold taffy filters, which still
+// decode. It answers exactly; runs built after the reopen carry Bloom
+// filters, and the mixed store survives a save and reopen.
+func TestGrowableStoreFixture(t *testing.T) {
 	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	_, err := OpenStore(dir, Options{GrowableFilters: true})
-	if err == nil {
-		t.Fatal("OpenStore accepted GrowableFilters=true on a fixed-filter store")
-	}
-	if !strings.Contains(err.Error(), "fixed-capacity") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// crashOptsGrowable mirrors crashOpts with growable run filters, so the
-// crash sweep exercises taffy filter files through every crash window.
-func crashOptsGrowable(mode Durability, fs fault.FS) Options {
-	o := crashOpts(mode, fs)
-	o.GrowableFilters = true
-	return o
-}
-
-// runToCrashGrowable is runToCrash with the growable knob set.
-func runToCrashGrowable(fs *fault.CrashFS, mode Durability, script []Entry) (acked int, openErr error) {
-	s, err := OpenStore("db", crashOptsGrowable(mode, fs))
+	src := filepath.Join("testdata", "growable-v3")
+	names, err := os.ReadDir(src)
 	if err != nil {
-		return 0, err
+		t.Fatal(err)
 	}
-	for i, e := range script {
-		if err := s.Apply(e); err != nil {
-			return i, nil
-		}
-	}
-	s.Close()
-	return len(script), nil
-}
-
-// TestGrowableCrashSweep runs the full crash-point sweep with growable
-// run filters: the durability contract must be indifferent to which
-// filter type accompanies each run on disk.
-func TestGrowableCrashSweep(t *testing.T) {
-	script := crashScript()
-	models := crashModels(script)
-	const mode = DurabilityGroup
-	dry := fault.NewCrashFS(17)
-	acked, openErr := runToCrashGrowable(dry, mode, script)
-	if openErr != nil || acked != len(script) {
-		t.Fatalf("dry run: acked %d, open err %v", acked, openErr)
-	}
-	total := dry.Ops()
-	if total < 100 {
-		t.Fatalf("workload too small to exercise crash windows: %d FS ops", total)
-	}
-	t.Logf("sweeping %d crash points", total)
-	for k := 1; k <= total; k++ {
-		fs := fault.NewCrashFS(17)
-		fs.CrashAfter(k)
-		acked, openErr := runToCrashGrowable(fs, mode, script)
-		if openErr != nil && !errors.Is(openErr, fault.ErrCrashed) {
-			t.Fatalf("crash point %d: unexpected open failure %v", k, openErr)
-		}
-		if !fs.Crashed() {
-			t.Fatalf("crash point %d never fired (only %d ops this run)", k, fs.Ops())
-		}
-		r, err := OpenStore("db", crashOptsGrowable(mode, fs.Recover()))
+	for _, de := range names {
+		data, err := os.ReadFile(filepath.Join(src, de.Name()))
 		if err != nil {
-			t.Fatalf("crash point %d: recovery failed: %v", k, err)
+			t.Fatal(err)
 		}
-		state := dumpState(r)
-		lo := acked
-		if openErr != nil {
-			lo = 0
-		}
-		hi := acked + 1
-		if hi > len(script) {
-			hi = len(script)
-		}
-		if i := matchPrefix(state, models, lo, hi); i < 0 {
-			t.Fatalf("crash point %d: recovered state %v matches no script prefix in [%d, %d] (acked %d)",
-				k, state, lo, hi, acked)
+		if err := os.WriteFile(filepath.Join(dir, de.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	s, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	old := map[*run]bool{}
+	for _, level := range s.view.Load().levels {
+		for _, r := range level {
+			if _, ok := r.filter.(*taffy.Filter); !ok {
+				t.Fatalf("fixture run %d filter is %T, want *taffy.Filter", r.id, r.filter)
+			}
+			old[r] = true
+		}
+	}
+	if len(old) == 0 {
+		t.Fatal("fixture holds no runs")
+	}
+	model, absent := growableFixtureModel()
+	checkModel(t, s, model, absent)
+
+	for i, k := range workload.Keys(1000, 67) {
+		s.Put(k, uint64(i)+1)
+		model[k] = uint64(i) + 1
+	}
+	s.Flush()
+	fresh := 0
+	for _, level := range s.view.Load().levels {
+		for _, r := range level {
+			if old[r] {
+				continue
+			}
+			fresh++
+			if _, ok := r.filter.(*bloom.Filter); !ok {
+				t.Fatalf("new run %d filter is %T, want *bloom.Filter", r.id, r.filter)
+			}
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("writes built no new run")
+	}
+	checkModel(t, s, model, absent)
+	checkModel(t, reopen(t, s, Options{}), model, absent)
 }

@@ -242,16 +242,6 @@ type Options struct {
 	MonkeyBaseFPR float64
 	// RangeFilter, when set, is built per run and consulted by Scan.
 	RangeFilter RangeFilterBuilder
-	// GrowableFilters switches per-run point filters (PolicyBloom and
-	// PolicyMonkey) from fixed-capacity Bloom filters to growable taffy
-	// filters with the equivalent false-positive budget. Runs produced by
-	// compaction have sizes unknown until the merge finishes, so fixed
-	// filters force an over-provision-or-rebuild choice at flush time;
-	// growables remove it — the filter starts small and doubles online
-	// while the run is built. The flag is structural (it decides what
-	// filter files contain) and is therefore recorded in the manifest;
-	// reopening with a conflicting explicit setting is rejected.
-	GrowableFilters bool
 	// Compaction selects the merge strategy (default Leveling).
 	Compaction CompactionPolicy
 	// Background enables the background flush/compaction engine: Put and
@@ -362,10 +352,6 @@ type run struct {
 	filter  core.Filter
 	rangeF  core.RangeFilter
 	level   int
-	// remapped marks a run consumed by a compaction whose maplet
-	// entries the compaction's in-place remap already moved or deleted;
-	// recycleRun must not strip them again (see recycleRun).
-	remapped bool
 }
 
 func (r *run) minKey() uint64 { return r.entries[0].Key }

@@ -11,8 +11,8 @@ import (
 
 // These tests pin the maplet-first read path: the global maplet maps
 // key → (run, block offset) and is the store's primary index, so its
-// maintenance protocol (remap-on-compaction, strip-on-recycle) must
-// keep it exactly in sync with the run tree, its lookups must be
+// maintenance protocol (edited in place by every compaction's merge)
+// must keep it exactly in sync with the run tree, its lookups must be
 // allocation-free, and its checkpoint image must reconstruct the exact
 // same routing.
 
@@ -278,8 +278,9 @@ func TestMapletImageV1Compat(t *testing.T) {
 		}
 	}
 
-	// Churn until compactions have rewritten the tree: the remap's
-	// sentinel-retry delete path must strip every v1-shaped entry.
+	// Churn until compactions have rewritten the tree: the merge's
+	// sentinel retry must find every v1-shaped entry it updates or
+	// deletes.
 	more := workload.Keys(3000, 37)
 	for i, k := range more {
 		r.Put(k, uint64(i)^0xF0F0)

@@ -8,14 +8,14 @@ import (
 )
 
 // mapletIndex makes the global PolicyMaplet maplet safe for concurrent
-// use: compaction mutates it (per-key remaps via Apply, best-effort
-// strips via Delete) while readers probe it lock-free of the store
-// mutex. Combined with the engine's ordering — maplet maintenance
-// lands before the view swap publishes a new run, retired-run cleanup
-// after — a reader whose view pointer is unchanged across its maplet
-// read holds candidates covering every run of that view, so the maplet
-// never produces a false negative mid-compaction (mapletGet detects
-// the raced case and retries).
+// use: compaction edits it (Store.merge holds mu across chunks of
+// per-key edits) while readers probe it lock-free of the store mutex.
+// Combined with the engine's ordering — maplet maintenance lands before
+// the view swap publishes a new run, retired run ids recycle after — a
+// reader whose view pointer is unchanged across its maplet read holds
+// candidates covering every run of that view, so the maplet never
+// produces a false negative mid-compaction (mapletGet detects the raced
+// case and retries).
 type mapletIndex struct {
 	mu sync.RWMutex
 	m  *quotient.Maplet
@@ -69,67 +69,13 @@ func (mi *mapletIndex) putExpandingLocked(key, val uint64) error {
 	return mi.m.Put(key, val)
 }
 
-// Delete removes one (key, packed value) association (best effort).
-func (mi *mapletIndex) Delete(key, val uint64) error {
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	return mi.m.Delete(key, val)
-}
-
-// mapletRemap is one key's compaction-time remap: delete each old
-// packed entry (the key's versions in the source runs), then — when
-// the key survives into the new run — insert the new one. Apply keeps
-// each key's deletes and insert in one critical section, so readers
-// never observe a transient state where some of a key's versions route
-// and others don't (which could resurrect an older version of a
+// mapletEditChunk bounds how many keys a compaction re-points per
+// write-lock acquisition (see Store.merge), so a large compaction
+// doesn't stall readers for its whole duration. Chunk boundaries fall
+// only between keys, so readers never observe some of a key's versions
+// routed and others not (which could resurrect an older version of a
 // dropped key).
-type mapletRemap struct {
-	key    uint64
-	olds   []uint64 // packed values to delete
-	newVal uint64   // packed value in the new run
-	put    bool     // newVal is valid (false: the merge dropped the key)
-}
-
-// mapletApplyChunk bounds how many keys Apply remaps per write-lock
-// acquisition, so a large compaction doesn't stall readers for its
-// whole duration. Chunk boundaries fall only between keys.
-const mapletApplyChunk = 256
-
-// Apply performs a batch of per-key remaps. A delete that finds no
-// exact entry retries with sentinel(old) — the unknown-offset shape
-// that entries loaded from v1 images carry — and counts a miss only
-// when both fail. Returns the miss count; a non-nil error means the
-// maplet could not expand to admit an insert (the index is still
-// coherent, but the caller's new run is unindexed).
-func (mi *mapletIndex) Apply(ops []mapletRemap, sentinel func(uint64) uint64) (misses int, err error) {
-	for len(ops) > 0 {
-		n := len(ops)
-		if n > mapletApplyChunk {
-			n = mapletApplyChunk
-		}
-		mi.mu.Lock()
-		for _, op := range ops[:n] {
-			for _, old := range op.olds {
-				if mi.m.Delete(op.key, old) == nil {
-					continue
-				}
-				if alt := sentinel(old); alt != old && mi.m.Delete(op.key, alt) == nil {
-					continue
-				}
-				misses++
-			}
-			if op.put {
-				if perr := mi.putExpandingLocked(op.key, op.newVal); perr != nil {
-					mi.mu.Unlock()
-					return misses, perr
-				}
-			}
-		}
-		mi.mu.Unlock()
-		ops = ops[n:]
-	}
-	return misses, nil
-}
+const mapletEditChunk = 256
 
 // SizeBits returns the maplet's physical footprint.
 func (mi *mapletIndex) SizeBits() int {

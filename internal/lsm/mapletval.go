@@ -67,5 +67,6 @@ func (s *Store) mapletValOffset(v uint64) (off uint64, exact bool) {
 
 // mapletSentinel rewrites a packed value's offset to the unknown
 // sentinel — the shape entries loaded from v1 images take, which
-// best-effort deletes must be able to target (see mapletIndex.Apply).
+// compaction's maplet edits must be able to target (see
+// mapletRetireLocked).
 func (s *Store) mapletSentinel(v uint64) uint64 { return v | s.mapOffNone }

@@ -309,7 +309,7 @@ func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, fre
 	e.F64(s.opts.MonkeyBaseFPR)
 	e.U8(uint8(s.opts.Compaction))
 	e.Bool(s.opts.RangeFilter != nil)
-	e.Bool(s.opts.GrowableFilters)
+	e.Bool(false) // growable-run-filter flag: v3 layout, no longer set
 	// Device and filter counters: a reopened store resumes accounting
 	// where the saved one stopped, so experiments comparing the two see
 	// identical I/O for identical workloads.
@@ -581,11 +581,11 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	monkeyBaseFPR := d.F64()
 	compaction := CompactionPolicy(d.U8())
 	hadRangeFilter := d.Bool()
-	// The growable-filter flag exists only in the v3 layout; older
-	// manifests predate growable run filters, so it is false there.
-	growable := false
+	// The v3 layout adds the growable-run-filter flag of a removed
+	// option. It is read and ignored: run files say what filter they
+	// hold, and core.Load decodes taffy filters as well as Bloom ones.
 	if kind == core.TypeLSMManifestV3 {
-		growable = d.Bool()
+		d.Bool()
 	}
 	var counters [9]uint64
 	for i := range counters {
@@ -641,7 +641,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 
 	// Structural validation: manifest values are authoritative; caller
 	// overrides that disagree are configuration bugs, not corruption.
-	if err := checkStructural(&opts, memtableSize, sizeRatio, policy, bitsPerKey, monkeyBaseFPR, compaction, growable); err != nil {
+	if err := checkStructural(&opts, memtableSize, sizeRatio, policy, bitsPerKey, monkeyBaseFPR, compaction); err != nil {
 		return nil, err
 	}
 	if (policy == PolicyMaplet) != hasMaplet {
@@ -663,7 +663,6 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	opts.BitsPerKey = bitsPerKey
 	opts.MonkeyBaseFPR = monkeyBaseFPR
 	opts.Compaction = compaction
-	opts.GrowableFilters = growable
 	// Build the store synchronously and install the loaded state before
 	// starting any background engine, so the worker never races the load.
 	wantBackground := opts.Background
@@ -859,7 +858,7 @@ func (s *Store) WAL() *wal.Log { return s.wal }
 
 // checkStructural rejects caller-set structural options that disagree
 // with the manifest.
-func checkStructural(opts *Options, memtableSize, sizeRatio int, policy FilterPolicy, bitsPerKey, monkeyBaseFPR float64, compaction CompactionPolicy, growable bool) error {
+func checkStructural(opts *Options, memtableSize, sizeRatio int, policy FilterPolicy, bitsPerKey, monkeyBaseFPR float64, compaction CompactionPolicy) error {
 	if opts.MemtableSize != 0 && opts.MemtableSize != memtableSize {
 		return fmt.Errorf("lsm: MemtableSize %d disagrees with saved store's %d", opts.MemtableSize, memtableSize)
 	}
@@ -877,13 +876,6 @@ func checkStructural(opts *Options, memtableSize, sizeRatio int, policy FilterPo
 	}
 	if opts.Compaction != Leveling && opts.Compaction != compaction {
 		return fmt.Errorf("lsm: Compaction %d disagrees with saved store's %d", opts.Compaction, compaction)
-	}
-	// A bool override can only be checked in the set direction: a caller
-	// asking for growable filters on a fixed-filter store is a
-	// configuration bug (the saved filter files would not match), while
-	// false just means "use the manifest's value".
-	if opts.GrowableFilters && !growable {
-		return fmt.Errorf("lsm: GrowableFilters set but the saved store used fixed-capacity run filters")
 	}
 	return nil
 }

@@ -121,7 +121,8 @@ func TestContainsBatchZeroAllocs(t *testing.T) {
 
 // TestWritesZeroAllocs pins the in-place write path: a steady-state
 // insert or delete (no expansion) is one splice on the table's own
-// storage, for the filter and the maplet alike.
+// storage, for the filter and the maplet alike, and a maplet Update
+// moves payloads within one run.
 func TestWritesZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := New(14, 12)
@@ -132,8 +133,16 @@ func TestWritesZeroAllocs(t *testing.T) {
 			t.Fatal("full")
 		}
 	}
-	k := rng.Uint64()
+	k, u := rng.Uint64(), rng.Uint64()
+	if m.Put(u, 7) != nil {
+		t.Fatal("full")
+	}
 	for name, op := range map[string]func(){
+		"Maplet.Update": func() {
+			if m.Update(u, 7, 9) != nil || m.Update(u, 9, 7) != nil {
+				t.Fatal("update failed")
+			}
+		},
 		"Filter.Insert+Delete": func() {
 			if f.Insert(k) != nil || f.Delete(k) != nil {
 				t.Fatal("write failed")

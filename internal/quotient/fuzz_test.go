@@ -2,6 +2,7 @@ package quotient
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"beyondbloom/internal/core"
@@ -10,12 +11,14 @@ import (
 // FuzzFilterChurn is the table model fuzz: one script of (op, arg) byte
 // pairs drives the three variants that share the table against exact
 // models. op%8 picks the operation; for the filter's Insert, op's top
-// bit turns auto-expansion on. Small geometries make collisions,
-// shifting, wraparound and expansion routine.
+// bit turns auto-expansion on, and for the maplet's Delete it selects
+// Update instead. Small geometries make collisions, shifting,
+// wraparound and expansion routine.
 //
 //	0 Filter.Insert(arg)  1 Filter.Delete(a present key)  2 Filter.Contains(arg)
 //	3 Filter.Merge(a one-key filter holding arg)
 //	4 Maplet.Put(arg, op>>3&7)  5 Maplet.Delete(a present pair)
+//	  (top bit: Maplet.Update(a present pair, op>>3&7), and of an absent one)
 //	6 Counting.Add(arg, op>>3&7+1)  7 Counting.Remove(arg, op>>3&7+1)
 func FuzzFilterChurn(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -75,17 +78,18 @@ func FuzzFilterChurn(f *testing.F) {
 				}
 				j := int(arg) % len(pairs)
 				k, v := pairs[j][0], pairs[j][1]
+				vs := mm[k]
+				x := slices.Index(vs, v)
+				if op&0x80 != 0 {
+					checkMapletUpdate(t, mp, k, v, small)
+					pairs[j][1], vs[x] = small, small
+					continue
+				}
 				if err := mp.Delete(k, v); err != nil {
 					t.Fatalf("maplet delete of present (%d, %d): %v", k, v, err)
 				}
 				pairs = append(pairs[:j], pairs[j+1:]...)
-				vs := mm[k]
-				for x := range vs {
-					if vs[x] == v {
-						mm[k] = append(vs[:x], vs[x+1:]...)
-						break
-					}
-				}
+				mm[k] = append(vs[:x], vs[x+1:]...)
 			case 6:
 				if cq.Add(arg, small+1) == nil {
 					cm[arg] += small + 1
@@ -143,6 +147,38 @@ func FuzzFilterChurn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkMapletUpdate rewrites the present pair (k, v) to (k, w) and
+// asserts it is an in-place edit: Len and LoadFactor are unchanged and
+// the table stays consistent. It then updates a value k's fingerprint
+// does not hold, which must fail with ErrNotFound and change nothing.
+func checkMapletUpdate(t *testing.T, mp *Maplet, k, v, w uint64) {
+	t.Helper()
+	n, lf := mp.Len(), mp.LoadFactor()
+	if err := mp.Update(k, v, w); err != nil {
+		t.Fatalf("maplet update of present (%d, %d): %v", k, v, err)
+	}
+	if mp.Len() != n || mp.LoadFactor() != lf {
+		t.Fatalf("maplet update moved Len %d -> %d, load %v -> %v", n, mp.Len(), lf, mp.LoadFactor())
+	}
+	if err := mp.CheckInvariants(); err != nil {
+		t.Fatalf("after update of (%d, %d): %v", k, v, err)
+	}
+	held := mp.Get(k)
+	for absent := uint64(0); absent < 8; absent++ {
+		if slices.Contains(held, absent) {
+			continue
+		}
+		before := mp.Entries()
+		if err := mp.Update(k, absent, w); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("maplet update of absent (%d, %d): %v, want ErrNotFound", k, absent, err)
+		}
+		if !slices.Equal(before, mp.Entries()) {
+			t.Fatalf("failed maplet update of (%d, %d) changed the entries", k, absent)
+		}
+		return
+	}
 }
 
 // FuzzCounterCodec round-trips arbitrary (remainder, count) runs through

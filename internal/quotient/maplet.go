@@ -168,12 +168,15 @@ func (m *Maplet) Delete(key, value uint64) error {
 	return nil
 }
 
-// Update replaces the value of an existing (key, oldValue) entry.
+// Update replaces the value of an existing (key, oldValue) entry. The
+// fingerprint, and so the run, stays the same: the entry is rewritten
+// in place, Len and LoadFactor are unchanged, and Update never fails
+// for space. Returns ErrNotFound, changing nothing, if no matching
+// entry exists.
 func (m *Maplet) Update(key, oldValue, newValue uint64) error {
-	if err := m.Delete(key, oldValue); err != nil {
-		return err
-	}
-	return m.Put(key, newValue)
+	fq, fr := m.fingerprint(key)
+	mask := hashutil.Mask(m.vBits)
+	return m.t.replace(fq, fr<<m.vBits|oldValue&mask, fr<<m.vBits|newValue&mask)
 }
 
 // Len returns the number of stored entries.

@@ -115,6 +115,27 @@ func (t *table) remove(fq, v uint64) error {
 	return t.splice(fq, at, 1)
 }
 
+// replace rewrites one copy of old in fq's run to v. The run keeps its
+// slots and its length, so only payloads move: the neighbours v passes
+// over slide one slot into the hole old leaves, and no metadata bit or
+// the used count changes. ErrNotFound if the run holds no old.
+func (t *table) replace(fq, old, v uint64) error {
+	at, ok := t.lowerBound(fq, old)
+	if !ok {
+		return core.ErrNotFound
+	}
+	s, n := t.locate(fq)
+	slot := func(i int) int { return int((s + uint64(i)) & t.mask) }
+	for ; at+1 < int(n) && t.payload.Get(slot(at+1)) < v; at++ {
+		t.payload.Set(slot(at), t.payload.Get(slot(at+1)))
+	}
+	for ; at > 0 && t.payload.Get(slot(at-1)) >= v; at-- {
+		t.payload.Set(slot(at), t.payload.Get(slot(at-1)))
+	}
+	t.payload.Set(slot(at), v)
+	return nil
+}
+
 // splice replaces the del slots at index at of fq's run with ins. The
 // rest of the cluster shifts right (into the next empty slot) or left
 // (up to the next empty slot or unshifted run start) by len(ins)-del,

@@ -44,6 +44,7 @@ sh scripts/filterd_smoke.sh
 
 echo "== benchmark smoke (1 iteration, -short) =="
 go test -short -run '^$' -bench 'Filter|Persist|LSMConcurrent' -benchtime 1x -benchmem . >/dev/null
+go test -short -run '^$' -bench 'StoreSeed|StoreGetBatch' -benchtime 1x ./internal/lsm >/dev/null
 
 echo "== served benchmark: vet, tests, smoke run (every answer verified) =="
 go vet -C bench .
