@@ -109,9 +109,18 @@ func cmdServe(args []string) error {
 		filter = f
 	} else {
 		perShard := *n>>*logShards + 1
+		var shardErr error
 		sh, err := concurrent.NewShardedMutable(*logShards, func(int) core.MutableFilter {
-			return bloom.NewBlocked(perShard, *bits)
+			f, err := newBlocked(perShard, *bits)
+			if err != nil {
+				shardErr = err
+				return nil
+			}
+			return f
 		})
+		if shardErr != nil {
+			return shardErr
+		}
 		if err != nil {
 			return err
 		}
@@ -222,13 +231,39 @@ func parseDurability(s string) (lsm.Durability, error) {
 	return 0, fmt.Errorf("unknown durability %q", s)
 }
 
+// newBlocked builds the blocked Bloom filter NewBlocked would, but
+// reports a bits-per-key budget out of range as an error, not a panic.
+func newBlocked(n int, bits float64) (*bloom.Blocked, error) {
+	return bloom.BlockedFromSpec(core.Spec{Type: core.TypeBlockedBloom, N: n, BitsPerKey: bits, Seed: bloom.BlockedSeed})
+}
+
+// buildChunk is how many keys cmdBuild generates and inserts at a time.
+const buildChunk = 4096
+
+// forEachKeyChunk calls fn with the workload key stream Keys(n, seed)
+// in order, buildChunk keys at a time, in one reused buffer.
+func forEachKeyChunk(n int, seed uint64, fn func(keys []uint64) error) error {
+	var buf [buildChunk]uint64
+	for at := 0; at < n; at += buildChunk {
+		keys := buf[:min(buildChunk, n-at)]
+		for i := range keys {
+			keys[i] = workload.Key(uint64(at+i), seed)
+		}
+		if err := fn(keys); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // cmdBuild writes a .bbf filter file holding n deterministic workload
 // keys — enough to serve, smoke-test, and demonstrate hot reload
 // without a separate ingestion pipeline. With -store it instead (or
 // additionally) seeds an LSM store directory with the same key stream
 // (value = key) under the chosen filter policy, so serve -store can
 // exercise any read path — including the maplet-first index — end to
-// end.
+// end. The keys are streamed, a chunk at a time, never materialised
+// whole; the filter takes each chunk through its batched insert.
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	out := fs.String("o", "", "output .bbf path")
@@ -241,7 +276,16 @@ func cmdBuild(args []string) error {
 	if *out == "" && *storeDir == "" {
 		return errors.New("one of -o or -store is required")
 	}
-	keys := workload.Keys(*n, *seed)
+	if *n < 0 {
+		return fmt.Errorf("-n %d is negative", *n)
+	}
+	var f *bloom.Blocked
+	if *out != "" {
+		var err error
+		if f, err = newBlocked(*n+1, *bits); err != nil {
+			return err
+		}
+	}
 	if *storeDir != "" {
 		pol, err := parsePolicy(*policy)
 		if err != nil {
@@ -251,8 +295,16 @@ func cmdBuild(args []string) error {
 		if err != nil {
 			return err
 		}
-		for _, k := range keys {
-			st.Put(k, k)
+		err = forEachKeyChunk(*n, *seed, func(keys []uint64) error {
+			for _, k := range keys {
+				if err := st.Apply(lsm.Entry{Key: k, Value: k}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		st.Flush()
 		if err := st.Save(*storeDir); err != nil {
@@ -260,14 +312,11 @@ func cmdBuild(args []string) error {
 		}
 		fmt.Printf("filterd: seeded store %s with %d keys (policy=%s, seed %d)\n", *storeDir, *n, *policy, *seed)
 	}
-	if *out == "" {
+	if f == nil {
 		return nil
 	}
-	f := bloom.NewBlocked(*n+1, *bits)
-	for _, k := range keys {
-		if err := f.Insert(k); err != nil {
-			return err
-		}
+	if err := forEachKeyChunk(*n, *seed, f.InsertBatch); err != nil {
+		return err
 	}
 	file, err := os.Create(*out)
 	if err != nil {

@@ -52,3 +52,13 @@ func TestBlockedZeroAllocs(t *testing.T) {
 		t.Fatalf("blocked bloom lookups allocate %v per run, want 0", avg)
 	}
 }
+
+func TestBlockedInsertBatchZeroAllocs(t *testing.T) {
+	f := NewBlocked(10000, 12)
+	keys := workload.Keys(4096, 8)
+	if avg := testing.AllocsPerRun(100, func() {
+		f.InsertBatch(keys)
+	}); avg != 0 {
+		t.Fatalf("blocked bloom InsertBatch allocates %v per run, want 0", avg)
+	}
+}

@@ -40,10 +40,15 @@ type Blocked struct {
 	n         int
 }
 
+// BlockedSeed is the hash seed NewBlocked uses. Callers that build
+// through BlockedFromSpec (to get an error instead of a panic for a bad
+// budget) pass it to get the same filter.
+const BlockedSeed = 0xB10CB10000000001
+
 // NewBlocked returns a blocked Bloom filter sized for n keys at the
 // given bits-per-key budget.
 func NewBlocked(n int, bitsPerKey float64) *Blocked {
-	return NewBlockedSeeded(n, bitsPerKey, 0xB10CB10000000001)
+	return NewBlockedSeeded(n, bitsPerKey, BlockedSeed)
 }
 
 // NewBlockedSeeded is NewBlocked with an explicit hash seed (see
@@ -194,9 +199,61 @@ func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 	}
 }
 
+// InsertBatch inserts every key (see core.BatchInserter) in the three
+// passes of ContainsBatch: hash a chunk into stack arrays, warm every
+// key's block with a pure load loop so the chunk's misses overlap, then
+// set all k bits of each key with one unrolled body.
+//
+// The set pass ORs into the live words and never writes a staged word
+// back: two keys of one chunk can share a word, and a stale staged copy
+// would drop the other key's bit — a false negative. The staged word
+// only masks probe 0's bit (live ⊇ staged, so m &^ staged sets exactly
+// what m does), which is also what keeps the warming loads from being
+// dead code.
+func (f *Blocked) InsertBatch(keys []uint64) error {
+	words := f.words
+	seed := f.spec.Seed * mixSeedMul
+	numBlocks := f.numBlocks
+	skip := probeSkip(f.k)
+	var bases, g1s, g2s, w0s [core.BatchChunk]uint64
+	for start := 0; start < len(keys); start += core.BatchChunk {
+		chunk := keys[start:]
+		if len(chunk) > core.BatchChunk {
+			chunk = chunk[:core.BatchChunk]
+		}
+		for i, k := range chunk {
+			h := hashutil.Mix64(k ^ seed)
+			bases[i] = hashutil.Reduce(h, numBlocks) * blockWords
+			g1s[i] = hashutil.Mix64(h + 1)
+			g2s[i] = hashutil.Mix64(h + 2)
+		}
+		for i := range chunk {
+			w0s[i] = words[bases[i]+(g1s[i]&511)>>6]
+		}
+		for i := range chunk {
+			// ContainsBatch's positions, with probe j >= k's bit masked
+			// to zero by skip[j]; see the comment there on why the body
+			// is inline.
+			g1, g2 := g1s[i], g2s[i]
+			blk := (*[blockWords]uint64)(words[bases[i]:])
+			blk[g1>>6&7] |= 1 << (g1 & 63) &^ w0s[i]
+			blk[g1>>15&7] |= 1 << (g1 >> 9 & 63) &^ skip[1]
+			blk[g1>>24&7] |= 1 << (g1 >> 18 & 63) &^ skip[2]
+			blk[g1>>33&7] |= 1 << (g1 >> 27 & 63) &^ skip[3]
+			blk[g1>>42&7] |= 1 << (g1 >> 36 & 63) &^ skip[4]
+			blk[g1>>51&7] |= 1 << (g1 >> 45 & 63) &^ skip[5]
+			blk[g1>>60&7] |= 1 << (g1 >> 54 & 63) &^ skip[6]
+			blk[g2>>6&7] |= 1 << (g2 & 63) &^ skip[7]
+		}
+	}
+	f.n += len(keys)
+	return nil
+}
+
 // probeSkip returns the resolve body's per-probe masks: all ones for
 // every probe j >= k, so OR-ing it into that probe's term makes the
 // term a no-op and one unrolled body serves every k <= blockedMaxK.
+// InsertBatch clears the same probes' bits with it instead.
 func probeSkip(k uint) (skip [blockedMaxK]uint64) {
 	for j := k; j < blockedMaxK; j++ {
 		skip[j] = ^uint64(0)
@@ -222,4 +279,5 @@ func (f *Blocked) FillRatio() float64 {
 var (
 	_ core.MutableFilter = (*Blocked)(nil)
 	_ core.BatchFilter   = (*Blocked)(nil)
+	_ core.BatchInserter = (*Blocked)(nil)
 )

@@ -93,6 +93,120 @@ func TestBlockedBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestBlockedInsertBatchMatchesScalar checks that InsertBatch leaves
+// exactly the words and Len a scalar Insert loop does, at every k (the
+// bits/key walk of TestBlockedBatchMatchesScalar) and at lengths that
+// are empty, one key, and on either side of a BatchChunk boundary.
+func TestBlockedInsertBatchMatchesScalar(t *testing.T) {
+	keys := workload.Keys(4097, 4)
+	for _, bpk := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 24} {
+		for _, m := range []int{0, 1, 255, 256, 257, 4097} {
+			scalar, batch := NewBlocked(2000, bpk), NewBlocked(2000, bpk)
+			for _, k := range keys[:m] {
+				scalar.Insert(k)
+			}
+			if err := batch.InsertBatch(keys[:m]); err != nil {
+				t.Fatal(err)
+			}
+			assertSameBlocked(t, scalar, batch, "bits/key", bpk, "len", m)
+		}
+	}
+}
+
+// TestBlockedInsertBatchOneBlock packs a whole chunk into one 512-bit
+// block, so nearly every word is shared by many keys of the chunk. A
+// set pass that wrote staged words back would lose bits here.
+func TestBlockedInsertBatchOneBlock(t *testing.T) {
+	keys := workload.Keys(3*core.BatchChunk, 5)
+	for _, bpk := range []float64{4, 12, 24} {
+		scalar, batch := NewBlocked(1, bpk), NewBlocked(1, bpk)
+		if scalar.numBlocks != 1 {
+			t.Fatalf("bits/key %v: %d blocks, want 1", bpk, scalar.numBlocks)
+		}
+		for _, k := range keys {
+			scalar.Insert(k)
+		}
+		batch.InsertBatch(keys)
+		assertSameBlocked(t, scalar, batch, "bits/key", bpk, "one block", true)
+		out := make([]bool, len(keys))
+		batch.ContainsBatch(keys, out)
+		for i, ok := range out {
+			if !ok {
+				t.Fatalf("bits/key %v: false negative for key %d", bpk, i)
+			}
+		}
+	}
+}
+
+func assertSameBlocked(t *testing.T, want, got *Blocked, ctx ...any) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%v: Len %d, scalar %d", ctx, got.Len(), want.Len())
+	}
+	for i := range want.words {
+		if got.words[i] != want.words[i] {
+			t.Fatalf("%v k=%d: word %d = %#x, scalar %#x", ctx, want.K(), i, got.words[i], want.words[i])
+		}
+	}
+}
+
+// newBenchBlocked returns a blocked filter of n keys at 12 bits/key.
+// Under -short a DRAM-sized n shrinks to 2^16, so a smoke run only
+// checks that the benchmark works.
+func newBenchBlocked(n int) *Blocked {
+	if testing.Short() && n > 1<<16 {
+		n = 1 << 16
+	}
+	f := NewBlocked(n, 12)
+	var keys [4096]uint64
+	for i := 0; i < n; i += len(keys) {
+		chunk := keys[:min(len(keys), n-i)]
+		for j := range chunk {
+			chunk[j] = hashutil.Mix64(uint64(i + j))
+		}
+		f.InsertBatch(chunk)
+	}
+	return f
+}
+
+// benchBlockedInsert inserts 4096-key batches of absent keys into a
+// filter already holding n keys, so every word is touched memory and
+// the DRAM size measures read-modify-write misses, not page faults.
+// ns/key is per inserted key; batch selects InsertBatch over a scalar
+// Insert loop.
+func benchBlockedInsert(b *testing.B, n int, batch bool) {
+	f := newBenchBlocked(n)
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = hashutil.Mix64(uint64(f.Len() + i))
+	}
+	const size = 4096
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i * size % len(keys)
+		if batch {
+			f.InsertBatch(keys[at : at+size])
+			continue
+		}
+		for _, k := range keys[at : at+size] {
+			f.Insert(k)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
+}
+
+// BenchmarkBlockedInsertScalarResident: 2^14 keys, a 24 KB filter.
+func BenchmarkBlockedInsertScalarResident(b *testing.B) { benchBlockedInsert(b, 1<<14, false) }
+
+// BenchmarkBlockedInsertBatchResident: 2^14 keys, a 24 KB filter.
+func BenchmarkBlockedInsertBatchResident(b *testing.B) { benchBlockedInsert(b, 1<<14, true) }
+
+// BenchmarkBlockedInsertScalarDRAM: 2^24 keys, a 24 MiB filter.
+func BenchmarkBlockedInsertScalarDRAM(b *testing.B) { benchBlockedInsert(b, 1<<24, false) }
+
+// BenchmarkBlockedInsertBatchDRAM: 2^24 keys, a 24 MiB filter.
+func BenchmarkBlockedInsertBatchDRAM(b *testing.B) { benchBlockedInsert(b, 1<<24, true) }
+
 // benchBlockedContainsBatch probes a blocked filter of n keys at 12
 // bits/key with 4096-key batches, every other key absent: the shape of
 // the served probe_batch workload, whose filter is the n = 2^24 one.
@@ -100,10 +214,8 @@ func TestBlockedBatchMatchesScalar(t *testing.T) {
 // DRAM-sized one tells whether the batched kernel waits on memory or
 // on its own instructions.
 func benchBlockedContainsBatch(b *testing.B, n int) {
-	f := NewBlocked(n, 12)
-	for i := 0; i < n; i++ {
-		f.Insert(hashutil.Mix64(uint64(i)))
-	}
+	f := newBenchBlocked(n)
+	n = f.Len()
 	probe := make([]uint64, 1<<16)
 	for i := range probe {
 		j := uint64(i) * 2654435761 % uint64(n)

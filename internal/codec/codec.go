@@ -25,11 +25,13 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 const (
@@ -274,13 +276,15 @@ func (e *Enc) U64(v uint64) {
 // F64 appends a float64 by its IEEE-754 bit pattern (exact round-trip).
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// U64s appends a length-prefixed slice of uint64 words.
+// U64s appends a length-prefixed slice of uint64 words. The buffer
+// grows once, to its final size, and the words are filled in by index.
 func (e *Enc) U64s(vs []uint64) {
 	e.U64(uint64(len(vs)))
-	var b [8]byte
-	for _, v := range vs {
-		putU64(b[:], v)
-		e.buf = append(e.buf, b[:]...)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:off+8*len(vs)]
+	b := e.buf[off:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
 }
 
@@ -409,10 +413,11 @@ func (d *Dec) U64s() []uint64 {
 		return nil
 	}
 	vs := make([]uint64, n)
+	b := d.buf[d.off : d.off+8*len(vs)]
 	for i := range vs {
-		vs[i] = getU64(d.buf[d.off:])
-		d.off += 8
+		vs[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
+	d.off += len(b)
 	return vs
 }
 

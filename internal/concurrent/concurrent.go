@@ -206,6 +206,38 @@ func (s *Sharded) ContainsBatch(keys []uint64, out []bool) {
 	s.scratch.Put(sc)
 }
 
+// InsertBatch inserts every key (see core.BatchInserter), grouped by
+// shard like ContainsBatch: each touched shard's write lock is taken
+// once for its sub-batch, which goes through the shard filter's own
+// batched insert when it has one. It stops at the first shard that
+// fails; keys routed to later shards are then not inserted.
+func (s *Sharded) InsertBatch(keys []uint64) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	sc, _ := s.scratch.Get().(*batchScratch)
+	if sc == nil {
+		sc = &batchScratch{}
+	}
+	defer s.scratch.Put(sc)
+	shards := len(s.shards)
+	groupByShard(sc, keys, s.spec.Seed, s.mask, shards)
+	for j := 0; j < shards; j++ {
+		lo, hi := sc.bounds[j], sc.bounds[j+1]
+		if lo == hi {
+			continue
+		}
+		sh := &s.shards[j]
+		sh.mu.Lock()
+		err := core.InsertBatch(sh.f, sc.keys[lo:hi])
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // SizeBits sums the shards.
 func (s *Sharded) SizeBits() int {
 	total := 0
@@ -254,6 +286,7 @@ func (s *Sharded) FPRBudget() float64 {
 var (
 	_ core.DeletableFilter = (*Sharded)(nil)
 	_ core.BatchFilter     = (*Sharded)(nil)
+	_ core.BatchInserter   = (*Sharded)(nil)
 	_ core.GrowableFilter  = (*Sharded)(nil)
 )
 

@@ -46,3 +46,29 @@ func ContainsBatchScalar(f Filter, keys []uint64, out []bool) {
 		out[i] = f.Contains(k)
 	}
 }
+
+// BatchInserter is a MutableFilter with a native batched insert, the
+// write-side twin of BatchFilter. InsertBatch must leave the filter
+// exactly as calling Insert on each key in order would — same state,
+// same Len — but is free to reorder and pipeline the memory accesses.
+// It returns the first error an insert meets; which of the other keys
+// were inserted by then is unspecified.
+type BatchInserter interface {
+	MutableFilter
+	InsertBatch(keys []uint64) error
+}
+
+// InsertBatch inserts every key into f, dispatching to the native
+// batched path when f implements BatchInserter and falling back to a
+// scalar Insert loop, which stops at the first error, otherwise.
+func InsertBatch(f MutableFilter, keys []uint64) error {
+	if bi, ok := f.(BatchInserter); ok {
+		return bi.InsertBatch(keys)
+	}
+	for _, k := range keys {
+		if err := f.Insert(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -62,6 +62,53 @@ func TestContainsBatchOutReuse(t *testing.T) {
 	ContainsBatch(f, []uint64{}, out[:0])
 }
 
+// cappedSet is a toy mutable filter that refuses inserts past cap, so
+// the scalar InsertBatch fallback's stop-at-first-error is observable.
+type cappedSet struct {
+	keys []uint64
+	cap  int
+}
+
+func (c *cappedSet) Contains(key uint64) bool { return false }
+func (c *cappedSet) SizeBits() int            { return 0 }
+func (c *cappedSet) Insert(key uint64) error {
+	if len(c.keys) == c.cap {
+		return ErrFull
+	}
+	c.keys = append(c.keys, key)
+	return nil
+}
+
+// batchedSet additionally implements BatchInserter, counting how many
+// times the native path was taken.
+type batchedSet struct {
+	cappedSet
+	batched int
+}
+
+func (b *batchedSet) InsertBatch(keys []uint64) error {
+	b.batched++
+	b.keys = append(b.keys, keys...)
+	return nil
+}
+
+func TestInsertBatchDispatch(t *testing.T) {
+	f := &cappedSet{cap: 2}
+	if err := InsertBatch(f, []uint64{5, 6, 7, 8}); err != ErrFull {
+		t.Fatalf("fallback past capacity = %v, want ErrFull", err)
+	}
+	if len(f.keys) != 2 || f.keys[0] != 5 || f.keys[1] != 6 {
+		t.Fatalf("fallback inserted %v, want [5 6] in order", f.keys)
+	}
+	b := &batchedSet{}
+	if err := InsertBatch(b, []uint64{1, 2, 3}); err != nil || b.batched != 1 || len(b.keys) != 3 {
+		t.Fatalf("native InsertBatch: err %v, called %d times, keys %v", err, b.batched, b.keys)
+	}
+	if err := InsertBatch(f, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+}
+
 func TestContainsBatchShortOutPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

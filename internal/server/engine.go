@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"beyondbloom/internal/concurrent"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/lsm"
 )
@@ -201,15 +202,36 @@ func (e *Engine) Apply(entries ...lsm.Entry) error {
 // wrapper, whose per-shard locks make concurrent Insert+Contains
 // safe). Filters loaded read-only report ErrReadOnly.
 func (e *Engine) Insert(key uint64) error {
-	e.m.ReqInsert.Add(1)
+	sh, err := e.mutable(1)
+	if err != nil {
+		return err
+	}
+	return sh.Insert(key)
+}
+
+// InsertBatch adds every key to the serving filter with the checks of
+// Insert, taking each shard's lock once per batch instead of once per
+// key (see concurrent.Sharded.InsertBatch).
+func (e *Engine) InsertBatch(keys []uint64) error {
+	sh, err := e.mutable(len(keys))
+	if err != nil {
+		return err
+	}
+	return sh.InsertBatch(keys)
+}
+
+// mutable counts n keys toward the insert counter, which counts keys,
+// not requests, and returns the serving filter if it accepts inserts.
+func (e *Engine) mutable(n int) (*concurrent.Sharded, error) {
+	e.m.ReqInsert.Add(int64(n))
 	if e.closed.Load() {
-		return ErrShutdown
+		return nil, ErrShutdown
 	}
 	sh := e.fh.load().Mutable()
 	if sh == nil {
-		return ErrReadOnly
+		return nil, ErrReadOnly
 	}
-	return sh.Insert(key)
+	return sh, nil
 }
 
 // Reload loads a .bbf file and atomically hands the serving filter

@@ -30,6 +30,7 @@ func TestEngineClosedRejectsAll(t *testing.T) {
 		{"GetBatch", func() error { return e.GetBatch(keys, vals, found) }},
 		{"Apply", func() error { return e.Apply(lsm.Entry{Key: 1, Value: 1}) }},
 		{"Insert", func() error { return e.Insert(1) }},
+		{"InsertBatch", func() error { return e.InsertBatch(keys) }},
 	} {
 		if err := tc.call(); !errors.Is(err, ErrShutdown) {
 			t.Errorf("%s after Close = %v, want ErrShutdown", tc.name, err)

@@ -175,11 +175,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	for _, k := range req.Keys {
-		if err := s.e.Insert(k); err != nil {
-			s.fail(w, err)
-			return
-		}
+	if err := s.e.InsertBatch(req.Keys); err != nil {
+		s.fail(w, err)
+		return
 	}
 	writeJSON(w, map[string]bool{"ok": true})
 }

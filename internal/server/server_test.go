@@ -379,6 +379,9 @@ func TestInsertReadOnlyFilter(t *testing.T) {
 	if err := e.Insert(1); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Insert on read-only filter = %v, want ErrReadOnly", err)
 	}
+	if err := e.InsertBatch([]uint64{1, 2}); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("InsertBatch on read-only filter = %v, want ErrReadOnly", err)
+	}
 	ts := httptest.NewServer(New(e))
 	defer ts.Close()
 	if code, _ := postJSON(t, ts, "/v1/insert", `{"key": 1}`); code != 409 {

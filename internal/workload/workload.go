@@ -11,12 +11,16 @@ import (
 	"beyondbloom/internal/hashutil"
 )
 
+// Key returns the i-th key of seed's stream: Keys(n, seed)[i] for any
+// n > i, without materialising the slice. Distinctness comes from
+// Mix64 being a bijection over a counter.
+func Key(i, seed uint64) uint64 { return hashutil.Mix64(i + seed<<32) }
+
 // Keys returns n distinct pseudo-random uint64 keys derived from seed.
-// Distinctness comes from Mix64 being a bijection over a counter.
 func Keys(n int, seed uint64) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = hashutil.Mix64(uint64(i) + seed<<32)
+		keys[i] = Key(uint64(i), seed)
 	}
 	return keys
 }
@@ -26,7 +30,7 @@ func Keys(n int, seed uint64) []uint64 {
 func DisjointKeys(n int, seed uint64) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = hashutil.Mix64(uint64(i) + seed<<32 + 1<<48)
+		keys[i] = Key(uint64(i)+1<<48, seed)
 	}
 	return keys
 }

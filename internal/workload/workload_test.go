@@ -13,6 +13,9 @@ func TestKeysDistinctAndDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("Keys not deterministic")
 		}
+		if k := Key(uint64(i), 1); k != a[i] {
+			t.Fatalf("Key(%d, 1) = %#x, Keys has %#x", i, k, a[i])
+		}
 		if seen[a[i]] {
 			t.Fatal("Keys not distinct")
 		}

@@ -2,9 +2,9 @@
 # Regenerate the committed BENCH_*.json files. Two kinds of source:
 #   go test -bench | scripts/bench_to_json.py (go's own benchmark format)
 #     BENCH_batch.json    batched vs scalar probes (batch_bench_test.go),
-#                         the blocked kernel at cache-resident and DRAM
-#                         size (internal/bloom) and the binary frame
-#                         codec (internal/server)
+#                         the blocked probe and insert kernels at
+#                         cache-resident and DRAM size (internal/bloom)
+#                         and the binary frame codec (internal/server)
 #     BENCH_persist.json  persistence codec (persist_bench_test.go)
 #   beyondbloom exp EXX -json (typed rows + acceptance, written by Go;
 #   exits 1 when a gating check fails, and then the file is not replaced)
@@ -27,7 +27,7 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 # The batch section: every package holding a probe-path benchmark.
-BATCH_BENCH='Filter.*Contains(Scalar|Batch)|FilterBatchSweep|BlockedContainsBatch|WireProbeFrame'
+BATCH_BENCH='Filter.*Contains(Scalar|Batch)|FilterBatchSweep|BlockedContainsBatch|BlockedInsert(Scalar|Batch)|WireProbeFrame'
 BATCH_PKGS='. ./internal/bloom ./internal/server'
 
 if [ "${1:-}" = "--compare" ]; then
