@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/concurrent"
@@ -454,8 +456,18 @@ func cmdReload(args []string) error {
 	if *path == "" {
 		return errors.New("-path is required")
 	}
-	req := fmt.Sprintf(`{"path": %q}`, *path)
-	body, err := post("http://"+*addr+"/admin/reload", "application/json", []byte(req))
+	// A JSON string carries Unicode text: bytes that are not UTF-8 would
+	// reach the server as U+FFFD, naming some other file.
+	if !utf8.ValidString(*path) {
+		return fmt.Errorf("-path %q is not valid UTF-8, which a JSON body cannot carry", *path)
+	}
+	req, err := json.Marshal(struct {
+		Path string `json:"path"`
+	}{*path})
+	if err != nil {
+		return err
+	}
+	body, err := post("http://"+*addr+"/admin/reload", "application/json", req)
 	if err != nil {
 		return err
 	}

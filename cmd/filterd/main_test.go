@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/lsm"
+	"beyondbloom/internal/server"
 	"beyondbloom/internal/workload"
 )
 
@@ -117,5 +119,47 @@ func TestOpenStorePolicy(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReloadPathRoundTrip pins that `reload -path` reaches the server
+// byte for byte for a path holding a control byte, DEL, a quote and a
+// backslash, and that a path that is not UTF-8, which no JSON string
+// can carry, is refused before anything is sent.
+func TestReloadPathRoundTrip(t *testing.T) {
+	e, err := server.NewEngine(bloom.NewBlocked(128, 12), nil, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ts := httptest.NewServer(server.New(e))
+	defer ts.Close()
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a\x01b\x7f\"c\\d.bbf")
+	var file bytes.Buffer
+	if _, err := core.Save(&file, bloom.NewBlocked(128, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdReload([]string{"-addr", addr, "-path", path}); err != nil {
+		t.Fatalf("reload %q: %v", path, err)
+	}
+	if got := e.Filter().Path; got != path {
+		t.Fatalf("server loaded %q, want %q", got, path)
+	}
+
+	notUTF8 := filepath.Join(dir, "e\xff.bbf")
+	if err := os.WriteFile(notUTF8, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdReload([]string{"-addr", addr, "-path", notUTF8}); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+		t.Fatalf("reload of a non-UTF-8 path = %v, want an error naming UTF-8", err)
+	}
+	if got := e.Filter().Path; got != path {
+		t.Fatalf("after the refused reload the server serves %q, want %q", got, path)
 	}
 }

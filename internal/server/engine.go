@@ -168,17 +168,25 @@ func (e *Engine) GetBatch(keys []uint64, values []uint64, found []bool) error {
 	return nil
 }
 
-// Apply applies KV mutations through the store's write path. The
-// store's write-stall machinery is the backpressure: when the flush
-// backlog is over budget, Apply blocks, blocked writers accumulate
-// against MaxInflightWrites, and writes beyond that budget are
-// rejected fast with ErrOverloaded instead of piling up goroutines.
+// Apply applies KV mutations through the store's write path and counts
+// one put request, whatever the entries hold. The store's write-stall
+// machinery is the backpressure: when the flush backlog is over
+// budget, Apply blocks, blocked writers accumulate against
+// MaxInflightWrites, and writes beyond that budget are rejected fast
+// with ErrOverloaded instead of piling up goroutines.
 func (e *Engine) Apply(entries ...lsm.Entry) error {
-	if len(entries) == 1 && entries[0].Tombstone {
-		e.m.ReqDelete.Add(1)
-	} else {
-		e.m.ReqPut.Add(1)
-	}
+	e.m.ReqPut.Add(1)
+	return e.apply(entries)
+}
+
+// applyDeletes is Apply for /v1/delete's tombstones, counted as one
+// delete request.
+func (e *Engine) applyDeletes(tombstones []lsm.Entry) error {
+	e.m.ReqDelete.Add(1)
+	return e.apply(tombstones)
+}
+
+func (e *Engine) apply(entries []lsm.Entry) error {
 	if e.store == nil {
 		return ErrNoStore
 	}

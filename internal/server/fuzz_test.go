@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"beyondbloom/internal/lsm"
 )
 
 // FuzzRequestDecode throws arbitrary bytes at the single request-decode
 // entry point (binary frames and JSON bodies) and checks the parser's
 // contract: it either rejects with a typed error or returns a request
 // that is in-bounds, canonical (binary re-encodes to the input bytes),
-// and round-trips through the response encoder. The checked-in corpus
-// under testdata/fuzz/FuzzRequestDecode seeds the interesting shapes:
-// truncated frames, lying counts, oversized batches, malformed JSON.
+// and round-trips through the response encoder; a JSON body decodes as
+// encoding/json decodes it (checkOracle). The checked-in corpus under
+// testdata/fuzz/FuzzRequestDecode seeds the interesting shapes:
+// truncated frames, lying counts, oversized batches, malformed JSON,
+// and encoding/json's corners (folded and escaped names, duplicates,
+// nulls, number forms, nesting depth).
 func FuzzRequestDecode(f *testing.F) {
 	// Valid inputs.
 	f.Add([]byte(`{"key": 7}`), false)
@@ -37,8 +42,21 @@ func FuzzRequestDecode(f *testing.F) {
 		if binary {
 			contentType = BinaryContentType
 		}
-		req := Request{Keys: make([]uint64, 0, 8)} // exercise slice reuse
+		// Reuse a slice with stale words, which no decode may show.
+		stale := []uint64{0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead}
+		req := Request{Keys: stale[:0]}
 		err := DecodeRequest(contentType, OpContains, data, &req)
+		if !binary {
+			point, want, werr := oracleKeys(data)
+			var got []uint64
+			if err == nil {
+				got = req.Keys
+				if p, _ := decodeJSONKeys(OpContains, data, &Request{}); p != point {
+					t.Fatalf("%q: point = %v, encoding/json says %v", data, p, point)
+				}
+			}
+			checkOracle(t, data, got, want, err, werr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrTooLarge) {
 				t.Fatalf("decode error is not typed: %v", err)
@@ -88,5 +106,24 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("values[%d] corrupted across the wire", i)
 			}
 		}
+	})
+}
+
+// FuzzPutBody holds the /v1/put decoder to encoding/json: every body
+// is accepted or refused alike (with the one ErrTooLarge divergence)
+// and decodes to the same entries, through a scratch slice full of
+// stale entries. testdata/fuzz/FuzzPutBody seeds the corners.
+func FuzzPutBody(f *testing.F) {
+	f.Add([]byte(`{"key": 1, "value": 2}`))
+	f.Add(jsonPutBody(16))
+	f.Add([]byte(`{"entries": [{"key": 1, "value": 2, "tombstone": true}], "entries": [{"key": 5}, null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stale := make([]lsm.Entry, 8)
+		for i := range stale {
+			stale[i] = lsm.Entry{Key: 0xdead, Value: 0xdead, Tombstone: true}
+		}
+		got, err := decodePutBody(data, stale[:0])
+		want, werr := oraclePut(data)
+		checkOracle(t, data, got, want, err, werr)
 	})
 }

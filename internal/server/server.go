@@ -17,24 +17,39 @@ import (
 const maxJSONBody = 1 << 20
 
 // Server is the HTTP front: thin, synchronous handlers over the
-// Engine. JSON endpoints serve humans and tests; /v1/probe speaks the
-// binary frame format for hot clients, through pooled scratch buffers
-// so the handler body allocates nothing per request at steady state.
+// Engine. Every data route reads its body into pooled scratch, decodes
+// it in place (JSON for humans and tests, and the only form of writes;
+// /v1/probe speaks the binary frame format for hot reads), and appends
+// its reply into the same scratch, so the handler body allocates
+// nothing per request at steady state.
 type Server struct {
 	e       *Engine
 	mux     *http.ServeMux
 	scratch sync.Pool // *probeScratch
 }
 
-// probeScratch is the reusable state of one binary probe: the request
-// body, the decoded request, result slots, and the response frame.
+// probeScratch is the reusable state of one data-route request: the
+// body, the decoded keys or entries, result slots, and the reply.
 type probeScratch struct {
-	body  []byte
-	req   Request
-	vals  []uint64
-	found []bool
-	resp  []byte
+	body    []byte
+	req     Request
+	entries []lsm.Entry
+	vals    []uint64
+	found   []bool
+	resp    []byte
 }
+
+// size makes the result slots n long.
+func (sc *probeScratch) size(n int) {
+	if cap(sc.found) < n {
+		sc.found = make([]bool, n)
+		sc.vals = make([]uint64, n)
+	}
+	sc.found = sc.found[:n]
+	sc.vals = sc.vals[:n]
+}
+
+const jsonContentType = "application/json"
 
 // New builds the HTTP layer over an engine.
 func New(e *Engine) *Server {
@@ -85,21 +100,41 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		s.fail(w, fmt.Errorf("%w: reading body: %v", ErrMalformed, err))
-		return nil, false
+// readBody reads the request body into pooled scratch, refusing one
+// over limit bytes. On success the caller puts sc back in s.scratch.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (*probeScratch, bool) {
+	sc, _ := s.scratch.Get().(*probeScratch)
+	if sc == nil {
+		sc = &probeScratch{}
 	}
-	if int64(len(body)) > limit {
-		s.fail(w, fmt.Errorf("%w: body over %d bytes", ErrTooLarge, limit))
-		return nil, false
+	var err error
+	sc.body, err = readInto(sc.body[:0], r.Body, limit+1)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: reading body: %v", ErrMalformed, err)
+	case int64(len(sc.body)) > limit:
+		err = fmt.Errorf("%w: body over %d bytes", ErrTooLarge, limit)
+	default:
+		return sc, true
 	}
-	return body, true
+	s.scratch.Put(sc)
+	s.fail(w, err)
+	return nil, false
 }
 
+// writeBody writes a whole reply with its length, so a reply over
+// net/http's 2 KiB buffer (a 256-key OpGet frame is 2088 bytes) does
+// not go out chunked.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// writeJSON encodes an admin route's reply by reflection.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -107,150 +142,111 @@ func writeJSON(w http.ResponseWriter, v any) {
 // {"key": k} gets a scalar from the point path, {"keys": [...]} an
 // array from the batch path, even for a one-element list.
 func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r, maxJSONBody)
+	sc, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
-	var req Request
-	point, err := decodeJSONKeys(OpContains, body, &req)
+	defer s.scratch.Put(sc)
+	point, err := decodeJSONKeys(OpContains, sc.body, &sc.req)
+	if err == nil {
+		sc.size(len(sc.req.Keys))
+		if point {
+			sc.found[0], err = s.e.Contains(r.Context(), sc.req.Keys[0])
+		} else {
+			err = s.e.ContainsBatch(sc.req.Keys, sc.found)
+		}
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if point {
-		found, err := s.e.Contains(r.Context(), req.Keys[0])
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		writeJSON(w, map[string]bool{"found": found})
-		return
-	}
-	out := make([]bool, len(req.Keys))
-	if err := s.e.ContainsBatch(req.Keys, out); err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, map[string][]bool{"found": out})
+	sc.resp = appendContainsReply(sc.resp[:0], point, sc.found)
+	writeBody(w, jsonContentType, sc.resp)
 }
 
 // handleGet answers LSM lookups, dispatching on the body's form as
 // handleContains does.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r, maxJSONBody)
+	sc, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
-	var req Request
-	point, err := decodeJSONKeys(OpGet, body, &req)
+	defer s.scratch.Put(sc)
+	point, err := decodeJSONKeys(OpGet, sc.body, &sc.req)
+	if err == nil {
+		sc.size(len(sc.req.Keys))
+		if point {
+			sc.vals[0], sc.found[0], err = s.e.Get(r.Context(), sc.req.Keys[0])
+		} else {
+			err = s.e.GetBatch(sc.req.Keys, sc.vals, sc.found)
+		}
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if point {
-		value, found, err := s.e.Get(r.Context(), req.Keys[0])
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"value": value, "found": found})
-		return
-	}
-	values := make([]uint64, len(req.Keys))
-	found := make([]bool, len(req.Keys))
-	if err := s.e.GetBatch(req.Keys, values, found); err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, map[string]any{"values": values, "found": found})
+	sc.resp = appendGetReply(sc.resp[:0], point, sc.found, sc.vals)
+	writeBody(w, jsonContentType, sc.resp)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r, maxJSONBody)
+	sc, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
-	var req Request
-	if err := DecodeJSONKeys(OpContains, body, &req); err != nil {
+	defer s.scratch.Put(sc)
+	err := DecodeJSONKeys(OpContains, sc.body, &sc.req)
+	if err == nil {
+		err = s.e.InsertBatch(sc.req.Keys)
+	}
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if err := s.e.InsertBatch(req.Keys); err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, map[string]bool{"ok": true})
-}
-
-// jsonEntry is one mutation in a /v1/put body.
-type jsonEntry struct {
-	Key       uint64 `json:"key"`
-	Value     uint64 `json:"value"`
-	Tombstone bool   `json:"tombstone"`
-}
-
-type jsonPut struct {
-	Key     *uint64     `json:"key"`
-	Value   uint64      `json:"value"`
-	Entries []jsonEntry `json:"entries"`
+	writeBody(w, jsonContentType, okReply)
 }
 
 // handlePut applies {"key": k, "value": v} or a batched
 // {"entries": [...]} — the batch becomes one atomic WAL record on
-// durable stores (group commit does the rest).
+// durable stores (group commit does the rest). Store.Apply does not
+// retain the entries, so they live in the pooled scratch.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r, maxJSONBody)
+	sc, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
-	var req jsonPut
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, fmt.Errorf("%w: %v", ErrMalformed, err))
-		return
+	defer s.scratch.Put(sc)
+	entries, err := decodePutBody(sc.body, sc.entries)
+	if err == nil {
+		sc.entries = entries
+		err = s.e.Apply(entries...)
 	}
-	var entries []lsm.Entry
-	switch {
-	case req.Key != nil && req.Entries == nil:
-		entries = []lsm.Entry{{Key: *req.Key, Value: req.Value}}
-	case req.Key == nil && len(req.Entries) > 0:
-		if len(req.Entries) > MaxWireBatch {
-			s.fail(w, fmt.Errorf("%w: %d entries", ErrTooLarge, len(req.Entries)))
-			return
-		}
-		entries = make([]lsm.Entry, len(req.Entries))
-		for i, e := range req.Entries {
-			entries[i] = lsm.Entry{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}
-		}
-	default:
-		s.fail(w, fmt.Errorf(`%w: body needs "key" or a non-empty "entries"`, ErrMalformed))
-		return
-	}
-	if err := s.e.Apply(entries...); err != nil {
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, map[string]bool{"ok": true})
+	writeBody(w, jsonContentType, okReply)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r, maxJSONBody)
+	sc, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
-	var req Request
-	if err := DecodeJSONKeys(OpGet, body, &req); err != nil {
+	defer s.scratch.Put(sc)
+	err := DecodeJSONKeys(OpGet, sc.body, &sc.req)
+	if err == nil {
+		sc.entries = sc.entries[:0]
+		for _, k := range sc.req.Keys {
+			sc.entries = append(sc.entries, lsm.Entry{Key: k, Tombstone: true})
+		}
+		err = s.e.applyDeletes(sc.entries)
+	}
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	entries := make([]lsm.Entry, len(req.Keys))
-	for i, k := range req.Keys {
-		entries[i] = lsm.Entry{Key: k, Tombstone: true}
-	}
-	if err := s.e.Apply(entries...); err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, map[string]bool{"ok": true})
+	writeBody(w, jsonContentType, okReply)
 }
 
 // handleProbe is the binary hot path: one frame in, one frame out,
@@ -261,33 +257,17 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.e.Metrics().ReqProbeBinary.Add(1)
-	sc, _ := s.scratch.Get().(*probeScratch)
-	if sc == nil {
-		sc = &probeScratch{}
+	sc, ok := s.readBody(w, r, reqHeaderLen+8*MaxWireBatch)
+	if !ok {
+		return
 	}
 	defer s.scratch.Put(sc)
-	limit := int64(reqHeaderLen + 8*MaxWireBatch)
-	var err error
-	sc.body, err = readInto(sc.body[:0], r.Body, limit+1)
-	if err != nil {
-		s.fail(w, fmt.Errorf("%w: reading body: %v", ErrMalformed, err))
-		return
-	}
-	if int64(len(sc.body)) > limit {
-		s.fail(w, fmt.Errorf("%w: frame over %d bytes", ErrTooLarge, limit))
-		return
-	}
 	frame, err := s.probeFrame(sc)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	// An explicit length keeps replies over net/http's 2 KiB buffer
-	// (a 256-key OpGet frame is 2088 bytes) from going out chunked.
-	h := w.Header()
-	h.Set("Content-Type", BinaryContentType)
-	h.Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
+	writeBody(w, BinaryContentType, frame)
 }
 
 // probeFrame decodes sc.body, probes, and encodes the response into
@@ -299,13 +279,7 @@ func (s *Server) probeFrame(sc *probeScratch) ([]byte, error) {
 	if err := DecodeBinaryRequest(sc.body, &sc.req); err != nil {
 		return nil, err
 	}
-	n := len(sc.req.Keys)
-	if cap(sc.found) < n {
-		sc.found = make([]bool, n)
-		sc.vals = make([]uint64, n)
-	}
-	sc.found = sc.found[:n]
-	sc.vals = sc.vals[:n]
+	sc.size(len(sc.req.Keys))
 	switch sc.req.Op {
 	case OpContains:
 		if err := s.e.ContainsBatch(sc.req.Keys, sc.found); err != nil {
@@ -343,12 +317,13 @@ type jsonReload struct {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r, maxJSONBody)
+	sc, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
 		return
 	}
+	defer s.scratch.Put(sc)
 	var req jsonReload
-	if err := json.Unmarshal(body, &req); err != nil || req.Path == "" {
+	if err := json.Unmarshal(sc.body, &req); err != nil || req.Path == "" {
 		s.fail(w, fmt.Errorf(`%w: body needs "path"`, ErrMalformed))
 		return
 	}

@@ -194,6 +194,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 // TestJSONAnswerShape pins that a body's form, not its key count,
 // picks the path and the answer's form: {"key": k} gets a scalar from
 // the point path, {"keys": [k]} a one-element array from the batch path.
+// Writes count under their route, not the shape of their entries.
 func TestJSONAnswerShape(t *testing.T) {
 	e := newTestEngine(t, true, Config{})
 	ts := httptest.NewServer(New(e))
@@ -213,6 +214,8 @@ func TestJSONAnswerShape(t *testing.T) {
 		{"contains keys", "/v1/contains", `{"keys": [7]}`, `{"found":[true]}`, &m.ReqContainsBatch},
 		{"get key", "/v1/get", `{"key": 7}`, `{"found":true,"value":70}`, &m.ReqGet},
 		{"get keys", "/v1/get", `{"keys": [7]}`, `{"found":[true],"values":[70]}`, &m.ReqGetBatch},
+		{"delete keys", "/v1/delete", `{"keys": [8, 9]}`, `{"ok":true}`, &m.ReqDelete},
+		{"put tombstone", "/v1/put", `{"entries": [{"key": 8, "tombstone": true}]}`, `{"ok":true}`, &m.ReqPut},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.counter.Load()

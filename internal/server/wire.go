@@ -6,8 +6,9 @@
 // frame of up to MaxWireBatch keys that goes down the
 // hash-once/probe-many kernels whole. The pieces compose bottom-up:
 //
-//   - wire.go: the request/response wire formats — JSON for humans and
-//     a pinned little-endian binary frame for hot clients.
+//   - wire.go: the pinned little-endian binary frame for hot clients.
+//   - json.go: the JSON bodies of the data routes, scanned and encoded
+//     without reflection into pooled scratch.
 //   - reload.go: zero-downtime filter reload by atomic snapshot
 //     hand-off from .bbf files.
 //   - metrics.go: atomic counters rendered at /metrics and /debug/vars.
@@ -18,7 +19,6 @@ package server
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -256,48 +256,6 @@ func DecodeBinaryResponse(data []byte, resp *Response) error {
 		getUint64s(resp.Values, data[respHeaderLen+(n+7)/8:])
 	}
 	return nil
-}
-
-// jsonKeys is the JSON request body of the probe endpoints: exactly one
-// of "key" or "keys" must be present.
-type jsonKeys struct {
-	Key  *uint64  `json:"key"`
-	Keys []uint64 `json:"keys"`
-}
-
-// DecodeJSONKeys parses a {"key": k} or {"keys": [...]} body into req
-// (the op comes from the route, not the body). It enforces the same
-// MaxWireBatch bound as the binary parser and rejects bodies with
-// both, neither, or an empty key list.
-func DecodeJSONKeys(op byte, data []byte, req *Request) error {
-	_, err := decodeJSONKeys(op, data, req)
-	return err
-}
-
-// decodeJSONKeys is DecodeJSONKeys that also reports the body's form:
-// point is true for {"key": k} and false for {"keys": [...]}, whatever
-// the list's length. The handlers answer in the form they were asked.
-func decodeJSONKeys(op byte, data []byte, req *Request) (point bool, err error) {
-	var body jsonKeys
-	if err := json.Unmarshal(data, &body); err != nil {
-		return false, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	switch {
-	case body.Key != nil && body.Keys != nil:
-		return false, fmt.Errorf(`%w: body has both "key" and "keys"`, ErrMalformed)
-	case body.Key != nil:
-		req.Op = op
-		req.Keys = append(req.Keys[:0], *body.Key)
-		return true, nil
-	case len(body.Keys) > MaxWireBatch:
-		return false, fmt.Errorf("%w: %d keys", ErrTooLarge, len(body.Keys))
-	case len(body.Keys) > 0:
-		req.Op = op
-		req.Keys = append(req.Keys[:0], body.Keys...)
-		return false, nil
-	default:
-		return false, fmt.Errorf(`%w: body needs "key" or a non-empty "keys"`, ErrMalformed)
-	}
 }
 
 // DecodeRequest dispatches on content type: BinaryContentType selects

@@ -114,63 +114,6 @@ func TestBinaryRequestRejects(t *testing.T) {
 	}
 }
 
-func TestDecodeJSONKeys(t *testing.T) {
-	cases := []struct {
-		name     string
-		body     string
-		wantErr  error
-		wantKeys []uint64
-	}{
-		{"single key", `{"key": 7}`, nil, []uint64{7}},
-		{"key zero", `{"key": 0}`, nil, []uint64{0}},
-		{"batch", `{"keys": [1, 2, 3]}`, nil, []uint64{1, 2, 3}},
-		{"not json", `{`, ErrMalformed, nil},
-		{"wrong type", `{"key": "seven"}`, ErrMalformed, nil},
-		{"both key and keys", `{"key": 1, "keys": [2]}`, ErrMalformed, nil},
-		{"neither", `{}`, ErrMalformed, nil},
-		{"empty keys", `{"keys": []}`, ErrMalformed, nil},
-		{"negative key", `{"key": -1}`, ErrMalformed, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var req Request
-			err := DecodeJSONKeys(OpContains, []byte(tc.body), &req)
-			if tc.wantErr != nil {
-				if !errors.Is(err, tc.wantErr) {
-					t.Fatalf("error = %v, want %v", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(req.Keys) != len(tc.wantKeys) {
-				t.Fatalf("got %d keys, want %d", len(req.Keys), len(tc.wantKeys))
-			}
-			for i := range tc.wantKeys {
-				if req.Keys[i] != tc.wantKeys[i] {
-					t.Fatalf("key %d = %d, want %d", i, req.Keys[i], tc.wantKeys[i])
-				}
-			}
-		})
-	}
-}
-
-func TestDecodeJSONKeysTooLarge(t *testing.T) {
-	body := []byte(`{"keys": [`)
-	for i := 0; i <= MaxWireBatch; i++ {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, '1')
-	}
-	body = append(body, `]}`...)
-	var req Request
-	if err := DecodeJSONKeys(OpContains, body, &req); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("error = %v, want ErrTooLarge", err)
-	}
-}
-
 // TestDecodeRequestDispatch checks the content-type switch: the binary
 // parser owns its op byte, the JSON parser takes the route's.
 func TestDecodeRequestDispatch(t *testing.T) {
@@ -294,4 +237,24 @@ func BenchmarkWireProbeFrame(b *testing.B) {
 	}
 	wireSink = len(resp)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+}
+
+// BenchmarkJSONBodyPoint, BenchmarkJSONBodyPut16 and
+// BenchmarkJSONBodyKeys4096 decode a JSON data-route body into warm
+// scratch and append its reply: the codec half of a served point
+// probe, of a kv_write put, and of a 4096-key probe_point preload.
+func BenchmarkJSONBodyPoint(b *testing.B)    { benchJSONBody(b, jsonPointBody, false) }
+func BenchmarkJSONBodyPut16(b *testing.B)    { benchJSONBody(b, jsonPutBody(16), true) }
+func BenchmarkJSONBodyKeys4096(b *testing.B) { benchJSONBody(b, jsonKeysBody(MaxWireBatch), false) }
+
+func benchJSONBody(b *testing.B, body []byte, put bool) {
+	sc := &probeScratch{body: body}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := jsonRound(sc, put); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wireSink = len(sc.resp)
 }

@@ -4,7 +4,8 @@
 #     BENCH_batch.json    batched vs scalar probes (batch_bench_test.go),
 #                         the blocked probe and insert kernels at
 #                         cache-resident and DRAM size (internal/bloom)
-#                         and the binary frame codec (internal/server)
+#                         and the binary frame and JSON body codecs
+#                         (internal/server)
 #     BENCH_persist.json  persistence codec (persist_bench_test.go)
 #   beyondbloom exp EXX -json (typed rows + acceptance, written by Go;
 #   exits 1 when a gating check fails, and then the file is not replaced)
@@ -27,7 +28,7 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 # The batch section: every package holding a probe-path benchmark.
-BATCH_BENCH='Filter.*Contains(Scalar|Batch)|FilterBatchSweep|BlockedContainsBatch|BlockedInsert(Scalar|Batch)|WireProbeFrame'
+BATCH_BENCH='Filter.*Contains(Scalar|Batch)|FilterBatchSweep|BlockedContainsBatch|BlockedInsert(Scalar|Batch)|WireProbeFrame|JSONBody'
 BATCH_PKGS='. ./internal/bloom ./internal/server'
 
 if [ "${1:-}" = "--compare" ]; then

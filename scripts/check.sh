@@ -46,17 +46,19 @@ echo "== benchmark smoke (1 iteration, -short) =="
 go test -short -run '^$' -bench 'Filter|Persist|LSMConcurrent' -benchtime 1x -benchmem . >/dev/null
 go test -short -run '^$' -bench 'StoreSeed|StoreGetBatch' -benchtime 1x ./internal/lsm >/dev/null
 go test -short -run '^$' -bench 'Blocked(Contains|Insert)Batch' -benchtime 1x ./internal/bloom >/dev/null
+go test -short -run '^$' -bench 'WireProbeFrame|JSONBody' -benchtime 1x ./internal/server >/dev/null
 
 echo "== served benchmark: vet, tests, smoke run (every answer verified) =="
 go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + WAL + wire + taffy + quotient + Elias-Fano fuzz burst (10s each) =="
+echo "== codec + WAL + wire + JSON body + taffy + quotient + Elias-Fano fuzz burst (10s each) =="
 go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s ./internal/server >/dev/null
+go test -run '^$' -fuzz FuzzPutBody -fuzztime 10s ./internal/server >/dev/null
 go test -run '^$' -fuzz FuzzTaffy -fuzztime 10s ./internal/taffy >/dev/null
 go test -run '^$' -fuzz FuzzFilterChurn -fuzztime 10s ./internal/quotient >/dev/null
 go test -run '^$' -fuzz FuzzCounterCodec -fuzztime 10s ./internal/quotient >/dev/null
