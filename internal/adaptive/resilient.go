@@ -3,7 +3,6 @@ package adaptive
 import (
 	"context"
 	"sync"
-	"time"
 
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/fault"
@@ -11,19 +10,15 @@ import (
 
 // ResilientOptions configure the lookup-and-repair loop.
 type ResilientOptions struct {
-	// Retrier retries transient remote failures (nil: single attempt).
-	Retrier *fault.Retrier
-	// Breaker sheds remote load after repeated failures (nil: none).
-	// While the circuit is open, positives go unverified and their
-	// repairs are deferred instead of hammering a sick remote.
-	Breaker *fault.Breaker
-	// Timeout bounds each remote attempt (0: none).
-	Timeout time.Duration
-	// MaxDeferred caps the deferred-repair set (default 1024). Keys
-	// evicted from a full set are simply re-deferred on their next hit,
-	// so the cap bounds memory, not correctness.
-	MaxDeferred int
+	// Attempts bounds the remote calls one verification makes, retrying
+	// transient failures (0 or 1: a single attempt).
+	Attempts int
 }
+
+// maxDeferred caps the deferred-repair set. Keys that find the set full
+// are simply re-deferred on their next hit, so the cap bounds memory,
+// not correctness.
+const maxDeferred = 1024
 
 // ResilientStats counts the loop's behavior.
 type ResilientStats struct {
@@ -34,7 +29,7 @@ type ResilientStats struct {
 	Adapts          uint64 // false positives repaired
 	Deferred        uint64 // repairs postponed because the remote erred
 	RepairedLater   uint64 // deferred repairs completed on a later hit
-	DroppedDeferred uint64 // deferrals not recorded (set at MaxDeferred)
+	DroppedDeferred uint64 // deferrals not recorded (set at maxDeferred)
 }
 
 // Resilient is the adaptive-filter repair loop of §2.3 made robust to an
@@ -56,9 +51,6 @@ type Resilient struct {
 
 // NewResilient wraps filter and remote with the given resilience policy.
 func NewResilient(filter core.AdaptiveFilter, remote core.FallibleRemote, opts ResilientOptions) *Resilient {
-	if opts.MaxDeferred == 0 {
-		opts.MaxDeferred = 1024
-	}
 	return &Resilient{
 		filter:   filter,
 		remote:   remote,
@@ -67,30 +59,14 @@ func NewResilient(filter core.AdaptiveFilter, remote core.FallibleRemote, opts R
 	}
 }
 
-// verify asks the remote about key through the configured combinators:
-// breaker outermost (an open circuit skips the retries entirely), then
-// retry, then per-attempt timeout.
-func (r *Resilient) verify(ctx context.Context, key uint64) (bool, error) {
-	var present bool
-	attempt := func(ctx context.Context) error {
-		return fault.Timeout(ctx, r.opts.Timeout, func(ctx context.Context) error {
-			ok, err := r.remote.Contains(ctx, key)
-			if err == nil {
-				present = ok
-			}
-			return err
-		})
-	}
-	withRetry := attempt
-	if r.opts.Retrier != nil {
-		withRetry = func(ctx context.Context) error { return r.opts.Retrier.Do(ctx, attempt) }
-	}
-	var err error
-	if r.opts.Breaker != nil {
-		err = r.opts.Breaker.Do(ctx, withRetry)
-	} else {
-		err = withRetry(ctx)
-	}
+// verify asks the remote about key, retrying transient failures up to
+// Attempts calls.
+func (r *Resilient) verify(ctx context.Context, key uint64) (present bool, err error) {
+	err = fault.Retry(ctx, r.opts.Attempts, func() error {
+		var err error
+		present, err = r.remote.Contains(ctx, key)
+		return err
+	})
 	return present, err
 }
 
@@ -135,7 +111,7 @@ func (r *Resilient) defer_(key uint64) {
 	if _, ok := r.deferred[key]; ok {
 		return
 	}
-	if len(r.deferred) >= r.opts.MaxDeferred {
+	if len(r.deferred) >= maxDeferred {
 		r.stats.DroppedDeferred++
 		return
 	}

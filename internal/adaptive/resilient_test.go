@@ -3,7 +3,6 @@ package adaptive
 import (
 	"context"
 	"testing"
-	"time"
 
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/fault"
@@ -108,13 +107,11 @@ func TestResilientDeferredRepairCompletesOnRetry(t *testing.T) {
 	}
 }
 
-func TestResilientRetrierMasksTransients(t *testing.T) {
+func TestResilientRetryMasksTransients(t *testing.T) {
 	// 30% transient errors, 4 attempts: almost every verification
 	// succeeds, so false positives get repaired and negatives converge.
 	in := fault.NewInjector(11, fault.Transient(0.3))
-	r, keys := buildResilient(t, 5000, in, ResilientOptions{
-		Retrier: fault.NewRetrier(fault.RetryPolicy{MaxAttempts: 4, Sleep: fault.NoSleep}),
-	})
+	r, keys := buildResilient(t, 5000, in, ResilientOptions{Attempts: 4})
 	ctx := context.Background()
 	neg := workload.DisjointKeys(20000, 77)
 	for _, k := range neg {
@@ -136,42 +133,6 @@ func TestResilientRetrierMasksTransients(t *testing.T) {
 	}
 }
 
-func TestResilientBreakerShedsLoad(t *testing.T) {
-	clk := time.Unix(0, 0)
-	in := fault.NewInjector(13, fault.Transient(1.0))
-	br := fault.NewBreaker(fault.BreakerOptions{
-		FailureThreshold: 5,
-		Cooldown:         time.Hour, // never half-opens during this test
-		Now:              func() time.Time { return clk },
-	})
-	f := NewCuckoo(2000, 8)
-	set := core.NewMapSet()
-	for _, k := range workload.Keys(2000, 41) {
-		f.Insert(k)
-		set.Insert(k)
-	}
-	fs := fault.NewFallibleSet(set, in)
-	r := NewResilient(f, fs, ResilientOptions{Breaker: br})
-	ctx := context.Background()
-	// Positives keep arriving; after 5 failures the breaker opens and
-	// the remote stops being called at all.
-	keys := workload.Keys(2000, 41)
-	for _, k := range keys[:200] {
-		if !r.Contains(ctx, k) {
-			t.Fatalf("false negative on %d", k)
-		}
-	}
-	if br.State() != fault.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", br.State())
-	}
-	if got := in.Stats().Ops; got != 5 {
-		t.Fatalf("remote saw %d calls, want exactly the 5 pre-trip ones", got)
-	}
-	if s := br.Stats(); s.Rejections != 195 {
-		t.Fatalf("rejections = %d, want 195", s.Rejections)
-	}
-}
-
 func TestResilientMatchesPlainAdaptiveWhenHealthy(t *testing.T) {
 	// With a clean injector the resilient loop must behave exactly like
 	// the bare filter + exact remote.
@@ -183,7 +144,7 @@ func TestResilientMatchesPlainAdaptiveWhenHealthy(t *testing.T) {
 		plain.Insert(k)
 		set.Insert(k)
 	}
-	r := NewResilient(plain, core.AsFallible(set), ResilientOptions{})
+	r := NewResilient(plain, fault.NewFallibleSet(set, fault.NewInjector(1)), ResilientOptions{})
 	ctx := context.Background()
 	neg := workload.DisjointKeys(10000, 52)
 	for _, k := range neg {

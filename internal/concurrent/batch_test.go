@@ -8,7 +8,6 @@ import (
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
-	"beyondbloom/internal/dleft"
 	"beyondbloom/internal/workload"
 )
 
@@ -37,29 +36,6 @@ func TestShardedContainsBatchMatchesScalar(t *testing.T) {
 	s.ContainsBatch(probes, out)
 	for i, k := range probes {
 		if out[i] != s.Contains(k) {
-			t.Fatalf("batch/scalar disagree for key %d at %d", k, i)
-		}
-	}
-}
-
-func TestCountingContainsBatchMatchesScalar(t *testing.T) {
-	const n = 5000
-	c, err := NewCounting(3, func(int) core.CountingFilter {
-		return dleft.New(n, 12, 4)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.Keys(n, 12)
-	for _, k := range keys[:n/2] {
-		if err := c.Add(k, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := make([]bool, len(keys))
-	c.ContainsBatch(keys, out)
-	for i, k := range keys {
-		if out[i] != c.Contains(k) {
 			t.Fatalf("batch/scalar disagree for key %d at %d", k, i)
 		}
 	}

@@ -110,46 +110,3 @@ func TestShardedChaos(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 }
-
-// TestCountingChaos: concurrent Add/Remove/Count on the sharded counting
-// filter; counts must never underreport a worker's own live additions.
-func TestCountingChaos(t *testing.T) {
-	const workers = 8
-	c, err := NewCounting(4, func(int) core.CountingFilter {
-		return quotient.NewCountingForCapacity(workers*2000*2, 0.001)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + w)))
-			keys := workload.Keys(2000, uint64(200+w))
-			counts := make(map[uint64]uint64, len(keys))
-			for i := 0; i < 10000; i++ {
-				k := keys[rng.Intn(len(keys))]
-				if rng.Intn(3) == 0 && counts[k] > 0 {
-					if err := c.Remove(k, 1); err != nil {
-						t.Errorf("worker %d: remove: %v", w, err)
-						return
-					}
-					counts[k]--
-				} else {
-					if err := c.Add(k, 1); err != nil {
-						t.Errorf("worker %d: add: %v", w, err)
-						return
-					}
-					counts[k]++
-				}
-				if got := c.Count(k); got < counts[k] {
-					t.Errorf("worker %d: Count(%d) = %d underreports %d", w, k, got, counts[k])
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -289,113 +289,3 @@ var (
 	_ core.BatchInserter   = (*Sharded)(nil)
 	_ core.GrowableFilter  = (*Sharded)(nil)
 )
-
-// Counting is the sharded wrapper for counting filters.
-type Counting struct {
-	shards  []countingShard
-	mask    uint64
-	seed    uint64
-	scratch sync.Pool // *batchScratch, reused across ContainsBatch calls
-}
-
-type countingShard struct {
-	mu sync.RWMutex
-	f  core.CountingFilter
-}
-
-// NewCounting builds a sharded counting filter. Bad configuration is
-// returned as an error (see NewSharded).
-func NewCounting(logShards uint, build func(shardIndex int) core.CountingFilter) (*Counting, error) {
-	if logShards > MaxLogShards {
-		return nil, fmt.Errorf("concurrent: logShards %d exceeds max %d", logShards, MaxLogShards)
-	}
-	if build == nil {
-		return nil, errNilBuild
-	}
-	n := 1 << logShards
-	c := &Counting{shards: make([]countingShard, n), mask: uint64(n - 1), seed: 0x5A4DED}
-	for i := range c.shards {
-		if c.shards[i].f = build(i); c.shards[i].f == nil {
-			return nil, fmt.Errorf("concurrent: build returned nil filter for shard %d", i)
-		}
-	}
-	return c, nil
-}
-
-func (c *Counting) shardOf(key uint64) *countingShard {
-	return &c.shards[hashutil.MixSeed(key, c.seed)>>48&c.mask]
-}
-
-// Add inserts delta occurrences of key.
-func (c *Counting) Add(key uint64, delta uint64) error {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.f.Add(key, delta)
-}
-
-// Remove deletes delta occurrences of key.
-func (c *Counting) Remove(key uint64, delta uint64) error {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.f.Remove(key, delta)
-}
-
-// Count returns key's multiplicity.
-func (c *Counting) Count(key uint64) uint64 {
-	sh := c.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.f.Count(key)
-}
-
-// Contains reports whether key may be present.
-func (c *Counting) Contains(key uint64) bool { return c.Count(key) > 0 }
-
-// ContainsBatch probes every key (see core.BatchFilter), grouping the
-// batch by shard so each shard's lock is taken once per sub-batch.
-func (c *Counting) ContainsBatch(keys []uint64, out []bool) {
-	_ = out[:len(keys)]
-	if len(keys) == 0 {
-		return
-	}
-	sc, _ := c.scratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
-	}
-	shards := len(c.shards)
-	groupByShard(sc, keys, c.seed, c.mask, shards)
-	for j := 0; j < shards; j++ {
-		lo, hi := sc.bounds[j], sc.bounds[j+1]
-		if lo == hi {
-			continue
-		}
-		sh := &c.shards[j]
-		sh.mu.RLock()
-		for i := lo; i < hi; i++ {
-			sc.res[i] = sh.f.Count(sc.keys[i]) > 0
-		}
-		sh.mu.RUnlock()
-	}
-	for j := 0; j < len(keys); j++ {
-		out[sc.origin[j]] = sc.res[j]
-	}
-	c.scratch.Put(sc)
-}
-
-// SizeBits sums the shards.
-func (c *Counting) SizeBits() int {
-	total := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		total += c.shards[i].f.SizeBits()
-		c.shards[i].mu.RUnlock()
-	}
-	return total
-}
-
-var (
-	_ core.CountingFilter = (*Counting)(nil)
-	_ core.BatchFilter    = (*Counting)(nil)
-)

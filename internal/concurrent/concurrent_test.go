@@ -99,15 +99,6 @@ func TestBadConfigReturnsError(t *testing.T) {
 	if _, err := NewSharded(1, func(int) core.DeletableFilter { return nil }); err == nil {
 		t.Fatal("nil shard filter must be rejected")
 	}
-	if _, err := NewCounting(13, func(int) core.CountingFilter { return quotient.NewCounting(4, 4) }); err == nil {
-		t.Fatal("oversized counting logShards must be rejected")
-	}
-	if _, err := NewCounting(1, nil); err == nil {
-		t.Fatal("nil counting build must be rejected")
-	}
-	if _, err := NewCounting(1, func(int) core.CountingFilter { return nil }); err == nil {
-		t.Fatal("nil counting shard filter must be rejected")
-	}
 	if s, err := NewSharded(MaxLogShards, func(int) core.DeletableFilter { return cuckoo.New(8, 8) }); err != nil || s.Shards() != 1<<MaxLogShards {
 		t.Fatalf("max logShards should be accepted: %v", err)
 	}
@@ -128,35 +119,6 @@ func TestShardedCuckooBackend(t *testing.T) {
 	}
 	if fn := metrics.FalseNegatives(s, keys); fn != 0 {
 		t.Fatalf("%d false negatives", fn)
-	}
-}
-
-func TestCountingSharded(t *testing.T) {
-	c, err := NewCounting(3, func(int) core.CountingFilter {
-		return quotient.NewCountingForCapacity(2000, 0.001)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.Keys(1000, 5)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, k := range keys {
-				if err := c.Add(k, 1); err != nil {
-					t.Errorf("add: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, k := range keys {
-		if got := c.Count(k); got < 8 {
-			t.Fatalf("Count(%d) = %d, want >= 8", k, got)
-		}
 	}
 }
 
@@ -208,39 +170,6 @@ func BenchmarkShardedLookupParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-func TestCountingRemoveAndContains(t *testing.T) {
-	c, err := NewCounting(2, func(int) core.CountingFilter {
-		return quotient.NewCountingForCapacity(1000, 0.001)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.Keys(200, 11)
-	for _, k := range keys {
-		c.Add(k, 3)
-	}
-	for _, k := range keys {
-		if !c.Contains(k) {
-			t.Fatalf("missing key %d", k)
-		}
-		if err := c.Remove(k, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	present := 0
-	for _, k := range keys {
-		if c.Contains(k) {
-			present++
-		}
-	}
-	if present > 2 {
-		t.Errorf("%d keys still present after removal", present)
-	}
-	if c.SizeBits() <= 0 {
-		t.Error("SizeBits must be positive")
-	}
 }
 
 func TestShardedSizeBits(t *testing.T) {

@@ -10,44 +10,3 @@ import "context"
 type FallibleRemote interface {
 	Contains(ctx context.Context, key uint64) (bool, error)
 }
-
-// infallibleRemote adapts a Remote into a FallibleRemote that never
-// fails (beyond context cancellation).
-type infallibleRemote struct{ r Remote }
-
-func (a infallibleRemote) Contains(ctx context.Context, key uint64) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return a.r.Contains(key), nil
-}
-
-// AsFallible adapts an exact Remote to the fallible interface.
-func AsFallible(r Remote) FallibleRemote { return infallibleRemote{r} }
-
-// FailSafeRemote adapts a FallibleRemote back to the infallible Remote
-// interface by answering "present" whenever the remote errs. That is the
-// fail-safe direction for every caller in this repository: treating an
-// unverifiable key as present costs a (possibly spurious) positive but
-// can never introduce a false negative, and it never triggers an Adapt
-// on a key the remote might actually hold.
-type FailSafeRemote struct {
-	R FallibleRemote
-	// Errors counts accesses that fell back to the fail-safe answer.
-	Errors int
-}
-
-// Contains reports membership, or true when the remote cannot say.
-func (a *FailSafeRemote) Contains(key uint64) bool {
-	ok, err := a.R.Contains(context.Background(), key)
-	if err != nil {
-		a.Errors++
-		return true
-	}
-	return ok
-}
-
-var (
-	_ FallibleRemote = infallibleRemote{}
-	_ Remote         = (*FailSafeRemote)(nil)
-)

@@ -52,23 +52,17 @@ func e16Adaptive(cfg Config) *metrics.Table {
 	type scenario struct {
 		name  string
 		rules []fault.Rule
-		opts  func() adaptive.ResilientOptions
+		opts  adaptive.ResilientOptions
 	}
 	scenarios := []scenario{
-		{"healthy", nil, func() adaptive.ResilientOptions { return adaptive.ResilientOptions{} }},
-		{"err20%_no_retry", []fault.Rule{fault.Transient(0.2)},
-			func() adaptive.ResilientOptions { return adaptive.ResilientOptions{} }},
-		{"err20%_retry4", []fault.Rule{fault.Transient(0.2)},
-			func() adaptive.ResilientOptions {
-				return adaptive.ResilientOptions{
-					Retrier: fault.NewRetrier(fault.RetryPolicy{MaxAttempts: 4, Sleep: fault.NoSleep}),
-				}
-			}},
+		{"healthy", nil, adaptive.ResilientOptions{}},
+		{"err20%_no_retry", []fault.Rule{fault.Transient(0.2)}, adaptive.ResilientOptions{}},
+		{"err20%_retry4", []fault.Rule{fault.Transient(0.2)}, adaptive.ResilientOptions{Attempts: 4}},
 		// Total outage for the first 5 rounds' worth of remote calls,
 		// then recovery: repairs defer during the outage and complete
 		// after it.
 		{"outage_then_recover", []fault.Rule{fault.TransientBetween(1.0, 1, uint64(5*len(attack)+1))},
-			func() adaptive.ResilientOptions { return adaptive.ResilientOptions{} }},
+			adaptive.ResilientOptions{}},
 	}
 
 	t := metrics.NewTable("E16a: adaptive repair under remote faults ("+
@@ -81,7 +75,7 @@ func e16Adaptive(cfg Config) *metrics.Table {
 			f.Insert(k)
 		}
 		remote := fault.NewFallibleSet(truth, fault.NewInjector(97, sc.rules...))
-		r := adaptive.NewResilient(f, remote, sc.opts())
+		r := adaptive.NewResilient(f, remote, sc.opts)
 
 		positives, converged := 0, -1
 		for round := 0; round < rounds; round++ {

@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"beyondbloom/internal/metrics"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // small runs every experiment at reduced scale: primarily a smoke test
 // that each regenerates its tables, with shape assertions on the ones
@@ -123,7 +129,12 @@ func TestE13TinyScale(t *testing.T) { runAt(t, "E13", 0.01) }
 // TestE16FaultExperiment checks the acceptance claims of the fault
 // experiment: under 20% transient remote errors the adaptive loop still
 // converges with zero false negatives, and the LSM store answers every
-// query correctly under every device/filter fault scenario.
+// query correctly under every device/filter fault scenario. It also
+// pins the whole -json rendering to testdata/e16.json: every cell is a
+// counter driven by seeded injectors and a synchronous store, so a
+// change to the fault, retry or repair paths that alters behaviour
+// shows up as a diff. Regenerate with
+// `go test ./internal/experiments -run TestE16FaultExperiment -update`.
 func TestE16FaultExperiment(t *testing.T) {
 	tables := runOne(t, "E16")
 	adaptive, store := tables[0], tables[1]
@@ -136,6 +147,28 @@ func TestE16FaultExperiment(t *testing.T) {
 		if sc == "err20%_retry4" && rounds[i] == "never" {
 			t.Errorf("20%% transient errors with retry must still converge:\n%s", adaptive)
 		}
+	}
+
+	var got bytes.Buffer
+	if err := metrics.WriteJSON(&got, "E16", tables); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "e16.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("E16 drifted from its golden.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), want)
 	}
 }
 

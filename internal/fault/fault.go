@@ -1,20 +1,23 @@
-// Package fault is the repository's fault-injection and resilience
-// substrate. The tutorial's surrounding-system stories (§2.3's adaptive
-// filters fronting a remote dictionary, §3.1's LSM-tree fronting a block
-// device) all assume the backing store is slow and unreliable — that is
-// *why* filters pay for themselves. This package makes that assumption
+// Package fault is the repository's fault-injection substrate. The
+// tutorial's surrounding-system stories (§2.3's adaptive filters fronting
+// a remote dictionary, §3.1's LSM-tree fronting a block device) all
+// assume the backing store is slow and unreliable — that is *why*
+// filters pay for themselves. This package makes that assumption
 // executable:
 //
 //   - Injector: a deterministic, seed-driven source of faults (transient
-//     errors, permanent errors, injected latency, detected bit-flip
-//     corruption) governed by op-window schedules such as "fail 10% of
-//     calls between ops 1000 and 2000". Same seed, same schedule, same
-//     faults — experiments stay reproducible.
+//     errors, permanent errors, detected bit-flip corruption) governed by
+//     op-window schedules such as "fail 10% of calls between ops 1000 and
+//     2000". Same seed, same schedule, same faults — experiments stay
+//     reproducible.
 //
-//   - Resilience combinators: Retrier (bounded retries with exponential
-//     backoff and deterministic jitter), Timeout (context-aware), and
-//     Breaker (circuit breaker with half-open probing), each exposing
-//     counters so experiments can report attempts, give-ups and trips.
+//   - Retry: a bounded retry of transient errors, the one resilience
+//     policy the callers need before they fall back (to a replica, or to
+//     a fail-safe answer with a deferred repair).
+//
+//   - FS and CrashFS (fs.go): the filesystem surface the durable layers
+//     write through, and a simulated one that crashes at a chosen
+//     operation.
 //
 // Corruption is always *detected* corruption (a checksum mismatch
 // surfacing as an error), never a silently wrong answer: the layers
@@ -23,14 +26,13 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
-// Sentinel errors produced by the injector (and recognized by the
-// combinators).
+// Sentinel errors produced by the injector.
 var (
 	// ErrTransient marks a failure that may succeed on retry.
 	ErrTransient = errors.New("fault: transient error")
@@ -47,6 +49,18 @@ var (
 // IsTransient reports whether err is worth retrying.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
+// Retry runs op until it succeeds, fails with a non-transient error,
+// has run attempts times, or fails transiently after ctx is done. It
+// always runs op at least once and returns op's last error.
+func Retry(ctx context.Context, attempts int, op func() error) error {
+	for i := 1; ; i++ {
+		err := op()
+		if err == nil || !IsTransient(err) || i >= attempts || ctx.Err() != nil {
+			return err
+		}
+	}
+}
+
 // Kind classifies an injected fault.
 type Kind int
 
@@ -55,8 +69,6 @@ const (
 	KindTransient Kind = iota
 	// KindPermanent fails the op with ErrPermanent.
 	KindPermanent
-	// KindLatency delays the op without failing it.
-	KindLatency
 	// KindBitFlip corrupts the op's payload; Outcome.FlipBit selects the
 	// bit. Callers that checksum (all of ours) surface it as ErrCorrupt.
 	KindBitFlip
@@ -70,10 +82,6 @@ type Rule struct {
 	Rate float64
 	From uint64
 	To   uint64
-	// Latency is the injected delay for KindLatency rules.
-	Latency time.Duration
-	// Err overrides the error for KindTransient/KindPermanent rules.
-	Err error
 }
 
 // active reports whether the rule applies to op.
@@ -93,11 +101,6 @@ func TransientBetween(rate float64, from, to uint64) Rule {
 // Permanent returns an always-on permanent-error rule.
 func Permanent(rate float64) Rule { return Rule{Kind: KindPermanent, Rate: rate} }
 
-// Latency returns an injected-delay rule.
-func Latency(rate float64, d time.Duration) Rule {
-	return Rule{Kind: KindLatency, Rate: rate, Latency: d}
-}
-
 // BitFlip returns a detected-corruption rule.
 func BitFlip(rate float64) Rule { return Rule{Kind: KindBitFlip, Rate: rate} }
 
@@ -105,8 +108,6 @@ func BitFlip(rate float64) Rule { return Rule{Kind: KindBitFlip, Rate: rate} }
 type Outcome struct {
 	// Err is non-nil when the op should fail.
 	Err error
-	// Latency is the delay the op should observe before completing.
-	Latency time.Duration
 	// FlipBit is the bit index (0-63) to corrupt in the op's payload, or
 	// -1 for no corruption.
 	FlipBit int
@@ -117,7 +118,6 @@ type Stats struct {
 	Ops        uint64
 	Transients uint64
 	Permanents uint64
-	Latencies  uint64
 	BitFlips   uint64
 }
 
@@ -164,7 +164,7 @@ func (in *Injector) chance(rate float64) bool {
 
 // Next advances the op counter and returns the outcome for this op.
 // Rules are evaluated in order; the first matching error rule wins,
-// while latency and bit-flips compose with an error-free outcome.
+// while a bit-flip composes with an error-free outcome.
 func (in *Injector) Next() Outcome {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -180,23 +180,14 @@ func (in *Injector) Next() Outcome {
 			if out.Err != nil {
 				continue
 			}
-			out.Err = r.Err
-			if out.Err == nil {
-				out.Err = ErrTransient
-			}
+			out.Err = ErrTransient
 			in.stats.Transients++
 		case KindPermanent:
 			if out.Err != nil {
 				continue
 			}
-			out.Err = r.Err
-			if out.Err == nil {
-				out.Err = ErrPermanent
-			}
+			out.Err = ErrPermanent
 			in.stats.Permanents++
-		case KindLatency:
-			out.Latency += r.Latency
-			in.stats.Latencies++
 		case KindBitFlip:
 			if out.FlipBit >= 0 {
 				continue
@@ -208,24 +199,9 @@ func (in *Injector) Next() Outcome {
 	return out
 }
 
-// Op returns how many operations the injector has judged.
-func (in *Injector) Op() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.op
-}
-
 // Stats returns a snapshot of the injection counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.stats
-}
-
-// Corrupt flips the outcome's bit in v (identity when FlipBit < 0).
-func Corrupt(v uint64, o Outcome) uint64 {
-	if o.FlipBit < 0 {
-		return v
-	}
-	return v ^ 1<<uint(o.FlipBit)
 }

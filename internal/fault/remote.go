@@ -14,10 +14,6 @@ import (
 type FallibleSet struct {
 	R  core.Remote
 	In *Injector
-	// SleepLatency, when true, really sleeps injected latency (honoring
-	// ctx, so Timeout cuts it short). Simulations leave it false and the
-	// latency only shows up in the injector's stats.
-	SleepLatency bool
 }
 
 // NewFallibleSet wraps r with the injector's fault schedule.
@@ -28,11 +24,6 @@ func NewFallibleSet(r core.Remote, in *Injector) *FallibleSet {
 // Contains reports membership, subject to injected faults.
 func (f *FallibleSet) Contains(ctx context.Context, key uint64) (bool, error) {
 	o := f.In.Next()
-	if o.Latency > 0 && f.SleepLatency {
-		if err := SleepCtx(ctx, o.Latency); err != nil {
-			return false, ErrTimeout
-		}
-	}
 	if o.Err != nil {
 		return false, o.Err
 	}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -23,6 +24,10 @@ func TestNewStoreValidation(t *testing.T) {
 		{Policy: FilterPolicy(99)},
 		{Compaction: CompactionPolicy(99)},
 		{L0RunBudget: -1},
+		// Filter budgets the first flush's Bloom constructor would panic on.
+		{Policy: PolicyBloom, BitsPerKey: 2000},
+		{Policy: PolicyBloom, BitsPerKey: math.NaN()},
+		{Policy: PolicyMonkey, MonkeyBaseFPR: math.NaN()},
 	}
 	for _, opts := range bad {
 		if _, err := NewStore(opts); err == nil {

@@ -71,14 +71,13 @@ type Device struct {
 	writes       atomic.Int64
 	failedReads  atomic.Int64
 	failedWrites atomic.Int64
-	slowIOs      atomic.Int64
 	replicaReads atomic.Int64
 	replicaWrite atomic.Int64
 	// Faults, when non-nil, judges every I/O. Transient/permanent
 	// outcomes fail the call; bit-flips surface as detected corruption
-	// (checksum mismatch); latency outcomes only bump SlowIOs. The
-	// injector itself is safe for concurrent use; installing a new one
-	// must happen before concurrent operations start.
+	// (checksum mismatch). The injector itself is safe for concurrent
+	// use; installing a new one must happen before concurrent operations
+	// start.
 	Faults *fault.Injector
 }
 
@@ -94,9 +93,6 @@ func (d *Device) FailedReads() int { return int(d.failedReads.Load()) }
 // FailedWrites counts individual write attempts that faulted.
 func (d *Device) FailedWrites() int { return int(d.failedWrites.Load()) }
 
-// SlowIOs counts attempts that saw injected latency.
-func (d *Device) SlowIOs() int { return int(d.slowIOs.Load()) }
-
 // ReplicaReads counts reads that exhausted their retries and fell back
 // to the (always-intact) replica.
 func (d *Device) ReplicaReads() int { return int(d.replicaReads.Load()) }
@@ -108,7 +104,6 @@ func (d *Device) ReplicaWrites() int { return int(d.replicaWrite.Load()) }
 type DeviceCounters struct {
 	Reads, Writes             int
 	FailedReads, FailedWrites int
-	SlowIOs                   int
 	ReplicaReads              int
 	ReplicaWrites             int
 }
@@ -123,7 +118,6 @@ func (d *Device) Counters() DeviceCounters {
 		Writes:        d.Writes(),
 		FailedReads:   d.FailedReads(),
 		FailedWrites:  d.FailedWrites(),
-		SlowIOs:       d.SlowIOs(),
 		ReplicaReads:  d.ReplicaReads(),
 		ReplicaWrites: d.ReplicaWrites(),
 	}
@@ -146,9 +140,6 @@ func (d *Device) outcome(failed *atomic.Int64) error {
 		return nil
 	}
 	o := d.Faults.Next()
-	if o.Latency > 0 {
-		d.slowIOs.Add(1)
-	}
 	if o.Err != nil {
 		failed.Add(1)
 		return o.Err
@@ -266,9 +257,6 @@ type Options struct {
 	// that lookup: the store falls back to probing the run directly,
 	// trading extra I/O for correctness.
 	FilterFaults *fault.Injector
-	// DeviceRetry overrides the retry policy for faulted device I/O
-	// (default: 4 attempts, no simulated sleep).
-	DeviceRetry *fault.RetryPolicy
 	// Durability selects the write-ahead-logging contract. Any value
 	// other than DurabilityNone requires a directory, so it is accepted
 	// only by OpenStore (NewStore rejects it).
@@ -309,10 +297,10 @@ func (o *Options) validate() error {
 	if o.SizeRatio < 0 || o.SizeRatio == 1 {
 		return fmt.Errorf("lsm: SizeRatio %d must be at least 2", o.SizeRatio)
 	}
-	if o.BitsPerKey < 0 {
-		return fmt.Errorf("lsm: BitsPerKey %v must be positive", o.BitsPerKey)
+	if !(o.BitsPerKey > 0 && o.BitsPerKey <= 1024) {
+		return fmt.Errorf("lsm: BitsPerKey %v must be in (0, 1024]", o.BitsPerKey)
 	}
-	if o.MonkeyBaseFPR < 0 || o.MonkeyBaseFPR >= 1 {
+	if !(o.MonkeyBaseFPR > 0 && o.MonkeyBaseFPR < 1) {
 		return fmt.Errorf("lsm: MonkeyBaseFPR %v must be in (0, 1)", o.MonkeyBaseFPR)
 	}
 	if o.Policy < PolicyNone || o.Policy > PolicyMaplet {
@@ -461,9 +449,6 @@ type Store struct {
 	mapletDeleteMisses atomic.Int64
 	mapletFallbacks    atomic.Int64
 
-	// ioRetry retries faulted device I/O before replica recovery.
-	ioRetry *fault.Retrier
-
 	// Background engine plumbing.
 	bg        bool // cleared by Close; guarded by mu
 	flushCh   chan struct{}
@@ -486,16 +471,11 @@ func NewStore(opts Options) (*Store, error) {
 	if opts.Durability != DurabilityNone {
 		return nil, fmt.Errorf("lsm: Options.Durability requires a directory; open durable stores with OpenStore")
 	}
-	retry := fault.RetryPolicy{MaxAttempts: 4, Sleep: fault.NoSleep}
-	if opts.DeviceRetry != nil {
-		retry = *opts.DeviceRetry
-	}
 	s := &Store{
 		opts:    opts,
 		mem:     make(map[uint64]Entry),
 		dev:     &Device{Faults: opts.DeviceFaults},
 		runByID: make(map[uint64]*run),
-		ioRetry: fault.NewRetrier(retry),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if opts.Policy == PolicyMaplet {
@@ -592,18 +572,22 @@ func (s *Store) MapletDeleteMisses() int { return int(s.mapletDeleteMisses.Load(
 // four attempts) and fell back to probing every overlapping run.
 func (s *Store) MapletFallbacks() int { return int(s.mapletFallbacks.Load()) }
 
+// devAttempts bounds the attempts one faulted device I/O makes before
+// it recovers from the replica.
+const devAttempts = 4
+
 // devRead performs a fallible read of blocks: faulted attempts are
 // retried (each attempt pays its I/O), and exhausted retries recover
 // from the replica at a further blocks of cost. It never fails — the
 // degraded path trades I/O for correctness. Without an injector no
 // attempt can fail, so the read is one counter add and skips the
-// Retrier, whose only job is retrying injected errors.
+// retry loop, whose only job is retrying injected errors.
 func (s *Store) devRead(blocks int) {
 	if s.dev.Faults == nil {
 		s.dev.reads.Add(int64(blocks))
 		return
 	}
-	if err := s.ioRetry.Do(context.Background(), func(context.Context) error {
+	if err := fault.Retry(context.Background(), devAttempts, func() error {
 		return s.dev.read(blocks)
 	}); err != nil {
 		s.dev.reads.Add(int64(blocks))
@@ -633,7 +617,7 @@ func (s *Store) devWrite(blocks int) {
 		s.dev.writes.Add(int64(blocks))
 		return
 	}
-	if err := s.ioRetry.Do(context.Background(), func(context.Context) error {
+	if err := fault.Retry(context.Background(), devAttempts, func() error {
 		return s.dev.write(blocks)
 	}); err != nil {
 		s.dev.writes.Add(int64(blocks))

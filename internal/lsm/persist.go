@@ -318,7 +318,7 @@ func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, fre
 	e.U64(uint64(c.Writes))
 	e.U64(uint64(c.FailedReads))
 	e.U64(uint64(c.FailedWrites))
-	e.U64(uint64(c.SlowIOs))
+	e.U64(0) // unused counter slot, kept so the manifest layout does not change
 	e.U64(uint64(c.ReplicaReads))
 	e.U64(uint64(c.ReplicaWrites))
 	e.U64(uint64(s.FilterProbes()))
@@ -686,7 +686,6 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	s.dev.writes.Store(int64(counters[1]))
 	s.dev.failedReads.Store(int64(counters[2]))
 	s.dev.failedWrites.Store(int64(counters[3]))
-	s.dev.slowIOs.Store(int64(counters[4]))
 	s.dev.replicaReads.Store(int64(counters[5]))
 	s.dev.replicaWrite.Store(int64(counters[6]))
 	s.filterProbes.Store(int64(counters[7]))

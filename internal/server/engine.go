@@ -31,7 +31,8 @@ var (
 	ErrShutdown = errors.New("server: shutting down")
 )
 
-// Config sizes the service core. The zero value selects the defaults.
+// Config sizes the service core. The zero value selects the defaults;
+// NewEngine rejects a negative budget.
 type Config struct {
 	// MaxInflightKeys is the read admission budget: the total keys
 	// admitted and not yet answered, across point and batch requests
@@ -78,6 +79,10 @@ type Engine struct {
 func NewEngine(filter core.Filter, store *lsm.Store, cfg Config) (*Engine, error) {
 	if filter == nil {
 		return nil, fmt.Errorf("server: nil serving filter")
+	}
+	if cfg.MaxInflightKeys < 0 || cfg.MaxInflightWrites < 0 {
+		return nil, fmt.Errorf("server: admission budgets must not be negative (MaxInflightKeys %d, MaxInflightWrites %d)",
+			cfg.MaxInflightKeys, cfg.MaxInflightWrites)
 	}
 	cfg.fill()
 	e := &Engine{cfg: cfg, store: store, start: time.Now()}

@@ -12,6 +12,24 @@ import (
 	"beyondbloom/internal/lsm"
 )
 
+// TestEngineRejectsNegativeBudgets: a negative admission budget would
+// make an engine that refuses every read or every write, so NewEngine
+// refuses it instead; zero still selects the default.
+func TestEngineRejectsNegativeBudgets(t *testing.T) {
+	filter := newTestFilter(t, 64)
+	for _, cfg := range []Config{{MaxInflightKeys: -1}, {MaxInflightWrites: -1}} {
+		if e, err := NewEngine(filter, nil, cfg); err == nil {
+			e.Close()
+			t.Errorf("NewEngine(%+v) accepted a negative budget", cfg)
+		}
+	}
+	e, err := NewEngine(filter, nil, Config{})
+	if err != nil {
+		t.Fatalf("NewEngine(zero Config) = %v", err)
+	}
+	e.Close()
+}
+
 // TestEngineClosedRejectsAll pins the shutdown contract: after Close,
 // every entry point fails fast with ErrShutdown.
 func TestEngineClosedRejectsAll(t *testing.T) {
