@@ -33,6 +33,13 @@ const mixSeedMul = 0xA24BAED4963EE407
 // locally (≈0.5-1 extra bit/key to match a classic filter's ε; see
 // DESIGN.md).
 type Blocked struct {
+	blocks
+}
+
+// blocks is the state Blocked and BlockedChoices share — the same
+// fields, sized by the same arithmetic and persisted by the same codec.
+// The two filters differ only in how a key picks its block.
+type blocks struct {
 	spec      core.Spec // construction parameters (capacity, bits/key, seed)
 	words     []uint64
 	numBlocks uint64
@@ -64,37 +71,72 @@ func NewBlockedSeeded(n int, bitsPerKey float64, seed uint64) *Blocked {
 // BlockedFromSpec builds an empty blocked Bloom filter from its
 // construction parameters (see bloom.FromSpec).
 func BlockedFromSpec(s core.Spec) (*Blocked, error) {
-	if s.Type != core.TypeBlockedBloom {
-		return nil, fmt.Errorf("bloom: spec type %d is not TypeBlockedBloom", s.Type)
+	f, err := blockedShape(s)
+	if err != nil {
+		return nil, err
+	}
+	f.alloc()
+	return f, nil
+}
+
+// blockedShape is BlockedFromSpec without the word array.
+func blockedShape(s core.Spec) (*Blocked, error) {
+	b, err := shapeBlocks(s, core.TypeBlockedBloom, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Blocked{b}, nil
+}
+
+// shapeBlocks validates s as the Spec of a blocked filter of type typ
+// and derives its geometry — at least minBlocks blocks — leaving the
+// word array unallocated: the constructors allocate it, the decoder
+// reads it from the payload.
+func shapeBlocks(s core.Spec, typ uint16, minBlocks uint64) (blocks, error) {
+	if s.Type != typ {
+		return blocks{}, fmt.Errorf("bloom: spec type %d is not %d", s.Type, typ)
 	}
 	if s.N < 1 {
 		s.N = 1
 	}
 	if !(s.BitsPerKey > 0) || s.BitsPerKey > 1024 {
-		return nil, fmt.Errorf("bloom: bits per key %v out of range", s.BitsPerKey)
+		return blocks{}, fmt.Errorf("bloom: bits per key %v out of range", s.BitsPerKey)
 	}
 	totalBits := math.Ceil(float64(s.N) * s.BitsPerKey)
 	numBlocks := uint64(math.Ceil(totalBits / (blockWords * 64)))
-	if numBlocks < 1 {
-		numBlocks = 1
+	if numBlocks < minBlocks {
+		numBlocks = minBlocks
 	}
 	k := uint(core.BloomOptimalK(s.BitsPerKey))
 	if k > blockedMaxK {
 		k = blockedMaxK
 	}
-	return &Blocked{
-		spec:      s,
-		words:     make([]uint64, numBlocks*blockWords),
-		numBlocks: numBlocks,
-		k:         k,
-	}, nil
+	return blocks{spec: s, numBlocks: numBlocks, k: k}, nil
 }
 
+// alloc allocates the zeroed word array the geometry calls for.
+func (b *blocks) alloc() { b.words = make([]uint64, b.numBlocks*blockWords) }
+
 // Spec returns the filter's construction parameters.
-func (f *Blocked) Spec() core.Spec { return f.spec }
+func (b *blocks) Spec() core.Spec { return b.spec }
 
 // K returns the number of probe bits per key.
-func (f *Blocked) K() uint { return f.k }
+func (b *blocks) K() uint { return b.k }
+
+// Len returns the number of inserted keys.
+func (b *blocks) Len() int { return b.n }
+
+// SizeBits returns the filter's footprint in bits.
+func (b *blocks) SizeBits() int { return len(b.words) * 64 }
+
+// FillRatio returns the fraction of set bits (diagnostic).
+func (b *blocks) FillRatio() float64 {
+	ones := 0
+	for _, w := range b.words {
+		ones += bits.OnesCount64(w)
+	}
+	return float64(ones) / float64(len(b.words)*64)
+}
 
 // hashState derives the block's base word index and the two mixed words
 // the probe positions are cut from: probe i takes 9 bits (a position in
@@ -259,21 +301,6 @@ func probeSkip(k uint) (skip [blockedMaxK]uint64) {
 		skip[j] = ^uint64(0)
 	}
 	return skip
-}
-
-// Len returns the number of inserted keys.
-func (f *Blocked) Len() int { return f.n }
-
-// SizeBits returns the filter's footprint in bits.
-func (f *Blocked) SizeBits() int { return len(f.words) * 64 }
-
-// FillRatio returns the fraction of set bits (diagnostic).
-func (f *Blocked) FillRatio() float64 {
-	ones := 0
-	for _, w := range f.words {
-		ones += bits.OnesCount64(w)
-	}
-	return float64(ones) / float64(len(f.words)*64)
 }
 
 var (

@@ -57,6 +57,17 @@ func NewBitsSeeded(n int, bitsPerKey float64, seed uint64) *Filter {
 // the decoder share. N is clamped to at least 1 (matching the historic
 // constructors); a non-positive bits-per-key budget is an error.
 func FromSpec(s core.Spec) (*Filter, error) {
+	f, err := shape(s)
+	if err != nil {
+		return nil, err
+	}
+	f.bits = bitvec.New(int(f.m))
+	return f, nil
+}
+
+// shape is FromSpec without the bit array: it validates s and derives
+// the geometry, and the decoder reads the array from the payload.
+func shape(s core.Spec) (*Filter, error) {
 	if s.Type != core.TypeBloom {
 		return nil, fmt.Errorf("bloom: spec type %d is not TypeBloom", s.Type)
 	}
@@ -70,12 +81,7 @@ func FromSpec(s core.Spec) (*Filter, error) {
 	if m < 64 {
 		m = 64
 	}
-	return &Filter{
-		spec: s,
-		bits: bitvec.New(int(m)),
-		m:    m,
-		k:    uint(core.BloomOptimalK(s.BitsPerKey)),
-	}, nil
+	return &Filter{spec: s, m: m, k: uint(core.BloomOptimalK(s.BitsPerKey))}, nil
 }
 
 // Spec returns the filter's construction parameters.

@@ -1,8 +1,6 @@
 package bloom
 
 import (
-	"fmt"
-	"math"
 	"math/bits"
 
 	"beyondbloom/internal/core"
@@ -36,11 +34,7 @@ const choiceMix = 0xC40CE5C40CE50001
 // pure load loop, so a batched lookup costs nearly the same
 // wall-clock as one miss.
 type BlockedChoices struct {
-	spec      core.Spec
-	words     []uint64
-	numBlocks uint64
-	k         uint
-	n         int
+	blocks
 }
 
 // NewBlockedChoices returns a two-choice blocked Bloom filter sized
@@ -62,38 +56,23 @@ func NewBlockedChoicesSeeded(n int, bitsPerKey float64, seed uint64) *BlockedCho
 // BlockedChoicesFromSpec builds an empty two-choice blocked Bloom
 // filter from its construction parameters (see bloom.FromSpec).
 func BlockedChoicesFromSpec(s core.Spec) (*BlockedChoices, error) {
-	if s.Type != core.TypeBlockedChoices {
-		return nil, fmt.Errorf("bloom: spec type %d is not TypeBlockedChoices", s.Type)
+	f, err := choicesShape(s)
+	if err != nil {
+		return nil, err
 	}
-	if s.N < 1 {
-		s.N = 1
-	}
-	if !(s.BitsPerKey > 0) || s.BitsPerKey > 1024 {
-		return nil, fmt.Errorf("bloom: bits per key %v out of range", s.BitsPerKey)
-	}
-	totalBits := math.Ceil(float64(s.N) * s.BitsPerKey)
-	numBlocks := uint64(math.Ceil(totalBits / (blockWords * 64)))
-	// Two distinct candidates need two blocks to choose between.
-	if numBlocks < 2 {
-		numBlocks = 2
-	}
-	k := uint(core.BloomOptimalK(s.BitsPerKey))
-	if k > blockedMaxK {
-		k = blockedMaxK
-	}
-	return &BlockedChoices{
-		spec:      s,
-		words:     make([]uint64, numBlocks*blockWords),
-		numBlocks: numBlocks,
-		k:         k,
-	}, nil
+	f.alloc()
+	return f, nil
 }
 
-// Spec returns the filter's construction parameters.
-func (f *BlockedChoices) Spec() core.Spec { return f.spec }
-
-// K returns the number of probe bits per key.
-func (f *BlockedChoices) K() uint { return f.k }
+// choicesShape is BlockedChoicesFromSpec without the word array. Two
+// distinct candidates need two blocks to choose between.
+func choicesShape(s core.Spec) (*BlockedChoices, error) {
+	b, err := shapeBlocks(s, core.TypeBlockedChoices, 2)
+	if err != nil {
+		return nil, err
+	}
+	return &BlockedChoices{b}, nil
+}
 
 // hashState derives both candidate blocks' base word indexes and the
 // two mixed words the probe positions are cut from. The k probe
@@ -229,21 +208,6 @@ func (f *BlockedChoices) ContainsBatch(keys []uint64, out []bool) {
 			co[i] = (hit1|hit2)&1 != 0
 		}
 	}
-}
-
-// Len returns the number of inserted keys.
-func (f *BlockedChoices) Len() int { return f.n }
-
-// SizeBits returns the filter's footprint in bits.
-func (f *BlockedChoices) SizeBits() int { return len(f.words) * 64 }
-
-// FillRatio returns the fraction of set bits (diagnostic).
-func (f *BlockedChoices) FillRatio() float64 {
-	ones := 0
-	for _, w := range f.words {
-		ones += bits.OnesCount64(w)
-	}
-	return float64(ones) / float64(len(f.words)*64)
 }
 
 var (

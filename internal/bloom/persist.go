@@ -9,189 +9,106 @@ import (
 )
 
 func init() {
-	core.Register(core.TypeBloom, "bloom",
-		func() core.Persistent { return &Filter{} },
-		func(s core.Spec) (core.Persistent, error) { return FromSpec(s) })
-	core.Register(core.TypeBlockedBloom, "bloom.Blocked",
-		func() core.Persistent { return &Blocked{} },
-		func(s core.Spec) (core.Persistent, error) { return BlockedFromSpec(s) })
-	core.Register(core.TypeBlockedChoices, "bloom.BlockedChoices",
-		func() core.Persistent { return &BlockedChoices{} },
-		func(s core.Spec) (core.Persistent, error) { return BlockedChoicesFromSpec(s) })
-	core.Register(core.TypeScalableBloom, "bloom.Scalable",
-		func() core.Persistent { return &Scalable{} },
-		func(s core.Spec) (core.Persistent, error) { return ScalableFromSpec(s) })
+	core.Register(core.TypeBloom, "bloom", FromSpec)
+	core.Register(core.TypeBlockedBloom, "bloom.Blocked", BlockedFromSpec)
+	core.Register(core.TypeBlockedChoices, "bloom.BlockedChoices", BlockedChoicesFromSpec)
+	core.Register(core.TypeScalableBloom, "bloom.Scalable", ScalableFromSpec)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (f *Filter) TypeID() uint16 { return core.TypeBloom }
-
-// WriteTo serializes the filter as one codec frame: the construction
-// Spec, the derived geometry, and the nested bit-vector frame.
+// WriteTo serializes the filter as one frame: the construction Spec,
+// the derived geometry, and the nested bit-vector frame.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	f.spec.Encode(&e)
-	e.U64(f.m)
-	e.U32(uint32(f.k))
-	e.U64(uint64(f.n))
-	if _, err := f.bits.WriteTo(&e); err != nil {
-		return 0, err
-	}
-	return codec.WriteFrame(w, core.TypeBloom, e.Bytes())
+	return core.EncodeFrame(w, f.spec, func(e *codec.Enc) error {
+		e.U64(f.m)
+		e.U32(uint32(f.k))
+		e.U64(uint64(f.n))
+		_, err := f.bits.WriteTo(e)
+		return err
+	})
 }
 
-// ReadFrom restores a filter written by WriteTo into the receiver,
-// validating the checksum, the Spec, and the geometry/payload
-// consistency. On error the receiver is left unchanged.
+// ReadFrom restores a filter written by WriteTo into the receiver (see
+// core.DecodeFrame for the validation contract).
 func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeBloom)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	m := d.U64()
-	k := uint(d.U32())
-	n := d.U64()
-	var bits bitvec.Vector
-	if d.Err() == nil {
-		if _, err := bits.ReadFrom(d); err != nil {
-			return 0, err
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
-	nf, err := FromSpec(spec)
-	if err != nil {
-		return 0, d.Corruptf("%v", err)
-	}
-	if nf.m != m || nf.k != k || uint64(bits.Len()) != m {
-		return 0, d.Corruptf("bloom: geometry m=%d k=%d bits=%d disagrees with spec (m=%d k=%d)",
-			m, k, bits.Len(), nf.m, nf.k)
-	}
-	f.spec = spec
-	f.bits = &bits
-	f.m = m
-	f.k = k
-	f.n = int(n)
-	return int64(codec.HeaderSize + len(payload)), nil
+	return core.DecodeFrame(r, core.TypeBloom, f, shape, (*Filter).decode)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (f *Blocked) TypeID() uint16 { return core.TypeBlockedBloom }
+// decode reads the fields WriteTo wrote into a shaped filter.
+func (f *Filter) decode(d *codec.Dec) error {
+	m, k, n := d.U64(), uint(d.U32()), d.U64()
+	f.bits = new(bitvec.Vector)
+	if _, err := f.bits.ReadFrom(d); err != nil {
+		return err
+	}
+	if m != f.m || k != f.k || uint64(f.bits.Len()) != f.m {
+		return d.Corruptf("bloom: geometry m=%d k=%d bits=%d disagrees with spec (m=%d k=%d)",
+			m, k, f.bits.Len(), f.m, f.k)
+	}
+	f.n = int(n)
+	return nil
+}
 
-// WriteTo serializes the filter as one codec frame: the construction
-// Spec, the derived geometry, and the raw block words.
+// WriteTo serializes the filter as one frame: the construction Spec,
+// the derived geometry, and the raw block words.
 func (f *Blocked) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	f.spec.Encode(&e)
-	e.U64(f.numBlocks)
-	e.U32(uint32(f.k))
-	e.U64(uint64(f.n))
-	e.U64s(f.words)
-	return codec.WriteFrame(w, core.TypeBlockedBloom, e.Bytes())
+	return core.EncodeFrame(w, f.spec, f.encode)
 }
 
 // ReadFrom restores a filter written by WriteTo into the receiver (see
-// Filter.ReadFrom for the validation contract).
+// core.DecodeFrame for the validation contract).
 func (f *Blocked) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeBlockedBloom)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	numBlocks := d.U64()
-	k := uint(d.U32())
-	n := d.U64()
-	words := d.U64s()
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
-	nf, err := BlockedFromSpec(spec)
-	if err != nil {
-		return 0, d.Corruptf("%v", err)
-	}
-	if nf.numBlocks != numBlocks || nf.k != k || uint64(len(words)) != numBlocks*blockWords {
-		return 0, d.Corruptf("bloom: blocked geometry blocks=%d k=%d words=%d disagrees with spec",
-			numBlocks, k, len(words))
-	}
-	f.spec = spec
-	f.words = words
-	f.numBlocks = numBlocks
-	f.k = k
-	f.n = int(n)
-	return int64(codec.HeaderSize + len(payload)), nil
+	return core.DecodeFrame(r, core.TypeBlockedBloom, f, blockedShape, (*Blocked).decode)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (f *BlockedChoices) TypeID() uint16 { return core.TypeBlockedChoices }
-
-// WriteTo serializes the filter as one codec frame: the construction
-// Spec, the derived geometry, and the raw block words.
+// WriteTo serializes the filter as one frame, laid out as Blocked's.
 func (f *BlockedChoices) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	f.spec.Encode(&e)
-	e.U64(f.numBlocks)
-	e.U32(uint32(f.k))
-	e.U64(uint64(f.n))
-	e.U64s(f.words)
-	return codec.WriteFrame(w, core.TypeBlockedChoices, e.Bytes())
+	return core.EncodeFrame(w, f.spec, f.encode)
 }
 
 // ReadFrom restores a filter written by WriteTo into the receiver (see
-// Filter.ReadFrom for the validation contract).
+// core.DecodeFrame for the validation contract).
 func (f *BlockedChoices) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeBlockedChoices)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	numBlocks := d.U64()
-	k := uint(d.U32())
-	n := d.U64()
-	words := d.U64s()
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
-	nf, err := BlockedChoicesFromSpec(spec)
-	if err != nil {
-		return 0, d.Corruptf("%v", err)
-	}
-	if nf.numBlocks != numBlocks || nf.k != k || uint64(len(words)) != numBlocks*blockWords {
-		return 0, d.Corruptf("bloom: two-choice geometry blocks=%d k=%d words=%d disagrees with spec",
-			numBlocks, k, len(words))
-	}
-	f.spec = spec
-	f.words = words
-	f.numBlocks = numBlocks
-	f.k = k
-	f.n = int(n)
-	return int64(codec.HeaderSize + len(payload)), nil
+	return core.DecodeFrame(r, core.TypeBlockedChoices, f, choicesShape, (*BlockedChoices).decode)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (s *Scalable) TypeID() uint16 { return core.TypeScalableBloom }
+// encode appends the fields both blocked filters store after the Spec.
+func (b *blocks) encode(e *codec.Enc) error {
+	e.U64(b.numBlocks)
+	e.U32(uint32(b.k))
+	e.U64(uint64(b.n))
+	e.U64s(b.words)
+	return nil
+}
 
-// WriteTo serializes the chain as one codec frame: the construction
-// Spec (initial capacity + ε budget), the insert count, and the stages
-// as nested bloom frames. Growth state — how many stages are open, each
+// decode reads the fields encode wrote into a shaped filter. The word
+// count is compared by division, so no overflowing product can match.
+func (b *blocks) decode(d *codec.Dec) error {
+	numBlocks, k, n, words := d.U64(), uint(d.U32()), d.U64(), d.U64s()
+	if numBlocks != b.numBlocks || k != b.k || len(words)%blockWords != 0 || uint64(len(words))/blockWords != numBlocks {
+		return d.Corruptf("bloom: blocked geometry blocks=%d k=%d words=%d disagrees with spec (blocks=%d k=%d)",
+			numBlocks, k, len(words), b.numBlocks, b.k)
+	}
+	b.words = words
+	b.n = int(n)
+	return nil
+}
+
+// WriteTo serializes the chain as one frame: the construction Spec
+// (initial capacity + ε budget), the insert count, and the stages as
+// nested bloom frames. Growth state — how many stages are open, each
 // stage's geometry and fill — is exactly the chain itself, so a
 // restored filter resumes growing where the original stopped.
 func (s *Scalable) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	spec := core.Spec{Type: core.TypeScalableBloom, N: s.initialCap, BitsPerKey: s.epsilon}
-	spec.Encode(&e)
-	e.U64(uint64(s.n))
-	e.U32(uint32(len(s.stages)))
-	for _, st := range s.stages {
-		if _, err := st.WriteTo(&e); err != nil {
-			return 0, err
+	return core.EncodeFrame(w, s.Spec(), func(e *codec.Enc) error {
+		e.U64(uint64(s.n))
+		e.U32(uint32(len(s.stages)))
+		for _, st := range s.stages {
+			if _, err := st.WriteTo(e); err != nil {
+				return err
+			}
 		}
-	}
-	return codec.WriteFrame(w, core.TypeScalableBloom, e.Bytes())
+		return nil
+	})
 }
 
 // ReadFrom restores a chain written by WriteTo into the receiver. The
@@ -199,51 +116,32 @@ func (s *Scalable) WriteTo(w io.Writer) (int64, error) {
 // and cross-checked against the stored stages, so a corrupt or
 // inconsistent chain is rejected rather than silently served.
 func (s *Scalable) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeScalableBloom)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	n := d.U64()
-	numStages := d.U32()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
+	return core.DecodeFrame(r, core.TypeScalableBloom, s, ScalableFromSpec, (*Scalable).decode)
+}
+
+// decode reads the fields WriteTo wrote into an empty chain.
+func (s *Scalable) decode(d *codec.Dec) error {
+	n, numStages := d.U64(), d.U32()
 	if numStages > 62 {
-		return 0, d.Corruptf("bloom: scalable stage count %d out of range", numStages)
-	}
-	ns, err := ScalableFromSpec(spec)
-	if err != nil {
-		return 0, d.Corruptf("%v", err)
+		return d.Corruptf("bloom: scalable stage count %d out of range", numStages)
 	}
 	sum := 0
 	for i := uint32(0); i < numStages; i++ {
-		var st Filter
+		st := new(Filter)
 		if _, err := st.ReadFrom(d); err != nil {
-			return 0, err
+			return err
 		}
-		ns.stages = append(ns.stages, &st)
-		cap := ns.initialCap
-		for range ns.stages[:i] {
-			cap *= ns.growth
+		if cap := s.nextCap(); i+1 < numStages && st.Len() < cap {
+			return d.Corruptf("bloom: scalable stage %d holds %d keys below its capacity %d but is not the newest", i, st.Len(), cap)
 		}
-		ns.stageCap = append(ns.stageCap, cap)
-		ns.stageEps *= ns.tightening
-		if i+1 < numStages && st.Len() < cap {
-			return 0, d.Corruptf("bloom: scalable stage %d holds %d keys below its capacity %d but is not the newest", i, st.Len(), cap)
-		}
+		s.appendStage(st)
 		sum += st.Len()
 	}
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
 	if sum != int(n) {
-		return 0, d.Corruptf("bloom: scalable stage lengths sum to %d, header says %d", sum, n)
+		return d.Corruptf("bloom: scalable stage lengths sum to %d, header says %d", sum, n)
 	}
-	ns.n = int(n)
-	*s = *ns
-	return int64(codec.HeaderSize + len(payload)), nil
+	s.n = int(n)
+	return nil
 }
 
 var (

@@ -56,13 +56,26 @@ func ScalableFromSpec(s core.Spec) (*Scalable, error) {
 	return NewScalable(s.N, s.BitsPerKey)
 }
 
-func (s *Scalable) addStage() {
+// Spec returns the chain's construction parameters.
+func (s *Scalable) Spec() core.Spec {
+	return core.Spec{Type: core.TypeScalableBloom, N: s.initialCap, BitsPerKey: s.epsilon}
+}
+
+func (s *Scalable) addStage() { s.appendStage(New(s.nextCap(), s.stageEps)) }
+
+// nextCap returns the capacity of the next stage to open.
+func (s *Scalable) nextCap() int {
 	cap := s.initialCap
 	for range s.stages {
 		cap *= s.growth
 	}
-	s.stages = append(s.stages, New(cap, s.stageEps))
-	s.stageCap = append(s.stageCap, cap)
+	return cap
+}
+
+// appendStage links st into the chain as the next stage.
+func (s *Scalable) appendStage(st *Filter) {
+	s.stageCap = append(s.stageCap, s.nextCap())
+	s.stages = append(s.stages, st)
 	s.stageEps *= s.tightening
 }
 

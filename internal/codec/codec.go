@@ -15,6 +15,18 @@
 //	16      4     CRC-32C (Castagnoli) of the payload
 //	20      -     payload
 //
+// Encode and Decode are the envelope every structure goes through: a
+// structure supplies only the code for its own fields, and Decode owns
+// the rest — reading and checksumming the frame, and requiring the
+// payload to be consumed exactly. Filters add their construction Spec
+// to the envelope through core.EncodeFrame and core.DecodeFrame.
+//
+// A decoder never sizes an array from a count it has not checked
+// against the bytes that remain: a frame's payload is read in bounded
+// chunks, U64s bounds its word count, and Claim bounds any other
+// claimed count, so memory grows only with the data that actually
+// arrives.
+//
 // Composite objects nest: a filter's payload embeds the frames of its
 // substrate parts (bit vectors, packed arrays), so the outer checksum
 // covers the inner frames and a single flipped bit anywhere fails the
@@ -197,6 +209,35 @@ func ReadRaw(r io.Reader) (kind uint16, raw []byte, err error) {
 		return 0, nil, err
 	}
 	return kind, append(hdr[:], payload...), nil
+}
+
+// Encode writes one frame of kind whose payload is the fields fill
+// appends.
+func Encode(w io.Writer, kind uint16, fill func(*Enc) error) (int64, error) {
+	var e Enc
+	if err := fill(&e); err != nil {
+		return 0, err
+	}
+	return WriteFrame(w, kind, e.buf)
+}
+
+// Decode reads one frame of kind from r, hands its payload to read, and
+// requires read to consume the payload exactly. It returns the frame's
+// size in bytes. Every failure wraps ErrCorrupt unless read returns an
+// error that does not.
+func Decode(r io.Reader, kind uint16, read func(*Dec) error) (int64, error) {
+	payload, err := ReadFrame(r, kind)
+	if err != nil {
+		return 0, err
+	}
+	d := NewDec(payload)
+	if err := read(d); err != nil {
+		return 0, err
+	}
+	if err := d.Finish(); err != nil {
+		return 0, err
+	}
+	return int64(HeaderSize + len(payload)), nil
 }
 
 // readPayload reads length bytes in chunks of at most 1 MiB.
@@ -401,15 +442,11 @@ func (d *Dec) U64() uint64 {
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // U64s consumes a length-prefixed slice of uint64 words. The count is
-// validated against the remaining payload before allocating, so a
+// claimed against the remaining payload before allocating, so a
 // corrupt count cannot drive a giant allocation.
 func (d *Dec) U64s() []uint64 {
 	n := d.U64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off)/8 {
-		d.err = fmt.Errorf("%w: word count %d exceeds remaining payload", ErrCorrupt, n)
+	if !d.Claim(n, 8, "word") {
 		return nil
 	}
 	vs := make([]uint64, n)
@@ -419,6 +456,25 @@ func (d *Dec) U64s() []uint64 {
 	}
 	d.off += len(b)
 	return vs
+}
+
+// Claim reports whether n items of at least size bytes each can still
+// follow in the payload, recording an error if they cannot (or if an
+// earlier read failed). Decoders call it before sizing an array from a
+// count the payload merely claims.
+func (d *Dec) Claim(n uint64, size int, what string) bool {
+	if d.err == nil && n <= uint64(d.Remaining()/size) {
+		return true
+	}
+	d.failClaim(n, what)
+	return false
+}
+
+// failClaim records Claim's error; kept apart so Claim inlines.
+func (d *Dec) failClaim(n uint64, what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %d %s(s) claimed, %d payload bytes remain", ErrCorrupt, n, what, d.Remaining())
+	}
 }
 
 // Corruptf records (if none is set yet) and returns a decode

@@ -235,3 +235,44 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeConsumesExactly checks the envelope contract: Decode
+// returns the frame size when read consumes the payload exactly, and
+// an ErrCorrupt error when it leaves bytes behind.
+func TestDecodeConsumesExactly(t *testing.T) {
+	var buf bytes.Buffer
+	n, err := Encode(&buf, 9, func(e *Enc) error {
+		e.U64(1)
+		e.U64(2)
+		return nil
+	})
+	if err != nil || n != HeaderSize+16 {
+		t.Fatalf("Encode = %d, %v", n, err)
+	}
+	frame := buf.Bytes()
+	got, err := Decode(bytes.NewReader(frame), 9, func(d *Dec) error {
+		if a, b := d.U64(), d.U64(); a != 1 || b != 2 {
+			t.Errorf("fields = %d, %d", a, b)
+		}
+		return nil
+	})
+	if err != nil || got != n {
+		t.Fatalf("Decode = %d, %v; want %d", got, err, n)
+	}
+	if _, err := Decode(bytes.NewReader(frame), 9, func(d *Dec) error { d.U64(); return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("half-read payload: %v", err)
+	}
+}
+
+func TestClaim(t *testing.T) {
+	d := NewDec(make([]byte, 24))
+	if !d.Claim(3, 8, "word") || d.Err() != nil {
+		t.Fatalf("3 words in 24 bytes rejected: %v", d.Err())
+	}
+	if d.Claim(4, 8, "word") || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("4 words in 24 bytes: err = %v", d.Err())
+	}
+	if d.Claim(0, 1, "byte") {
+		t.Fatal("Claim succeeded after an earlier failure")
+	}
+}

@@ -13,13 +13,8 @@ import (
 func init() {
 	// Sharded wrappers need a per-shard build function, so there is no
 	// Spec-only builder; loading reconstructs the shards from the stream.
-	core.Register(core.TypeSharded, "concurrent.Sharded",
-		func() core.Persistent { return &Sharded{} },
-		nil)
+	core.Register[Sharded](core.TypeSharded, "concurrent.Sharded", nil)
 }
-
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (s *Sharded) TypeID() uint16 { return core.TypeSharded }
 
 // WriteTo serializes the wrapper as a small header frame (the Spec)
 // followed by one sibling frame per shard — each shard filter's own
@@ -27,8 +22,6 @@ func (s *Sharded) TypeID() uint16 { return core.TypeSharded }
 // its own read lock, and the buffers are written out in shard order.
 // Every shard filter must itself implement core.Persistent.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	s.spec.Encode(&e)
 	bufs := make([][]byte, len(s.shards))
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -55,7 +48,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 			return 0, err
 		}
 	}
-	total, err := codec.WriteFrame(w, core.TypeSharded, e.Bytes())
+	total, err := core.EncodeFrame(w, s.spec, nil)
 	if err != nil {
 		return total, err
 	}
@@ -74,20 +67,12 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 // off the stream (each is length-prefixed) and decoded concurrently via
 // the registry. On error the receiver is left unchanged.
 func (s *Sharded) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeSharded)
+	var hdr Sharded
+	total, err := core.DecodeFrame(r, core.TypeSharded, &hdr, shardedShape, nil)
 	if err != nil {
 		return 0, err
 	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
-	if spec.Type != core.TypeSharded || spec.LogShards > MaxLogShards {
-		return 0, d.Corruptf("concurrent: bad spec (type=%d logShards=%d)", spec.Type, spec.LogShards)
-	}
-	total := int64(codec.HeaderSize + len(payload))
-	n := 1 << spec.LogShards
+	n := int(hdr.mask + 1)
 	raws := make([][]byte, n)
 	for i := range raws {
 		_, raw, err := codec.ReadRaw(r)
@@ -124,10 +109,19 @@ func (s *Sharded) ReadFrom(r io.Reader) (int64, error) {
 			return 0, err
 		}
 	}
-	s.spec = spec
+	s.spec = hdr.spec
 	s.shards = shards
-	s.mask = uint64(n - 1)
+	s.mask = hdr.mask
 	return total, nil
+}
+
+// shardedShape validates a wrapper's Spec and sets its routing mask; the
+// shards follow the header frame.
+func shardedShape(spec core.Spec) (*Sharded, error) {
+	if spec.Type != core.TypeSharded || spec.LogShards > MaxLogShards {
+		return nil, fmt.Errorf("concurrent: bad spec (type=%d logShards=%d)", spec.Type, spec.LogShards)
+	}
+	return &Sharded{spec: spec, mask: 1<<spec.LogShards - 1}, nil
 }
 
 var _ core.Persistent = (*Sharded)(nil)

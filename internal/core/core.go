@@ -212,15 +212,6 @@ func BloomBitsPerKey(epsilon float64) float64 {
 	return math.Log2(math.E) * math.Log2(1/epsilon)
 }
 
-// BloomEpsForBits inverts BloomBitsPerKey: the false-positive rate a
-// classic Bloom filter achieves with bitsPerKey bits per key,
-// 2^(-bitsPerKey/log2(e)). Layers that historically configured filters
-// by bits/key (the LSM store) use it to derive the equivalent ε budget
-// when switching a run filter to a growable type.
-func BloomEpsForBits(bitsPerKey float64) float64 {
-	return math.Pow(2, -bitsPerKey/math.Log2(math.E))
-}
-
 // BloomOptimalK returns the optimal number of hash functions for a Bloom
 // filter with bitsPerKey bits per key: k = ln(2) * bits/key.
 func BloomOptimalK(bitsPerKey float64) int {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -36,17 +37,16 @@ const (
 
 // Persistent is a filter that can serialize its complete state to a
 // stream and restore it bit-identically. WriteTo must emit exactly one
-// top-level codec frame whose kind equals TypeID() (nested sub-frames
-// live inside, or — for multi-part structures like sharded wrappers —
-// follow as sibling frames that ReadFrom knows to consume). ReadFrom
-// must work on the zero value of the implementing type and must
-// validate everything it reads: feeding it corrupt bytes returns an
-// error wrapping codec.ErrCorrupt, never a panic and never a filter
-// with silently wrong answers.
+// top-level codec frame whose kind is the filter's Spec type — the
+// frame EncodeFrame writes (nested sub-frames live inside, or — for
+// multi-part structures like sharded wrappers — follow as sibling
+// frames that ReadFrom knows to consume). ReadFrom must work on the
+// zero value of the implementing type and must validate everything it
+// reads: feeding it corrupt bytes returns an error wrapping
+// codec.ErrCorrupt, never a panic and never a filter with silently
+// wrong answers.
 type Persistent interface {
 	Filter
-	// TypeID returns the filter's stable wire-format type id.
-	TypeID() uint16
 	io.WriterTo
 	io.ReaderFrom
 }
@@ -79,10 +79,10 @@ type Spec struct {
 	LogShards uint8
 }
 
-// Encode appends the spec's canonical encoding to e. The field set is
+// encode appends the spec's canonical encoding to e. The field set is
 // fixed for format version 1; adding a field means bumping the codec
 // version.
-func (s Spec) Encode(e *codec.Enc) {
+func (s Spec) encode(e *codec.Enc) {
 	e.U16(s.Type)
 	e.U64(uint64(s.N))
 	e.F64(s.BitsPerKey)
@@ -93,8 +93,8 @@ func (s Spec) Encode(e *codec.Enc) {
 	e.U8(s.LogShards)
 }
 
-// DecodeSpec consumes a spec from d (errors accumulate in d).
-func DecodeSpec(d *codec.Dec) Spec {
+// decodeSpec consumes a spec from d (errors accumulate in d).
+func decodeSpec(d *codec.Dec) Spec {
 	var s Spec
 	s.Type = d.U16()
 	s.N = int(d.U64())
@@ -105,6 +105,65 @@ func DecodeSpec(d *codec.Dec) Spec {
 	s.Seed = d.U64()
 	s.LogShards = d.U8()
 	return s
+}
+
+// sameBits reports whether s and t encode to the same bytes (== would
+// equate 0 and -0 and tell a NaN apart from itself).
+func (s Spec) sameBits(t Spec) bool {
+	bs, bt := s.BitsPerKey, t.BitsPerKey
+	s.BitsPerKey, t.BitsPerKey = 0, 0
+	return s == t && math.Float64bits(bs) == math.Float64bits(bt)
+}
+
+// EncodeFrame writes a filter's frame: the frame kind is spec.Type, and
+// the payload is the spec followed by the fields fill appends. fill may
+// be nil when the payload is the Spec alone.
+func EncodeFrame(w io.Writer, spec Spec, fill func(*codec.Enc) error) (int64, error) {
+	return codec.Encode(w, spec.Type, func(e *codec.Enc) error {
+		spec.encode(e)
+		if fill == nil {
+			return nil
+		}
+		return fill(e)
+	})
+}
+
+// DecodeFrame reads a frame written by EncodeFrame into *dst and
+// returns its size. The Spec is checked before anything is sized from
+// it: shape validates the Spec and returns the filter with its geometry
+// set and no Spec-sized array allocated, and read then fills the arrays
+// from the payload, checking them against that geometry. The payload
+// must be consumed exactly, and the decoded filter's Spec must encode
+// to the bytes it was read from, so a successful load re-encodes
+// canonically. Every failure wraps codec.ErrCorrupt, and on failure
+// *dst is left unchanged. read may be nil when the payload is the Spec
+// alone.
+func DecodeFrame[T any, P interface {
+	*T
+	Spec() Spec
+}](r io.Reader, kind uint16, dst P, shape func(Spec) (P, error), read func(P, *codec.Dec) error) (int64, error) {
+	var f P
+	n, err := codec.Decode(r, kind, func(d *codec.Dec) error {
+		spec := decodeSpec(d)
+		var err error
+		if f, err = shape(spec); err != nil {
+			return d.Corruptf("%v", err)
+		}
+		if read != nil {
+			if err := read(f, d); err != nil {
+				return err
+			}
+		}
+		if !f.Spec().sameBits(spec) {
+			return d.Corruptf("%s: spec %+v is not the canonical %+v", TypeName(kind), spec, f.Spec())
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	*dst = *f
+	return n, nil
 }
 
 // registryEntry is one registered filter type.
@@ -123,20 +182,32 @@ var (
 	registry   = map[uint16]registryEntry{}
 )
 
-// Register adds a filter type to the persistence registry. It is called
-// from the filter packages' init functions; registering the same id
-// twice panics (it means two packages claimed one TypeID). build may be
-// nil for types that cannot be constructed from a Spec alone.
-func Register(id uint16, name string, empty func() Persistent, build func(Spec) (Persistent, error)) {
-	if empty == nil {
-		panic(fmt.Sprintf("core: Register(%d, %q) with nil empty factory", id, name))
+// Register adds the filter type *T to the persistence registry under
+// id; Load decodes frames of that kind into a zero T. It is called from
+// the filter packages' init functions; registering the same id twice
+// panics (it means two packages claimed one TypeID). build may be nil
+// for types that cannot be constructed from a Spec alone — spell the
+// type out then, as in Register[Filter](id, name, nil).
+func Register[T any, P interface {
+	*T
+	Persistent
+}](id uint16, name string, build func(Spec) (P, error)) {
+	ent := registryEntry{name: name, empty: func() Persistent { return P(new(T)) }}
+	if build != nil {
+		ent.build = func(s Spec) (Persistent, error) {
+			f, err := build(s)
+			if err != nil {
+				return nil, err
+			}
+			return f, nil
+		}
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if prev, dup := registry[id]; dup {
 		panic(fmt.Sprintf("core: TypeID %d registered twice (%q and %q)", id, prev.name, name))
 	}
-	registry[id] = registryEntry{name: name, empty: empty, build: build}
+	registry[id] = ent
 }
 
 // TypeName returns the registered name for a TypeID ("" if unknown).
@@ -170,13 +241,13 @@ func lookup(id uint16) (registryEntry, error) {
 
 // Save writes f's complete state to w. It is WriteTo with the envelope
 // contract spelled out: the stream starts with a frame whose kind is
-// f.TypeID(), which is what Load dispatches on.
+// f's Spec type, which is what Load dispatches on.
 func Save(w io.Writer, f Persistent) (int64, error) {
 	return f.WriteTo(w)
 }
 
 // Load reads one filter from r: it peeks the leading frame header,
-// looks the TypeID up in the registry, and hands the stream (header
+// looks its kind up in the registry, and hands the stream (header
 // replayed) to a zero value of the registered type. The reader is left
 // positioned immediately after the filter's encoding, so several
 // filters can be loaded from one stream back to back.

@@ -61,6 +61,18 @@ func New(n int, fpBits uint) *Filter {
 // parameters — the one code path the constructors, the registry, and
 // the decoder share.
 func FromSpec(s core.Spec) (*Filter, error) {
+	f, err := shape(s)
+	if err != nil {
+		return nil, err
+	}
+	f.slots = bitvec.NewPacked(int(f.numBuckets*BucketSize), f.fpBits)
+	return f, nil
+}
+
+// shape is FromSpec without the fingerprint table: it validates s and
+// derives the geometry, and the decoder reads the table from the
+// payload.
+func shape(s core.Spec) (*Filter, error) {
 	if s.Type != core.TypeCuckoo {
 		return nil, fmt.Errorf("cuckoo: spec type %d is not TypeCuckoo", s.Type)
 	}
@@ -77,7 +89,6 @@ func FromSpec(s core.Spec) (*Filter, error) {
 	}
 	return &Filter{
 		spec:       s,
-		slots:      bitvec.NewPacked(int(buckets*BucketSize), uint(s.FPBits)),
 		numBuckets: buckets,
 		fpBits:     uint(s.FPBits),
 		rngState:   0xDEADBEEF12345678,

@@ -2,7 +2,6 @@ package cuckoo
 
 import (
 	"io"
-	"math/bits"
 
 	"beyondbloom/internal/bitvec"
 	"beyondbloom/internal/codec"
@@ -10,78 +9,53 @@ import (
 )
 
 func init() {
-	core.Register(core.TypeCuckoo, "cuckoo",
-		func() core.Persistent { return &Filter{} },
-		func(s core.Spec) (core.Persistent, error) { return FromSpec(s) })
+	core.Register(core.TypeCuckoo, "cuckoo", FromSpec)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (f *Filter) TypeID() uint16 { return core.TypeCuckoo }
-
-// WriteTo serializes the filter as one codec frame: the construction
-// Spec, the derived geometry, the eviction-walk state (rng + victim
-// cache), and the nested fingerprint-table frame.
+// WriteTo serializes the filter as one frame: the construction Spec,
+// the derived geometry, the eviction-walk state (rng + victim cache),
+// and the nested fingerprint-table frame.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	f.spec.Encode(&e)
-	e.U64(f.numBuckets)
-	e.U64(uint64(f.n))
-	e.U64(f.rngState)
-	e.U64(f.victim.fp)
-	e.U64(f.victim.bucket)
-	e.Bool(f.victim.valid)
-	if _, err := f.slots.WriteTo(&e); err != nil {
-		return 0, err
-	}
-	return codec.WriteFrame(w, core.TypeCuckoo, e.Bytes())
+	return core.EncodeFrame(w, f.spec, func(e *codec.Enc) error {
+		e.U64(f.numBuckets)
+		e.U64(uint64(f.n))
+		e.U64(f.rngState)
+		e.U64(f.victim.fp)
+		e.U64(f.victim.bucket)
+		e.Bool(f.victim.valid)
+		_, err := f.slots.WriteTo(e)
+		return err
+	})
 }
 
-// ReadFrom restores a filter written by WriteTo into the receiver,
-// validating the checksum, the Spec, and the geometry/payload
-// consistency. On error the receiver is left unchanged.
+// ReadFrom restores a filter written by WriteTo into the receiver (see
+// core.DecodeFrame for the validation contract).
 func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeCuckoo)
-	if err != nil {
-		return 0, err
+	return core.DecodeFrame(r, core.TypeCuckoo, f, shape, (*Filter).decode)
+}
+
+// decode reads the fields WriteTo wrote into a shaped filter.
+func (f *Filter) decode(d *codec.Dec) error {
+	numBuckets, n := d.U64(), d.U64()
+	f.rngState = d.U64()
+	f.victim = stashFP{fp: d.U64(), bucket: d.U64(), valid: d.Bool()}
+	f.slots = new(bitvec.Packed)
+	if _, err := f.slots.ReadFrom(d); err != nil {
+		return err
 	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	numBuckets := d.U64()
-	n := d.U64()
-	rngState := d.U64()
-	victim := stashFP{fp: d.U64(), bucket: d.U64(), valid: d.Bool()}
-	var slots bitvec.Packed
-	if d.Err() == nil {
-		if _, err := slots.ReadFrom(d); err != nil {
-			return 0, err
-		}
+	if numBuckets != f.numBuckets {
+		return d.Corruptf("cuckoo: bucket count %d disagrees with spec (want %d)", numBuckets, f.numBuckets)
 	}
-	if err := d.Finish(); err != nil {
-		return 0, err
+	if uint64(f.slots.Len()) != numBuckets*BucketSize || f.slots.Width() != f.fpBits {
+		return d.Corruptf("cuckoo: table %d slots × %d bits disagrees with geometry (%d buckets × %d, fp %d bits)",
+			f.slots.Len(), f.slots.Width(), numBuckets, BucketSize, f.fpBits)
 	}
-	nf, err := FromSpec(spec)
-	if err != nil {
-		return 0, d.Corruptf("%v", err)
+	fpMask := uint64(1)<<f.fpBits - 1
+	if v := f.victim; v.valid && (v.bucket >= numBuckets || v.fp == 0 || v.fp&^fpMask != 0) {
+		return d.Corruptf("cuckoo: victim cache fp=%d bucket=%d out of range", v.fp, v.bucket)
 	}
-	if nf.numBuckets != numBuckets || bits.OnesCount64(numBuckets) != 1 {
-		return 0, d.Corruptf("cuckoo: bucket count %d disagrees with spec (want %d)", numBuckets, nf.numBuckets)
-	}
-	if uint64(slots.Len()) != numBuckets*BucketSize || slots.Width() != uint(spec.FPBits) {
-		return 0, d.Corruptf("cuckoo: table %d slots × %d bits disagrees with geometry (%d buckets × %d, fp %d bits)",
-			slots.Len(), slots.Width(), numBuckets, BucketSize, spec.FPBits)
-	}
-	fpMask := uint64(1)<<spec.FPBits - 1
-	if victim.valid && (victim.bucket >= numBuckets || victim.fp == 0 || victim.fp&^fpMask != 0) {
-		return 0, d.Corruptf("cuckoo: victim cache fp=%d bucket=%d out of range", victim.fp, victim.bucket)
-	}
-	f.spec = spec
-	f.slots = &slots
-	f.numBuckets = numBuckets
-	f.fpBits = uint(spec.FPBits)
 	f.n = int(n)
-	f.rngState = rngState
-	f.victim = victim
-	return int64(codec.HeaderSize + len(payload)), nil
+	return nil
 }
 
 var _ core.Persistent = (*Filter)(nil)

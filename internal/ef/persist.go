@@ -13,20 +13,19 @@ import (
 // derived state and is rebuilt on load rather than stored. It
 // implements io.WriterTo.
 func (s *Sequence) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	e.U64(uint64(s.n))
-	e.U64(s.universe)
-	e.U8(uint8(s.lowBits))
-	e.Bool(s.low != nil)
-	if s.low != nil {
-		if _, err := s.low.WriteTo(&e); err != nil {
-			return 0, err
+	return codec.Encode(w, codec.KindSequence, func(e *codec.Enc) error {
+		e.U64(uint64(s.n))
+		e.U64(s.universe)
+		e.U8(uint8(s.lowBits))
+		e.Bool(s.low != nil)
+		if s.low != nil {
+			if _, err := s.low.WriteTo(e); err != nil {
+				return err
+			}
 		}
-	}
-	if _, err := s.high.WriteTo(&e); err != nil {
-		return 0, err
-	}
-	return codec.WriteFrame(w, codec.KindSequence, e.Bytes())
+		_, err := s.high.WriteTo(e)
+		return err
+	})
 }
 
 // ReadFrom replaces the sequence's contents with a frame written by
@@ -34,49 +33,40 @@ func (s *Sequence) WriteTo(w io.Writer) (int64, error) {
 // directory. It implements io.ReaderFrom; on error the receiver is
 // left unchanged.
 func (s *Sequence) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, codec.KindSequence)
-	if err != nil {
-		return 0, err
+	var ns Sequence
+	size, err := codec.Decode(r, codec.KindSequence, ns.decode)
+	if err == nil {
+		*s = ns
 	}
-	d := codec.NewDec(payload)
-	n := d.U64()
-	universe := d.U64()
-	lowBits := uint(d.U8())
-	hasLow := d.Bool()
-	var low *bitvec.Packed
-	if d.Err() == nil && hasLow {
-		low = &bitvec.Packed{}
-		if _, err := low.ReadFrom(d); err != nil {
-			return 0, err
-		}
-	}
-	high := &bitvec.Vector{}
-	if d.Err() == nil {
-		if _, err := high.ReadFrom(d); err != nil {
-			return 0, err
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
+	return size, err
+}
+
+// decode reads the fields WriteTo wrote.
+func (s *Sequence) decode(d *codec.Dec) error {
+	n, universe, lowBits, hasLow := d.U64(), d.U64(), uint(d.U8()), d.Bool()
 	if n > uint64(codec.MaxPayload)*8 || universe == 0 {
-		return 0, d.Corruptf("ef: bad geometry (n=%d universe=%d)", n, universe)
+		return d.Corruptf("ef: bad geometry (n=%d universe=%d)", n, universe)
 	}
 	if hasLow != (lowBits > 0) {
-		return 0, d.Corruptf("ef: low array presence disagrees with lowBits=%d", lowBits)
+		return d.Corruptf("ef: low array presence disagrees with lowBits=%d", lowBits)
 	}
-	if hasLow && (low.Len() != int(n) || low.Width() != lowBits) {
-		return 0, d.Corruptf("ef: low array %d×%d, want %d×%d", low.Len(), low.Width(), n, lowBits)
+	if hasLow {
+		s.low = new(bitvec.Packed)
+		if _, err := s.low.ReadFrom(d); err != nil {
+			return err
+		}
+		if s.low.Len() != int(n) || s.low.Width() != lowBits {
+			return d.Corruptf("ef: low array %d×%d, want %d×%d", s.low.Len(), s.low.Width(), n, lowBits)
+		}
 	}
-	rs := bitvec.NewRankSelect(high)
-	if rs.Ones() != int(n) {
-		return 0, d.Corruptf("ef: high vector has %d ones, want %d", rs.Ones(), n)
+	s.high = new(bitvec.Vector)
+	if _, err := s.high.ReadFrom(d); err != nil {
+		return err
 	}
-	s.n = int(n)
-	s.universe = universe
-	s.lowBits = lowBits
-	s.low = low
-	s.high = high
-	s.highRS = rs
-	return int64(codec.HeaderSize + len(payload)), nil
+	s.highRS = bitvec.NewRankSelect(s.high)
+	if s.highRS.Ones() != int(n) {
+		return d.Corruptf("ef: high vector has %d ones, want %d", s.highRS.Ones(), n)
+	}
+	s.n, s.universe, s.lowBits = int(n), universe, lowBits
+	return nil
 }

@@ -50,32 +50,45 @@ const defaultSeed = 0x1F1F1F1F
 
 // New returns a filter with 2^q initial buckets.
 func New(q uint) (*Filter, error) {
-	if q < 1 || q > 40 {
+	if q > 40 { // before Spec.Q narrows q to a byte
 		return nil, fmt.Errorf("infini: q=%d outside [1, 40]", q)
 	}
-	return &Filter{
-		buckets: make([][]entry, uint64(1)<<q),
-		q:       q,
-		seed:    defaultSeed,
-		maxLoad: 0.9,
-	}, nil
+	return FromSpec(core.Spec{Type: core.TypeInfini, Q: uint8(q)})
 }
 
 // FromSpec builds an empty filter from its construction parameters:
 // Spec.Q is the initial log2 bucket count, Spec.Seed the hash seed
 // (0 selects the default).
 func FromSpec(s core.Spec) (*Filter, error) {
-	if s.Type != core.TypeInfini {
-		return nil, fmt.Errorf("infini: spec type %d is not TypeInfini", s.Type)
-	}
-	f, err := New(uint(s.Q))
+	f, err := shape(s)
 	if err != nil {
 		return nil, err
 	}
-	if s.Seed != 0 {
-		f.seed = s.Seed
+	f.buckets = make([][]entry, uint64(1)<<f.q)
+	return f, nil
+}
+
+// shape is FromSpec without the bucket array: it validates s, and the
+// decoder sizes the array once the payload has shown it holds one byte
+// per bucket.
+func shape(s core.Spec) (*Filter, error) {
+	if s.Type != core.TypeInfini {
+		return nil, fmt.Errorf("infini: spec type %d is not TypeInfini", s.Type)
+	}
+	if s.Q < 1 || s.Q > 40 {
+		return nil, fmt.Errorf("infini: q=%d outside [1, 40]", s.Q)
+	}
+	f := &Filter{q: uint(s.Q), seed: s.Seed, maxLoad: 0.9}
+	if f.seed == 0 {
+		f.seed = defaultSeed
 	}
 	return f, nil
+}
+
+// Spec returns the filter's construction parameters: the initial table
+// width (the current one less the doublings) and the seed.
+func (f *Filter) Spec() core.Spec {
+	return core.Spec{Type: core.TypeInfini, Q: uint8(f.q - uint(f.exps)), Seed: f.seed}
 }
 
 func (f *Filter) hash(key uint64) uint64 { return hashutil.MixSeed(key, f.seed) }

@@ -8,116 +8,91 @@ import (
 )
 
 func init() {
-	core.Register(core.TypeInfini, "infini",
-		func() core.Persistent { return &Filter{} },
-		func(s core.Spec) (core.Persistent, error) { return FromSpec(s) })
+	core.Register(core.TypeInfini, "infini", FromSpec)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (f *Filter) TypeID() uint16 { return core.TypeInfini }
-
-// WriteTo serializes the filter as one codec frame: the construction
-// Spec (initial q + seed), the growth counters, and every bucket's
+// WriteTo serializes the filter as one frame: the construction Spec
+// (initial q + seed), the growth counters, and every bucket's
 // (fingerprint, length) entries. The current table width is implied —
 // q = Spec.Q + Expansions — so growth state survives the trip.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	spec := core.Spec{Type: core.TypeInfini, Q: uint8(f.q - uint(f.exps)), Seed: f.seed}
-	spec.Encode(&e)
-	e.U32(uint32(f.exps))
-	e.U64(uint64(f.n))
-	e.U64(uint64(f.voids))
-	e.F64(f.maxLoad)
-	// Buckets are short (maxLoad < 1 entry/bucket on average), so counts
-	// are a byte with an escape, and fingerprints fit 16 bits by
-	// construction (FreshBits wide at most).
-	for _, bucket := range f.buckets {
-		if len(bucket) < 255 {
-			e.U8(uint8(len(bucket)))
-		} else {
-			e.U8(255)
-			e.U64(uint64(len(bucket)))
+	return core.EncodeFrame(w, f.Spec(), func(e *codec.Enc) error {
+		e.U32(uint32(f.exps))
+		e.U64(uint64(f.n))
+		e.U64(uint64(f.voids))
+		e.F64(f.maxLoad)
+		// Buckets are short (maxLoad < 1 entry/bucket on average), so counts
+		// are a byte with an escape, and fingerprints fit 16 bits by
+		// construction (FreshBits wide at most).
+		for _, bucket := range f.buckets {
+			if len(bucket) < 255 {
+				e.U8(uint8(len(bucket)))
+			} else {
+				e.U8(255)
+				e.U64(uint64(len(bucket)))
+			}
+			for _, ent := range bucket {
+				e.U16(uint16(ent.fp))
+				e.U8(ent.len)
+			}
 		}
-		for _, ent := range bucket {
-			e.U16(uint16(ent.fp))
-			e.U8(ent.len)
-		}
-	}
-	return codec.WriteFrame(w, core.TypeInfini, e.Bytes())
+		return nil
+	})
 }
 
-// ReadFrom restores a filter written by WriteTo into the receiver,
-// revalidating every entry (length within FreshBits, fingerprint within
-// its length) and cross-checking the counters against the stored
-// buckets. On error the receiver is left unchanged.
+// ReadFrom restores a filter written by WriteTo into the receiver (see
+// core.DecodeFrame for the validation contract), revalidating every
+// entry (length within FreshBits, fingerprint within its length) and
+// cross-checking the counters against the stored buckets.
 func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeInfini)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	exps := int(d.U32())
-	n := int(d.U64())
-	voids := int(d.U64())
-	maxLoad := d.F64()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	nf, err := FromSpec(spec)
-	if err != nil {
-		return 0, d.Corruptf("%v", err)
-	}
-	q := uint(spec.Q) + uint(exps)
+	return core.DecodeFrame(r, core.TypeInfini, f, shape, (*Filter).decode)
+}
+
+// decode reads the fields WriteTo wrote into a shaped filter.
+func (f *Filter) decode(d *codec.Dec) error {
+	exps, n, voids, maxLoad := int(d.U32()), int(d.U64()), int(d.U64()), d.F64()
+	q := f.q + uint(exps)
 	if q > 40 || n < 0 || voids < 0 || voids > n || !(maxLoad > 0 && maxLoad <= 1) {
-		return 0, d.Corruptf("infini: header (q0=%d exps=%d n=%d voids=%d maxLoad=%v) invalid",
-			spec.Q, exps, n, voids, maxLoad)
+		return d.Corruptf("infini: header (q0=%d exps=%d n=%d voids=%d maxLoad=%v) invalid",
+			f.q, exps, n, voids, maxLoad)
 	}
-	nf.q = q
-	nf.exps = exps
-	nf.maxLoad = maxLoad
-	nf.buckets = make([][]entry, uint64(1)<<q)
+	// Every bucket stores at least its count byte.
+	if !d.Claim(uint64(1)<<q, 1, "infini bucket") {
+		return d.Err()
+	}
+	f.q, f.exps, f.maxLoad = q, exps, maxLoad
+	f.buckets = make([][]entry, uint64(1)<<q)
 	gotN, gotVoids := 0, 0
-	for b := range nf.buckets {
+	for b := range f.buckets {
 		cnt := uint64(d.U8())
 		if cnt == 255 {
-			cnt = d.U64()
+			if cnt = d.U64(); cnt < 255 {
+				return d.Corruptf("infini: bucket %d count %d escaped", b, cnt)
+			}
 		}
-		if d.Err() != nil {
-			return 0, d.Err()
-		}
-		if cnt > uint64(n-gotN) {
-			return 0, d.Corruptf("infini: bucket %d entry count %d exceeds remaining keys", b, cnt)
-		}
-		if cnt == 0 {
+		if cnt == 0 || !d.Claim(cnt, 3, "infini entry") {
 			continue
 		}
 		bucket := make([]entry, cnt)
 		for i := range bucket {
-			fp := uint32(d.U16())
-			l := d.U8()
+			fp, l := uint32(d.U16()), d.U8()
 			if l > FreshBits || uint64(fp)>>l != 0 {
-				return 0, d.Corruptf("infini: bucket %d entry %d (fp=%#x len=%d) malformed", b, i, fp, l)
+				return d.Corruptf("infini: bucket %d entry %d (fp=%#x len=%d) malformed", b, i, fp, l)
 			}
 			bucket[i] = entry{fp: fp, len: l}
 			if l == 0 {
 				gotVoids++
 			}
 		}
-		nf.buckets[b] = bucket
+		f.buckets[b] = bucket
 		gotN += int(cnt)
 	}
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
 	if gotN != n || gotVoids != voids {
-		return 0, d.Corruptf("infini: stored entries (n=%d voids=%d) disagree with header (n=%d voids=%d)",
+		return d.Corruptf("infini: stored entries (n=%d voids=%d) disagree with header (n=%d voids=%d)",
 			gotN, gotVoids, n, voids)
 	}
-	nf.n = n
-	nf.voids = voids
-	*f = *nf
-	return int64(codec.HeaderSize + len(payload)), nil
+	f.n, f.voids = n, voids
+	return nil
 }
 
 var _ core.Persistent = (*Filter)(nil)

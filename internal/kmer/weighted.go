@@ -140,11 +140,6 @@ func (w *Weighted) Remove(code uint64, n uint64) error {
 	return w.nodes.Remove(code, n)
 }
 
-// RemoveEdge deletes occurrences of a (k+1)-mer edge.
-func (w *Weighted) RemoveEdge(code uint64, n uint64) error {
-	return w.edges.Remove(code, n)
-}
-
 // SizeBits returns both CQFs plus the boundary table.
 func (w *Weighted) SizeBits() int {
 	return w.nodes.SizeBits() + w.edges.SizeBits() + len(w.boundary)*96

@@ -31,16 +31,17 @@ func runFilterName(id uint64) string { return fmt.Sprintf("run-%d.bbf", id) }
 
 // writeTo serializes one run's entries as a TypeLSMRun frame.
 func (r *run) writeTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	e.U64(r.id)
-	e.U32(uint32(r.level))
-	e.U64(uint64(len(r.entries)))
-	for _, en := range r.entries {
-		e.U64(en.Key)
-		e.U64(en.Value)
-		e.Bool(en.Tombstone)
-	}
-	return codec.WriteFrame(w, core.TypeLSMRun, e.Bytes())
+	return codec.Encode(w, core.TypeLSMRun, func(e *codec.Enc) error {
+		e.U64(r.id)
+		e.U32(uint32(r.level))
+		e.U64(uint64(len(r.entries)))
+		for _, en := range r.entries {
+			e.U64(en.Key)
+			e.U64(en.Value)
+			e.Bool(en.Tombstone)
+		}
+		return nil
+	})
 }
 
 // entryBytes is the encoded size of one Entry (key + value + tombstone).
@@ -61,13 +62,12 @@ func (s *Store) writeMapletImage(w io.Writer) error {
 		_, err := testLegacyMapletImage.WriteTo(w)
 		return err
 	}
-	var e codec.Enc
-	e.U8(uint8(mapletRunBits))
-	e.U8(uint8(s.mapOffBits))
-	if _, err := s.maplet.WriteTo(&e); err != nil {
+	_, err := codec.Encode(w, codec.KindMapletV2, func(e *codec.Enc) error {
+		e.U8(uint8(mapletRunBits))
+		e.U8(uint8(s.mapOffBits))
+		_, err := s.maplet.WriteTo(e)
 		return err
-	}
-	_, err := codec.WriteFrame(w, codec.KindMapletV2, e.Bytes())
+	})
 	return err
 }
 
@@ -103,27 +103,24 @@ func readMapletImage(d *codec.Dec, memtableSize, sizeRatio int) (*quotient.Maple
 		}
 		return wide, offBits, nil
 	case codec.KindMapletV2:
-		payload, err := codec.ReadFrame(bytes.NewReader(raw), codec.KindMapletV2)
+		m := &quotient.Maplet{}
+		var offBits uint
+		_, err := codec.Decode(bytes.NewReader(raw), codec.KindMapletV2, func(d *codec.Dec) error {
+			runBits := uint(d.U8())
+			offBits = uint(d.U8())
+			if runBits != mapletRunBits || offBits < mapletMinOffsetBits || offBits > mapletMaxOffsetBits {
+				return d.Corruptf("lsm: maplet image geometry run=%d off=%d out of range", runBits, offBits)
+			}
+			if _, err := m.ReadFrom(d); err != nil {
+				return err
+			}
+			if m.ValueBits() != runBits+offBits {
+				return d.Corruptf("lsm: maplet value width %d disagrees with geometry %d+%d", m.ValueBits(), runBits, offBits)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, 0, err
-		}
-		id := codec.NewDec(payload)
-		runBits := uint(id.U8())
-		offBits := uint(id.U8())
-		if runBits != mapletRunBits || offBits < mapletMinOffsetBits || offBits > mapletMaxOffsetBits {
-			return nil, 0, fmt.Errorf("%w: lsm: maplet image geometry run=%d off=%d out of range",
-				codec.ErrCorrupt, runBits, offBits)
-		}
-		m := &quotient.Maplet{}
-		if _, err := m.ReadFrom(id); err != nil {
-			return nil, 0, err
-		}
-		if err := id.Finish(); err != nil {
-			return nil, 0, err
-		}
-		if m.ValueBits() != runBits+offBits {
-			return nil, 0, fmt.Errorf("%w: lsm: maplet value width %d disagrees with geometry %d+%d",
-				codec.ErrCorrupt, m.ValueBits(), runBits, offBits)
 		}
 		return m, offBits, nil
 	default:
@@ -135,30 +132,24 @@ func readMapletImage(d *codec.Dec, memtableSize, sizeRatio int) (*quotient.Maple
 // readRun decodes one TypeLSMRun frame, validating the sort invariant
 // every lookup's binary search depends on.
 func readRun(rd io.Reader) (*run, error) {
-	payload, err := codec.ReadFrame(rd, core.TypeLSMRun)
+	r := &run{}
+	_, err := codec.Decode(rd, core.TypeLSMRun, func(d *codec.Dec) error {
+		r.id, r.level = d.U64(), int(d.U32())
+		if n := d.U64(); d.Claim(n, entryBytes, "run entry") {
+			r.entries = make([]Entry, n)
+		}
+		for i := range r.entries {
+			r.entries[i] = Entry{Key: d.U64(), Value: d.U64(), Tombstone: d.Bool()}
+			if i > 0 && r.entries[i-1].Key >= r.entries[i].Key {
+				return d.Corruptf("lsm: run %d entries not strictly sorted at index %d", r.id, i)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	d := codec.NewDec(payload)
-	id := d.U64()
-	level := d.U32()
-	n := d.U64()
-	if d.Err() == nil && n > uint64(d.Remaining())/entryBytes {
-		return nil, d.Corruptf("lsm: run %d claims %d entries in %d payload bytes", id, n, d.Remaining())
-	}
-	entries := make([]Entry, n)
-	for i := range entries {
-		entries[i] = Entry{Key: d.U64(), Value: d.U64(), Tombstone: d.Bool()}
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].Key >= entries[i].Key {
-			return nil, d.Corruptf("lsm: run %d entries not strictly sorted at index %d", id, i)
-		}
-	}
-	return &run{id: id, entries: entries, level: int(level)}, nil
+	return r, nil
 }
 
 // manifestRun is one run's manifest record: its position in the level
@@ -299,69 +290,69 @@ func (s *Store) Save(dir string) error {
 // newer than all three fails with a clear kind error instead of a
 // misparse.
 func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, freeIDs []uint64, durable bool, watermark uint64) ([]byte, error) {
-	var e codec.Enc
-	// Structural options: a reopened store must rebuild the exact same
-	// level arithmetic and filter policy.
-	e.U64(uint64(s.opts.MemtableSize))
-	e.U64(uint64(s.opts.SizeRatio))
-	e.U8(uint8(s.opts.Policy))
-	e.F64(s.opts.BitsPerKey)
-	e.F64(s.opts.MonkeyBaseFPR)
-	e.U8(uint8(s.opts.Compaction))
-	e.Bool(s.opts.RangeFilter != nil)
-	e.Bool(false) // growable-run-filter flag: v3 layout, no longer set
-	// Device and filter counters: a reopened store resumes accounting
-	// where the saved one stopped, so experiments comparing the two see
-	// identical I/O for identical workloads.
-	c := s.dev.Counters()
-	e.U64(uint64(c.Reads))
-	e.U64(uint64(c.Writes))
-	e.U64(uint64(c.FailedReads))
-	e.U64(uint64(c.FailedWrites))
-	e.U64(0) // unused counter slot, kept so the manifest layout does not change
-	e.U64(uint64(c.ReplicaReads))
-	e.U64(uint64(c.ReplicaWrites))
-	e.U64(uint64(s.FilterProbes()))
-	e.U64(uint64(s.FilterFallbacks()))
-	// Run id allocation state.
-	e.U64(nextID)
-	e.U64s(freeIDs)
-	// Durability: whether this manifest is a WAL checkpoint, and the
-	// replay watermark.
-	e.Bool(durable)
-	e.U64(watermark)
-	// Memtable, sorted by key for a deterministic encoding.
-	memKeys := make([]uint64, 0, len(mem))
-	for k := range mem {
-		memKeys = append(memKeys, k)
-	}
-	sort.Slice(memKeys, func(i, j int) bool { return memKeys[i] < memKeys[j] })
-	e.U64(uint64(len(memKeys)))
-	for _, k := range memKeys {
-		en := mem[k]
-		e.U64(en.Key)
-		e.U64(en.Value)
-		e.Bool(en.Tombstone)
-	}
-	// Level structure: run ids in order (newest first within a level).
-	e.U64(uint64(len(v.levels)))
-	for _, level := range v.levels {
-		e.U64(uint64(len(level)))
-		for _, r := range level {
-			e.U64(r.id)
-			e.Bool(r.filter != nil)
-		}
-	}
-	// Global maplet (PolicyMaplet): nested frame, versioned
-	// independently of the manifest (see writeMapletImage).
-	e.Bool(s.maplet != nil)
-	if s.maplet != nil {
-		if err := s.writeMapletImage(&e); err != nil {
-			return nil, err
-		}
-	}
 	var buf bytes.Buffer
-	if _, err := codec.WriteFrame(&buf, core.TypeLSMManifestV3, e.Bytes()); err != nil {
+	_, err := codec.Encode(&buf, core.TypeLSMManifestV3, func(e *codec.Enc) error {
+		// Structural options: a reopened store must rebuild the exact same
+		// level arithmetic and filter policy.
+		e.U64(uint64(s.opts.MemtableSize))
+		e.U64(uint64(s.opts.SizeRatio))
+		e.U8(uint8(s.opts.Policy))
+		e.F64(s.opts.BitsPerKey)
+		e.F64(s.opts.MonkeyBaseFPR)
+		e.U8(uint8(s.opts.Compaction))
+		e.Bool(s.opts.RangeFilter != nil)
+		e.Bool(false) // growable-run-filter flag: v3 layout, no longer set
+		// Device and filter counters: a reopened store resumes accounting
+		// where the saved one stopped, so experiments comparing the two see
+		// identical I/O for identical workloads.
+		c := s.dev.Counters()
+		e.U64(uint64(c.Reads))
+		e.U64(uint64(c.Writes))
+		e.U64(uint64(c.FailedReads))
+		e.U64(uint64(c.FailedWrites))
+		e.U64(0) // unused counter slot, kept so the manifest layout does not change
+		e.U64(uint64(c.ReplicaReads))
+		e.U64(uint64(c.ReplicaWrites))
+		e.U64(uint64(s.FilterProbes()))
+		e.U64(uint64(s.FilterFallbacks()))
+		// Run id allocation state.
+		e.U64(nextID)
+		e.U64s(freeIDs)
+		// Durability: whether this manifest is a WAL checkpoint, and the
+		// replay watermark.
+		e.Bool(durable)
+		e.U64(watermark)
+		// Memtable, sorted by key for a deterministic encoding.
+		memKeys := make([]uint64, 0, len(mem))
+		for k := range mem {
+			memKeys = append(memKeys, k)
+		}
+		sort.Slice(memKeys, func(i, j int) bool { return memKeys[i] < memKeys[j] })
+		e.U64(uint64(len(memKeys)))
+		for _, k := range memKeys {
+			en := mem[k]
+			e.U64(en.Key)
+			e.U64(en.Value)
+			e.Bool(en.Tombstone)
+		}
+		// Level structure: run ids in order (newest first within a level).
+		e.U64(uint64(len(v.levels)))
+		for _, level := range v.levels {
+			e.U64(uint64(len(level)))
+			for _, r := range level {
+				e.U64(r.id)
+				e.Bool(r.filter != nil)
+			}
+		}
+		// Global maplet (PolicyMaplet): nested frame, versioned
+		// independently of the manifest (see writeMapletImage).
+		e.Bool(s.maplet != nil)
+		if s.maplet == nil {
+			return nil
+		}
+		return s.writeMapletImage(e)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -601,8 +592,8 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		watermark = d.U64()
 	}
 	memCount := d.U64()
-	if d.Err() == nil && memCount > uint64(d.Remaining())/entryBytes {
-		return nil, d.Corruptf("lsm: manifest claims %d memtable entries in %d bytes", memCount, d.Remaining())
+	if !d.Claim(memCount, entryBytes, "memtable entry") {
+		return nil, d.Err()
 	}
 	memtable := make(map[uint64]Entry, memCount)
 	for i := uint64(0); i < memCount; i++ {
@@ -610,15 +601,15 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		memtable[en.Key] = en
 	}
 	numLevels := d.U64()
-	if d.Err() == nil && numLevels > uint64(d.Remaining()) {
-		return nil, d.Corruptf("lsm: manifest claims %d levels in %d bytes", numLevels, d.Remaining())
+	if !d.Claim(numLevels, 8, "level") {
+		return nil, d.Err()
 	}
 	levelRuns := make([][]manifestRun, numLevels)
 	totalRuns := 0
 	for li := range levelRuns {
 		n := d.U64()
-		if d.Err() == nil && n > uint64(d.Remaining())/9 {
-			return nil, d.Corruptf("lsm: manifest claims %d runs at level %d in %d bytes", n, li, d.Remaining())
+		if !d.Claim(n, 9, "run") {
+			return nil, d.Err()
 		}
 		levelRuns[li] = make([]manifestRun, n)
 		for ri := range levelRuns[li] {

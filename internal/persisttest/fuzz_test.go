@@ -35,23 +35,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("BBF1 but not really a frame"))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		loaded, err := core.Load(r)
-		if err != nil {
-			if !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("Load error %v does not wrap codec.ErrCorrupt", err)
-			}
-			return
+	f.Fuzz(checkLoad)
+}
+
+// checkLoad is the fuzz contract: Load either returns an error wrapping
+// codec.ErrCorrupt or succeeds, and on success the loaded filter
+// re-encodes to exactly the bytes it consumed.
+func checkLoad(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	loaded, err := core.Load(r)
+	if err != nil {
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("Load error %v does not wrap codec.ErrCorrupt", err)
 		}
-		consumed := len(data) - r.Len()
-		var out bytes.Buffer
-		if _, err := core.Save(&out, loaded); err != nil {
-			t.Fatalf("re-encoding a successfully loaded filter failed: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:consumed]) {
-			t.Fatalf("non-canonical load: consumed %d bytes but re-encoded %d different ones",
-				consumed, out.Len())
-		}
-	})
+		return
+	}
+	consumed := len(data) - r.Len()
+	var out bytes.Buffer
+	if _, err := core.Save(&out, loaded); err != nil {
+		t.Fatalf("re-encoding a successfully loaded filter failed: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), data[:consumed]) {
+		t.Fatalf("non-canonical load: consumed %d bytes but re-encoded %d different ones",
+			consumed, out.Len())
+	}
 }

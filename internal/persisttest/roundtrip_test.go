@@ -3,6 +3,8 @@ package persisttest
 import (
 	"bytes"
 	"errors"
+	"os"
+	"reflect"
 	"testing"
 
 	"beyondbloom/internal/codec"
@@ -30,8 +32,8 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			if got.TypeID() != fx.Filter.TypeID() {
-				t.Fatalf("TypeID: got %d, want %d", got.TypeID(), fx.Filter.TypeID())
+			if reflect.TypeOf(got) != reflect.TypeOf(fx.Filter) {
+				t.Fatalf("loaded a %T, want %T", got, fx.Filter)
 			}
 
 			// Bit-identical state: the reloaded filter must serialize to
@@ -98,8 +100,8 @@ func TestLoadStreamsBackToBack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load(%s): %v", fx.Name, err)
 		}
-		if got.TypeID() != fx.Filter.TypeID() {
-			t.Fatalf("Load(%s): TypeID %d, want %d", fx.Name, got.TypeID(), fx.Filter.TypeID())
+		if reflect.TypeOf(got) != reflect.TypeOf(fx.Filter) {
+			t.Fatalf("Load(%s): loaded a %T, want %T", fx.Name, got, fx.Filter)
 		}
 	}
 	if r.Len() != 0 {
@@ -141,23 +143,34 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestRegistryCoverage pins the registered type table: all six filter
-// types from the tutorial must be present under their stable IDs.
+// TestRegistryCoverage requires the fixtures to cover the registry
+// exactly: one fixture per registered type, named after it and saved
+// under its TypeID, each with a golden file. A new registration cannot
+// land without a fixture and a golden.
 func TestRegistryCoverage(t *testing.T) {
-	want := map[uint16]string{
-		core.TypeBloom:        "bloom",
-		core.TypeBlockedBloom: "bloom.Blocked",
-		core.TypeCuckoo:       "cuckoo",
-		core.TypeQuotient:     "quotient",
-		core.TypeXor:          "xorfilter",
-		core.TypeSharded:      "concurrent.Sharded",
+	fixtures, err := Fixtures(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, name := range want {
-		if got := core.TypeName(id); got != name {
-			t.Errorf("TypeName(%d) = %q, want %q", id, got, name)
+	var names []string
+	for _, fx := range fixtures {
+		names = append(names, fx.Name)
+		var buf bytes.Buffer
+		if _, err := core.Save(&buf, fx.Filter); err != nil {
+			t.Fatal(err)
+		}
+		kind, _, err := codec.PeekKind(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := core.TypeName(kind); got != fx.Name {
+			t.Errorf("fixture %s saves as TypeID %d, registered as %q", fx.Name, kind, got)
+		}
+		if _, err := os.Stat(goldenPath(fx.Name)); err != nil {
+			t.Errorf("fixture %s has no golden file: %v", fx.Name, err)
 		}
 	}
-	if got := len(core.RegisteredTypes()); got < len(want) {
-		t.Errorf("RegisteredTypes: %d entries, want at least %d", got, len(want))
+	if want := registeredNames(); !equalSorted(names, want) {
+		t.Errorf("fixtures %v, registered types %v", names, want)
 	}
 }

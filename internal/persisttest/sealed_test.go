@@ -1,0 +1,180 @@
+package persisttest
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"slices"
+	"testing"
+
+	"beyondbloom/internal/bitvec"
+	"beyondbloom/internal/codec"
+	"beyondbloom/internal/core"
+)
+
+// hugeSpecFrame is a small frame with a valid checksum whose Spec claims
+// a filter far larger than the payload that follows it.
+type hugeSpecFrame struct {
+	name  string // the registered type name
+	frame []byte
+}
+
+// hugeSpecFrames returns one hugeSpecFrame per registered filter type.
+// Decoding any of them must not size an array from the Spec.
+func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
+	emptyVector := func(e *codec.Enc) error { _, err := bitvec.New(0).WriteTo(e); return err }
+	emptyPacked := func(e *codec.Enc) error { _, err := bitvec.NewPacked(0, 8).WriteTo(e); return err }
+	blocked := func(e *codec.Enc) error { e.U64(0); e.U32(7); e.U64(0); e.U64s(nil); return nil }
+	rows := []struct {
+		name string
+		spec core.Spec
+		fill func(*codec.Enc) error
+	}{
+		{"bloom", core.Spec{Type: core.TypeBloom, N: 1 << 58, BitsPerKey: 10}, func(e *codec.Enc) error {
+			e.U64(0)
+			e.U32(7)
+			e.U64(0)
+			return emptyVector(e)
+		}},
+		{"bloom.Blocked", core.Spec{Type: core.TypeBlockedBloom, N: 1 << 58, BitsPerKey: 10}, blocked},
+		{"bloom.BlockedChoices", core.Spec{Type: core.TypeBlockedChoices, N: 1 << 58, BitsPerKey: 10}, blocked},
+		// A chain of 62 stages with none of them in the payload.
+		{"bloom.Scalable", core.Spec{Type: core.TypeScalableBloom, N: 1 << 58, BitsPerKey: 0.01}, func(e *codec.Enc) error {
+			e.U64(0)
+			e.U32(62)
+			return nil
+		}},
+		{"cuckoo", core.Spec{Type: core.TypeCuckoo, N: 1 << 40, FPBits: 8, Seed: 1}, func(e *codec.Enc) error {
+			for range 5 {
+				e.U64(0) // buckets, n, rng, victim fp, victim bucket
+			}
+			e.Bool(false)
+			return emptyPacked(e)
+		}},
+		// Saturated, so no table follows, but still at r=8 after no
+		// expansions: a filter saturates only at r=1.
+		{"quotient", core.Spec{Type: core.TypeQuotient, Q: 34, R: 8, Seed: 1}, func(e *codec.Enc) error {
+			e.U8(8)
+			e.U64(0)
+			e.Bool(false)
+			e.Bool(true)
+			e.U32(0)
+			return nil
+		}},
+		{"xorfilter", core.Spec{Type: core.TypeXor, N: 1 << 40, FPBits: 8, Seed: 1}, func(e *codec.Enc) error {
+			e.U64(0)
+			return emptyPacked(e)
+		}},
+		// 4096 shards, none of which follow the header.
+		{"concurrent.Sharded", core.Spec{Type: core.TypeSharded, LogShards: 12, Seed: 1}, nil},
+		// 2^40 buckets claimed, 36 bucket bytes present.
+		{"infini", core.Spec{Type: core.TypeInfini, Q: 40, Seed: 1}, func(e *codec.Enc) error {
+			e.U32(0)
+			e.U64(0)
+			e.U64(0)
+			e.F64(0.9)
+			e.Write(make([]byte, 36))
+			return nil
+		}},
+		// 2^30 extents claimed, none present.
+		{"taffy", core.Spec{Type: core.TypeTaffy, N: 1 << 41, BitsPerKey: 0.01, Seed: 1}, func(e *codec.Enc) error {
+			e.U8(40)
+			e.U32(0)
+			e.U64(0)
+			e.U64(0)
+			e.Bool(false)
+			e.U64(1 << 30)
+			return nil
+		}},
+	}
+	out := make([]hugeSpecFrame, len(rows))
+	for i, row := range rows {
+		var buf bytes.Buffer
+		if _, err := core.EncodeFrame(&buf, row.spec, row.fill); err != nil {
+			tb.Fatalf("%s: %v", row.name, err)
+		}
+		out[i] = hugeSpecFrame{row.name, buf.Bytes()}
+	}
+	return out
+}
+
+// TestHugeSpecFramesRejected loads, for every registered type, a small
+// valid-checksum frame whose Spec claims a huge filter. Each must fail
+// with ErrCorrupt — no panic, no out-of-memory death — having allocated
+// little: decoders size arrays from the payload, never from the Spec.
+func TestHugeSpecFramesRejected(t *testing.T) {
+	const maxAlloc = 16 << 20
+	frames := hugeSpecFrames(t)
+	var names []string
+	for _, fr := range frames {
+		names = append(names, fr.name)
+		t.Run(fr.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := core.Load(bytes.NewReader(fr.frame))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("%d-byte frame: Load returned %v, want an error wrapping ErrCorrupt", len(fr.frame), err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxAlloc {
+				t.Fatalf("%d-byte frame: Load allocated %d bytes, bound %d", len(fr.frame), alloc, maxAlloc)
+			}
+		})
+	}
+	if want := registeredNames(); !equalSorted(names, want) {
+		t.Fatalf("rows %v, registered types %v: every registered type needs a row", names, want)
+	}
+}
+
+// FuzzSealedPayload fuzzes the bytes behind the checksum: each input is
+// a frame kind and a payload, sealed into a frame with a valid checksum
+// before core.Load, so mutations reach the decoders instead of stopping
+// at the CRC check. The contract is FuzzCodecRoundTrip's.
+func FuzzSealedPayload(f *testing.F) {
+	fixtures, err := Fixtures(64)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, fx := range fixtures {
+		var buf bytes.Buffer
+		if _, err := core.Save(&buf, fx.Filter); err != nil {
+			f.Fatal(err)
+		}
+		kind, raw, err := codec.ReadRaw(&buf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(kind, raw[codec.HeaderSize:])
+	}
+	for _, fr := range hugeSpecFrames(f) {
+		kind, raw, err := codec.ReadRaw(bytes.NewReader(fr.frame))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(kind, raw[codec.HeaderSize:])
+	}
+	f.Fuzz(func(t *testing.T, kind uint16, payload []byte) {
+		var buf bytes.Buffer
+		if _, err := codec.WriteFrame(&buf, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+		checkLoad(t, buf.Bytes())
+	})
+}
+
+// registeredNames returns the names of every registered type, sorted.
+func registeredNames() []string {
+	var names []string
+	for _, id := range core.RegisteredTypes() {
+		names = append(names, core.TypeName(id))
+	}
+	slices.Sort(names)
+	return names
+}
+
+// equalSorted reports whether a, once sorted, equals the sorted b.
+func equalSorted(a, b []string) bool {
+	a = slices.Clone(a)
+	slices.Sort(a)
+	return slices.Equal(a, b)
+}

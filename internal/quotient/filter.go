@@ -58,6 +58,17 @@ func NewWithSeed(q, r uint, seed uint64) *Filter {
 // parameters — the one code path the constructors, the registry, and
 // the decoder share.
 func FromSpec(s core.Spec) (*Filter, error) {
+	f, err := shape(s)
+	if err != nil {
+		return nil, err
+	}
+	f.t = newTable(uint(s.Q), uint(s.R))
+	return f, nil
+}
+
+// shape is FromSpec without the table: it validates s, and the decoder
+// reads the table from the payload.
+func shape(s core.Spec) (*Filter, error) {
 	if s.Type != core.TypeQuotient {
 		return nil, fmt.Errorf("quotient: spec type %d is not TypeQuotient", s.Type)
 	}
@@ -67,7 +78,7 @@ func FromSpec(s core.Spec) (*Filter, error) {
 	if s.R < 1 || s.R > 58 {
 		return nil, fmt.Errorf("quotient: r=%d out of range [1,58]", s.R)
 	}
-	return &Filter{spec: s, t: newTable(uint(s.Q), uint(s.R)), r: uint(s.R)}, nil
+	return &Filter{spec: s, r: uint(s.R)}, nil
 }
 
 // Spec returns the filter's construction parameters. Expansion changes
@@ -235,17 +246,6 @@ func (f *Filter) SizeBits() int {
 		return 64
 	}
 	return f.t.sizeBits()
-}
-
-// Fingerprints returns all stored q+r-bit fingerprints in ascending
-// order, one per copy.
-func (f *Filter) Fingerprints() []uint64 {
-	out := make([]uint64, 0, f.n)
-	_ = f.t.each(func(fq, fr uint64) error { // fn never fails; the table is consistent
-		out = append(out, fq<<f.r|fr)
-		return nil
-	})
-	return out
 }
 
 // expand doubles the table, moving one bit from remainder to quotient.

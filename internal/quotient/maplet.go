@@ -83,20 +83,7 @@ func (m *Maplet) Put(key, value uint64) error {
 // Get returns every value whose entry matches key's fingerprint.
 func (m *Maplet) Get(key uint64) []uint64 {
 	fq, fr := m.fingerprint(key)
-	start, length, ok := m.t.findRun(fq)
-	if !ok {
-		return nil
-	}
-	var out []uint64
-	pos := start
-	for i := uint64(0); i < length; i++ {
-		e := m.t.payload.Get(int(pos))
-		if e>>m.vBits == fr {
-			out = append(out, e&hashutil.Mask(m.vBits))
-		}
-		pos = (pos + 1) & m.t.mask
-	}
-	return out
+	return m.appendFP(nil, fq, fr)
 }
 
 // GetAppend appends every value whose entry matches key's fingerprint

@@ -1,7 +1,6 @@
 package taffy
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
 	"sort"
@@ -11,211 +10,151 @@ import (
 )
 
 func init() {
-	core.Register(core.TypeTaffy, "taffy",
-		func() core.Persistent { return &Filter{} },
-		func(s core.Spec) (core.Persistent, error) { return FromSpec(s) })
+	core.Register(core.TypeTaffy, "taffy", FromSpec)
 }
-
-// TypeID returns the filter's stable wire-format type id.
-func (f *Filter) TypeID() uint16 { return core.TypeTaffy }
 
 // WriteTo serializes the filter — including mid-round migration state,
 // so a snapshot taken during a doubling resumes exactly where it left
 // off — as one TypeTaffy frame.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	f.spec.Encode(&e)
-	e.U8(uint8(f.q))
-	e.U32(uint32(f.exps))
-	e.U64(uint64(f.n))
-	e.U64(uint64(f.voids))
-	e.Bool(f.bitmap != nil)
-	if f.bitmap != nil {
-		e.U64(f.migrated)
-		e.U64(f.cursor)
-		e.U64s(f.bitmap)
-	}
-	// Extents are sparse: only allocated ones carry a payload. The count
-	// written is the logical extent count for the current bucket range.
-	nExt := (f.bucketRange() + extentBuckets - 1) >> extentLogBuckets
-	e.U64(nExt)
-	for k := uint64(0); k < nExt; k++ {
-		present := k < uint64(len(f.extents)) && f.extents[k] != nil
-		e.Bool(present)
-		if present {
-			e.U64s(f.extents[k])
+	return core.EncodeFrame(w, f.spec, func(e *codec.Enc) error {
+		e.U8(uint8(f.q))
+		e.U32(uint32(f.exps))
+		e.U64(uint64(f.n))
+		e.U64(uint64(f.voids))
+		e.Bool(f.bitmap != nil)
+		if f.bitmap != nil {
+			e.U64(f.migrated)
+			e.U64(f.cursor)
+			e.U64s(f.bitmap)
 		}
-	}
-	// Overflow entries, sorted by bucket for a canonical encoding.
-	e.U64(uint64(f.novf))
-	keys := make([]uint64, 0, len(f.ovf))
-	for b := range f.ovf {
-		keys = append(keys, b)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, b := range keys {
-		e.U64(b)
-		e.U64(uint64(len(f.ovf[b])))
-		for _, c := range f.ovf[b] {
-			e.U16(c)
+		// Extents are sparse: only allocated ones carry a payload. The
+		// count written is the logical extent count for the current bucket
+		// range.
+		nExt := (f.bucketRange() + extentBuckets - 1) >> extentLogBuckets
+		e.U64(nExt)
+		for k := uint64(0); k < nExt; k++ {
+			present := k < uint64(len(f.extents)) && f.extents[k] != nil
+			e.Bool(present)
+			if present {
+				e.U64s(f.extents[k])
+			}
 		}
-	}
-	return codec.WriteFrame(w, core.TypeTaffy, e.Bytes())
+		// Overflow entries, sorted by bucket for a canonical encoding.
+		e.U64(uint64(f.novf))
+		keys := make([]uint64, 0, len(f.ovf))
+		for b := range f.ovf {
+			keys = append(keys, b)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		for _, b := range keys {
+			e.U64(b)
+			e.U64(uint64(len(f.ovf[b])))
+			for _, c := range f.ovf[b] {
+				e.U16(c)
+			}
+		}
+		return nil
+	})
 }
 
-// ReadFrom restores a filter saved with WriteTo. It re-derives the
-// length census and cross-checks every counter against the stored
-// table, so corrupt input is reported rather than silently served.
+// ReadFrom restores a filter saved with WriteTo (see core.DecodeFrame
+// for the validation contract). It re-derives the length census and
+// cross-checks every counter against the stored table, so corrupt
+// input is reported rather than silently served.
 func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeTaffy)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
-	q := uint(d.U8())
-	exps := int(d.U32())
-	n := int(d.U64())
-	voids := int(d.U64())
-	migrating := d.Bool()
-	var migrated, cursor uint64
-	var bitmap []uint64
-	if migrating {
-		migrated = d.U64()
-		cursor = d.U64()
-		bitmap = d.U64s()
-	}
-	nExt := d.U64()
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	if nExt > (uint64(1)<<(maxQ+1))>>extentLogBuckets {
-		return 0, d.Corruptf("taffy: extent count %d out of range", nExt)
-	}
-	extents := make([][]uint64, nExt)
-	for k := range extents {
-		if d.Bool() {
-			extents[k] = d.U64s()
-		}
-	}
-	novf := int(d.U64())
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	if novf < 0 || novf > n {
-		return 0, d.Corruptf("taffy: overflow count %d out of range (n=%d)", novf, n)
-	}
-	var ovf map[uint64][]uint16
-	seen := 0
-	for seen < novf {
-		b := d.U64()
-		cnt := d.U64()
-		if d.Err() != nil {
-			return 0, d.Err()
-		}
-		if cnt == 0 || cnt > uint64(novf-seen) {
-			return 0, d.Corruptf("taffy: overflow bucket %d entry count %d invalid", b, cnt)
-		}
-		codes := make([]uint16, cnt)
-		for i := range codes {
-			codes[i] = d.U16()
-		}
-		if ovf == nil {
-			ovf = make(map[uint64][]uint16)
-		}
-		if _, dup := ovf[b]; dup {
-			return 0, d.Corruptf("taffy: duplicate overflow bucket %d", b)
-		}
-		ovf[b] = codes
-		seen += int(cnt)
-	}
-	if err := d.Finish(); err != nil {
-		return 0, err
-	}
+	return core.DecodeFrame(r, core.TypeTaffy, f, FromSpec, (*Filter).decode)
+}
 
-	// Rebuild from the spec so all parameter validation runs once, then
-	// verify the stored geometry is the one the spec implies.
-	nf, err := FromSpec(spec)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
+// decode reads the fields WriteTo wrote into an empty filter built from
+// the decoded Spec.
+func (f *Filter) decode(d *codec.Dec) error {
+	q, exps, n, voids := uint(d.U8()), int(d.U32()), int(d.U64()), int(d.U64())
+	if q != f.q+uint(exps) || q > maxQ {
+		return d.Corruptf("taffy: address width %d inconsistent with q0=%d exps=%d", q, f.q, exps)
 	}
-	if q != nf.q+uint(exps) || q > maxQ {
-		return 0, d.Corruptf("taffy: address width %d inconsistent with q0=%d exps=%d", q, nf.q, exps)
-	}
-	nf.q = q
-	nf.exps = exps
-	if migrating {
-		if len(bitmap) != int((uint64(1)<<q+63)/64) {
-			return 0, d.Corruptf("taffy: bitmap length %d for q=%d", len(bitmap), q)
+	f.q, f.exps = q, exps
+	if d.Bool() {
+		f.migrated, f.cursor, f.bitmap = d.U64(), d.U64(), d.U64s()
+		if len(f.bitmap) != int((uint64(1)<<q+63)/64) {
+			return d.Corruptf("taffy: bitmap length %d for q=%d", len(f.bitmap), q)
 		}
 		pop := 0
-		for _, w := range bitmap {
+		for _, w := range f.bitmap {
 			pop += bits.OnesCount64(w)
 		}
-		if uint64(pop) != migrated || migrated >= uint64(1)<<q || cursor > uint64(1)<<q {
-			return 0, d.Corruptf("taffy: migration state (migrated=%d pop=%d cursor=%d) invalid", migrated, pop, cursor)
-		}
-		nf.bitmap = bitmap
-		nf.migrated = migrated
-		nf.cursor = cursor
-	}
-	nb := nf.bucketRange()
-	wantExt := (nb + extentBuckets - 1) >> extentLogBuckets
-	if nExt != wantExt {
-		return 0, d.Corruptf("taffy: extent count %d, geometry implies %d", nExt, wantExt)
-	}
-	for k, ext := range extents {
-		if ext != nil && len(ext) != extentBuckets*bucketWords {
-			return 0, d.Corruptf("taffy: extent %d length %d", k, len(ext))
+		if uint64(pop) != f.migrated || f.migrated >= uint64(1)<<q || f.cursor > uint64(1)<<q {
+			return d.Corruptf("taffy: migration state (migrated=%d pop=%d cursor=%d) invalid", f.migrated, pop, f.cursor)
 		}
 	}
-	nf.extents = extents
+	nb := f.bucketRange()
+	nExt := d.U64()
+	if wantExt := (nb + extentBuckets - 1) >> extentLogBuckets; nExt != wantExt {
+		return d.Corruptf("taffy: extent count %d, geometry implies %d", nExt, wantExt)
+	}
+	// Every extent stores at least its presence byte.
+	if !d.Claim(nExt, 1, "taffy extent") {
+		return d.Err()
+	}
+	f.extents = make([][]uint64, nExt)
+	for k := range f.extents {
+		if d.Bool() {
+			if f.extents[k] = d.U64s(); len(f.extents[k]) != extentBuckets*bucketWords {
+				return d.Corruptf("taffy: extent %d length %d", k, len(f.extents[k]))
+			}
+		}
+	}
 
 	// Recompute the length census from the stored codes; counters must
 	// agree with the header.
-	gotN, gotVoids := 0, 0
-	countOne := func(c uint16) error {
-		if c == 0 {
-			return d.Corruptf("taffy: zero overflow code")
-		}
-		nf.countCode(c, +1)
-		gotN++
+	count := func(c uint16) {
+		f.countCode(c, +1)
+		f.n++
 		if c == 1 {
-			gotVoids++
+			f.voids++
 		}
-		return nil
 	}
-	for _, ext := range extents {
+	for _, ext := range f.extents {
 		for _, word := range ext {
 			for lane := uint(0); lane < lanesPerWord; lane++ {
 				if c := uint16(word >> (lane * laneBits)); c != 0 {
-					if err := countOne(c); err != nil {
-						return 0, err
-					}
+					count(c)
 				}
 			}
 		}
 	}
-	for b, codes := range ovf {
-		if b >= nb {
-			return 0, d.Corruptf("taffy: overflow bucket %d beyond table (%d buckets)", b, nb)
+	// Overflow buckets follow in ascending order, the order WriteTo
+	// writes them in.
+	novf := int(d.U64())
+	if novf < 0 || novf > n {
+		return d.Corruptf("taffy: overflow count %d out of range (n=%d)", novf, n)
+	}
+	for next := uint64(0); f.novf < novf; {
+		b, cnt := d.U64(), d.U64()
+		if b < next || b >= nb {
+			return d.Corruptf("taffy: overflow bucket %d out of order or beyond the table (%d buckets)", b, nb)
 		}
-		for _, c := range codes {
-			if err := countOne(c); err != nil {
-				return 0, err
+		if cnt == 0 || cnt > uint64(novf-f.novf) || !d.Claim(cnt, 2, "taffy overflow code") {
+			return d.Corruptf("taffy: overflow bucket %d entry count %d invalid", b, cnt)
+		}
+		codes := make([]uint16, cnt)
+		for i := range codes {
+			if codes[i] = d.U16(); codes[i] == 0 {
+				return d.Corruptf("taffy: zero overflow code")
 			}
+			count(codes[i])
 		}
+		if f.ovf == nil {
+			f.ovf = make(map[uint64][]uint16)
+		}
+		f.ovf[b] = codes
+		f.novf += int(cnt)
+		next = b + 1
 	}
-	if gotN != n || gotVoids != voids {
-		return 0, d.Corruptf("taffy: stored codes (n=%d voids=%d) disagree with header (n=%d voids=%d)", gotN, gotVoids, n, voids)
+	if f.n != n || f.voids != voids {
+		return d.Corruptf("taffy: stored codes (n=%d voids=%d) disagree with header (n=%d voids=%d)", f.n, f.voids, n, voids)
 	}
-	nf.n = n
-	nf.voids = voids
-	nf.ovf = ovf
-	nf.novf = novf
-
-	*f = *nf
-	return int64(codec.HeaderSize + len(payload)), nil
+	return nil
 }
 
 var _ core.Persistent = (*Filter)(nil)

@@ -12,65 +12,43 @@ func init() {
 	// XOR filters are static — construction peels a key set, so there is
 	// no Spec-only builder. Loading a saved filter is the only way to
 	// reconstruct one without the keys.
-	core.Register(core.TypeXor, "xorfilter",
-		func() core.Persistent { return &Filter{} },
-		nil)
+	core.Register[Filter](core.TypeXor, "xorfilter", nil)
 }
 
-// TypeID returns the stable wire-format id (see core.Persistent).
-func (f *Filter) TypeID() uint16 { return core.TypeXor }
-
-// WriteTo serializes the filter as one codec frame: the construction
-// Spec (including the peeling seed that succeeded), the segment length,
-// and the nested slot-table frame.
+// WriteTo serializes the filter as one frame: the construction Spec
+// (including the peeling seed that succeeded), the segment length, and
+// the nested slot-table frame.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var e codec.Enc
-	f.spec.Encode(&e)
-	e.U64(f.segLen)
-	if _, err := f.slots.WriteTo(&e); err != nil {
-		return 0, err
-	}
-	return codec.WriteFrame(w, core.TypeXor, e.Bytes())
+	return core.EncodeFrame(w, f.spec, func(e *codec.Enc) error {
+		e.U64(f.segLen)
+		_, err := f.slots.WriteTo(e)
+		return err
+	})
 }
 
-// ReadFrom restores a filter written by WriteTo into the receiver,
-// validating the checksum, the Spec, and the geometry: the segment
-// length must match the sizing formula for the stored key count, and
-// the slot table must be exactly three segments of fpBits-wide slots.
-// On error the receiver is left unchanged.
+// ReadFrom restores a filter written by WriteTo into the receiver (see
+// core.DecodeFrame for the validation contract): the segment length
+// must match the sizing formula for the stored key count, and the slot
+// table must be exactly three segments of fpBits-wide slots.
 func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
-	payload, err := codec.ReadFrame(r, core.TypeXor)
-	if err != nil {
-		return 0, err
-	}
-	d := codec.NewDec(payload)
-	spec := core.DecodeSpec(d)
+	return core.DecodeFrame(r, core.TypeXor, f, shape, (*Filter).decode)
+}
+
+// decode reads the fields WriteTo wrote into a shaped filter.
+func (f *Filter) decode(d *codec.Dec) error {
 	segLen := d.U64()
-	var slots bitvec.Packed
-	if d.Err() == nil {
-		if _, err := slots.ReadFrom(d); err != nil {
-			return 0, err
-		}
+	f.slots = new(bitvec.Packed)
+	if _, err := f.slots.ReadFrom(d); err != nil {
+		return err
 	}
-	if err := d.Finish(); err != nil {
-		return 0, err
+	if segLen != f.segLen {
+		return d.Corruptf("xorfilter: segment length %d disagrees with %d keys (want %d)", segLen, f.spec.N, f.segLen)
 	}
-	if spec.Type != core.TypeXor || spec.FPBits < 1 || spec.FPBits > 32 || spec.Seed == 0 {
-		return 0, d.Corruptf("xorfilter: bad spec (type=%d fpBits=%d seed=%d)", spec.Type, spec.FPBits, spec.Seed)
+	if uint64(f.slots.Len()) != 3*segLen || f.slots.Width() != f.fpBits {
+		return d.Corruptf("xorfilter: table %d slots × %d bits, want %d × %d",
+			f.slots.Len(), f.slots.Width(), 3*segLen, f.fpBits)
 	}
-	if spec.N < 0 || spec.N > 1<<40 || segLen != segmentLen(spec.N) {
-		return 0, d.Corruptf("xorfilter: segment length %d disagrees with %d keys (want %d)",
-			segLen, spec.N, segmentLen(spec.N))
-	}
-	if uint64(slots.Len()) != 3*segLen || slots.Width() != uint(spec.FPBits) {
-		return 0, d.Corruptf("xorfilter: table %d slots × %d bits, want %d × %d",
-			slots.Len(), slots.Width(), 3*segLen, spec.FPBits)
-	}
-	f.spec = spec
-	f.slots = &slots
-	f.segLen = segLen
-	f.fpBits = uint(spec.FPBits)
-	return int64(codec.HeaderSize + len(payload)), nil
+	return nil
 }
 
 var _ core.Persistent = (*Filter)(nil)

@@ -8,6 +8,7 @@ package xorfilter
 
 import (
 	"errors"
+	"fmt"
 
 	"beyondbloom/internal/bitvec"
 	"beyondbloom/internal/core"
@@ -43,25 +44,35 @@ func New(keys []uint64, fpBits uint) (*Filter, error) {
 		panic("xorfilter: fingerprint bits must be in [1,32]")
 	}
 	keys = dedup(keys)
-	n := len(keys)
-	segLen := segmentLen(n)
 	for seed := uint64(1); seed <= 64; seed++ {
-		f := &Filter{
-			spec: core.Spec{
-				Type:   core.TypeXor,
-				N:      n,
-				FPBits: uint8(fpBits),
-				Seed:   seed * 0x9E3779B97F4A7C15,
-			},
-			slots:  bitvec.NewPacked(int(3*segLen), fpBits),
-			segLen: segLen,
-			fpBits: fpBits,
+		f, err := shape(core.Spec{
+			Type:   core.TypeXor,
+			N:      len(keys),
+			FPBits: uint8(fpBits),
+			Seed:   seed * 0x9E3779B97F4A7C15,
+		})
+		if err != nil {
+			return nil, err
 		}
+		f.slots = bitvec.NewPacked(int(3*f.segLen), fpBits)
 		if f.build(keys) {
 			return f, nil
 		}
 	}
 	return nil, ErrConstruction
+}
+
+// shape validates a Spec and derives the filter's geometry, leaving the
+// slot table unallocated: New fills it by peeling, the decoder reads
+// it from the payload.
+func shape(s core.Spec) (*Filter, error) {
+	if s.Type != core.TypeXor || s.FPBits < 1 || s.FPBits > 32 || s.Seed == 0 {
+		return nil, fmt.Errorf("xorfilter: bad spec (type=%d fpBits=%d seed=%d)", s.Type, s.FPBits, s.Seed)
+	}
+	if s.N < 0 || s.N > 1<<40 {
+		return nil, fmt.Errorf("xorfilter: key count %d out of range", s.N)
+	}
+	return &Filter{spec: s, segLen: segmentLen(s.N), fpBits: uint(s.FPBits)}, nil
 }
 
 // Spec returns the filter's construction parameters, including the

@@ -53,9 +53,10 @@ go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + WAL + wire + JSON body + taffy + quotient + Elias-Fano fuzz burst (10s each) =="
+echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + Elias-Fano fuzz burst (10s each) =="
 go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
+go test -run '^$' -fuzz FuzzSealedPayload -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s ./internal/server >/dev/null
 go test -run '^$' -fuzz FuzzPutBody -fuzztime 10s ./internal/server >/dev/null
