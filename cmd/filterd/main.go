@@ -239,23 +239,55 @@ func newBlocked(n int, bits float64) (*bloom.Blocked, error) {
 	return bloom.BlockedFromSpec(core.Spec{Type: core.TypeBlockedBloom, N: n, BitsPerKey: bits, Seed: bloom.BlockedSeed})
 }
 
-// buildChunk is how many keys cmdBuild generates and inserts at a time.
+// buildChunk is how many keys build -store generates and applies at a
+// time.
 const buildChunk = 4096
 
 // forEachKeyChunk calls fn with the workload key stream Keys(n, seed)
 // in order, buildChunk keys at a time, in one reused buffer.
 func forEachKeyChunk(n int, seed uint64, fn func(keys []uint64) error) error {
 	var buf [buildChunk]uint64
+	gen := workload.Gen(seed)
 	for at := 0; at < n; at += buildChunk {
 		keys := buf[:min(buildChunk, n-at)]
-		for i := range keys {
-			keys[i] = workload.Key(uint64(at+i), seed)
-		}
+		gen(at, keys)
 		if err := fn(keys); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeFileAtomic writes path through write into a temporary file in
+// path's directory and renames it over path only once write, the flush
+// and the close have all succeeded; on any failure it removes the
+// temporary file and leaves path as it was. A reader of path — serve
+// -filter, /admin/reload — sees the old file or the whole new one,
+// never a truncated one. The file is not synced: this guards against a
+// failed build, not against a crash of the machine.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp := fmt.Sprintf("%s.tmp-%d", path, os.Getpid())
+	file, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			file.Close()
+			os.Remove(tmp)
+		}
+	}()
+	w := bufio.NewWriter(file)
+	if err = write(w); err != nil {
+		return err
+	}
+	if err = w.Flush(); err != nil {
+		return err
+	}
+	if err = file.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // cmdBuild writes a .bbf filter file holding n deterministic workload
@@ -265,7 +297,8 @@ func forEachKeyChunk(n int, seed uint64, fn func(keys []uint64) error) error {
 // (value = key) under the chosen filter policy, so serve -store can
 // exercise any read path — including the maplet-first index — end to
 // end. The keys are streamed, a chunk at a time, never materialised
-// whole; the filter takes each chunk through its batched insert.
+// whole; the filter is filled on every core (Blocked.Fill), and the
+// file appears at -o only once it is complete.
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	out := fs.String("o", "", "output .bbf path")
@@ -317,24 +350,14 @@ func cmdBuild(args []string) error {
 	if f == nil {
 		return nil
 	}
-	if err := forEachKeyChunk(*n, *seed, f.InsertBatch); err != nil {
+	f.Fill(*n, workload.Gen(*seed))
+	var bytesOut int64
+	err := writeFileAtomic(*out, func(w io.Writer) error {
+		var err error
+		bytesOut, err = core.Save(w, f)
 		return err
-	}
-	file, err := os.Create(*out)
+	})
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(file)
-	bytesOut, err := core.Save(w, f)
-	if err != nil {
-		file.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		file.Close()
-		return err
-	}
-	if err := file.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("filterd: wrote %d keys (%d bytes, seed %d) to %s\n", *n, bytesOut, *seed, *out)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -66,6 +68,59 @@ func TestBuildMatchesScalarReference(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("build -o wrote %d bytes that differ from the %d-byte scalar reference", len(got), want.Len())
+	}
+}
+
+// TestBuildFailureLeavesNoTrace pins that a build whose write fails
+// part-way leaves the file at -o exactly as it was and no temporary
+// file beside it, and that a build that succeeds replaces the file.
+func TestBuildFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "f.bbf")
+	if err := cmdBuild([]string{"-o", out, "-n", "1000"}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("device full")
+	err = writeFileAtomic(out, func(w io.Writer) error {
+		// More than bufio's buffer, so some bytes reach the file.
+		if _, err := w.Write(make([]byte, 64<<10)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	assertOnlyFile(t, dir, "f.bbf")
+	if after, err := os.ReadFile(out); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("after a failed build, %s changed (err %v)", out, err)
+	}
+	if err := cmdBuild([]string{"-o", out, "-n", "2000"}); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyFile(t, dir, "f.bbf")
+	if after, err := os.ReadFile(out); err != nil || bytes.Equal(after, before) {
+		t.Fatalf("a successful build did not replace %s (err %v)", out, err)
+	}
+}
+
+// assertOnlyFile fails unless dir holds exactly the one file name.
+func assertOnlyFile(t *testing.T, dir, name string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != name {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("%s holds %v, want only %s", dir, names, name)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
@@ -241,10 +243,68 @@ func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 	}
 }
 
-// InsertBatch inserts every key (see core.BatchInserter) in the three
-// passes of ContainsBatch: hash a chunk into stack arrays, warm every
-// key's block with a pure load loop so the chunk's misses overlap, then
-// set all k bits of each key with one unrolled body.
+// InsertBatch inserts every key (see core.BatchInserter). It is the
+// one-stripe case of insertStripe: every block is in the stripe.
+func (f *Blocked) InsertBatch(keys []uint64) error {
+	f.insertStripe(keys, 0, f.numBlocks)
+	f.n += len(keys)
+	return nil
+}
+
+// fillChunk is how many keys a Fill worker asks gen for at a time.
+const fillChunk = 1024
+
+// Fill inserts n keys, gen(at, dst) writing keys at, at+1, ... into
+// dst, on runtime.GOMAXPROCS(0) workers. Every worker calls gen for
+// every key range, so gen runs on several goroutines at once: it must
+// be safe for concurrent use and write the same keys for the same range
+// each time. The filter ends up bit-identical to InsertBatch of the
+// same n keys.
+func (f *Blocked) Fill(n int, gen func(at int, dst []uint64)) {
+	f.fill(n, gen, runtime.GOMAXPROCS(0))
+}
+
+// fill is Fill on the given number of workers, capped at the block
+// count. Each worker owns one contiguous stripe of blocks: it generates
+// and hashes every key but sets bits only for the keys whose block lies
+// in its stripe. No two workers write the same word, so no word needs
+// an atomic; and since OR is commutative, which worker sets which bit
+// when does not change a single bit of the result.
+func (f *Blocked) fill(n int, gen func(at int, dst []uint64), workers int) {
+	w := uint64(max(1, workers))
+	if w > f.numBlocks {
+		w = f.numBlocks
+	}
+	// Stripe i is blocks [lo, hi): the first numBlocks%w stripes take
+	// one block more than the rest.
+	per, extra := f.numBlocks/w, f.numBlocks%w
+	var wg sync.WaitGroup
+	for i := uint64(0); i < w; i++ {
+		lo := i*per + min(i, extra)
+		hi := lo + per
+		if i < extra {
+			hi++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf [fillChunk]uint64
+			for at := 0; at < n; at += fillChunk {
+				keys := buf[:min(fillChunk, n-at)]
+				gen(at, keys)
+				f.insertStripe(keys, lo, hi)
+			}
+		}()
+	}
+	wg.Wait()
+	f.n += n
+}
+
+// insertStripe inserts the keys whose block lies in [lo, hi) and skips
+// the rest, in the three passes of ContainsBatch: hash a chunk into
+// stack arrays, keeping only the stripe's keys; warm every kept key's
+// block with a pure load loop so the chunk's misses overlap; then set
+// all k bits of each kept key with one unrolled body.
 //
 // The set pass ORs into the live words and never writes a staged word
 // back: two keys of one chunk can share a word, and a stale staged copy
@@ -252,10 +312,10 @@ func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 // only masks probe 0's bit (live ⊇ staged, so m &^ staged sets exactly
 // what m does), which is also what keeps the warming loads from being
 // dead code.
-func (f *Blocked) InsertBatch(keys []uint64) error {
+func (f *Blocked) insertStripe(keys []uint64, lo, hi uint64) {
 	words := f.words
 	seed := f.spec.Seed * mixSeedMul
-	numBlocks := f.numBlocks
+	numBlocks, span := f.numBlocks, hi-lo
 	skip := probeSkip(f.k)
 	var bases, g1s, g2s, w0s [core.BatchChunk]uint64
 	for start := 0; start < len(keys); start += core.BatchChunk {
@@ -263,16 +323,25 @@ func (f *Blocked) InsertBatch(keys []uint64) error {
 		if len(chunk) > core.BatchChunk {
 			chunk = chunk[:core.BatchChunk]
 		}
-		for i, k := range chunk {
+		// Every key is written at slot m, and m advances only past a key
+		// of the stripe: a branch-free filter. b-lo < span (the borrow
+		// of b-lo-span) is lo <= b < hi. m never exceeds the key's index,
+		// so the mask only proves the bound to the compiler.
+		m := 0
+		for _, k := range chunk {
 			h := hashutil.Mix64(k ^ seed)
-			bases[i] = hashutil.Reduce(h, numBlocks) * blockWords
-			g1s[i] = hashutil.Mix64(h + 1)
-			g2s[i] = hashutil.Mix64(h + 2)
+			b := hashutil.Reduce(h, numBlocks)
+			j := m & (core.BatchChunk - 1)
+			bases[j] = b * blockWords
+			g1s[j] = hashutil.Mix64(h + 1)
+			g2s[j] = hashutil.Mix64(h + 2)
+			_, in := bits.Sub64(b-lo, span, 0)
+			m += int(in)
 		}
-		for i := range chunk {
+		for i := range bases[:m] {
 			w0s[i] = words[bases[i]+(g1s[i]&511)>>6]
 		}
-		for i := range chunk {
+		for i := range bases[:m] {
 			// ContainsBatch's positions, with probe j >= k's bit masked
 			// to zero by skip[j]; see the comment there on why the body
 			// is inline.
@@ -288,8 +357,6 @@ func (f *Blocked) InsertBatch(keys []uint64) error {
 			blk[g2>>6&7] |= 1 << (g2 & 63) &^ skip[7]
 		}
 	}
-	f.n += len(keys)
-	return nil
 }
 
 // probeSkip returns the resolve body's per-probe masks: all ones for

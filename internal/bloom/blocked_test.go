@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"beyondbloom/internal/core"
@@ -138,6 +140,39 @@ func TestBlockedInsertBatchOneBlock(t *testing.T) {
 	}
 }
 
+// TestBlockedFillMatchesSerial pins that the stripe-owned parallel
+// fill saves exactly the bytes a serial InsertBatch of the same keys
+// does, for worker counts that do and do not divide the block count,
+// lengths around a fill chunk, and a filter with fewer blocks than
+// workers (the worker count is capped at the block count).
+func TestBlockedFillMatchesSerial(t *testing.T) {
+	const seed = 6
+	gen := workload.Gen(seed)
+	for _, n := range []int{0, 1, 4095, 4097, 1 << 16} {
+		keys := workload.Keys(n, seed)
+		for _, capacity := range []int{n + 1, 100} {
+			serial := NewBlocked(capacity, 12)
+			serial.InsertBatch(keys)
+			var want bytes.Buffer
+			if _, err := core.Save(&want, serial); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 7, 64} {
+				f := NewBlocked(capacity, 12)
+				f.fill(n, gen, workers)
+				var got bytes.Buffer
+				if _, err := core.Save(&got, f); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("n=%d, %d blocks, %d workers: fill saved different bytes from serial InsertBatch",
+						n, f.numBlocks, workers)
+				}
+			}
+		}
+	}
+}
+
 func assertSameBlocked(t *testing.T, want, got *Blocked, ctx ...any) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -206,6 +241,32 @@ func BenchmarkBlockedInsertScalarDRAM(b *testing.B) { benchBlockedInsert(b, 1<<2
 
 // BenchmarkBlockedInsertBatchDRAM: 2^24 keys, a 24 MiB filter.
 func BenchmarkBlockedInsertBatchDRAM(b *testing.B) { benchBlockedInsert(b, 1<<24, true) }
+
+// benchBlockedFill fills an empty 2^22-key filter at 12 bits/key (2^16
+// under -short) from the workload key generator on the given number of
+// stripes. ns/key is per inserted key and includes key generation.
+func benchBlockedFill(b *testing.B, workers int) {
+	n := 1 << 22
+	if testing.Short() {
+		n = 1 << 16
+	}
+	gen := workload.Gen(1)
+	f := NewBlocked(n, 12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		clear(f.words)
+		b.StartTimer()
+		f.fill(n, gen, workers)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+}
+
+// BenchmarkBlockedFillOneStripe: one worker, the serial fill.
+func BenchmarkBlockedFillOneStripe(b *testing.B) { benchBlockedFill(b, 1) }
+
+// BenchmarkBlockedFillStripes: GOMAXPROCS workers, what Fill runs.
+func BenchmarkBlockedFillStripes(b *testing.B) { benchBlockedFill(b, runtime.GOMAXPROCS(0)) }
 
 // benchBlockedContainsBatch probes a blocked filter of n keys at 12
 // bits/key with 4096-key batches, every other key absent: the shape of

@@ -27,6 +27,12 @@
 // claimed count, so memory grows only with the data that actually
 // arrives.
 //
+// A frame read from a Dec — a nested frame, or a whole file the caller
+// has already read into memory and wrapped in NewDec — is decoded in
+// place: its claimed length is checked against the bytes the Dec holds,
+// and its payload is a sub-slice of them, not a copy. Any other reader
+// takes the bounded-chunk path.
+//
 // Composite objects nest: a filter's payload embeds the frames of its
 // substrate parts (bit vectors, packed arrays), so the outer checksum
 // covers the inner frames and a single flipped bit anywhere fails the
@@ -37,6 +43,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,6 +77,14 @@ var (
 	// ErrKind wraps ErrCorrupt: the frame holds a different object kind
 	// than the decoder expected.
 	ErrKind = fmt.Errorf("%w: unexpected object kind", ErrCorrupt)
+	// ErrTruncated wraps ErrCorrupt: the data ends inside a frame.
+	ErrTruncated = fmt.Errorf("%w: truncated frame", ErrCorrupt)
+	// ErrChecksum wraps ErrCorrupt: a payload does not match the
+	// checksum in its frame header.
+	ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	// ErrTrailing wraps ErrCorrupt: bytes follow the data that was
+	// expected to end the input.
+	ErrTrailing = fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 )
 
 // Object kinds 1–15 are reserved for the substrate containers defined
@@ -153,39 +168,42 @@ func ParseHeader(hdr []byte) (kind uint16, length uint64, err error) {
 	return getU16(hdr[6:]), length, nil
 }
 
-// PeekKind reads exactly one frame header from r and returns its kind
-// together with the raw header bytes, so the caller can dispatch on the
-// kind and then replay the header to the chosen decoder (see core.Load).
-func PeekKind(r io.Reader) (kind uint16, hdr [HeaderSize]byte, err error) {
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, hdr, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
+// PeekKind reads the header of the next frame in r and returns its
+// kind together with a reader that yields the whole frame, header
+// included, and then the rest of r — so the caller can dispatch on the
+// kind and hand the frame to the chosen decoder (see core.Load). For a
+// *Dec that reader is r itself, so the frame still decodes in place.
+func PeekKind(r io.Reader) (kind uint16, frame io.Reader, err error) {
+	hdr, kind, _, err := readHeader(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	kind, _, err = ParseHeader(hdr[:])
-	return kind, hdr, err
+	if _, ok := r.(*Dec); ok {
+		return kind, r, nil
+	}
+	return kind, io.MultiReader(bytes.NewReader(hdr[:]), r), nil
 }
 
 // ReadFrame reads one frame from r, verifies magic, version, kind and
-// checksum, and returns the payload. The payload buffer is read in
-// bounded chunks so a corrupt length field cannot drive one giant
+// checksum, and returns the payload. From a *Dec the payload is a
+// sub-slice of the Dec's bytes; from any other reader it is read in
+// bounded chunks, so a corrupt length field cannot drive one giant
 // allocation: memory grows only as fast as data actually arrives.
 func ReadFrame(r io.Reader, wantKind uint16) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
-	}
-	kind, length, err := ParseHeader(hdr[:])
+	hdr, kind, length, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
 	if kind != wantKind {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrKind, kind, wantKind)
 	}
-	payload, err := readPayload(r, length)
+	raw, err := readFrame(r, hdr, length)
 	if err != nil {
 		return nil, err
 	}
+	payload := raw[HeaderSize:]
 	if got, want := crc32.Checksum(payload, castagnoli), getU32(hdr[16:]); got != want {
-		return nil, fmt.Errorf("%w: payload checksum %#x, header says %#x", ErrCorrupt, got, want)
+		return nil, fmt.Errorf("%w: payload checksum %#x, header says %#x", ErrChecksum, got, want)
 	}
 	return payload, nil
 }
@@ -194,21 +212,67 @@ func ReadFrame(r io.Reader, wantKind uint16) ([]byte, error) {
 // returns its kind and raw bytes without verifying the payload
 // checksum. Multi-part readers use it to slice a stream of sibling
 // frames into independent buffers that separate goroutines then decode
-// (and checksum) in parallel.
+// (and checksum) in parallel. From a *Dec the bytes are a sub-slice of
+// the Dec's.
 func ReadRaw(r io.Reader) (kind uint16, raw []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
-	}
-	kind, length, err := ParseHeader(hdr[:])
+	hdr, kind, length, err := readHeader(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	payload, err := readPayload(r, length)
+	raw, err = readFrame(r, hdr, length)
 	if err != nil {
 		return 0, nil, err
 	}
-	return kind, append(hdr[:], payload...), nil
+	return kind, raw, nil
+}
+
+// readHeader reads and parses the next frame header from r. A *Dec is
+// only peeked — readFrame consumes the whole frame from it — while any
+// other reader is advanced past the header.
+func readHeader(r io.Reader) (hdr [HeaderSize]byte, kind uint16, length uint64, err error) {
+	if d, ok := r.(*Dec); ok {
+		if d.err != nil {
+			return hdr, 0, 0, d.err
+		}
+		if d.Remaining() < HeaderSize {
+			return hdr, 0, 0, fmt.Errorf("%w: %d bytes remain for a %d-byte header", ErrTruncated, d.Remaining(), HeaderSize)
+		}
+		copy(hdr[:], d.buf[d.off:])
+	} else if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return hdr, 0, 0, fmt.Errorf("%w: reading header: %v", ErrTruncated, err)
+	}
+	kind, length, err = ParseHeader(hdr[:])
+	return hdr, kind, length, err
+}
+
+// readFrame returns, in one slice, the whole frame whose header
+// readHeader returned: hdr and a payload of length bytes. From a *Dec
+// it checks length against the bytes that remain and slices the frame
+// off in place (capacity capped, so no append can reach the bytes after
+// it); from any other reader it reads the payload in chunks of at most
+// 1 MiB.
+func readFrame(r io.Reader, hdr [HeaderSize]byte, length uint64) ([]byte, error) {
+	if d, ok := r.(*Dec); ok {
+		if rest := uint64(d.Remaining() - HeaderSize); length > rest {
+			return nil, fmt.Errorf("%w: payload of %d bytes claimed, %d remain", ErrTruncated, length, rest)
+		}
+		end := d.off + HeaderSize + int(length)
+		raw := d.buf[d.off:end:end]
+		d.off = end
+		return raw, nil
+	}
+	const chunk = 1 << 20
+	buf := make([]byte, HeaderSize, HeaderSize+min(length, chunk))
+	copy(buf, hdr[:])
+	for uint64(len(buf)-HeaderSize) < length {
+		n := min(length-uint64(len(buf)-HeaderSize), chunk)
+		start := len(buf)
+		buf = slices.Grow(buf, int(n))[:start+int(n)]
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
+			return nil, fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
+		}
+	}
+	return buf, nil
 }
 
 // Encode writes one frame of kind whose payload is the fields fill
@@ -238,28 +302,6 @@ func Decode(r io.Reader, kind uint16, read func(*Dec) error) (int64, error) {
 		return 0, err
 	}
 	return int64(HeaderSize + len(payload)), nil
-}
-
-// readPayload reads length bytes in chunks of at most 1 MiB.
-func readPayload(r io.Reader, length uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	cap0 := length
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	buf := make([]byte, 0, cap0)
-	for uint64(len(buf)) < length {
-		n := length - uint64(len(buf))
-		if n > chunk {
-			n = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
-		}
-	}
-	return buf, nil
 }
 
 // Enc builds a frame payload by appending fields. It also implements
@@ -357,7 +399,7 @@ func (d *Dec) Finish() error {
 		return d.err
 	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.buf)-d.off)
+		return fmt.Errorf("%w: %d payload bytes left unread", ErrTrailing, len(d.buf)-d.off)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -67,25 +68,69 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	// Every single-byte flip must be detected.
-	for i := range good {
-		bad := append([]byte(nil), good...)
-		bad[i] ^= 0x40
-		if _, err := ReadFrame(bytes.NewReader(bad), 9); err == nil {
-			t.Fatalf("flip at byte %d decoded successfully", i)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flip at byte %d: error %v does not wrap ErrCorrupt", i, err)
+	for _, src := range sources {
+		// Every single-byte flip must be detected; one in the payload
+		// as a checksum mismatch.
+		for i := range good {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= 0x40
+			if _, err := ReadFrame(src.open(bad), 9); err == nil {
+				t.Fatalf("%s: flip at byte %d decoded successfully", src.name, i)
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: flip at byte %d: error %v does not wrap ErrCorrupt", src.name, i, err)
+			} else if i >= HeaderSize && !errors.Is(err, ErrChecksum) {
+				t.Fatalf("%s: flip at payload byte %d: error %v does not wrap ErrChecksum", src.name, i, err)
+			}
+		}
+		// Truncation at every length must be detected.
+		for n := 0; n < len(good); n++ {
+			if _, err := ReadFrame(src.open(good[:n]), 9); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s: truncation to %d bytes: %v", src.name, n, err)
+			}
+		}
+		// Wrong expected kind.
+		if _, err := ReadFrame(src.open(good), 10); !errors.Is(err, ErrKind) {
+			t.Fatalf("%s: wrong kind: %v", src.name, err)
 		}
 	}
-	// Truncation at every length must be detected.
-	for n := 0; n < len(good); n++ {
-		if _, err := ReadFrame(bytes.NewReader(good[:n]), 9); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation to %d bytes: %v", n, err)
-		}
+}
+
+// sources are the two ways a frame reaches a reader: streamed from an
+// io.Reader, or already in memory in a Dec, where it decodes in place.
+var sources = []struct {
+	name string
+	open func([]byte) io.Reader
+}{
+	{"stream", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"in place", func(b []byte) io.Reader { return NewDec(b) }},
+}
+
+// TestReadFrameInPlace pins that a frame read from a Dec is not copied:
+// the payload and raw frame are sub-slices of the Dec's bytes, capped
+// so that appending to them cannot overwrite what follows, and the Dec
+// is left just past the frame.
+func TestReadFrameInPlace(t *testing.T) {
+	var buf bytes.Buffer
+	WriteFrame(&buf, 9, []byte{1, 2, 3})
+	WriteFrame(&buf, 9, []byte{4, 5})
+	data := buf.Bytes()
+	d := NewDec(data)
+	payload, err := ReadFrame(d, 9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wrong expected kind.
-	if _, err := ReadFrame(bytes.NewReader(good), 10); !errors.Is(err, ErrKind) {
-		t.Fatalf("wrong kind: %v", err)
+	if &payload[0] != &data[HeaderSize] || cap(payload) != 3 {
+		t.Fatalf("payload is not the in-place, capped sub-slice (cap %d)", cap(payload))
+	}
+	kind, raw, err := ReadRaw(d)
+	if err != nil || kind != 9 {
+		t.Fatalf("ReadRaw = %d, %v", kind, err)
+	}
+	if &raw[0] != &data[HeaderSize+3] || len(raw) != HeaderSize+2 || cap(raw) != len(raw) {
+		t.Fatalf("raw frame is not the in-place, capped sub-slice (len %d cap %d)", len(raw), cap(raw))
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d bytes remain after both frames", d.Remaining())
 	}
 }
 
@@ -94,20 +139,29 @@ func TestReadFrameHugeLengthDoesNotAllocate(t *testing.T) {
 	putU32(hdr[0:], Magic)
 	putU16(hdr[4:], Version)
 	putU16(hdr[6:], 1)
-	putU64(hdr[8:], MaxPayload) // in-bounds length, but no data follows
-	if _, err := ReadFrame(bytes.NewReader(hdr[:]), 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("lying length: %v", err)
-	}
-	putU64(hdr[8:], 1<<62) // out-of-bounds length
-	if _, err := ReadFrame(bytes.NewReader(hdr[:]), 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("giant length: %v", err)
+	for _, src := range sources {
+		putU64(hdr[8:], MaxPayload) // in-bounds length, but no data follows
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrame(src.open(hdr[:]), 1)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: lying length: %v", src.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Fatalf("%s: lying length: %d bytes allocated", src.name, alloc)
+		}
+		putU64(hdr[8:], 1<<62) // out-of-bounds length
+		if _, err := ReadFrame(src.open(hdr[:]), 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: giant length: %v", src.name, err)
+		}
 	}
 }
 
 func TestDecFinishTrailing(t *testing.T) {
 	d := NewDec([]byte{1, 2, 3})
 	d.U8()
-	if err := d.Finish(); err == nil || !errors.Is(err, ErrCorrupt) {
+	if err := d.Finish(); !errors.Is(err, ErrTrailing) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
@@ -129,15 +183,16 @@ func TestPeekKind(t *testing.T) {
 	if _, err := WriteFrame(&buf, 77, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	kind, hdr, err := PeekKind(r)
-	if err != nil || kind != 77 {
-		t.Fatalf("PeekKind = %d, %v", kind, err)
-	}
-	// Replaying the header restores a readable stream.
-	payload, err := ReadFrame(io.MultiReader(bytes.NewReader(hdr[:]), r), 77)
-	if err != nil || len(payload) != 3 {
-		t.Fatalf("replayed read: %v", err)
+	for _, src := range sources {
+		kind, frame, err := PeekKind(src.open(buf.Bytes()))
+		if err != nil || kind != 77 {
+			t.Fatalf("%s: PeekKind = %d, %v", src.name, kind, err)
+		}
+		// The returned reader yields the whole frame, header included.
+		payload, err := ReadFrame(frame, 77)
+		if err != nil || len(payload) != 3 {
+			t.Fatalf("%s: read after PeekKind: %v", src.name, err)
+		}
 	}
 }
 
@@ -158,49 +213,57 @@ func TestTruncationWrapsErrCorrupt(t *testing.T) {
 	golden := buf.Bytes()
 
 	readers := []struct {
-		name string
-		// whole reports whether the reader consumes the full frame
-		// (payload included) or only the header.
+		name  string
 		whole bool
-		read  func(data []byte) error
+		read  func(r io.Reader) error
 	}{
-		{"ReadFrame", true, func(data []byte) error {
-			_, err := ReadFrame(bytes.NewReader(data), 11)
+		{"ReadFrame", true, func(r io.Reader) error {
+			_, err := ReadFrame(r, 11)
 			return err
 		}},
-		{"ReadRaw", true, func(data []byte) error {
-			_, _, err := ReadRaw(bytes.NewReader(data))
+		{"ReadRaw", true, func(r io.Reader) error {
+			_, _, err := ReadRaw(r)
 			return err
 		}},
-		{"PeekKind", false, func(data []byte) error {
-			_, _, err := PeekKind(bytes.NewReader(data))
+		{"PeekKind", false, func(r io.Reader) error {
+			_, _, err := PeekKind(r)
 			return err
 		}},
 	}
 	for _, r := range readers {
-		for cut := 0; cut < len(golden); cut++ {
-			err := r.read(golden[:cut])
-			if !r.whole && cut >= HeaderSize {
-				// Header-only readers succeed once the header is intact.
-				if err != nil {
-					t.Fatalf("%s: cut at %d: unexpected error %v", r.name, cut, err)
-				}
-				continue
-			}
-			if err == nil {
-				t.Fatalf("%s: cut at %d decoded successfully", r.name, cut)
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s: cut at %d: %v does not wrap ErrCorrupt", r.name, cut, err)
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-				t.Fatalf("%s: cut at %d: raw io error leaks through chain: %v", r.name, cut, err)
-			}
+		for _, src := range sources {
+			testTruncation(t, src.name+" "+r.name, golden, r.whole, func(b []byte) error { return r.read(src.open(b)) })
 		}
-		// The intact frame must decode.
-		if err := r.read(golden); err != nil {
-			t.Fatalf("%s: golden frame: %v", r.name, err)
+	}
+}
+
+// testTruncation runs one reader of TestTruncationWrapsErrCorrupt over
+// every cut of golden; whole reports whether the reader consumes the
+// full frame or only the header.
+func testTruncation(t *testing.T, name string, golden []byte, whole bool, read func([]byte) error) {
+	t.Helper()
+	for cut := 0; cut < len(golden); cut++ {
+		err := read(golden[:cut])
+		if !whole && cut >= HeaderSize {
+			// Header-only readers succeed once the header is intact.
+			if err != nil {
+				t.Fatalf("%s: cut at %d: unexpected error %v", name, cut, err)
+			}
+			continue
 		}
+		if err == nil {
+			t.Fatalf("%s: cut at %d decoded successfully", name, cut)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: cut at %d: %v does not wrap ErrCorrupt", name, cut, err)
+		}
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			t.Fatalf("%s: cut at %d: raw io error leaks through chain: %v", name, cut, err)
+		}
+	}
+	// The intact frame must decode.
+	if err := read(golden); err != nil {
+		t.Fatalf("%s: golden frame: %v", name, err)
 	}
 }
 
@@ -216,12 +279,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, HeaderSize+8))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		kind, hdr, err := PeekKind(r)
+		kind, frame, err := PeekKind(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		payload, err := ReadFrame(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(data[HeaderSize:])), kind)
+		payload, err := ReadFrame(frame, kind)
+		inPlace, errInPlace := ReadFrame(NewDec(data), kind)
+		if (err == nil) != (errInPlace == nil) || !bytes.Equal(payload, inPlace) {
+			t.Fatalf("streamed read (%v) and in-place read (%v) disagree", err, errInPlace)
+		}
 		if err != nil {
 			return
 		}

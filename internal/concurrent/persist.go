@@ -89,7 +89,7 @@ func (s *Sharded) ReadFrom(r io.Reader) (int64, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f, err := core.Load(bytes.NewReader(raws[i]))
+			f, err := core.Load(codec.NewDec(raws[i]))
 			if err != nil {
 				errs[i] = fmt.Errorf("concurrent: shard %d: %w", i, err)
 				return

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"beyondbloom/internal/bloom"
+	"beyondbloom/internal/codec"
 	"beyondbloom/internal/concurrent"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
@@ -102,7 +103,7 @@ func e17Throughput(cfg Config) *metrics.Table {
 
 		raw := buf.Bytes()
 		start = time.Now()
-		if _, err := core.Load(bytes.NewReader(raw)); err != nil {
+		if _, err := core.Load(codec.NewDec(raw)); err != nil {
 			panic(err)
 		}
 		decSec := time.Since(start).Seconds()
@@ -149,7 +150,7 @@ func e17ReloadVsRebuild(cfg Config) *metrics.Table {
 	if err != nil {
 		panic(err)
 	}
-	g, err := core.Load(bytes.NewReader(raw))
+	g, err := core.Load(codec.NewDec(raw))
 	if err != nil {
 		panic(err)
 	}

@@ -86,7 +86,7 @@ func readMapletImage(d *codec.Dec, memtableSize, sizeRatio int) (*quotient.Maple
 	switch kind {
 	case codec.KindMaplet: // v1: run-id-only values
 		m := &quotient.Maplet{}
-		if _, err := m.ReadFrom(bytes.NewReader(raw)); err != nil {
+		if _, err := m.ReadFrom(codec.NewDec(raw)); err != nil {
 			return nil, 0, err
 		}
 		if m.ValueBits() != mapletRunBits {
@@ -105,7 +105,7 @@ func readMapletImage(d *codec.Dec, memtableSize, sizeRatio int) (*quotient.Maple
 	case codec.KindMapletV2:
 		m := &quotient.Maplet{}
 		var offBits uint
-		_, err := codec.Decode(bytes.NewReader(raw), codec.KindMapletV2, func(d *codec.Dec) error {
+		_, err := codec.Decode(codec.NewDec(raw), codec.KindMapletV2, func(d *codec.Dec) error {
 			runBits := uint(d.U8())
 			offBits = uint(d.U8())
 			if runBits != mapletRunBits || offBits < mapletMinOffsetBits || offBits > mapletMaxOffsetBits {
@@ -552,7 +552,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	// releases) lacks the durability fields, v2 carries them, v3 adds
 	// the growable-run-filter flag. Anything else is a foreign or future
 	// format and is rejected loudly.
-	kind, _, err := codec.PeekKind(bytes.NewReader(raw))
+	kind, frame, err := codec.PeekKind(codec.NewDec(raw))
 	if err != nil {
 		return nil, err
 	}
@@ -560,7 +560,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("%w: lsm: manifest frame kind %d, want %d (v1), %d (v2) or %d (v3)",
 			codec.ErrKind, kind, core.TypeLSMManifest, core.TypeLSMManifestV2, core.TypeLSMManifestV3)
 	}
-	payload, err := codec.ReadFrame(bytes.NewReader(raw), kind)
+	payload, err := codec.ReadFrame(frame, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -878,7 +878,7 @@ func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBui
 	if err != nil {
 		return nil, fmt.Errorf("lsm: run %d: %w", mr.id, err)
 	}
-	r, err := readRun(bytes.NewReader(raw))
+	r, err := readRun(codec.NewDec(raw))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: run %d: %w", mr.id, err)
 	}
@@ -894,7 +894,7 @@ func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBui
 		if err != nil {
 			return nil, fmt.Errorf("lsm: run %d filter: %w", mr.id, err)
 		}
-		f, err := core.Load(bytes.NewReader(fraw))
+		f, err := core.Load(codec.NewDec(fraw))
 		if err != nil {
 			return nil, fmt.Errorf("lsm: run %d filter: %w", mr.id, err)
 		}

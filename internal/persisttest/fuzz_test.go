@@ -40,23 +40,34 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 // checkLoad is the fuzz contract: Load either returns an error wrapping
 // codec.ErrCorrupt or succeeds, and on success the loaded filter
-// re-encodes to exactly the bytes it consumed.
+// re-encodes to exactly the bytes it consumed. Streamed and in-place
+// loads of the same bytes must agree on which it is and on the bytes
+// consumed.
 func checkLoad(t *testing.T, data []byte) {
-	r := bytes.NewReader(data)
-	loaded, err := core.Load(r)
+	r, d := bytes.NewReader(data), codec.NewDec(data)
+	streamed, err := core.Load(r)
+	inPlace, errInPlace := core.Load(d)
+	if (err == nil) != (errInPlace == nil) || (err == nil && r.Len() != d.Remaining()) {
+		t.Fatalf("streamed load (%v, %d bytes left) and in-place load (%v, %d left) disagree",
+			err, r.Len(), errInPlace, d.Remaining())
+	}
 	if err != nil {
-		if !errors.Is(err, codec.ErrCorrupt) {
-			t.Fatalf("Load error %v does not wrap codec.ErrCorrupt", err)
+		for _, err := range []error{err, errInPlace} {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("Load error %v does not wrap codec.ErrCorrupt", err)
+			}
 		}
 		return
 	}
 	consumed := len(data) - r.Len()
-	var out bytes.Buffer
-	if _, err := core.Save(&out, loaded); err != nil {
-		t.Fatalf("re-encoding a successfully loaded filter failed: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), data[:consumed]) {
-		t.Fatalf("non-canonical load: consumed %d bytes but re-encoded %d different ones",
-			consumed, out.Len())
+	for _, loaded := range []core.Persistent{streamed, inPlace} {
+		var out bytes.Buffer
+		if _, err := core.Save(&out, loaded); err != nil {
+			t.Fatalf("re-encoding a successfully loaded filter failed: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:consumed]) {
+			t.Fatalf("non-canonical load: consumed %d bytes but re-encoded %d different ones",
+				consumed, out.Len())
+		}
 	}
 }

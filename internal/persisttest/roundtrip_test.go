@@ -3,6 +3,7 @@ package persisttest
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"testing"
@@ -14,13 +15,16 @@ import (
 // TestRoundTrip is the core persistence property for every registered
 // filter type: Save → Load must reproduce bit-identical state (the
 // reloaded filter re-encodes to the same bytes) and identical query
-// answers, scalar and batched, for present and absent keys alike.
+// answers, scalar and batched, for present and absent keys alike. It
+// holds for a filter streamed from a reader and for one decoded in
+// place from a codec.Dec; either way the loaded filter owns its state,
+// so the checks run after the source bytes are zeroed.
 func TestRoundTrip(t *testing.T) {
 	fixtures, err := Fixtures(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	absent := Keys(4000, 99)
+	absent := Keys(4096, 99)
 	for _, fx := range fixtures {
 		t.Run(fx.Name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -28,61 +32,75 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("Save: %v", err)
 			}
 			encoded := buf.Bytes()
-			got, err := core.Load(bytes.NewReader(encoded))
-			if err != nil {
-				t.Fatalf("Load: %v", err)
-			}
-			if reflect.TypeOf(got) != reflect.TypeOf(fx.Filter) {
-				t.Fatalf("loaded a %T, want %T", got, fx.Filter)
-			}
-
-			// Bit-identical state: the reloaded filter must serialize to
-			// exactly the bytes it was loaded from.
-			var buf2 bytes.Buffer
-			if _, err := core.Save(&buf2, got); err != nil {
-				t.Fatalf("re-Save: %v", err)
-			}
-			if !bytes.Equal(encoded, buf2.Bytes()) {
-				t.Fatalf("re-encoding differs: %d vs %d bytes", len(encoded), buf2.Len())
-			}
-
-			if got.SizeBits() != fx.Filter.SizeBits() {
-				t.Errorf("SizeBits: got %d, want %d", got.SizeBits(), fx.Filter.SizeBits())
-			}
-			for _, k := range fx.Keys {
-				if !got.Contains(k) {
-					t.Fatalf("reloaded filter lost key %#x", k)
+			for _, inPlace := range []bool{false, true} {
+				src := bytes.Clone(encoded)
+				var r io.Reader = bytes.NewReader(src)
+				if inPlace {
+					r = codec.NewDec(src)
 				}
-			}
-			wantAbsent := make([]bool, len(absent))
-			gotAbsent := make([]bool, len(absent))
-			for i, k := range absent {
-				wantAbsent[i] = fx.Filter.Contains(k)
-				gotAbsent[i] = got.Contains(k)
-			}
-			for i := range absent {
-				if wantAbsent[i] != gotAbsent[i] {
-					t.Fatalf("Contains(%#x): got %v, want %v", absent[i], gotAbsent[i], wantAbsent[i])
+				got, err := core.Load(r)
+				if err != nil {
+					t.Fatalf("Load (in place %v): %v", inPlace, err)
 				}
-			}
-
-			// Batched answers must agree with the original's batched path.
-			wantBatch := make([]bool, len(absent))
-			gotBatch := make([]bool, len(absent))
-			core.ContainsBatch(fx.Filter, absent, wantBatch)
-			core.ContainsBatch(got, absent, gotBatch)
-			for i := range absent {
-				if wantBatch[i] != gotBatch[i] {
-					t.Fatalf("ContainsBatch(%#x): got %v, want %v", absent[i], gotBatch[i], wantBatch[i])
-				}
+				clear(src)
+				checkRoundTrip(t, fx, encoded, got, absent)
 			}
 		})
 	}
 }
 
+// checkRoundTrip is TestRoundTrip's check of one loaded filter.
+func checkRoundTrip(t *testing.T, fx Fixture, encoded []byte, got core.Persistent, absent []uint64) {
+	t.Helper()
+	if reflect.TypeOf(got) != reflect.TypeOf(fx.Filter) {
+		t.Fatalf("loaded a %T, want %T", got, fx.Filter)
+	}
+
+	// Bit-identical state: the reloaded filter must serialize to
+	// exactly the bytes it was loaded from.
+	var buf2 bytes.Buffer
+	if _, err := core.Save(&buf2, got); err != nil {
+		t.Fatalf("re-Save: %v", err)
+	}
+	if !bytes.Equal(encoded, buf2.Bytes()) {
+		t.Fatalf("re-encoding differs: %d vs %d bytes", len(encoded), buf2.Len())
+	}
+
+	if got.SizeBits() != fx.Filter.SizeBits() {
+		t.Errorf("SizeBits: got %d, want %d", got.SizeBits(), fx.Filter.SizeBits())
+	}
+	for _, k := range fx.Keys {
+		if !got.Contains(k) {
+			t.Fatalf("reloaded filter lost key %#x", k)
+		}
+	}
+	wantAbsent := make([]bool, len(absent))
+	gotAbsent := make([]bool, len(absent))
+	for i, k := range absent {
+		wantAbsent[i] = fx.Filter.Contains(k)
+		gotAbsent[i] = got.Contains(k)
+	}
+	for i := range absent {
+		if wantAbsent[i] != gotAbsent[i] {
+			t.Fatalf("Contains(%#x): got %v, want %v", absent[i], gotAbsent[i], wantAbsent[i])
+		}
+	}
+
+	// Batched answers must agree with the original's batched path.
+	wantBatch := make([]bool, len(absent))
+	gotBatch := make([]bool, len(absent))
+	core.ContainsBatch(fx.Filter, absent, wantBatch)
+	core.ContainsBatch(got, absent, gotBatch)
+	for i := range absent {
+		if wantBatch[i] != gotBatch[i] {
+			t.Fatalf("ContainsBatch(%#x): got %v, want %v", absent[i], gotBatch[i], wantBatch[i])
+		}
+	}
+}
+
 // TestLoadStreamsBackToBack verifies Load leaves the reader positioned
 // exactly after one filter's encoding, so several filters can share a
-// stream.
+// stream — streamed or decoded in place.
 func TestLoadStreamsBackToBack(t *testing.T) {
 	fixtures, err := Fixtures(300)
 	if err != nil {
@@ -94,18 +112,23 @@ func TestLoadStreamsBackToBack(t *testing.T) {
 			t.Fatalf("Save(%s): %v", fx.Name, err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
-	for _, fx := range fixtures {
-		got, err := core.Load(r)
-		if err != nil {
-			t.Fatalf("Load(%s): %v", fx.Name, err)
+	stream, inPlace := bytes.NewReader(buf.Bytes()), codec.NewDec(buf.Bytes())
+	for _, src := range []struct {
+		r    io.Reader
+		left func() int
+	}{{stream, stream.Len}, {inPlace, inPlace.Remaining}} {
+		for _, fx := range fixtures {
+			got, err := core.Load(src.r)
+			if err != nil {
+				t.Fatalf("Load(%s) from %T: %v", fx.Name, src.r, err)
+			}
+			if reflect.TypeOf(got) != reflect.TypeOf(fx.Filter) {
+				t.Fatalf("Load(%s) from %T: loaded a %T, want %T", fx.Name, src.r, got, fx.Filter)
+			}
 		}
-		if reflect.TypeOf(got) != reflect.TypeOf(fx.Filter) {
-			t.Fatalf("Load(%s): loaded a %T, want %T", fx.Name, got, fx.Filter)
+		if n := src.left(); n != 0 {
+			t.Fatalf("%T: %d bytes left after loading every filter", src.r, n)
 		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("%d bytes left after loading every filter", r.Len())
 	}
 }
 

@@ -2,7 +2,9 @@ package persisttest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"slices"
 	"testing"
@@ -99,30 +101,47 @@ func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
 }
 
 // TestHugeSpecFramesRejected loads, for every registered type, a small
-// valid-checksum frame whose Spec claims a huge filter. Each must fail
-// with ErrCorrupt — no panic, no out-of-memory death — having allocated
-// little: decoders size arrays from the payload, never from the Spec.
+// valid-checksum frame whose Spec claims a huge filter, streamed and in
+// place. Each must fail with ErrCorrupt — no panic, no out-of-memory
+// death — having allocated little: decoders size arrays from the
+// payload, never from the Spec. A frame header claiming a payload far
+// longer than the bytes present is held to the same bound.
 func TestHugeSpecFramesRejected(t *testing.T) {
-	const maxAlloc = 16 << 20
 	frames := hugeSpecFrames(t)
 	var names []string
 	for _, fr := range frames {
 		names = append(names, fr.name)
-		t.Run(fr.name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := core.Load(bytes.NewReader(fr.frame))
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("%d-byte frame: Load returned %v, want an error wrapping ErrCorrupt", len(fr.frame), err)
-			}
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxAlloc {
-				t.Fatalf("%d-byte frame: Load allocated %d bytes, bound %d", len(fr.frame), alloc, maxAlloc)
-			}
-		})
+		t.Run(fr.name, func(t *testing.T) { loadRejectedSmall(t, fr.frame) })
 	}
 	if want := registeredNames(); !equalSorted(names, want) {
 		t.Fatalf("rows %v, registered types %v: every registered type needs a row", names, want)
+	}
+	t.Run("length past the data", func(t *testing.T) {
+		frame := bytes.Clone(frames[0].frame)
+		binary.LittleEndian.PutUint64(frame[8:], codec.MaxPayload)
+		loadRejectedSmall(t, frame)
+	})
+}
+
+// loadRejectedSmall requires core.Load of frame, streamed and in place,
+// to fail with ErrCorrupt within 16 MiB of allocation.
+func loadRejectedSmall(t *testing.T, frame []byte) {
+	const maxAlloc = 16 << 20
+	for _, inPlace := range []bool{false, true} {
+		var r io.Reader = bytes.NewReader(frame)
+		if inPlace {
+			r = codec.NewDec(frame)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := core.Load(r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%d-byte frame, in place %v: Load returned %v, want an error wrapping ErrCorrupt", len(frame), inPlace, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxAlloc {
+			t.Fatalf("%d-byte frame, in place %v: Load allocated %d bytes, bound %d", len(frame), inPlace, alloc, maxAlloc)
+		}
 	}
 }
 

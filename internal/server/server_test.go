@@ -5,19 +5,24 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"beyondbloom/internal/bloom"
+	"beyondbloom/internal/codec"
 	"beyondbloom/internal/concurrent"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/lsm"
+	"beyondbloom/internal/workload"
 )
 
 // newTestFilter builds the serving filter the way cmd/filterd does: a
@@ -424,20 +429,118 @@ func TestHTTPReload(t *testing.T) {
 	}
 }
 
-func TestLoadFilterFileRejectsTrailing(t *testing.T) {
+// TestLoadFilterFileRejectsDamage loads damaged copies of a good .bbf
+// file. Each kind of damage comes back as its own wrapped error — an
+// I/O error as an I/O error, not as corruption — and /admin/reload
+// keeps serving the generation it had.
+func TestLoadFilterFileRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
-	path := saveFilterFile(t, dir, "x.bbf", []uint64{1})
-	if _, err := LoadFilterFile(path); err != nil {
-		t.Fatalf("clean file: %v", err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	good, err := os.ReadFile(saveFilterFile(t, dir, "good.bbf", []uint64{1, 2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{0xde})
-	f.Close()
-	if _, err := LoadFilterFile(path); err == nil {
-		t.Fatal("file with trailing bytes loaded")
+	flip := func(i int) []byte {
+		b := bytes.Clone(good)
+		b[i] ^= 0x01
+		return b
+	}
+	damage := []error{codec.ErrTrailing, codec.ErrTruncated, codec.ErrChecksum, codec.ErrVersion}
+	rows := []struct {
+		name string
+		data []byte // nil: the path is a directory, which reading fails on
+		want error  // nil: an *fs.PathError that is not corruption
+	}{
+		{"trailing byte", append(bytes.Clone(good), 0xde), codec.ErrTrailing},
+		{"truncated payload", good[:len(good)-1], codec.ErrTruncated},
+		{"flipped payload byte", flip(len(good) / 2), codec.ErrChecksum},
+		{"flipped header byte", flip(4), codec.ErrVersion}, // the format version
+		{"unreadable", nil, nil},
+	}
+	e := newTestEngine(t, false, Config{})
+	ts := httptest.NewServer(New(e))
+	defer ts.Close()
+	for i, row := range rows {
+		path := filepath.Join(dir, fmt.Sprintf("damaged-%d.bbf", i))
+		if row.data == nil {
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, row.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFilterFile(path)
+		var pathErr *fs.PathError
+		switch {
+		case row.want == nil && (!errors.As(err, &pathErr) || errors.Is(err, codec.ErrCorrupt)):
+			t.Fatalf("%s: LoadFilterFile = %v, want the read error, not corruption", row.name, err)
+		case row.want != nil && !errors.Is(err, row.want):
+			t.Fatalf("%s: LoadFilterFile = %v, want an error wrapping %v", row.name, err, row.want)
+		}
+		for _, other := range damage {
+			if other != row.want && errors.Is(err, other) {
+				t.Fatalf("%s: LoadFilterFile = %v, which also wraps %v", row.name, err, other)
+			}
+		}
+		before := e.Filter()
+		body, _ := json.Marshal(map[string]string{"path": path})
+		if code, resp := postJSON(t, ts, "/admin/reload", string(body)); code == 200 {
+			t.Fatalf("%s: reload answered 200: %s", row.name, resp)
+		}
+		if after := e.Filter(); after != before {
+			t.Fatalf("%s: a failed reload moved the generation from %d to %d", row.name, before.Gen, after.Gen)
+		}
+	}
+}
+
+// TestLoadFilterFileBoundsAllocation loads large files that are not
+// filters — sparse, so they cost no disk. A file over the size limit
+// and one whose header is garbage must fail before the file's size is
+// allocated, and /admin/reload must keep the generation it had.
+func TestLoadFilterFileBoundsAllocation(t *testing.T) {
+	dir := t.TempDir()
+	rows := []struct {
+		name string
+		head string
+		size int64
+		want error // nil: any error that is not corruption
+	}{
+		{"over the size limit", "", maxFilterFile + 1, nil},
+		{"bad magic, large tail", "not a filter header!", 512 << 20, codec.ErrCorrupt},
+	}
+	e := newTestEngine(t, false, Config{})
+	ts := httptest.NewServer(New(e))
+	defer ts.Close()
+	for i, row := range rows {
+		path := filepath.Join(dir, fmt.Sprintf("large-%d.bbf", i))
+		if err := os.WriteFile(path, []byte(row.head), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, row.size); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := LoadFilterFile(path)
+		runtime.ReadMemStats(&m1)
+		switch {
+		case err == nil:
+			t.Fatalf("%s: LoadFilterFile succeeded", row.name)
+		case row.want == nil && errors.Is(err, codec.ErrCorrupt):
+			t.Fatalf("%s: LoadFilterFile = %v, want an error that is not corruption", row.name, err)
+		case row.want != nil && !errors.Is(err, row.want):
+			t.Fatalf("%s: LoadFilterFile = %v, want an error wrapping %v", row.name, err, row.want)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("%s: LoadFilterFile allocated %d bytes to reject a %d-byte file", row.name, alloc, row.size)
+		}
+		before := e.Filter()
+		body, _ := json.Marshal(map[string]string{"path": path})
+		if code, resp := postJSON(t, ts, "/admin/reload", string(body)); code == 200 {
+			t.Fatalf("%s: reload answered 200: %s", row.name, resp)
+		}
+		if after := e.Filter(); after != before {
+			t.Fatalf("%s: a failed reload moved the generation from %d to %d", row.name, before.Gen, after.Gen)
+		}
 	}
 }
 
@@ -455,5 +558,34 @@ func TestWriteAdmission(t *testing.T) {
 	}
 	if got := e.Metrics().RejectedWrite.Load(); got != 1 {
 		t.Fatalf("RejectedWrite = %d, want 1", got)
+	}
+}
+
+// BenchmarkLoadFilterFile loads a .bbf file of 2^22 keys at 12 bits/key
+// (2^16 keys under -short): the path serve -filter and /admin/reload
+// take. The MB/s is of the file.
+func BenchmarkLoadFilterFile(b *testing.B) {
+	n := 1 << 22
+	if testing.Short() {
+		n = 1 << 16
+	}
+	f := bloom.NewBlocked(n+1, 12)
+	if err := f.InsertBatch(workload.Keys(n, 1)); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := core.Save(&buf, f); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "f.bbf")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadFilterFile(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

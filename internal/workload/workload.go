@@ -16,6 +16,17 @@ import (
 // Mix64 being a bijection over a counter.
 func Key(i, seed uint64) uint64 { return hashutil.Mix64(i + seed<<32) }
 
+// Gen returns the generator of seed's stream: gen(at, dst) writes keys
+// at, at+1, ... of Keys(n, seed) into dst. It is pure, so several
+// goroutines may call it at once (bloom.Blocked.Fill does).
+func Gen(seed uint64) func(at int, dst []uint64) {
+	return func(at int, dst []uint64) {
+		for i := range dst {
+			dst[i] = Key(uint64(at+i), seed)
+		}
+	}
+}
+
 // Keys returns n distinct pseudo-random uint64 keys derived from seed.
 func Keys(n int, seed uint64) []uint64 {
 	keys := make([]uint64, n)

@@ -21,6 +21,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== filterd build at several GOMAXPROCS (stripe fill ≡ scalar reference) =="
+go test -cpu 1,2,4 -run TestBuildMatchesScalarReference ./cmd/filterd >/dev/null
+
 echo "== experiment smoke (exp all -scale 0.05) =="
 go run ./cmd/beyondbloom exp all -scale 0.05 >/dev/null
 
@@ -45,8 +48,8 @@ sh scripts/filterd_smoke.sh
 echo "== benchmark smoke (1 iteration, -short) =="
 go test -short -run '^$' -bench 'Filter|Persist|LSMConcurrent' -benchtime 1x -benchmem . >/dev/null
 go test -short -run '^$' -bench 'StoreSeed|StoreGetBatch' -benchtime 1x ./internal/lsm >/dev/null
-go test -short -run '^$' -bench 'Blocked(Contains|Insert)Batch' -benchtime 1x ./internal/bloom >/dev/null
-go test -short -run '^$' -bench 'WireProbeFrame|JSONBody' -benchtime 1x ./internal/server >/dev/null
+go test -short -run '^$' -bench 'Blocked(Contains|Insert)Batch|BlockedFill' -benchtime 1x ./internal/bloom >/dev/null
+go test -short -run '^$' -bench 'WireProbeFrame|JSONBody|LoadFilterFile' -benchtime 1x ./internal/server >/dev/null
 
 echo "== served benchmark: vet, tests, smoke run (every answer verified) =="
 go vet -C bench .
