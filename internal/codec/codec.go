@@ -99,10 +99,13 @@ const (
 	// KindWALRecord frames one write-ahead-log record (wal package): a
 	// batch of mutations stamped with contiguous log sequence numbers.
 	KindWALRecord uint16 = 6
-	// KindMapletV2 wraps a maplet image together with its packed-value
-	// geometry — the LSM's (run id, block offset) layout. A bare
-	// KindMaplet frame remains the v1 run-id-only image.
+	// KindMapletV2 wrapped a maplet image together with the LSM's
+	// (run id, block offset) value geometry. The LSM no longer reads it,
+	// nor a bare KindMaplet frame holding 16-bit run ids (v1).
 	KindMapletV2 uint16 = 7
+	// KindMapletRuns wraps the LSM's maplet image together with its
+	// run-id width: each value is a run id and nothing else.
+	KindMapletRuns uint16 = 8
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

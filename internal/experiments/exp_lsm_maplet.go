@@ -1,20 +1,23 @@
 package experiments
 
 import (
+	"math"
 	"slices"
 
 	"beyondbloom/internal/lsm"
 	"beyondbloom/internal/metrics"
+	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/workload"
 )
 
-// runE22 measures the maplet-first read path (the key→(run, block)
-// primary index) against the per-run filter policies across the tree
+// runE22 measures the maplet-first read path (the key→run primary
+// index) against the per-run filter policies across the tree
 // shapes E10/E11/E18 exercise: a uniform leveled tree, a many-run
 // tiered tree, and a lazy-leveled tree under overwrite/delete churn.
 // Every cell cross-checks each lookup against an exact model map, so
 // wrong_results pins correctness, not just cost. E22b charts the
-// native maplet GetBatch against scalar Gets on the same store.
+// native maplet GetBatch against scalar Gets on the same store, and
+// E22c the maplet's bits/key against its negative result size.
 func runE22(cfg Config) []*metrics.Table {
 	n := cfg.n(200000)
 	keys := workload.Keys(n, 10)
@@ -140,16 +143,66 @@ func runE22(cfg Config) []*metrics.Table {
 		})
 		bt.AddRow(bs, 1e3/scalarNs, 1e3/batchNs, scalarNs/batchNs)
 	}
-	return []*metrics.Table{t, bt, e22Acceptance(t, bt)}
+	return []*metrics.Table{t, bt, e22Frontier(cfg, s, missQ), e22Acceptance(t, bt)}
 }
 
-// e22Acceptance gates on the exact-model cross-check and the maplet-first
-// reads per present key (counters of a seeded workload); the batch-256
+// e22Frontier charts what the initial remainder buys (E22c): standalone
+// maplets with the store's geometry — 2^q0 slots, its run-id width,
+// doubling at its load — filled with n keys, for r0 of 12, 16 (the
+// store's) and 20. Each doubling spends one remainder bit, so bits/key
+// and the negative result size (candidates per absent key, the
+// tutorial's NRS = ε) trade against each other. n is 2^15, plus 2^20
+// at full scale.
+func e22Frontier(cfg Config, s *lsm.Store, missQ []uint64) *metrics.Table {
+	q0, w, maxLoad := s.MapletGeometry()
+	ft := metrics.NewTable("E22c: maplet bits/key vs negative result size by initial remainder (q0="+itoa(int(q0))+", w="+itoa(int(w))+")",
+		"n", "r0", "bits_per_key", "nrs").Named("frontier")
+	sizes := []int{1 << 15}
+	if cfg.Scale == 0 || cfg.Scale >= 1 {
+		sizes = append(sizes, 1<<20)
+	}
+	var cand []uint64
+	for _, n := range sizes {
+		keys := workload.Keys(n, 11)
+		for _, r0 := range []uint{12, 16, 20} {
+			m := quotient.NewMaplet(q0, r0, w)
+			for i, k := range keys {
+				if m.LoadFactor() >= maxLoad {
+					if err := m.Expand(); err != nil {
+						panic(err)
+					}
+				}
+				if err := m.Put(k, uint64(i)%(1<<w-1)+1); err != nil {
+					panic(err)
+				}
+			}
+			hits := 0
+			for _, k := range missQ {
+				cand = m.GetAppend(cand[:0], k)
+				hits += len(cand)
+			}
+			ft.AddRow(n, int(r0), float64(m.SizeBits())/float64(n), float64(hits)/float64(len(missQ)))
+		}
+	}
+	return ft
+}
+
+// e22Acceptance gates on the exact-model cross-check, the maplet-first
+// reads per present key and its reads per absent key against Monkey's
+// on every shape (counters of a seeded workload); the batch-256
 // speedup against its 1.3x bar is wall-clock, so it is only reported.
 func e22Acceptance(reads, batch *metrics.Table) *metrics.Table {
 	a := metrics.NewAcceptance("E22: acceptance")
 	a.AtMost("wrong_results_total", total[int](reads, "wrong_results"), 0, true)
 	a.AtMost("maplet_hit_within_1_2", slices.Max(where(reads, "policy", "maplet_first", "reads_per_hit")), 1.2, true)
+	// The largest excess of maplet-first over Monkey reads per miss
+	// across the shapes: at most zero when the maplet misses no more.
+	monkey := where(reads, "policy", "monkey", "reads_per_miss")
+	excess := math.Inf(-1)
+	for i, m := range where(reads, "policy", "maplet_first", "reads_per_miss") {
+		excess = max(excess, m-monkey[i])
+	}
+	a.AtMost("maplet_miss_at_most_monkey", excess, 0, true)
 	a.AtLeast("batch_256_at_least_1_3x", where(batch, "batch", 256, "speedup")[0], 1.3, false)
 	return a
 }

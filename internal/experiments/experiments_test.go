@@ -234,7 +234,8 @@ func TestE20FrontierExperiment(t *testing.T) {
 // TestE22MapletFirstExperiment checks the maplet-first experiment's
 // invariant: every shape×policy cell answers with zero wrong results
 // against the exact model, all three policies appear in all three tree
-// shapes, the batch table covers the sweep, and the gating checks hold.
+// shapes, the batch and frontier tables cover their sweeps, and the
+// gating checks hold.
 func TestE22MapletFirstExperiment(t *testing.T) {
 	tables := runOne(t, "E22")
 	reads, batch := tables[0], tables[1]
@@ -247,7 +248,10 @@ func TestE22MapletFirstExperiment(t *testing.T) {
 	if batch.Len() != 4 {
 		t.Errorf("E22b produced %d batch rows, want 4:\n%s", batch.Len(), batch)
 	}
-	wantGatesHold(t, tables, "wrong_results_total", "maplet_hit_within_1_2", "batch_256_at_least_1_3x")
+	if frontier := tables[2]; frontier.Len() != 3 {
+		t.Errorf("E22c produced %d frontier rows at small scale, want 3 (2^15 keys × 3 remainders):\n%s", frontier.Len(), frontier)
+	}
+	wantGatesHold(t, tables, "wrong_results_total", "maplet_hit_within_1_2", "maplet_miss_at_most_monkey", "batch_256_at_least_1_3x")
 }
 
 // TestE23GrowthGates checks that all three E23 claims gate and hold at

@@ -218,9 +218,9 @@ func TestMapletGetBatchCandidateOrder(t *testing.T) {
 		deep, shallow := oldest.entries[0].Key, newest.entries[0].Key
 		lost := oldest.entries[1].Key
 		for _, e := range []struct{ key, val uint64 }{
-			{deep, s.mapletPack(newest.id, 0)},    // probed first, misses
-			{shallow, s.mapletPack(oldest.id, 0)}, // never probed
-			{lost, s.mapletPack(1<<mapletRunBits-1, 0)},
+			{deep, newest.id},    // probed first, misses
+			{shallow, oldest.id}, // never probed
+			{lost, s.idLimit - 1},
 		} {
 			if err := s.maplet.PutExpanding(e.key, e.val); err != nil {
 				t.Fatal(err)

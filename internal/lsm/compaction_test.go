@@ -77,12 +77,14 @@ func mapletHash(s *Store) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestMapletStoreImageGolden pins compaction's maplet maintenance to
-// the two-merge, delete-then-put implementation it replaced: a seeded
-// store saves byte for byte the image that implementation saved (run
-// files, manifest counters, maplet image), and after overwrite/delete
-// churn the maplet holds the same entries in the same footprint. The
-// hashes were taken from that implementation.
+// TestMapletStoreImageGolden pins compaction's maplet maintenance and
+// the saved image: a seeded store saves byte for byte the same image
+// (run files, manifest counters, maplet image), and after
+// overwrite/delete churn the maplet holds the same entries in the same
+// footprint. The hashes were first taken from the two-merge,
+// delete-then-put implementation the single merge replaced, and
+// re-captured once when slots dropped their block offsets for a
+// fingerprint and a run id alone.
 func TestMapletStoreImageGolden(t *testing.T) {
 	const n = 1 << 14
 	for _, tc := range []struct {
@@ -91,14 +93,14 @@ func TestMapletStoreImageGolden(t *testing.T) {
 		image, churn string
 	}{
 		{"leveling", Leveling,
-			"b5ac52cec14bedc7519de122a4f0121faedf8d6a7e3a426d96700413ee2a268a",
-			"23238bdd601a9f7e4aa4957620643a59d0691ad7a3e6b4e7a03db6bbb76f20e2"},
+			"fe44757a0d095058f3af9ec984600e4720ee8ac138d7c811ae0bcb192b3d9f54",
+			"82bed5a6ea06051b8d8f56053a6ad7c5a7287e762f7890b79a730122637fcac8"},
 		{"tiering", Tiering,
-			"572880cd37c4db5b908cda43208ba10a1ddb28c210c35e4aa49f8948afee95ed",
-			"dde895050c3235a7de9f24af7a17b5fc0099feb0b219098983825a687f4ce3bb"},
+			"978888f9670b766aee4ce99a2f7defe3c37fd196983a66043dc999c234fce7f8",
+			"8711e8d09d55b054aecb95f9d5bb162527f507593be8b48b4d3c57d6833efbf1"},
 		{"lazy-leveling", LazyLeveling,
-			"1231ca40e913660cc35aafba2e5a358ca8ce574355bf63d11743d754c488ea07",
-			"f63764c0a93799fc216484b673290aef1cb63936fc63d877b63bde15487df43f"},
+			"1377e05fb722f5b2ccd76a1ea0d4d14d74e5bbf9fcc21237f820a76a2231c29b",
+			"f84e370300c0b36eb5a5d83ee22e03cb9ce0604acab7a5e3bce55f33c4a1230c"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := seedMapletStore(tc.comp, n)
@@ -142,11 +144,11 @@ func TestDrainKeepsMapletGeometry(t *testing.T) {
 	if len(s.tree) != 1 || len(s.tree[0]) != 3 {
 		t.Fatalf("want 3 level-0 runs, tree has %d levels", len(s.tree))
 	}
-	for i, k := range workload.DisjointKeys(1<<13, 71) {
+	for _, k := range workload.DisjointKeys(1<<13, 71) {
 		if s.maplet.m.LoadFactor() > mapletMaxLoad+0.01 {
 			break
 		}
-		if err := s.maplet.m.Put(k, s.mapletPack(1<<mapletRunBits-1, i)); err != nil {
+		if err := s.maplet.m.Put(k, s.idLimit-1); err != nil {
 			t.Fatal(err)
 		}
 	}

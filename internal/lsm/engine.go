@@ -93,6 +93,7 @@ func (s *Store) levelEntries(level int) int {
 }
 
 // allocRunID takes an id from the recycle pool (or mints a fresh one).
+// Live-run bounds (mapletval.go) keep minted ids below idLimit.
 func (s *Store) allocRunID() uint64 {
 	s.idMu.Lock()
 	defer s.idMu.Unlock()
@@ -102,7 +103,7 @@ func (s *Store) allocRunID() uint64 {
 		return id
 	}
 	s.nextID++
-	if s.nextID >= 1<<16 {
+	if s.nextID >= s.idLimit {
 		panic("lsm: run id space exhausted")
 	}
 	return s.nextID
@@ -122,13 +123,15 @@ type mergeHead struct {
 // the run and is not copied. Under PolicyMaplet the same pass re-points
 // the index at run id before the view swap publishes it, key by key
 // under the maplet's write lock (mapletEditChunk keys per critical
-// section): a key's entry in one retired run is rewritten in place, its
-// older versions are deleted, a key no retired run indexed is put, and
-// a dropped key's entries are deleted. The fingerprint never changes,
-// so only fresh keys can grow the maplet. A reader whose view is
-// unchanged across its maplet read therefore holds candidates covering
-// every run of that view; candidates naming the unpublished run mark
-// the lookup inconclusive and it retries (see mapletGet).
+// section): a key's entry naming one retired run is rewritten in place
+// to name id, its older versions are deleted, a key no retired run
+// indexed is put, and a dropped key's entries are deleted. (Keys that
+// collide in one run hold identical entries; an edit may take either.)
+// The fingerprint never changes, so only fresh keys can grow the
+// maplet. A reader whose view is unchanged across its maplet read
+// therefore holds candidates covering every run of that view;
+// candidates naming the unpublished run mark the lookup inconclusive
+// and it retries (see mapletGet).
 func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry {
 	var buf [8]mergeHead // a merge has a handful of inputs; keep them off the heap
 	in := buf[:0]
@@ -148,7 +151,7 @@ func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry 
 	if mi != nil {
 		mi.mu.Lock()
 	}
-	n, misses := 0, 0
+	misses := 0
 	for keys := 0; ; keys++ {
 		w := -1 // the newest input holding the smallest key
 		for i := range in {
@@ -166,15 +169,20 @@ func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry 
 		e := in[w].rest[0]
 		keep := !drop || !e.Tombstone
 		put := keep && mi != nil
-		val := s.mapletPack(id, n)
 		for i := w; i < len(in); i++ {
 			h := &in[i]
 			if len(h.rest) == 0 || h.rest[0].Key != e.Key {
 				continue
 			}
 			if h.src != nil && mi != nil {
-				old := s.mapletPack(h.src.id, len(h.src.entries)-len(h.rest))
-				if s.mapletRetireLocked(e.Key, old, val, put) {
+				// The first retired entry found moves to id; the rest go.
+				var err error
+				if put {
+					err = mi.m.Update(e.Key, h.src.id, id)
+				} else {
+					err = mi.m.Delete(e.Key, h.src.id)
+				}
+				if err == nil {
 					put = false
 				} else {
 					misses++
@@ -183,16 +191,13 @@ func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry 
 			h.rest = h.rest[1:]
 		}
 		if put {
-			if err := mi.putExpandingLocked(e.Key, val); err != nil {
+			if err := mi.putExpandingLocked(e.Key, id); err != nil {
 				mi.mu.Unlock()
 				panic(fmt.Sprintf("lsm: maplet cannot expand: %v", err))
 			}
 		}
-		if keep {
-			if len(in) > 1 {
-				out = append(out, e)
-			}
-			n++
+		if keep && len(in) > 1 {
+			out = append(out, e)
 		}
 	}
 	if mi != nil {
@@ -204,30 +209,8 @@ func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry 
 	return out
 }
 
-// mapletRetireLocked edits key's maplet entry old, the value a retired
-// run gave it: move rewrites it in place to val, otherwise it is
-// deleted. An entry absent under old is retried under its
-// unknown-offset sentinel, the shape entries loaded from v1 images
-// carry. It reports whether either was found. Callers hold the
-// maplet's write lock.
-func (s *Store) mapletRetireLocked(key, old, val uint64, move bool) bool {
-	m := s.maplet.m
-	for _, v := range [2]uint64{old, s.mapletSentinel(old)} {
-		var err error
-		if move {
-			err = m.Update(key, v, val)
-		} else {
-			err = m.Delete(key, v)
-		}
-		if err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// buildRun charges a new run's write I/O, builds its filters and
-// registers it with the engine.
+// buildRun charges a new run's write I/O, builds its filters (a maplet
+// run's radix start table) and registers it with the engine.
 func (s *Store) buildRun(r *run) {
 	s.devWrite((len(r.entries) + entriesPerBlock - 1) / entriesPerBlock)
 	var bf *bloom.Filter
@@ -242,6 +225,9 @@ func (s *Store) buildRun(r *run) {
 			bf.Insert(e.Key)
 		}
 		r.filter = bf
+	}
+	if s.maplet != nil {
+		r.index()
 	}
 	if s.opts.RangeFilter != nil {
 		keys := make([]uint64, len(r.entries))
@@ -318,7 +304,8 @@ func (s *Store) finishRetired() {
 // compact cascades oversized levels downward: a level that is full
 // drains into the next one. Leveling drains a level's single run when it
 // outgrows its capacity; tiering drains a level's runs once T
-// accumulate.
+// accumulate. A full level at a maplet store's maxDepth merges its runs
+// in place instead, as LazyLeveling's last level does.
 func (s *Store) compact() {
 	for level := 0; level < len(s.tree); level++ {
 		var full bool
@@ -341,6 +328,6 @@ func (s *Store) compact() {
 		}
 		runs := s.tree[level]
 		s.tree[level] = nil
-		s.pushRun(nil, runs, level+1)
+		s.pushRun(nil, runs, min(level+1, s.maxDepth-1))
 	}
 }

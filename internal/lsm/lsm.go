@@ -36,6 +36,8 @@ package lsm
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,6 +250,8 @@ type Options struct {
 	// memtables plus level-0 runs exceeds this budget (default 8; zero
 	// selects the default, negative is rejected by NewStore). It is
 	// ignored in synchronous mode, where the backlog never exceeds one.
+	// A durable PolicyMaplet store checkpoints before it holds more
+	// retired runs, so NewStore caps it by the run-id width.
 	L0RunBudget int
 	// DeviceFaults, when set, is installed on the store's Device so data
 	// block I/O fails per its schedule.
@@ -269,6 +273,8 @@ type Options struct {
 	WALSegmentBytes int
 }
 
+const defaultL0RunBudget = 8 // what a zero L0RunBudget selects
+
 func (o *Options) fill() {
 	if o.MemtableSize == 0 {
 		o.MemtableSize = 1024
@@ -283,7 +289,7 @@ func (o *Options) fill() {
 		o.MonkeyBaseFPR = 0.01
 	}
 	if o.L0RunBudget == 0 {
-		o.L0RunBudget = 8
+		o.L0RunBudget = defaultL0RunBudget
 	}
 }
 
@@ -340,6 +346,10 @@ type run struct {
 	filter  core.Filter
 	rangeF  core.RangeFilter
 	level   int
+	// A maplet run's radix start table (see index).
+	start []uint32
+	lo    uint64
+	shift uint8
 }
 
 func (r *run) minKey() uint64 { return r.entries[0].Key }
@@ -357,15 +367,38 @@ func search(seg []Entry, key uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
-// block returns the entriesPerBlock-sized block at offset b. An
-// out-of-range block — a stale offset left by a recycled-id collision —
-// is empty, so a search of it misses.
-func (r *run) block(b uint64) []Entry {
-	if b > uint64(len(r.entries))/entriesPerBlock {
+// index builds the run's radix start table: 2^b buckets, b =
+// ⌈log2(len/entriesPerBlock)⌉, key's bucket (key−lo)>>shift with the
+// largest key in the last one, and start[i] the first entry in bucket i
+// or beyond. Even keys put about a block in a bucket; skew only widens
+// some spans. It costs 0.25–0.5 bits per entry.
+func (r *run) index() {
+	n := len(r.entries)
+	b := bits.Len(uint((n - 1) / entriesPerBlock))
+	r.start = make([]uint32, 1<<b+1)
+	if n == 0 {
+		return
+	}
+	r.lo = r.entries[0].Key
+	r.shift = uint8(max(bits.Len64(r.maxKey()-r.lo)-b, 0))
+	j := 0
+	for i := 1; i < 1<<b; i++ {
+		for j < n && (r.entries[j].Key-r.lo)>>r.shift < uint64(i) {
+			j++
+		}
+		r.start[i] = uint32(j)
+	}
+	r.start[1<<b] = uint32(n)
+}
+
+// span returns the entries of an indexed run among which key lies if
+// the run holds it.
+func (r *run) span(key uint64) []Entry {
+	i := (key - r.lo) >> r.shift
+	if i >= uint64(len(r.start)-1) {
 		return nil
 	}
-	lo := int(b) * entriesPerBlock
-	return r.entries[lo:min(lo+entriesPerBlock, len(r.entries))]
+	return r.entries[r.start[i]:r.start[i+1]]
 }
 
 // memRun is a frozen memtable: immutable once published in a view,
@@ -429,16 +462,17 @@ type Store struct {
 	flushedLSN uint64
 	persisted  map[uint64]bool
 
-	// Run ids are recycled from a small pool so they always fit the
-	// maplet's 16-bit value width no matter how many flushes occur.
-	// idMu guards the pool so Save can snapshot it mid-compaction.
+	// Run ids are recycled from a small pool so they stay below idLimit:
+	// 2^w for the maplet's w-bit values (mapletval.go), else 2^16. idMu
+	// guards the pool so Save can snapshot it mid-compaction.
 	idMu    sync.Mutex
 	freeIDs []uint64
 	nextID  uint64
+	idLimit uint64
+	// maxDepth caps the level count: mapletDepth for maplet stores.
+	maxDepth int
 
-	maplet     *mapletIndex
-	mapOffBits uint   // block-offset width of packed maplet values
-	mapOffNone uint64 // all-ones offset: the "offset unknown" sentinel
+	maplet *mapletIndex
 
 	filterProbes    atomic.Int64
 	filterFallbacks atomic.Int64
@@ -460,7 +494,8 @@ type Store struct {
 
 // NewStore returns an empty store, or an error when the options are
 // invalid (negative sizes, a size ratio of one, an L0 run budget that
-// could never admit a write, an unknown policy...). Durable stores
+// could never admit a write, an unknown policy, a maplet store whose
+// live runs would outgrow its run-id width...). Durable stores
 // need a directory for their log, so Options.Durability is accepted
 // only by OpenStore.
 func NewStore(opts Options) (*Store, error) {
@@ -472,19 +507,24 @@ func NewStore(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("lsm: Options.Durability requires a directory; open durable stores with OpenStore")
 	}
 	s := &Store{
-		opts:    opts,
-		mem:     make(map[uint64]Entry),
-		dev:     &Device{Faults: opts.DeviceFaults},
-		runByID: make(map[uint64]*run),
+		opts:     opts,
+		mem:      make(map[uint64]Entry),
+		dev:      &Device{Faults: opts.DeviceFaults},
+		runByID:  make(map[uint64]*run),
+		idLimit:  1 << 16,
+		maxDepth: math.MaxInt,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if opts.Policy == PolicyMaplet {
-		// The maplet is the primary index: 16-bit recycled run ids packed
-		// with per-run block offsets (see mapletval.go); sized small here
-		// and expanded on demand.
-		s.mapOffBits = mapletOffsetBits(opts.MemtableSize, opts.SizeRatio)
-		s.mapOffNone = 1<<s.mapOffBits - 1
-		s.maplet = newMapletIndex(quotient.NewMaplet(12, 12, mapletRunBits+s.mapOffBits))
+		// The maplet is the primary index: a remainder and a recycled
+		// run id per slot (see mapletval.go), sized small here and
+		// expanded on demand.
+		w, err := mapletRunBits(&opts)
+		if err != nil {
+			return nil, err
+		}
+		s.idLimit, s.maxDepth = 1<<w, mapletDepth(&opts)
+		s.maplet = newMapletIndex(quotient.NewMaplet(mapletQ0, mapletR0, w))
 	}
 	s.view.Store(&view{})
 	if opts.Background {
@@ -720,11 +760,16 @@ func (s *Store) Apply(entries ...Entry) error {
 	}
 	// Synchronous durable flush: acknowledge the batch, then fold the
 	// flushed tree into a durable checkpoint so the covered log
-	// segments can retire.
+	// segments can retire. A failed checkpoint parks the store, as in
+	// the Background engine.
 	if err := s.wal.Sync(target); err != nil {
 		return err
 	}
-	return s.Checkpoint()
+	if err := s.Checkpoint(); err != nil {
+		s.setBgErr(err)
+		return err
+	}
+	return nil
 }
 
 // stalledLocked reports whether a writer must wait for the engine:
@@ -830,13 +875,25 @@ func (s *Store) flusher() {
 // Engine work (merging, filter builds, device I/O) runs without mu;
 // only the view publication takes the write lock. On a durable store
 // the drained backlog is folded into one checkpoint at the end, and a
-// checkpoint failure parks the store in a sticky error state.
+// checkpoint failure parks the store in a sticky error state. A durable
+// maplet store also checkpoints, recycling run ids, before a flush
+// whenever more than L0RunBudget retired runs hold theirs (mapletval.go).
 func (s *Store) drainBackground() {
 	flushed := false
 	for {
 		v := s.view.Load()
 		if len(v.frozen) == 0 {
 			break
+		}
+		s.retMu.Lock()
+		held := len(s.retired)
+		s.retMu.Unlock()
+		if s.maplet != nil && s.wal != nil && held > s.opts.L0RunBudget {
+			if err := s.Checkpoint(); err != nil {
+				s.setBgErr(err)
+				return
+			}
+			flushed = false
 		}
 		fm := v.frozen[len(v.frozen)-1] // oldest
 		s.flushMem(fm)

@@ -1,16 +1,21 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"beyondbloom/internal/codec"
+	"beyondbloom/internal/core"
 	"beyondbloom/internal/fault"
 	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/workload"
 )
 
 // These tests pin the maplet-first read path: the global maplet maps
-// key → (run, block offset) and is the store's primary index, so its
+// key → run and is the store's primary index, so its
 // maintenance protocol (edited in place by every compaction's merge)
 // must keep it exactly in sync with the run tree, its lookups must be
 // allocation-free, and its checkpoint image must reconstruct the exact
@@ -133,7 +138,7 @@ func mapletReadsPerKey(s *Store) []int {
 // state is an acceptable script prefix with zero delete misses, and
 // (b) the recovered maplet routes every surviving key with
 // counter-identical device reads across a checkpoint/reopen cycle —
-// the offsets reconstructed from the image plus WAL replay cost
+// the routing reconstructed from the image plus WAL replay costs
 // exactly what the re-checkpointed image costs.
 func TestMapletCrashSweepRouting(t *testing.T) {
 	script := crashScript()
@@ -214,84 +219,98 @@ func TestMapletCrashSweepRouting(t *testing.T) {
 	}
 }
 
-// TestMapletImageV1Compat saves a store whose manifest carries a v1
-// (run-id-only) maplet image and asserts the reopened store widens it
-// to the packed layout: every key still routes (via the unknown-offset
-// sentinel's whole-run search) at one read per probed run, and
-// subsequent compactions remap the sentinel entries away without a
-// single delete miss.
-func TestMapletImageV1Compat(t *testing.T) {
+// TestMapletImageOldKindsRefused swaps the maplet image inside a saved
+// store's manifest for the two layouts that carried addresses — a v1
+// bare KindMaplet frame of 16-bit run ids, and a v2 KindMapletV2 frame
+// of (run id, block offset) values — and asserts OpenStore refuses
+// each with ErrVersion: no panic, no store, and nothing written to the
+// directory, whether or not it is opened durable.
+func TestMapletImageOldKindsRefused(t *testing.T) {
 	s := New(Options{Policy: PolicyMaplet, MemtableSize: 64})
 	keys := workload.Keys(1500, 31)
 	for i, k := range keys {
 		s.Put(k, uint64(i))
 	}
 	s.Flush()
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, Options{}); err != nil {
+		t.Fatalf("current image refused: %v", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.ReadFrame(codec.NewDec(raw), core.TypeLSMManifestV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := s.writeMapletImage(&image); err != nil {
+		t.Fatal(err)
+	}
+	prefix, ok := bytes.CutSuffix(payload, image.Bytes())
+	if !ok {
+		t.Fatal("manifest does not end with the maplet image")
+	}
 
-	// Rebuild what a v1 release would have persisted: the same routing,
-	// but values holding bare run ids.
-	legacy := quotient.NewMaplet(12, 12, 16)
-	v := s.view.Load()
-	for _, level := range v.levels {
-		for _, r := range level {
-			for _, e := range r.entries {
-				for {
-					if err := legacy.Put(e.Key, r.id); err == nil {
-						break
-					}
-					if err := legacy.Expand(); err != nil {
-						t.Fatal(err)
-					}
+	// What the earlier releases wrote for the same keys.
+	v1, v2 := quotient.NewMaplet(12, 12, 16), quotient.NewMaplet(12, 12, 16+8)
+	for i, k := range keys {
+		if err := v1.Put(k, uint64(i%7+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := v2.Put(k, uint64(i%7+1)<<8|uint64(i/entriesPerBlock)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var v1Frame, v2Frame bytes.Buffer
+	if _, err := v1.WriteTo(&v1Frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.Encode(&v2Frame, codec.KindMapletV2, func(e *codec.Enc) error {
+		e.U8(16)
+		e.U8(8)
+		_, err := v2.WriteTo(e)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{{"v1", v1Frame.Bytes()}, {"v2", v2Frame.Bytes()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var manifest bytes.Buffer
+			if _, err := codec.WriteFrame(&manifest, core.TypeLSMManifestV3, append(append([]byte(nil), prefix...), tc.frame...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ManifestName), manifest.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []Options{{}, {Durability: DurabilityGroup}, {Background: true}} {
+				r, err := OpenStore(dir, opts)
+				if !errors.Is(err, codec.ErrVersion) || r != nil {
+					t.Fatalf("OpenStore(%+v) = (%v, %v), want (nil, ErrVersion)", opts, r, err)
 				}
 			}
-		}
-	}
-	dir := t.TempDir()
-	testLegacyMapletImage = legacy
-	err := s.Save(dir)
-	testLegacyMapletImage = nil
-	if err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-
-	r, err := OpenStore(dir, Options{})
-	if err != nil {
-		t.Fatalf("OpenStore of v1 image: %v", err)
-	}
-	if r.mapOffBits == 0 || r.maplet.Len() != legacy.Len() {
-		t.Fatalf("widened maplet: offBits=%d len=%d, want offBits>0 len=%d",
-			r.mapOffBits, r.maplet.Len(), legacy.Len())
-	}
-	for i, k := range keys {
-		before := r.Device().Reads()
-		got, ok := r.Get(k)
-		if !ok || got != uint64(i) {
-			t.Fatalf("key %d = %d, %v; want %d", k, got, ok, i)
-		}
-		if reads := r.Device().Reads() - before; reads < 1 || reads > 3 {
-			t.Fatalf("key %d cost %d reads through sentinel offsets", k, reads)
-		}
-	}
-	for _, k := range workload.DisjointKeys(1000, 31) {
-		if _, ok := r.Get(k); ok {
-			t.Fatalf("phantom key %d after v1 widen", k)
-		}
-	}
-
-	// Churn until compactions have rewritten the tree: the merge's
-	// sentinel retry must find every v1-shaped entry it updates or
-	// deletes.
-	more := workload.Keys(3000, 37)
-	for i, k := range more {
-		r.Put(k, uint64(i)^0xF0F0)
-	}
-	r.Flush()
-	if m := r.MapletDeleteMisses(); m != 0 {
-		t.Fatalf("%d maplet delete misses while compacting v1 entries, want 0", m)
-	}
-	for i, k := range more {
-		if got, ok := r.Get(k); !ok || got != uint64(i)^0xF0F0 {
-			t.Fatalf("post-churn key %d = %d, %v", k, got, ok)
-		}
+			after, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(after) != len(before) {
+				t.Fatalf("refused opens changed the directory: %d entries, then %d", len(before), len(after))
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@ func newMapletIndex(m *quotient.Maplet) *mapletIndex {
 	return &mapletIndex{m: m}
 }
 
-// GetAppend appends key's candidate packed values to dst (zero-alloc
+// GetAppend appends key's candidate run ids to dst (zero-alloc
 // when dst has capacity).
 func (mi *mapletIndex) GetAppend(dst []uint64, key uint64) []uint64 {
 	mi.mu.RLock()
@@ -49,7 +49,7 @@ func (mi *mapletIndex) GetBatch(keys []uint64, ends []int32, dst []uint64) ([]in
 // key count.
 const mapletMaxLoad = 0.85
 
-// PutExpanding associates a packed value with key, doubling the maplet
+// PutExpanding associates a run id with key, doubling the maplet
 // first when it has reached mapletMaxLoad. The expansion and the put
 // happen under one critical section, so readers never observe a
 // half-built table. It fails with core.ErrFull once the maplet is at

@@ -1,72 +1,76 @@
 package lsm
 
-// Maplet value packing (PolicyMaplet). The global maplet is the
-// store's primary index: each entry's value packs the run holding the
-// key together with the key's block offset inside that run, so a hit
-// costs one maplet probe plus one block read — no per-run probing and
-// no whole-run binary search:
-//
-//	[ run id : mapletRunBits ][ block offset : s.mapOffBits ]
-//
-// Run ids fit mapletRunBits by construction: allocRunID recycles ids
-// from a pool bounded by the live-run count (L0RunBudget plus the
-// level tree), so ids never outgrow the width. The offset width is
-// derived per store from its flush geometry: enough bits to address
-// every entriesPerBlock-sized block of a run mapletOffsetLevels levels
-// deep (MemtableSize · SizeRatio^levels entries), clamped to
-// [mapletMinOffsetBits, mapletMaxOffsetBits]. The all-ones offset is
-// reserved as the "offset unknown" sentinel: entries loaded from v1
-// run-id-only checkpoint images, and entries of runs too deep for the
-// width, carry it and resolve by whole-run binary search instead —
-// graceful, never wrong. Compactions rewrite surviving entries with
-// exact offsets, so sentinel entries disappear as the tree churns
-// (lazy backfill).
-
-const mapletRunBits = 16
-
-const (
-	mapletOffsetLevels  = 6
-	mapletMinOffsetBits = 8
-	mapletMaxOffsetBits = 20
+import (
+	"fmt"
+	"math/bits"
 )
 
-// mapletOffsetBits derives the block-offset width from the store's
-// flush geometry, keeping one code point spare for the sentinel.
-func mapletOffsetBits(memtableSize, sizeRatio int) uint {
-	entries := memtableSize
-	for i := 0; i < mapletOffsetLevels && entries < 1<<40; i++ {
-		entries *= sizeRatio
+// Maplet slots (PolicyMaplet). The global maplet is the store's primary
+// index, and a slot holds a fingerprint remainder and the id of the run
+// holding the key, nothing else: the run's radix start table finds the
+// key's span (run.span), so every bit the run id does not need goes to
+// the remainder, which sets the maplet's ε (tutorial §2.4).
+//
+// The run-id width w names every id the store holds at once: the level
+// tree's runs, the runs one flush-and-compact cycle creates while those
+// it retires keep their ids, and up to L0RunBudget retired runs a
+// durable store keeps until its next checkpoint (drainBackground), in a
+// tree no deeper than the maplet's capacity admits (mapletDepth). w
+// follows from the options the manifest records and the default
+// L0RunBudget, so foreground builds and Background serves agree on it.
+
+// The maplet starts at 2^mapletQ0 slots with mapletR0-bit remainders
+// and gives up one remainder bit per doubling: r0 = 16 keeps r ≥ 7 at
+// 2^20 keys, after nine doublings.
+const (
+	mapletQ0 = 12
+	mapletR0 = 16
+	// mapletMaxRunBits is the widest run id a slot can carry next to
+	// the initial remainder (quotient.NewMaplet allows r+vBits ≤ 58).
+	mapletMaxRunBits = 58 - mapletR0
+)
+
+// mapletDepth is the deepest a maplet store's tree grows. Level L ≥ 1
+// opens once level L−1 held over MemtableSize·T^L entries, all maplet
+// entries, so the maplet's capacity bounds it; but tiered levels open by
+// run count: level 1 always, and Tiering's last level merges in place.
+func mapletDepth(o *Options) int {
+	slots := uint64(1) << (mapletQ0 + mapletR0 - 1) // every r bit but one doubled
+	capacity := uint64(mapletMaxLoad * float64(slots))
+	d := 1
+	for c, t := uint64(o.MemtableSize), uint64(o.SizeRatio); c <= capacity/t; c *= t {
+		d++
 	}
-	blocks := (entries + entriesPerBlock - 1) / entriesPerBlock
-	bits := uint(mapletMinOffsetBits)
-	for bits < mapletMaxOffsetBits && 1<<bits <= blocks {
-		bits++
+	if o.Compaction == Leveling {
+		return d
 	}
-	return bits
+	return max(d, 2)
 }
 
-// mapletPack packs a run id and the entry's index into one maplet
-// value; block offsets beyond the width clamp to the unknown sentinel.
-func (s *Store) mapletPack(runID uint64, entryIndex int) uint64 {
-	off := uint64(entryIndex) / entriesPerBlock
-	if off >= s.mapOffNone {
-		off = s.mapOffNone
+// mapletTreeIDs bounds the ids the level tree and one flush-and-compact
+// cycle hold at once: per level, its runs at rest (one leveled, up to
+// T−1 tiered) and one created.
+func mapletTreeIDs(o *Options) int {
+	// Capped so the product cannot overflow; past the cap no width fits.
+	d, t := mapletDepth(o), min(o.SizeRatio, 1<<mapletMaxRunBits)
+	if o.Compaction == Leveling {
+		return 2 * d
 	}
-	return runID<<s.mapOffBits | off
+	return d * t
 }
 
-// mapletValRun extracts the run id from a packed value.
-func (s *Store) mapletValRun(v uint64) uint64 { return v >> s.mapOffBits }
-
-// mapletValOffset extracts the block offset; exact is false for the
-// unknown-offset sentinel, which requires a whole-run search.
-func (s *Store) mapletValOffset(v uint64) (off uint64, exact bool) {
-	off = v & s.mapOffNone
-	return off, off != s.mapOffNone
+// mapletRunBits derives the run-id width for filled, validated options
+// and checks that their L0RunBudget fits it.
+func mapletRunBits(o *Options) (uint, error) {
+	tree := mapletTreeIDs(o)
+	w := uint(bits.Len(uint(tree + defaultL0RunBudget)))
+	if w > mapletMaxRunBits {
+		return 0, fmt.Errorf("lsm: MemtableSize %d, SizeRatio %d and Compaction %d can hold %d runs, more than a %d-bit maplet run id names",
+			o.MemtableSize, o.SizeRatio, o.Compaction, tree, mapletMaxRunBits)
+	}
+	if most := 1<<w - 1 - tree; o.L0RunBudget > most {
+		return 0, fmt.Errorf("lsm: L0RunBudget %d exceeds %d, the retired-run allowance of this maplet store's %d-bit run ids",
+			o.L0RunBudget, most, w)
+	}
+	return w, nil
 }
-
-// mapletSentinel rewrites a packed value's offset to the unknown
-// sentinel — the shape entries loaded from v1 images take, which
-// compaction's maplet edits must be able to target (see
-// mapletRetireLocked).
-func (s *Store) mapletSentinel(v uint64) uint64 { return v | s.mapOffNone }

@@ -7,6 +7,7 @@ import (
 	"io"
 	iofs "io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,86 +48,51 @@ func (r *run) writeTo(w io.Writer) (int64, error) {
 // entryBytes is the encoded size of one Entry (key + value + tombstone).
 const entryBytes = 17
 
-// testLegacyMapletImage, when set (tests only), substitutes a bare v1
-// KindMaplet frame for the versioned image so the v1→v2 load path can
-// be exercised end to end.
-var testLegacyMapletImage *quotient.Maplet
-
-// writeMapletImage frames the global maplet image. The current layout
-// is KindMapletV2: the packed-value geometry (run-id and block-offset
-// widths) followed by the maplet frame itself. v1 images — a bare
-// KindMaplet frame whose values are run ids only — are still read (see
-// readMapletImage) but never written.
+// writeMapletImage frames the global maplet image as KindMapletRuns:
+// the run-id width, then the maplet frame itself.
 func (s *Store) writeMapletImage(w io.Writer) error {
-	if testLegacyMapletImage != nil {
-		_, err := testLegacyMapletImage.WriteTo(w)
-		return err
-	}
-	_, err := codec.Encode(w, codec.KindMapletV2, func(e *codec.Enc) error {
-		e.U8(uint8(mapletRunBits))
-		e.U8(uint8(s.mapOffBits))
+	_, err := codec.Encode(w, codec.KindMapletRuns, func(e *codec.Enc) error {
+		e.U8(uint8(s.maplet.m.ValueBits()))
 		_, err := s.maplet.WriteTo(e)
 		return err
 	})
 	return err
 }
 
-// readMapletImage decodes a maplet image written by writeMapletImage
-// or by a pre-(run,offset) release, returning the maplet and the
-// block-offset width its packed values use. A v2 frame carries its
-// geometry. A v1 frame holds run-id-only values, which are widened in
-// place to the packed layout with every offset set to the unknown
-// sentinel — those entries resolve by whole-run search until
-// compactions rewrite them with exact offsets (lazy backfill).
-func readMapletImage(d *codec.Dec, memtableSize, sizeRatio int) (*quotient.Maplet, uint, error) {
+// readMapletImage decodes a maplet image written by writeMapletImage,
+// checking its values are as wide as the run ids it records. Images of
+// the earlier layouts — v1 (a bare KindMaplet frame of 16-bit run ids)
+// and v2 (KindMapletV2, run id and block offset) — fail with
+// ErrVersion: their values need an address this store no longer keeps.
+func readMapletImage(d *codec.Dec) (*quotient.Maplet, error) {
 	kind, raw, err := codec.ReadRaw(d)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	switch kind {
-	case codec.KindMaplet: // v1: run-id-only values
-		m := &quotient.Maplet{}
-		if _, err := m.ReadFrom(codec.NewDec(raw)); err != nil {
-			return nil, 0, err
-		}
-		if m.ValueBits() != mapletRunBits {
-			return nil, 0, fmt.Errorf("%w: lsm: v1 maplet image value width %d, want %d",
-				codec.ErrCorrupt, m.ValueBits(), mapletRunBits)
-		}
-		offBits := mapletOffsetBits(memtableSize, sizeRatio)
-		sentinel := uint64(1)<<offBits - 1
-		wide, err := m.RemapValues(mapletRunBits+offBits, func(v uint64) uint64 {
-			return v<<offBits | sentinel
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return wide, offBits, nil
-	case codec.KindMapletV2:
-		m := &quotient.Maplet{}
-		var offBits uint
-		_, err := codec.Decode(codec.NewDec(raw), codec.KindMapletV2, func(d *codec.Dec) error {
-			runBits := uint(d.U8())
-			offBits = uint(d.U8())
-			if runBits != mapletRunBits || offBits < mapletMinOffsetBits || offBits > mapletMaxOffsetBits {
-				return d.Corruptf("lsm: maplet image geometry run=%d off=%d out of range", runBits, offBits)
-			}
-			if _, err := m.ReadFrom(d); err != nil {
-				return err
-			}
-			if m.ValueBits() != runBits+offBits {
-				return d.Corruptf("lsm: maplet value width %d disagrees with geometry %d+%d", m.ValueBits(), runBits, offBits)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, offBits, nil
+	case codec.KindMapletRuns:
+	case codec.KindMaplet, codec.KindMapletV2:
+		return nil, fmt.Errorf("%w: lsm: maplet image kind %d holds block offsets or 16-bit run ids; rebuild the store",
+			codec.ErrVersion, kind)
 	default:
-		return nil, 0, fmt.Errorf("%w: lsm: maplet image frame kind %d, want %d (v1) or %d (v2)",
-			codec.ErrKind, kind, codec.KindMaplet, codec.KindMapletV2)
+		return nil, fmt.Errorf("%w: lsm: maplet image frame kind %d, want %d",
+			codec.ErrKind, kind, codec.KindMapletRuns)
 	}
+	m := &quotient.Maplet{}
+	_, err = codec.Decode(codec.NewDec(raw), codec.KindMapletRuns, func(d *codec.Dec) error {
+		runBits := uint(d.U8())
+		if _, err := m.ReadFrom(d); err != nil {
+			return err
+		}
+		if m.ValueBits() != runBits {
+			return d.Corruptf("lsm: maplet value width %d disagrees with run-id width %d", m.ValueBits(), runBits)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // readRun decodes one TypeLSMRun frame, validating the sort invariant
@@ -619,9 +585,8 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	}
 	hasMaplet := d.Bool()
 	var maplet *quotient.Maplet
-	var mapOffBits uint
 	if d.Err() == nil && hasMaplet {
-		maplet, mapOffBits, err = readMapletImage(d, memtableSize, sizeRatio)
+		maplet, err = readMapletImage(d)
 		if err != nil {
 			return nil, err
 		}
@@ -640,9 +605,6 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	}
 	if hadRangeFilter && opts.RangeFilter == nil {
 		return nil, fmt.Errorf("lsm: store was saved with a range filter; pass Options.RangeFilter to OpenStore (builders cannot be persisted)")
-	}
-	if nextID >= 1<<16 {
-		return nil, fmt.Errorf("%w: lsm: next run id %d out of the 16-bit id space", codec.ErrCorrupt, nextID)
 	}
 	if durable && want == DurabilityNone {
 		return nil, fmt.Errorf("lsm: %s was written by a durable store; set Options.Durability to open it (its write-ahead log would be silently dropped otherwise)", dir)
@@ -664,11 +626,18 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if maplet != nil {
+		// The width follows from the manifest's options.
+		if w := s.maplet.m.ValueBits(); maplet.ValueBits() != w {
+			return nil, fmt.Errorf("%w: lsm: maplet image run-id width %d, the manifest's options derive %d",
+				codec.ErrCorrupt, maplet.ValueBits(), w)
+		}
 		s.maplet = newMapletIndex(maplet)
-		// The image's offset geometry is authoritative — it must match
-		// the packed values it carries, not what NewStore re-derived.
-		s.mapOffBits = mapOffBits
-		s.mapOffNone = 1<<mapOffBits - 1
+	}
+	if nextID >= s.idLimit || slices.ContainsFunc(freeIDs, func(id uint64) bool { return id == 0 || id > nextID }) {
+		return nil, fmt.Errorf("%w: lsm: run ids %v up to %d outside the %d-id space", codec.ErrCorrupt, freeIDs, nextID, s.idLimit)
+	}
+	if numLevels > uint64(s.maxDepth) {
+		return nil, fmt.Errorf("%w: lsm: %d levels, deeper than this maplet store's %d", codec.ErrCorrupt, numLevels, s.maxDepth)
 	}
 	s.mem = memtable
 	s.nextID = nextID
@@ -702,7 +671,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		wg.Add(1)
 		go func(i int, sl slot) {
 			defer wg.Done()
-			runs[i], errs[i] = loadRunFiles(fsys, dir, sl.mr, sl.level, opts.RangeFilter)
+			runs[i], errs[i] = loadRunFiles(fsys, dir, sl.mr, sl.level, opts.RangeFilter, maplet != nil)
 		}(i, sl)
 	}
 	wg.Wait()
@@ -872,8 +841,9 @@ func checkStructural(opts *Options, memtableSize, sizeRatio int, policy FilterPo
 
 // loadRunFiles reads one run's data file, its filter file when the
 // manifest promises one, and rebuilds its range filter from the
-// reloaded keys when a builder is configured.
-func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBuilder RangeFilterBuilder) (*run, error) {
+// reloaded keys when a builder is configured, and its radix start
+// table when the maplet indexes it.
+func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBuilder RangeFilterBuilder, indexed bool) (*run, error) {
 	raw, err := fsys.ReadFile(filepath.Join(dir, runDataName(mr.id)))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: run %d: %w", mr.id, err)
@@ -899,6 +869,9 @@ func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBui
 			return nil, fmt.Errorf("lsm: run %d filter: %w", mr.id, err)
 		}
 		r.filter = f
+	}
+	if indexed {
+		r.index()
 	}
 	if rangeBuilder != nil && len(r.entries) > 0 {
 		keys := make([]uint64, len(r.entries))

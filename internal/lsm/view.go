@@ -238,14 +238,12 @@ func frozenLookup(frozen []*memRun, key uint64) (Entry, bool) {
 }
 
 // mapletGet resolves a point lookup through the global maplet, the
-// store's primary index: each candidate value packs (run id, block
-// offset), so a hit costs one maplet probe plus one block read — no
-// per-run filter probes and no whole-run binary search. Candidates
-// carrying the unknown-offset sentinel (loaded from a v1 image, or a
-// run too deep for the offset width) fall back to a whole-run search
-// at the same single charged read. When the maplet block itself cannot
-// be read, the lookup degrades to probing every overlapping run (the
-// PolicyNone cost) rather than failing.
+// store's primary index: each candidate value is a run id, and the
+// run's radix start table narrows the key to one span, so a hit costs
+// one maplet probe plus one charged read — no per-run filter probes.
+// When the maplet block itself cannot be read, the lookup degrades to
+// probing every overlapping run (the PolicyNone cost) rather than
+// failing.
 //
 // Three ordering rules make this exact under concurrency (and under
 // run-id recycling, where a numerically higher id says nothing about
@@ -297,27 +295,24 @@ func (s *Store) mapletResolve(v *view, key uint64, cand []uint64) (value uint64,
 		return 0, false, false, true
 	}
 	// Candidates come back sorted (the maplet run is value-ordered), so
-	// duplicates — colliding fingerprints packed identically — sit
-	// adjacent and are screened and probed once.
+	// duplicates — colliding fingerprints in one run — sit adjacent and
+	// are screened and probed once.
 	for i, c := range cand {
 		if i > 0 && c == cand[i-1] {
 			continue
 		}
-		if !viewHasRun(v, s.mapletValRun(c)) {
+		if !viewHasRun(v, c) {
 			return 0, false, false, false
 		}
 	}
 	for level := 0; level < len(v.levels); level++ {
 		for _, r := range v.levels[level] { // newest first
 			for i, c := range cand {
-				if i > 0 && c == cand[i-1] {
-					continue
-				}
-				if s.mapletValRun(c) != r.id {
+				if c != r.id || (i > 0 && c == cand[i-1]) {
 					continue
 				}
 				s.devRead(1)
-				if e, ok := search(s.candEntries(r, c), key); ok {
+				if e, ok := search(r.span(key), key); ok {
 					return e.Value, !e.Tombstone, true, true
 				}
 			}
@@ -349,10 +344,11 @@ var mapletGetPool = sync.Pool{New: func() any { return new(mapletGetScratch) }}
 // one read per probed candidate. It is a batch kernel rather than a
 // loop of mapletGet: per attempt, one maplet probe (hash-once under a
 // single read lock) fetches every unresolved key's candidates, one pass
-// ranks each candidate's run in the view, every key's newest candidate
-// block is searched together (searchBlocks), and only a key that misses
-// there walks its older candidates, newest first. The batch's probes
-// and fault-free reads reach the shared counters once per call.
+// ranks each candidate's run in the view, every key's span in its
+// newest candidate run is searched together (searchBlocks), and only a
+// key that misses there walks its older candidates, newest first. The
+// batch's probes and fault-free reads reach the shared counters once
+// per call.
 func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pending []int32) {
 	sc := mapletBatchPool.Get().(*mapletBatchScratch)
 	defer mapletBatchPool.Put(sc)
@@ -383,8 +379,8 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 		crank := resize(sc.crank, len(cand))
 		sc.keys, sc.ends, sc.cand, sc.state, sc.hits, sc.crank = kbuf, ends, cand, state, hits, crank
 		// Rank pass: crank[ci] is candidate ci's position in runs (-1 for
-		// a duplicate: colliding fingerprints packed identically sit
-		// adjacent in the value-ordered maplet run and are probed once).
+		// a duplicate: colliding fingerprints in one run sit adjacent in
+		// the value-ordered maplet run and are probed once).
 		// Each key with candidates all in the view stages its newest.
 		probes := sc.probes[:0]
 		lo := int32(0)
@@ -396,7 +392,7 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 				if ci > lo && cand[ci] == cand[ci-1] {
 					continue
 				}
-				id := s.mapletValRun(cand[ci])
+				id := cand[ci]
 				if id >= uint64(len(rank)) || rank[id] < 0 {
 					state[j] = keyRetry
 					break
@@ -408,7 +404,7 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 			}
 			if state[j] == keyAbsent && newest >= 0 {
 				probes = append(probes, blockProbe{
-					seg: s.candEntries(runs[crank[newest]], cand[newest]),
+					seg: runs[crank[newest]].span(kbuf[j]),
 					key: kbuf[j], j: int32(j), ci: newest,
 				})
 			}
@@ -435,7 +431,7 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 						continue
 					}
 					reads++
-					p.seg, p.ci = s.candEntries(runs[rk], cand[ci]), ci
+					p.seg, p.ci = runs[rk].span(p.key), ci
 					searchBlocks(probes[k : k+1])
 					if e, ok := p.result(); ok {
 						state[p.j], hits[p.j] = keyHit, e
@@ -480,12 +476,12 @@ const (
 
 // mapletBatchScratch pools mapletGetBatch's worklists. Its run
 // references are cleared before it is pooled, so it retains no store
-// data, only key copies, packed values, entry copies and positions.
+// data, only key copies, run ids, entry copies and positions.
 type mapletBatchScratch struct {
 	rem    []int32  // pending positions still unresolved
 	keys   []uint64 // their keys: the maplet probe's input
 	ends   []int32  // the probe's output: per-key candidate bounds
-	cand   []uint64 // and packed candidates
+	cand   []uint64 // and candidate run ids
 	crank  []int32  // each candidate's position in runs (-1: duplicate)
 	state  []int8   // per remaining key: keyAbsent, keyHit or keyRetry
 	hits   []Entry
@@ -525,16 +521,6 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// candEntries is the span one charged read of candidate c covers: its
-// block of r when the offset is exact, all of r for the unknown-offset
-// sentinel.
-func (s *Store) candEntries(r *run, c uint64) []Entry {
-	if off, exact := s.mapletValOffset(c); exact {
-		return r.block(off)
-	}
-	return r.entries
 }
 
 // blockProbe is one staged search for key in seg, a sorted span of one
@@ -704,21 +690,32 @@ func (s *Store) Runs() int {
 	return n
 }
 
-// FilterMemoryBits returns the total filter footprint (per-run filters or
-// the global maplet).
+// FilterMemoryBits returns the total filter footprint: the per-run
+// filters, or the global maplet plus its runs' radix start tables.
 func (s *Store) FilterMemoryBits() int {
-	if s.maplet != nil {
-		return s.maplet.SizeBits()
-	}
 	total := 0
+	if s.maplet != nil {
+		total = s.maplet.SizeBits()
+	}
 	for _, level := range s.view.Load().levels {
 		for _, r := range level {
 			if r.filter != nil {
 				total += r.filter.SizeBits()
 			}
+			total += 32 * len(r.start)
 		}
 	}
 	return total
+}
+
+// MapletGeometry reports a PolicyMaplet store's initial maplet: 2^q0
+// slots, w-bit run ids (0 for the other policies), doubling at load
+// maxLoad.
+func (s *Store) MapletGeometry() (q0, w uint, maxLoad float64) {
+	if s.maplet != nil {
+		w = s.maplet.m.ValueBits()
+	}
+	return mapletQ0, w, mapletMaxLoad
 }
 
 // Len returns the number of live entries (exact; walks all runs).

@@ -1,8 +1,6 @@
 package quotient
 
 import (
-	"fmt"
-
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
 )
@@ -202,25 +200,6 @@ func (m *Maplet) Expand() error {
 	m.t = t
 	m.r--
 	return nil
-}
-
-// RemapValues rebuilds the maplet with value width vBits, passing
-// every stored value through f. Fingerprints are preserved exactly, so
-// lookups match the same keys as before and return the remapped
-// values. The LSM store uses it to widen v1 (run-id-only) maplet
-// images into the packed (run, offset) layout.
-func (m *Maplet) RemapValues(vBits uint, f func(uint64) uint64) (*Maplet, error) {
-	if vBits < 1 || m.r+vBits > 58 {
-		return nil, fmt.Errorf("quotient: remapped maplet geometry r=%d vBits=%d out of range", m.r, vBits)
-	}
-	nm := *m
-	nm.t, nm.vBits = newTable(m.t.q, m.r+vBits), vBits
-	if err := m.t.each(func(fq, e uint64) error {
-		return nm.t.insert(fq, e>>m.vBits<<vBits|f(e&hashutil.Mask(m.vBits))&hashutil.Mask(vBits))
-	}); err != nil {
-		return nil, err
-	}
-	return &nm, nil
 }
 
 // ValueBits returns the value width in bits.

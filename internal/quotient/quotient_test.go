@@ -667,51 +667,6 @@ func TestMapletGetBatchMatchesGet(t *testing.T) {
 	}
 }
 
-func TestMapletRemapValues(t *testing.T) {
-	m := NewMaplet(12, 12, 16)
-	keys := workload.Keys(2000, 61)
-	for i, k := range keys {
-		if err := m.Put(k, uint64(i%1000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wide, err := m.RemapValues(24, func(v uint64) uint64 { return v<<8 | 0xFF })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Len() != m.Len() {
-		t.Fatalf("remapped Len = %d, want %d", wide.Len(), m.Len())
-	}
-	if wide.ValueBits() != 24 {
-		t.Fatalf("remapped ValueBits = %d, want 24", wide.ValueBits())
-	}
-	if err := wide.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		want := uint64(i%1000)<<8 | 0xFF
-		found := false
-		for _, v := range wide.Get(k) {
-			if v == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("key %d: remapped value %#x missing from %v", k, want, wide.Get(k))
-		}
-	}
-	// Fingerprints are preserved: absent keys collide exactly as before.
-	for _, k := range workload.DisjointKeys(3000, 61) {
-		if len(m.Get(k)) != len(wide.Get(k)) {
-			t.Fatalf("key %d: candidate count changed across remap (%d vs %d)",
-				k, len(m.Get(k)), len(wide.Get(k)))
-		}
-	}
-	if _, err := m.RemapValues(50, func(v uint64) uint64 { return v }); err == nil {
-		t.Error("RemapValues accepted r+vBits > 58")
-	}
-}
-
 func TestMapletExpand(t *testing.T) {
 	m := NewMaplet(8, 12, 8)
 	keys := workload.Keys(200, 47)

@@ -21,6 +21,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== maplet slot tests, three times under the race detector =="
+go test -race -count=3 -run 'RunIDBound|CollidingEntries|Maplet' ./internal/lsm
+
 echo "== filterd build at several GOMAXPROCS (stripe fill ≡ scalar reference) =="
 go test -cpu 1,2,4 -run TestBuildMatchesScalarReference ./cmd/filterd >/dev/null
 
