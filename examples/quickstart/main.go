@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 
-	"beyondbloom/internal/adaptive"
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
@@ -70,7 +69,7 @@ func main() {
 		inf.Expansions(), fpr(inf, absent), allContained(inf, keys[:50000]))
 
 	// 7. Adaptivity: a discovered false positive never fires again.
-	acf := adaptive.NewCuckoo(len(keys), 10)
+	acf := cuckoo.NewAdaptive(len(keys), 10)
 	for _, k := range keys {
 		must(acf.Insert(k))
 	}

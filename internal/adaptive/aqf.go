@@ -1,3 +1,28 @@
+// Package adaptive implements the adaptive quotient filter of §2.3 and
+// the lookup-and-repair loop around any adaptive filter. An adaptive
+// filter repairs itself when a false positive is discovered, so that no
+// negative query — even one chosen adversarially and repeated — keeps
+// paying the false-positive cost.
+//
+//   - QF: a broom-filter-style adaptive quotient filter (Bender et al.;
+//     Wen et al.'s practical AQF): the filter keeps the quotient filter's
+//     fingerprints and, when a false positive is found, extends the
+//     colliding stored fingerprint with adaptivity bits taken from the
+//     stored key's own hash until it no longer matches the querying key.
+//     With ExtendOneBit the extension grows one bit per correction — the
+//     telescoping filter's policy; with ExtendUntilDistinct it grows to
+//     the first separating bit in one shot — the broom filter's.
+//
+//   - Resilient: the host application's loop — verify each positive
+//     against the remote and adapt on a false positive — made robust to
+//     remote faults by bounded retries and deferred repairs.
+//
+// The QF needs the stored keys to extend: that is the "remote
+// representation" of the broom-filter model (the dictionary on disk that
+// the filter guards). Here the remote is kept inline as a
+// fingerprint-indexed map of original keys; its space is *not* charged
+// to SizeBits, exactly as a filter does not get charged for the database
+// it fronts.
 package adaptive
 
 import (

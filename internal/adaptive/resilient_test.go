@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"beyondbloom/internal/core"
+	"beyondbloom/internal/cuckoo"
 	"beyondbloom/internal/fault"
 	"beyondbloom/internal/metrics"
 	"beyondbloom/internal/workload"
@@ -14,7 +15,7 @@ import (
 // exact remote, wrapped with the given injector and options.
 func buildResilient(t *testing.T, n int, in *fault.Injector, opts ResilientOptions) (*Resilient, []uint64) {
 	t.Helper()
-	f := NewCuckoo(n, 10)
+	f := cuckoo.NewAdaptive(n, 10)
 	set := core.NewMapSet()
 	keys := workload.Keys(n, 21)
 	for _, k := range keys {
@@ -68,7 +69,7 @@ func TestResilientRepairsFalsePositives(t *testing.T) {
 func TestResilientDeferredRepairCompletesOnRetry(t *testing.T) {
 	// Find a false positive with a clean probe filter, then query it
 	// through a remote that fails exactly once.
-	f := NewCuckoo(2000, 8)
+	f := cuckoo.NewAdaptive(2000, 8)
 	set := core.NewMapSet()
 	for _, k := range workload.Keys(2000, 31) {
 		f.Insert(k)
@@ -137,7 +138,7 @@ func TestResilientMatchesPlainAdaptiveWhenHealthy(t *testing.T) {
 	// With a clean injector the resilient loop must behave exactly like
 	// the bare filter + exact remote.
 	n := 3000
-	plain := NewCuckoo(n, 10)
+	plain := cuckoo.NewAdaptive(n, 10)
 	set := core.NewMapSet()
 	keys := workload.Keys(n, 51)
 	for _, k := range keys {

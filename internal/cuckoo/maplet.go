@@ -1,34 +1,22 @@
 package cuckoo
 
 import (
-	"beyondbloom/internal/bitvec"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
 )
 
 // Maplet is a cuckoo-filter-based key-value filter (§2.4): each slot
-// stores a value of vBits next to the fingerprint. Get returns the
-// values of every slot whose fingerprint matches (PRS = 1+ε, NRS = ε).
+// word is fingerprint<<vBits | value. Get returns the values of every
+// entry whose fingerprint matches (PRS = 1+ε, NRS = ε).
 type Maplet struct {
-	slots      *bitvec.Packed // packed (fingerprint<<vBits | value); fp==0 means empty
-	numBuckets uint64
-	fpBits     uint
-	vBits      uint
-	seed       uint64
-	n          int
-	rngState   uint64
-	// stash holds entries whose eviction walk failed (rare below 95%
-	// load). Get and Delete consult it, preserving no-false-negative
-	// semantics. A growing stash signals the table is effectively full.
-	stash []stashEntry
+	table
+	fpBits uint
+	vBits  uint
+	seed   uint64
 }
 
-type stashEntry struct {
-	bucket uint64 // one of the entry's two home buckets
-	fp     uint64
-	val    uint64
-}
-
+// maxStash is the maplet's stash capacity: entries whose eviction walk
+// failed (rare below 95% load).
 const maxStash = 16
 
 // NewMaplet returns a cuckoo maplet with capacity about n entries,
@@ -37,143 +25,47 @@ func NewMaplet(n int, fpBits, vBits uint) *Maplet {
 	if fpBits < 2 || vBits < 1 || fpBits+vBits > 58 {
 		panic("cuckoo: invalid maplet geometry")
 	}
-	buckets := uint64(1)
-	for float64(buckets*BucketSize)*0.95 < float64(n) {
-		buckets <<= 1
+	m := &Maplet{
+		table:  newTable(n, 0xFEEDFACE87654321, maxStash, wordTag(vBits)),
+		fpBits: fpBits,
+		vBits:  vBits,
+		seed:   0xCAFE0001,
 	}
-	return &Maplet{
-		slots:      bitvec.NewPacked(int(buckets*BucketSize), fpBits+vBits),
-		numBuckets: buckets,
-		fpBits:     fpBits,
-		vBits:      vBits,
-		seed:       0xCAFE0001,
-		rngState:   0xFEEDFACE87654321,
-	}
+	m.alloc(fpBits+vBits, false)
+	return m
 }
 
-func (m *Maplet) indexAndFP(key uint64) (uint64, uint64) {
+// hash returns key's two candidate buckets and its fingerprint.
+func (m *Maplet) hash(key uint64) (i1, i2, fp uint64) {
 	h := hashutil.MixSeed(key, m.seed)
-	return (h >> 32) & (m.numBuckets - 1), hashutil.Fingerprint(h, m.fpBits)
-}
-
-func (m *Maplet) altIndex(i, fp uint64) uint64 {
-	return (i ^ hashutil.Mix64(fp)) & (m.numBuckets - 1)
-}
-
-func (m *Maplet) get(bucket uint64, slot int) (fp, val uint64) {
-	e := m.slots.Get(int(bucket)*BucketSize + slot)
-	return e >> m.vBits, e & hashutil.Mask(m.vBits)
-}
-
-func (m *Maplet) set(bucket uint64, slot int, fp, val uint64) {
-	m.slots.Set(int(bucket)*BucketSize+slot, fp<<m.vBits|val)
-}
-
-func (m *Maplet) tryInsertAt(bucket, fp, val uint64) bool {
-	for s := 0; s < BucketSize; s++ {
-		if gotFP, _ := m.get(bucket, s); gotFP == 0 {
-			m.set(bucket, s, fp, val)
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Maplet) nextRand() uint64 {
-	x := m.rngState
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	m.rngState = x
-	return x * 0x2545F4914F6CDD1D
+	i1, fp = (h>>32)&(m.numBuckets-1), hashutil.Fingerprint(h, m.fpBits)
+	return i1, m.other(i1, fp), fp
 }
 
 // Put associates value with key.
 func (m *Maplet) Put(key, value uint64) error {
-	value &= hashutil.Mask(m.vBits)
-	i1, fp := m.indexAndFP(key)
-	i2 := m.altIndex(i1, fp)
-	if m.tryInsertAt(i1, fp, value) || m.tryInsertAt(i2, fp, value) {
-		m.n++
-		return nil
-	}
-	cur := i1
-	if m.nextRand()&1 == 0 {
-		cur = i2
-	}
-	curFP, curVal := fp, value
-	for k := 0; k < maxKicks; k++ {
-		s := int(m.nextRand() % BucketSize)
-		vFP, vVal := m.get(cur, s)
-		m.set(cur, s, curFP, curVal)
-		curFP, curVal = vFP, vVal
-		cur = m.altIndex(cur, curFP)
-		if m.tryInsertAt(cur, curFP, curVal) {
-			m.n++
-			return nil
-		}
-	}
-	// The displaced chain is already stored; only the last entry in hand
-	// is homeless. Park it in the stash so nothing is lost.
-	if len(m.stash) >= maxStash {
-		return core.ErrFull
-	}
-	m.stash = append(m.stash, stashEntry{bucket: cur, fp: curFP, val: curVal})
-	m.n++
-	return nil
+	i1, i2, fp := m.hash(key)
+	return m.insert(i1, i2, entry{word: fp<<m.vBits | value&hashutil.Mask(m.vBits)})
 }
 
 // Get returns the candidate values for key.
 func (m *Maplet) Get(key uint64) []uint64 {
-	i1, fp := m.indexAndFP(key)
-	i2 := m.altIndex(i1, fp)
+	i1, i2, fp := m.hash(key)
 	var out []uint64
-	for _, b := range [2]uint64{i1, i2} {
-		for s := 0; s < BucketSize; s++ {
-			if gotFP, v := m.get(b, s); gotFP == fp {
-				out = append(out, v)
-			}
+	m.each(i1, i2, func(_ int, e entry) bool {
+		if e.word>>m.vBits == fp {
+			out = append(out, e.word&hashutil.Mask(m.vBits))
 		}
-		if i1 == i2 {
-			break
-		}
-	}
-	for _, e := range m.stash {
-		if e.fp == fp && (e.bucket == i1 || e.bucket == i2) {
-			out = append(out, e.val)
-		}
-	}
+		return true
+	})
 	return out
 }
 
 // Delete removes one (key, value) entry. Returns ErrNotFound if absent.
 func (m *Maplet) Delete(key, value uint64) error {
-	value &= hashutil.Mask(m.vBits)
-	i1, fp := m.indexAndFP(key)
-	i2 := m.altIndex(i1, fp)
-	for _, b := range [2]uint64{i1, i2} {
-		for s := 0; s < BucketSize; s++ {
-			if gotFP, v := m.get(b, s); gotFP == fp && v == value {
-				m.set(b, s, 0, 0)
-				m.n--
-				return nil
-			}
-		}
-	}
-	for i, e := range m.stash {
-		if e.fp == fp && e.val == value && (e.bucket == i1 || e.bucket == i2) {
-			m.stash = append(m.stash[:i], m.stash[i+1:]...)
-			m.n--
-			return nil
-		}
-	}
-	return core.ErrNotFound
+	i1, i2, fp := m.hash(key)
+	word := fp<<m.vBits | value&hashutil.Mask(m.vBits)
+	return m.remove(i1, i2, func(e entry) bool { return e.word == word })
 }
-
-// Len returns the number of stored entries.
-func (m *Maplet) Len() int { return m.n }
-
-// SizeBits returns the table footprint in bits.
-func (m *Maplet) SizeBits() int { return m.slots.SizeBits() }
 
 var _ core.DeletableMaplet = (*Maplet)(nil)

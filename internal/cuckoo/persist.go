@@ -20,9 +20,13 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 		e.U64(f.numBuckets)
 		e.U64(uint64(f.n))
 		e.U64(f.rngState)
-		e.U64(f.victim.fp)
-		e.U64(f.victim.bucket)
-		e.Bool(f.victim.valid)
+		var v parked
+		if len(f.stash) > 0 {
+			v = f.stash[0]
+		}
+		e.U64(v.word)
+		e.U64(v.bucket)
+		e.Bool(len(f.stash) > 0)
 		_, err := f.slots.WriteTo(e)
 		return err
 	})
@@ -38,7 +42,7 @@ func (f *Filter) ReadFrom(r io.Reader) (int64, error) {
 func (f *Filter) decode(d *codec.Dec) error {
 	numBuckets, n := d.U64(), d.U64()
 	f.rngState = d.U64()
-	f.victim = stashFP{fp: d.U64(), bucket: d.U64(), valid: d.Bool()}
+	fp, bucket, valid := d.U64(), d.U64(), d.Bool()
 	f.slots = new(bitvec.Packed)
 	if _, err := f.slots.ReadFrom(d); err != nil {
 		return err
@@ -51,8 +55,11 @@ func (f *Filter) decode(d *codec.Dec) error {
 			f.slots.Len(), f.slots.Width(), numBuckets, BucketSize, f.fpBits)
 	}
 	fpMask := uint64(1)<<f.fpBits - 1
-	if v := f.victim; v.valid && (v.bucket >= numBuckets || v.fp == 0 || v.fp&^fpMask != 0) {
-		return d.Corruptf("cuckoo: victim cache fp=%d bucket=%d out of range", v.fp, v.bucket)
+	if valid && (bucket >= numBuckets || fp == 0 || fp&^fpMask != 0) {
+		return d.Corruptf("cuckoo: victim cache fp=%d bucket=%d out of range", fp, bucket)
+	}
+	if valid {
+		f.stash = []parked{{entry{word: fp}, bucket}}
 	}
 	f.n = int(n)
 	return nil

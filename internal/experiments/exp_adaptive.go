@@ -17,7 +17,7 @@ func runE4(cfg Config) []*metrics.Table {
 	keys := workload.Keys(n, 4)
 
 	staticCF := cuckoo.New(n, 10)
-	adaptCF := adaptive.NewCuckoo(n, 10)
+	adaptCF := cuckoo.NewAdaptive(n, 10)
 	adaptQF := adaptive.NewQF(sizeQ(n), 10, adaptive.ExtendUntilDistinct)
 	for _, k := range keys {
 		staticCF.Insert(k)

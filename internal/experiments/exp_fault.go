@@ -5,6 +5,7 @@ import (
 
 	"beyondbloom/internal/adaptive"
 	"beyondbloom/internal/core"
+	"beyondbloom/internal/cuckoo"
 	"beyondbloom/internal/fault"
 	"beyondbloom/internal/lsm"
 	"beyondbloom/internal/metrics"
@@ -33,7 +34,7 @@ func e16Adaptive(cfg Config) *metrics.Table {
 	keys := workload.Keys(n, 61)
 
 	// Probe filter used only to discover attack keys.
-	probe := adaptive.NewCuckoo(n, 10)
+	probe := cuckoo.NewAdaptive(n, 10)
 	truth := core.NewMapSet()
 	for _, k := range keys {
 		probe.Insert(k)
@@ -70,7 +71,7 @@ func e16Adaptive(cfg Config) *metrics.Table {
 		"scenario", "positives_total", "rounds_to_clean", "remote_errors", "deferred", "repaired_late", "false_negatives")
 	ctx := context.Background()
 	for _, sc := range scenarios {
-		f := adaptive.NewCuckoo(n, 10)
+		f := cuckoo.NewAdaptive(n, 10)
 		for _, k := range keys {
 			f.Insert(k)
 		}

@@ -59,7 +59,7 @@ go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + Elias-Fano fuzz burst (10s each) =="
+echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano fuzz burst (10s each) =="
 go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzSealedPayload -fuzztime 10s ./internal/persisttest >/dev/null
@@ -69,6 +69,7 @@ go test -run '^$' -fuzz FuzzPutBody -fuzztime 10s ./internal/server >/dev/null
 go test -run '^$' -fuzz FuzzTaffy -fuzztime 10s ./internal/taffy >/dev/null
 go test -run '^$' -fuzz FuzzFilterChurn -fuzztime 10s ./internal/quotient >/dev/null
 go test -run '^$' -fuzz FuzzCounterCodec -fuzztime 10s ./internal/quotient >/dev/null
+go test -run '^$' -fuzz FuzzCuckooChurn -fuzztime 10s ./internal/cuckoo >/dev/null
 go test -run '^$' -fuzz FuzzRoundTripAndSearch -fuzztime 10s ./internal/ef >/dev/null
 
 echo "OK"
