@@ -60,24 +60,15 @@ func runE4(cfg Config) []*metrics.Table {
 	fpAQF := countFPs(adaptQF.Contains, adaptQF.Adapt)
 	// "To adapt or to cache?" (Bender et al.): instead of fixing the
 	// filter, cache recently-seen false positives. A big-enough cache
-	// also stops a repeat attack — its weakness (bounded size vs
-	// unbounded distinct FPs) shows in part (b).
-	cache := map[uint64]struct{}{}
-	const cacheCap = 16
+	// also stops a repeat attack; its weakness is bounded size against
+	// unbounded distinct FPs. Here the attack cycles through more
+	// distinct FPs than the 16 slots hold, so the FIFO evicts each one
+	// before it returns, and part (b) shows the same churn on a long
+	// tail.
+	var cache fifoCache
 	fpCache := countFPs(func(k uint64) bool {
-		if _, hit := cache[k]; hit {
-			return false
-		}
-		return staticCF.Contains(k)
-	}, func(k uint64) {
-		if len(cache) >= cacheCap {
-			for victim := range cache { // evict arbitrarily
-				delete(cache, victim)
-				break
-			}
-		}
-		cache[k] = struct{}{}
-	})
+		return !cache.has(k) && staticCF.Contains(k)
+	}, cache.add)
 	denom := float64(repeats)
 	advT.AddRow("static_cuckoo", fpStatic, float64(fpStatic)/denom)
 	advT.AddRow("static+fp_cache16", fpCache, float64(fpCache)/denom)
@@ -107,21 +98,10 @@ func runE4(cfg Config) []*metrics.Table {
 	// The FP cache handles the hot head but churns on the long tail of
 	// distinct negatives — the bounded-cache weakness of [11]'s
 	// comparison.
-	zCacheSet := map[uint64]struct{}{}
+	var zCacheSet fifoCache
 	zCache := zipfRun(func(k uint64) bool {
-		if _, hit := zCacheSet[k]; hit {
-			return false
-		}
-		return staticCF.Contains(k)
-	}, func(k uint64) {
-		if len(zCacheSet) >= 16 {
-			for victim := range zCacheSet {
-				delete(zCacheSet, victim)
-				break
-			}
-		}
-		zCacheSet[k] = struct{}{}
-	})
+		return !zCacheSet.has(k) && staticCF.Contains(k)
+	}, zCacheSet.add)
 	zACF := zipfRun(adaptCF.Contains, adaptCF.Adapt)
 	zAQF := zipfRun(adaptQF.Contains, adaptQF.Adapt)
 	m := float64(len(idx))
@@ -130,6 +110,28 @@ func runE4(cfg Config) []*metrics.Table {
 	zipfT.AddRow("adaptive_cuckoo", zACF, float64(zACF)/m)
 	zipfT.AddRow("adaptive_qf", zAQF, float64(zAQF)/m)
 	return []*metrics.Table{advT, zipfT}
+}
+
+// fifoCache is the bounded false-positive cache of "To adapt or to
+// cache?": the last 16 keys it was told about, in a ring that evicts
+// the oldest first, so every run of E4 replays the same way.
+type fifoCache struct {
+	keys [16]uint64
+	n    int // keys added so far; the next one replaces keys[n%16]
+}
+
+func (c *fifoCache) has(k uint64) bool {
+	for _, x := range c.keys[:min(c.n, len(c.keys))] {
+		if x == k {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *fifoCache) add(k uint64) {
+	c.keys[c.n%len(c.keys)] = k
+	c.n++
 }
 
 func sizeQ(n int) uint {

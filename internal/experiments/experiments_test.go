@@ -107,9 +107,16 @@ func TestE1SpaceShape(t *testing.T) {
 	}
 }
 
-func TestE2Runs(t *testing.T)  { runOne(t, "E2") }
-func TestE3Runs(t *testing.T)  { runOne(t, "E3") }
-func TestE4Runs(t *testing.T)  { runOne(t, "E4") }
+func TestE2Runs(t *testing.T) { runOne(t, "E2") }
+func TestE3Runs(t *testing.T) { runOne(t, "E3") }
+
+// TestE4Runs pins E4's -json rendering to testdata/e4.json: every cell
+// is a count or a rate of seeded keys against seeded filters, and the
+// false-positive cache evicts in FIFO order, so the run is
+// deterministic. Regenerate with
+// `go test ./internal/experiments -run TestE4Runs -update`.
+func TestE4Runs(t *testing.T) { wantGolden(t, "E4", runOne(t, "E4")) }
+
 func TestE5Runs(t *testing.T)  { runOne(t, "E5") }
 func TestE6Runs(t *testing.T)  { runOne(t, "E6") }
 func TestE7Runs(t *testing.T)  { runOne(t, "E7") }
@@ -148,12 +155,18 @@ func TestE16FaultExperiment(t *testing.T) {
 			t.Errorf("20%% transient errors with retry must still converge:\n%s", adaptive)
 		}
 	}
+	wantGolden(t, "E16", tables)
+}
 
+// wantGolden compares an experiment's -json rendering with
+// testdata/<id>.json, or rewrites that file under -update.
+func wantGolden(t *testing.T, id string, tables []*metrics.Table) {
+	t.Helper()
 	var got bytes.Buffer
-	if err := metrics.WriteJSON(&got, "E16", tables); err != nil {
+	if err := metrics.WriteJSON(&got, id, tables); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "e16.json")
+	path := filepath.Join("testdata", strings.ToLower(id)+".json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -168,7 +181,7 @@ func TestE16FaultExperiment(t *testing.T) {
 		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("E16 drifted from its golden.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), want)
+		t.Fatalf("%s drifted from its golden.\n--- got ---\n%s\n--- want ---\n%s", id, got.Bytes(), want)
 	}
 }
 

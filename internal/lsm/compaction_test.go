@@ -238,19 +238,34 @@ func TestCompactionScratchIsOutputOnly(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreSeed times seeding a PolicyMaplet store the way
-// `filterd build -store -policy maplet` does, per key. With -short only
-// the smallest size runs.
+// BenchmarkStoreSeed times seeding a store the way `filterd build
+// -store` does: NewStore at default options, one Apply per key (value =
+// key), one Flush, over 2^15 workload keys, per filter policy. Without
+// -short the maplet policy also runs at 2^13 and 2^17, the sizes its
+// per-key cost is compared at.
 func BenchmarkStoreSeed(b *testing.B) {
-	for _, n := range []int{1 << 13, 1 << 15, 1 << 17} {
-		if testing.Short() && n > 1<<13 {
-			break
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				seedMapletStore(Leveling, n)
+	seed := func(b *testing.B, pol FilterPolicy, n int) {
+		keys := workload.Keys(n, 42)
+		for i := 0; i < b.N; i++ {
+			s, err := NewStore(Options{Policy: pol})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/key")
-		})
+			for _, k := range keys {
+				if err := s.Apply(Entry{Key: k, Value: k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.Flush()
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/key")
+	}
+	b.Run("maplet", func(b *testing.B) { seed(b, PolicyMaplet, 1<<15) })
+	b.Run("bloom", func(b *testing.B) { seed(b, PolicyBloom, 1<<15) })
+	if testing.Short() {
+		return
+	}
+	for _, n := range []int{1 << 13, 1 << 17} {
+		b.Run(fmt.Sprintf("maplet_n=%d", n), func(b *testing.B) { seed(b, PolicyMaplet, n) })
 	}
 }

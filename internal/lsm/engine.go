@@ -1,8 +1,9 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"beyondbloom/internal/bloom"
 )
@@ -20,7 +21,7 @@ func (s *Store) flushMem(fm *memRun) {
 	for _, e := range fm.entries {
 		entries = append(entries, e)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
 	s.pushRun(entries, nil, 0)
 }
 

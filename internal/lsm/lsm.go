@@ -788,13 +788,15 @@ func (s *Store) stalledLocked() bool {
 }
 
 // freezeLocked publishes the active memtable as a frozen memtable
-// (newest first) and replaces it with an empty one. Callers hold mu.
+// (newest first) and replaces it with an empty one, presized to the one
+// it froze (at most MemtableSize) so the next fill does not regrow the
+// map. Callers hold mu.
 func (s *Store) freezeLocked() {
 	if len(s.mem) == 0 {
 		return
 	}
 	fm := &memRun{entries: s.mem}
-	s.mem = make(map[uint64]Entry)
+	s.mem = make(map[uint64]Entry, min(len(fm.entries), s.opts.MemtableSize))
 	v := s.view.Load()
 	frozen := make([]*memRun, 0, len(v.frozen)+1)
 	frozen = append(frozen, fm)

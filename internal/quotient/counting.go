@@ -185,10 +185,11 @@ func (c *Counting) encodeCounts(pairs []pair) []uint64 {
 	return out
 }
 
-// run decodes fq's counter run; n is its length in slots.
-func (c *Counting) run(fq uint64) (pairs []pair, n int) {
-	s, length := c.t.locate(fq)
-	return c.decodeCounts(c.t.runSlots(s, length)), int(length)
+// run decodes fq's counter run, which starts at slot s and is n slots
+// long.
+func (c *Counting) run(fq uint64) (pairs []pair, s, n uint64) {
+	s, n = c.t.locate(fq)
+	return c.decodeCounts(c.t.runSlots(s, n)), s, n
 }
 
 // search returns the index of the first pair whose remainder is >= fr,
@@ -204,7 +205,7 @@ func (c *Counting) Add(key uint64, delta uint64) error {
 		return nil
 	}
 	fq, fr := c.fingerprint(key)
-	pairs, n := c.run(fq)
+	pairs, s, n := c.run(fq)
 	i, found := search(pairs, fr)
 	if !found {
 		pairs = append(pairs, pair{})
@@ -212,7 +213,7 @@ func (c *Counting) Add(key uint64, delta uint64) error {
 		pairs[i] = pair{rem: fr}
 	}
 	pairs[i].count += delta
-	if err := c.t.splice(fq, 0, n, c.encodeCounts(pairs)...); err != nil {
+	if err := c.t.splice(fq, s, n, 0, int(n), c.encodeCounts(pairs)...); err != nil {
 		return err
 	}
 	if !found {
@@ -234,14 +235,14 @@ func (c *Counting) Remove(key uint64, delta uint64) error {
 		return nil
 	}
 	fq, fr := c.fingerprint(key)
-	pairs, n := c.run(fq)
+	pairs, s, n := c.run(fq)
 	i, found := search(pairs, fr)
 	if !found {
 		return core.ErrNotFound
 	}
 	d := min(delta, pairs[i].count)
 	pairs[i].count -= d // encodeCounts drops a pair whose count reaches zero
-	if err := c.t.splice(fq, 0, n, c.encodeCounts(pairs)...); err != nil {
+	if err := c.t.splice(fq, s, n, 0, int(n), c.encodeCounts(pairs)...); err != nil {
 		return err
 	}
 	if pairs[i].count == 0 {
@@ -258,7 +259,7 @@ func (c *Counting) Delete(key uint64) error { return c.Remove(key, 1) }
 // fingerprint collision, never undercounts).
 func (c *Counting) Count(key uint64) uint64 {
 	fq, fr := c.fingerprint(key)
-	pairs, _ := c.run(fq)
+	pairs, _, _ := c.run(fq)
 	if i, found := search(pairs, fr); found {
 		return pairs[i].count
 	}

@@ -41,8 +41,8 @@ func TestFindRunFastWraparound(t *testing.T) {
 	// each remainder is the largest in its run, so it goes last.
 	for i := uint64(0); i < 20; i++ {
 		fq := (62 + i%3) & f.t.mask
-		_, n := f.t.locate(fq)
-		if err := f.t.splice(fq, int(n), 0, i); err != nil {
+		s, n := f.t.locate(fq)
+		if err := f.t.splice(fq, s, n, int(n), 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}

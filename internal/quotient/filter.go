@@ -270,16 +270,15 @@ func (f *Filter) expand() error {
 // Merge adds every fingerprint of other (which must share q, r, and
 // seed) to f. The result is the multiset sum: it answers true for any
 // key either input answered true for, and each copy is deleted on its
-// own. It rebuilds into a fresh table and leaves f unchanged on ErrFull.
+// own. It rebuilds into a fresh table in one pass over both tables'
+// entries in sorted order, and leaves f unchanged on ErrFull.
 func (f *Filter) Merge(other *Filter) error {
 	if other.t.q != f.t.q || other.r != f.r || other.spec.Seed != f.spec.Seed {
 		return core.ErrImmutable
 	}
-	t := newTable(f.t.q, f.r)
-	for _, src := range [...]*table{f.t, other.t} {
-		if err := src.each(t.insert); err != nil {
-			return err
-		}
+	t, err := merged(f.t, other.t)
+	if err != nil {
+		return err
 	}
 	f.t = t
 	f.n += other.n

@@ -11,11 +11,15 @@ import (
 // FuzzFilterChurn is the table model fuzz: one script of (op, arg) byte
 // pairs drives the three variants that share the table against exact
 // models. op%8 picks the operation; for the filter's Insert, op's top
-// bit turns auto-expansion on, and for the maplet's Delete it selects
-// Update instead. Small geometries make collisions, shifting,
-// wraparound and expansion routine.
+// bit turns auto-expansion on, for Contains it selects the maplet's
+// Expand instead, and for the maplet's Delete it selects Update. Small
+// geometries make collisions, shifting, wraparound and expansion
+// routine. Every maplet doubling must equal, word for word, the table
+// the insert-based rebuild makes from the same entries, and the value
+// model must keep answering across it.
 //
 //	0 Filter.Insert(arg)  1 Filter.Delete(a present key)  2 Filter.Contains(arg)
+//	  (top bit: Maplet.Expand)
 //	3 Filter.Merge(a one-key filter holding arg)
 //	4 Maplet.Put(arg, op>>3&7)  5 Maplet.Delete(a present pair)
 //	  (top bit: Maplet.Update(a present pair, op>>3&7), and of an absent one)
@@ -24,6 +28,7 @@ func FuzzFilterChurn(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xFF, 0x00, 0xAA, 0x55})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
+	f.Add([]byte{0x04, 0xF1, 0x0c, 0xF2, 0x14, 0xF3, 0x04, 0x07, 0x82, 0, 0x24, 0xF1, 0x85, 0x01, 0x82, 0, 0x05, 0x02, 0x82, 0, 0x82, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		qf := New(7, 6)
 		fm := map[uint64]int{} // filter model: copies per key
@@ -55,6 +60,10 @@ func FuzzFilterChurn(f *testing.F) {
 				fm[k]--
 				present = append(present[:j], present[j+1:]...)
 			case 2:
+				if op&0x80 != 0 {
+					checkMapletExpand(t, mp, mm)
+					continue
+				}
 				if fm[arg] > 0 && !qf.Contains(arg) {
 					t.Fatalf("filter false negative for %d", arg)
 				}
@@ -147,6 +156,37 @@ func FuzzFilterChurn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkMapletExpand doubles mp unless its remainder bits are spent. The
+// doubled table must equal the insert-based rebuild of the same
+// entries word for word and pass the invariant check, and every key of
+// the value model must still get all its values back.
+func checkMapletExpand(t *testing.T, mp *Maplet, model map[uint64][]uint64) {
+	t.Helper()
+	want, err := insertDoubled(mp.t)
+	if err != nil {
+		t.Fatalf("insert rebuild of the maplet: %v", err)
+	}
+	if err := mp.Expand(); errors.Is(err, core.ErrFull) {
+		return // no remainder bit left to give
+	} else if err != nil {
+		t.Fatalf("maplet expand: %v", err)
+	}
+	if err := sameTable(mp.t, want); err != nil {
+		t.Fatalf("doubled maplet differs from the insert rebuild: %v", err)
+	}
+	if err := mp.CheckInvariants(); err != nil {
+		t.Fatalf("after maplet expand: %v", err)
+	}
+	for k, vs := range model {
+		got := mp.Get(k)
+		for _, v := range vs {
+			if !slices.Contains(got, v) {
+				t.Fatalf("after expand, maplet Get(%d) = %v lacks %d (model %v)", k, got, v, vs)
+			}
+		}
+	}
 }
 
 // checkMapletUpdate rewrites the present pair (k, v) to (k, w) and

@@ -177,13 +177,16 @@ func (m *Maplet) SizeBits() int { return m.t.sizeBits() }
 // fingerprint.
 func (m *Maplet) Entries() []struct{ Fingerprint, Value uint64 } {
 	out := make([]struct{ Fingerprint, Value uint64 }, 0, m.n)
-	_ = m.t.each(func(fq, e uint64) error { // fn never fails; the table is consistent
-		out = append(out, struct{ Fingerprint, Value uint64 }{
-			Fingerprint: fq<<m.r | e>>m.vBits,
-			Value:       e & hashutil.Mask(m.vBits),
-		})
-		return nil
-	})
+	c := m.t.scan() // the table is consistent, so the read never fails
+	var buf [256]entry
+	for n := c.read(buf[:]); n > 0; n = c.read(buf[:]) {
+		for _, e := range buf[:n] {
+			out = append(out, struct{ Fingerprint, Value uint64 }{
+				Fingerprint: e.fq<<m.r | e.v>>m.vBits,
+				Value:       e.v & hashutil.Mask(m.vBits),
+			})
+		}
+	}
 	return out
 }
 

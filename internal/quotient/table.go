@@ -5,6 +5,11 @@
 // encoding, and a maplet variant that stores a small value next to each
 // remainder (§2.4). All variants support deletion, iteration, and
 // doubling (expansion by sacrificing one fingerprint bit, §2.2).
+//
+// The variants share one slot table (table.go). An edit locates its run
+// once and shifts its cluster by words; a doubling or a merge reads the
+// entries in sorted order and lays them down in one pass, as §2.1–§2.2
+// describe for sorted fingerprints.
 package quotient
 
 import (
@@ -24,10 +29,18 @@ import (
 // contiguously and sorted, shifted right of their canonical slot when
 // necessary; a cluster is a maximal chain of shifted runs.
 //
-// Every mutation is one splice (tutorial §2.1): edit a run in place and
-// shift the rest of its cluster by the change in length. A run starts at
-// its canonical slot or right after the run before it, so the layout is
-// a function of the stored runs, whatever order they were written in.
+// Every edit (insert, remove, replace) locates its run once, with word
+// scans like the lookups' findRunFast, and is one splice (tutorial
+// §2.1): edit the run in place and shift the rest of its cluster by the
+// change in length. A right shift moves words: the packed payload and
+// continuation bits of the stretch move up one slot in bulk. A left
+// shift (a delete) still moves slot by slot.
+//
+// A run starts at its canonical slot or right after the run before it,
+// so the layout is a function of the stored runs, whatever order they
+// were written in. That is what lets a doubling or a merge skip the
+// splices: a cursor reads the entries in ascending order and a builder
+// lays them down in one pass, producing the table insert would have.
 type table struct {
 	q     uint // log2 of slot count
 	width uint // payload bits per slot (remainder [+ value])
@@ -72,13 +85,27 @@ func (t *table) isEmptySlot(i uint64) bool {
 // locate returns where fq's run starts and how many slots it has. An
 // unoccupied fq has length 0 and starts where its run would go: its own
 // slot if that is empty, else right after the run of the nearest
-// occupied quotient below it.
+// occupied quotient below it. Both cases are word scans (findRunFast,
+// and for an unoccupied quotient inside a cluster the same rank and
+// select); a cluster that wraps past slot 0 takes the bit walk.
 func (t *table) locate(fq uint64) (s, n uint64) {
 	if s, n, ok := t.findRunFast(fq); ok {
 		return s, n
 	}
 	if !t.shifted.Bit(int(fq)) {
 		return fq, 0 // an unshifted full slot would be fq's own run
+	}
+	// fq lies inside a cluster that starts at b: its run would start
+	// where the run after those of the occupied quotients in [b, fq)
+	// does, the m-th run start after b.
+	if b, ok := prevClear(t.shifted.Words(), fq); ok {
+		m := 1
+		if fq > b+1 {
+			m += onesInRange(t.occupied.Words(), b+1, fq)
+		}
+		if s, ok := selectZero(t.continuation.Words(), b+1, m, t.slots); ok {
+			return s, 0
+		}
 	}
 	q := (fq - 1) & t.mask
 	for !t.occupied.Bit(int(q)) {
@@ -88,10 +115,9 @@ func (t *table) locate(fq uint64) (s, n uint64) {
 	return (s + n) & t.mask, 0
 }
 
-// lowerBound returns the index of the first slot of fq's run whose
-// payload is >= v, and whether that slot holds v.
-func (t *table) lowerBound(fq, v uint64) (int, bool) {
-	s, n := t.locate(fq)
+// lowerBound returns the index of the first slot of the run [s, s+n)
+// whose payload is >= v, and whether that slot holds v.
+func (t *table) lowerBound(s, n, v uint64) (int, bool) {
 	for i := uint64(0); i < n; i++ {
 		if p := t.payload.Get(int((s + i) & t.mask)); p >= v {
 			return int(i), p == v
@@ -100,31 +126,37 @@ func (t *table) lowerBound(fq, v uint64) (int, bool) {
 	return int(n), false
 }
 
-// insert adds v to fq's run at its sorted position.
+// insert adds v to fq's run at its sorted position. Like remove and
+// replace it locates the run once and hands it to the splice.
 func (t *table) insert(fq, v uint64) error {
-	at, _ := t.lowerBound(fq, v)
-	return t.splice(fq, at, 0, v)
+	s, n := t.locate(fq)
+	at, _ := t.lowerBound(s, n, v)
+	return t.splice(fq, s, n, at, 0, v)
 }
 
 // remove deletes one copy of v from fq's run; ErrNotFound if there is none.
 func (t *table) remove(fq, v uint64) error {
-	at, ok := t.lowerBound(fq, v)
+	s, n := t.locate(fq)
+	at, ok := t.lowerBound(s, n, v)
 	if !ok {
 		return core.ErrNotFound
 	}
-	return t.splice(fq, at, 1)
+	return t.splice(fq, s, n, at, 1)
 }
 
 // replace rewrites one copy of old in fq's run to v. The run keeps its
-// slots and its length, so only payloads move: the neighbours v passes
-// over slide one slot into the hole old leaves, and no metadata bit or
-// the used count changes. ErrNotFound if the run holds no old.
+// slots and its length, so only payloads move: when v keeps the run's
+// order (the usual case, a maplet entry that changes only its value
+// bits among distinct remainders) it is one write in place; otherwise
+// the neighbours v passes over slide one slot into the hole old leaves.
+// No metadata bit or the used count changes. ErrNotFound if the run
+// holds no old.
 func (t *table) replace(fq, old, v uint64) error {
-	at, ok := t.lowerBound(fq, old)
+	s, n := t.locate(fq)
+	at, ok := t.lowerBound(s, n, old)
 	if !ok {
 		return core.ErrNotFound
 	}
-	s, n := t.locate(fq)
 	slot := func(i int) int { return int((s + uint64(i)) & t.mask) }
 	for ; at+1 < int(n) && t.payload.Get(slot(at+1)) < v; at++ {
 		t.payload.Set(slot(at), t.payload.Get(slot(at+1)))
@@ -136,14 +168,13 @@ func (t *table) replace(fq, old, v uint64) error {
 	return nil
 }
 
-// splice replaces the del slots at index at of fq's run with ins. The
-// rest of the cluster shifts right (into the next empty slot) or left
-// (up to the next empty slot or unshifted run start) by len(ins)-del,
-// and occupied[fq] ends up set exactly when the run is non-empty. It
-// returns ErrFull, before touching anything, if the change would use
-// the last empty slot.
-func (t *table) splice(fq uint64, at, del int, ins ...uint64) error {
-	s, n := t.locate(fq)
+// splice replaces the del slots at index at of fq's run, which locate
+// found at [s, s+n), with ins. The rest of the cluster shifts right
+// (into the next empty slot) or left (up to the next empty slot or
+// unshifted run start) by len(ins)-del, and occupied[fq] ends up set
+// exactly when the run is non-empty. It returns ErrFull, before
+// touching anything, if the change would use the last empty slot.
+func (t *table) splice(fq, s, n uint64, at, del int, ins ...uint64) error {
 	d := len(ins) - del
 	if t.used+d > int(t.slots)-1 {
 		return core.ErrFull
@@ -173,18 +204,97 @@ func (t *table) splice(fq uint64, at, del int, ins ...uint64) error {
 
 // shiftRight opens slot x by moving every slot from x up to the next
 // empty one right by one; each moved slot is now off its home. Slot x
-// keeps its old contents for the caller to overwrite.
+// keeps its old contents for the caller to overwrite. It works on
+// words: one scan of the three metadata vectors finds the empty slot e,
+// the packed payload and continuation bits of [x, e) move up one slot
+// in bulk, and the shifted bits of (x, e] are set in bulk. A range that
+// wraps past the last slot moves as two ranges and the slot between.
 func (t *table) shiftRight(x uint64) {
-	e := x
-	for !t.isEmptySlot(e) {
-		e = (e + 1) & t.mask
+	e := t.nextEmpty(x)
+	if e >= x {
+		t.moveUp(x, e)
+		return
 	}
-	for ; e != x; e = (e - 1) & t.mask {
-		prev := (e - 1) & t.mask
-		t.payload.Set(int(e), t.payload.Get(int(prev)))
-		t.continuation.SetTo(int(e), t.continuation.Bit(int(prev)))
-		t.shifted.Set(int(e))
+	t.moveUp(0, e)
+	t.payload.Set(0, t.payload.Get(int(t.mask)))
+	t.continuation.SetTo(0, t.continuation.Bit(int(t.mask)))
+	t.shifted.Set(0)
+	t.moveUp(x, t.mask)
+}
+
+// moveUp moves the payload and continuation bits of slots [lo, hi) to
+// [lo+1, hi+1) and sets the shifted bits of [lo+1, hi+1); hi < slots.
+func (t *table) moveUp(lo, hi uint64) {
+	if lo == hi {
+		return
 	}
+	w := uint64(t.width)
+	shiftBitsUp(t.payload.RawWords(), lo*w, hi*w, w)
+	shiftBitsUp(t.continuation.Words(), lo, hi, 1)
+	setBits(t.shifted.Words(), lo+1, hi+1)
+}
+
+// nextEmpty returns the first empty slot at or after x, circularly. The
+// caller guarantees one exists (splice keeps a slot free).
+func (t *table) nextEmpty(x uint64) uint64 {
+	occ, cont, shf := t.occupied.Words(), t.continuation.Words(), t.shifted.Words()
+	last := uint64(len(occ) - 1)
+	wi := x >> 6
+	z := ^(occ[wi] | cont[wi] | shf[wi]) & (^uint64(0) << (x & 63))
+	for i := 0; ; i++ {
+		if wi == last && t.slots&63 != 0 {
+			z &= uint64(1)<<(t.slots&63) - 1
+		}
+		if z != 0 {
+			return wi<<6 | uint64(bits.TrailingZeros64(z))
+		}
+		if i > len(occ) {
+			panic("quotient: no empty slot")
+		}
+		if wi++; wi > last {
+			wi = 0
+		}
+		z = ^(occ[wi] | cont[wi] | shf[wi])
+	}
+}
+
+// shiftBitsUp moves bits [lo, hi) of words up by k (0 < k < 64) to
+// [lo+k, hi+k), leaving every bit outside the destination as it was. It
+// writes from the top word down, so each word still holds its old bits
+// when the word above reads them.
+func shiftBitsUp(words []uint64, lo, hi, k uint64) {
+	dlo, dhi := lo+k, hi+k
+	for wi := (dhi - 1) >> 6; ; wi-- {
+		src := words[wi] << k
+		if wi > 0 {
+			src |= words[wi-1] >> (64 - k)
+		}
+		m := ^uint64(0)
+		if b := wi << 6; dlo > b {
+			m <<= dlo - b
+		}
+		if e := wi<<6 + 64; dhi < e {
+			m &= ^uint64(0) >> (e - dhi)
+		}
+		words[wi] = words[wi]&^m | src&m
+		if wi<<6 <= dlo {
+			return
+		}
+	}
+}
+
+// setBits sets bits [lo, hi) of words, hi > lo.
+func setBits(words []uint64, lo, hi uint64) {
+	loW, hiW := lo>>6, (hi-1)>>6
+	if loW == hiW {
+		words[loW] |= (^uint64(0) >> (64 - (hi - lo))) << (lo & 63)
+		return
+	}
+	words[loW] |= ^uint64(0) << (lo & 63)
+	for w := loW + 1; w < hiW; w++ {
+		words[w] = ^uint64(0)
+	}
+	words[hiW] |= ^uint64(0) >> (63 - (hi-1)&63)
 }
 
 // shiftLeft drops slot x, moving the slots behind it left by one up to
@@ -503,30 +613,300 @@ func (t *table) walk(fn func(fq, start, n uint64) error) error {
 	return nil
 }
 
-// each calls fn with every stored payload and its quotient, in ascending
-// (quotient, run position) order.
-func (t *table) each(fn func(fq, v uint64) error) error {
-	return t.walk(func(fq, s, n uint64) error {
-		for i := uint64(0); i < n; i++ {
-			if err := fn(fq, t.payload.Get(int((s+i)&t.mask))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
+// entry is one stored payload and the quotient of its run.
+type entry struct{ fq, v uint64 }
 
 // doubled returns a table with twice the slots holding the same entries,
-// each giving its top payload bit to the quotient (§2.2 expansion). The
-// entries arrive in ascending order, so each lands at the end of its
-// cluster and the rebuild shifts nothing.
+// each giving its top payload bit to the quotient (§2.2 expansion). A
+// run's entries with top bit 0 sort before those with top bit 1, so the
+// ascending read of t is the ascending order of the doubled entries, and
+// one ordered pass builds the new table.
 func (t *table) doubled() (*table, error) {
 	nt := newTable(t.q+1, t.width-1)
-	err := t.each(func(fq, v uint64) error {
-		w := fq<<t.width | v
-		return nt.insert(w>>nt.width, w&hashutil.Mask(nt.width))
-	})
-	return nt, err
+	b, c := builder{t: nt}, t.scan()
+	low := hashutil.Mask(nt.width)
+	var buf [256]entry
+	for n := c.read(buf[:]); n > 0; n = c.read(buf[:]) {
+		es := buf[:n]
+		for i, e := range es {
+			w := e.fq<<t.width | e.v
+			es[i] = entry{w >> nt.width, w & low}
+		}
+		if err := b.add(es); err != nil {
+			return nil, err
+		}
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return nt, nil
+}
+
+// merged returns a table of x's geometry holding the entries of x and y
+// (the multiset sum), built in one ordered pass over their merged
+// ascending reads. ErrFull if the sum does not leave a slot free.
+func merged(x, y *table) (*table, error) {
+	nt := newTable(x.q, x.width)
+	b := builder{t: nt}
+	xs, ys := stream{c: x.scan()}, stream{c: y.scan()}
+	for {
+		xe, xok := xs.head()
+		ye, yok := ys.head()
+		var next *stream
+		switch {
+		case xok && (!yok || xe.fq < ye.fq || xe.fq == ye.fq && xe.v <= ye.v):
+			next = &xs
+		case yok:
+			next = &ys
+		default:
+			if err := errors.Join(xs.c.err, ys.c.err); err != nil {
+				return nil, err
+			}
+			return nt, nil
+		}
+		if err := b.add(next.es[:1]); err != nil {
+			return nil, err
+		}
+		next.es = next.es[1:]
+	}
+}
+
+// stream buffers a cursor's reads for a merge.
+type stream struct {
+	c   *cursor
+	buf [64]entry
+	es  []entry
+}
+
+// head returns the stream's next entry without taking it.
+func (s *stream) head() (entry, bool) {
+	if len(s.es) == 0 {
+		s.es = s.buf[:s.c.read(s.buf[:])]
+	}
+	if len(s.es) == 0 {
+		return entry{}, false
+	}
+	return s.es[0], true
+}
+
+// builder fills an empty table from entries given in ascending
+// (quotient, payload) order, the way a sorted quotient filter is
+// rebuilt in one pass: each entry goes to max(home slot, previous slot
+// + 1) and its three metadata bits are set directly, with no locate and
+// no splice. Entries pushed past the last slot wrap to slot 0 and
+// onwards, each opening its slot with shiftRight, so they and the low
+// runs they push end up exactly where insert would put them: the layout
+// is a function of the stored runs.
+type builder struct {
+	t    *table
+	end  uint64 // one past the last slot written, counted past the table end
+	last entry  // the last entry added
+}
+
+// add appends es, which must continue the ascending order.
+func (b *builder) add(es []entry) error {
+	t := b.t
+	occ, cont, shf := t.occupied.Words(), t.continuation.Words(), t.shifted.Words()
+	pw, width, slots := t.payload.RawWords(), uint64(t.width), t.slots
+	used, end, last := t.used, b.end, b.last
+	i := 0
+	for ; i < len(es); i++ {
+		e := es[i]
+		p := max(e.fq, end)
+		if p >= slots || used+1 >= int(slots) || used > 0 && (e.fq < last.fq || e.fq == last.fq && e.v < last.v) {
+			break // the loop below wraps this entry and the rest, or fails
+		}
+		// A slot no entry has reached holds only zero bits, so each
+		// write is an OR; an entry that fits one word ORs zero into the
+		// next (the packed array has a pad word).
+		bp := p * width
+		pw[bp>>6] |= e.v << (bp & 63)
+		pw[bp>>6+1] |= e.v >> (64 - bp&63)
+		if used > 0 && e.fq == last.fq {
+			cont[p>>6] |= 1 << (p & 63)
+		}
+		if p != e.fq {
+			shf[p>>6] |= 1 << (p & 63)
+		}
+		occ[e.fq>>6] |= 1 << (e.fq & 63)
+		used, end, last = used+1, p+1, e
+	}
+	t.used, b.end, b.last = used, end, last
+	for _, e := range es[i:] {
+		if err := check(b.last, e, t.used, slots); err != nil {
+			return err
+		}
+		p := max(e.fq, b.end) - slots
+		t.shiftRight(p)
+		t.payload.Set(int(p), e.v)
+		t.continuation.SetTo(int(p), e.fq == b.last.fq)
+		t.shifted.Set(int(p))
+		t.occupied.Set(int(e.fq))
+		t.used, b.end, b.last = t.used+1, b.end+1, e
+	}
+	return nil
+}
+
+// check returns why e cannot follow last as the next of used entries in
+// a table of the given slots: it breaks the ascending order, or it
+// would fill the last empty slot.
+func check(last, e entry, used int, slots uint64) error {
+	if used > 0 && (e.fq < last.fq || e.fq == last.fq && e.v < last.v) {
+		return fmt.Errorf("entry (%d, %d) after (%d, %d) is out of order", e.fq, e.v, last.fq, last.v)
+	}
+	if used+1 >= int(slots) {
+		return core.ErrFull
+	}
+	return nil
+}
+
+// cursor reads a table's entries in ascending (quotient, payload) order
+// by word scans: it starts at the run of the smallest occupied quotient
+// and visits every full slot once, up to the last slot and then from
+// slot 0 to where it began (those slots hold only the tail of a cluster
+// that wraps past the last slot). Each run start claims the next
+// occupied quotient. It checks the metadata it crosses and, at the end,
+// that it read used entries in one run per occupied quotient; the first
+// inconsistency ends the read and is left in err.
+type cursor struct {
+	t       *table
+	s0      uint64 // the first slot read
+	hi      uint64 // end of the current stretch: slots, then s0
+	wi      uint64 // the metadata word being read
+	full    uint64 // its full slots not yet read
+	wrapped bool   // reading [0, s0)
+	done    bool
+	q, prev uint64 // the current run's quotient; the last slot read
+	n, runs int
+	err     error
+}
+
+// scan returns a cursor over t's entries.
+func (t *table) scan() *cursor {
+	c := &cursor{t: t, hi: t.slots, q: ^uint64(0)} // the first run claims nextOne(q+1 = 0)
+	full := 0
+	for wi := range t.occupied.Words() {
+		full += bits.OnesCount64(t.fullBits(uint64(wi), 0, t.slots))
+	}
+	if full == int(t.slots) {
+		c.err, c.done = errors.New("no empty slot"), true
+		return c
+	}
+	// With an empty slot the run walks end, whatever the other bits say.
+	if q0, ok := nextOne(t.occupied.Words(), 0, t.slots); ok {
+		c.s0, _, _ = t.findRunFast(q0)
+	}
+	c.wi = c.s0 >> 6
+	c.full = t.fullBits(c.wi, c.s0, c.hi)
+	return c
+}
+
+// read fills dst with the next entries and returns how many it read: 0
+// at the end of the table, and fewer than len(dst) only at the end or
+// at the first inconsistency (then err is set). Its state lives in
+// locals for the loop and goes back to c on return.
+func (c *cursor) read(dst []entry) int {
+	t := c.t
+	occ, cont, shf := t.occupied.Words(), t.continuation.Words(), t.shifted.Words()
+	pw, width, low := t.payload.RawWords(), uint64(t.width), hashutil.Mask(t.width)
+	mask, slots := t.mask, t.slots
+	wi, full, q, prev, runs := c.wi, c.full, c.q, c.prev, c.runs
+	hi, wrapped, done, first := c.hi, c.wrapped, c.done, c.n == 0
+	var err error
+	n := 0
+	for ; n < len(dst) && err == nil; n++ {
+		for full == 0 && !done {
+			switch {
+			case wi<<6+64 < hi:
+				wi++
+			case wrapped || c.s0 == 0:
+				done = true
+				continue
+			default:
+				wrapped, hi, wi = true, c.s0, 0
+			}
+			full = t.fullBits(wi, 0, hi)
+		}
+		if done {
+			break
+		}
+		b := full & -full
+		p := wi<<6 | uint64(bits.TrailingZeros64(b))
+		full &^= b
+		shifted := shf[wi]&b != 0
+		if cont[wi]&b != 0 {
+			if first || p != (prev+1)&mask || !shifted {
+				err = fmt.Errorf("continuation slot %d extends no run", p)
+			}
+		} else {
+			// A run start claims the next occupied quotient: its own slot
+			// when unshifted, one below it when shifted, or, in the
+			// stretch after the last slot, one above it.
+			next, ok := nextOne(occ, q+1, slots)
+			if !ok || (next == p) == shifted || shifted && (next < p) == wrapped || !shifted && wrapped {
+				err = fmt.Errorf("run at slot %d does not claim the next occupied quotient", p)
+			}
+			q = next
+			runs++
+		}
+		prev, first = p, false
+		bp := p * width
+		v := pw[bp>>6]>>(bp&63) | pw[bp>>6+1]<<(64-bp&63)
+		dst[n] = entry{q, v & low}
+	}
+	if err != nil {
+		n-- // the entry that failed the check
+		c.err, done = err, true
+	}
+	c.wi, c.full, c.q, c.prev, c.runs = wi, full, q, prev, runs
+	c.hi, c.wrapped, c.n = hi, wrapped, c.n+n
+	if done && !c.done && c.err == nil {
+		c.finish()
+	}
+	c.done = done
+	return n
+}
+
+// finish checks, once the read is over, that it met every entry and
+// every occupied quotient.
+func (c *cursor) finish() {
+	switch occ := c.t.occupied.OnesCount(); {
+	case c.n != c.t.used:
+		c.err = fmt.Errorf("used=%d but %d slots are full", c.t.used, c.n)
+	case c.runs != occ:
+		c.err = fmt.Errorf("%d occupied quotients but %d runs", occ, c.runs)
+	}
+}
+
+// fullBits returns the full slots of metadata word wi that lie in
+// [lo, hi).
+func (t *table) fullBits(wi, lo, hi uint64) uint64 {
+	z := t.occupied.Words()[wi] | t.continuation.Words()[wi] | t.shifted.Words()[wi]
+	if b := wi << 6; lo > b {
+		z &= ^uint64(0) << (lo - b)
+	}
+	if e := wi<<6 + 64; hi < e {
+		z &= ^uint64(0) >> (e - hi)
+	}
+	return z
+}
+
+// nextOne returns the first set bit of words at or after from, if one
+// lies below limit.
+func nextOne(words []uint64, from, limit uint64) (uint64, bool) {
+	if from >= limit {
+		return 0, false
+	}
+	wi := from >> 6
+	z := words[wi] & (^uint64(0) << (from & 63))
+	for z == 0 {
+		if wi++; wi >= uint64(len(words)) {
+			return 0, false
+		}
+		z = words[wi]
+	}
+	pos := wi<<6 + uint64(bits.TrailingZeros64(z))
+	return pos, pos < limit
 }
 
 // checkInvariants validates the table: walk's metadata checks, plus
