@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"fmt"
 	"testing"
 
 	"beyondbloom/internal/fault"
@@ -198,15 +199,28 @@ func TestGetBatchConcurrentCharges(t *testing.T) {
 }
 
 // TestMapletGetBatchCandidateOrder plants maplet entries that a
-// fingerprint collision or a mid-flight remap would leave — a stray
-// candidate in a newer run than the key's, one in an older run, and one
-// naming a run the view does not hold — and checks the batch kernel
-// probes them exactly as the scalar path does: newest first, stopping
-// at the first hit, and falling back when a run is unknown.
+// fingerprint collision or a mid-flight remap would leave, and checks
+// the batch kernel probes them exactly as the scalar path does: newest
+// first, stopping at the first hit, each run once, and falling back
+// when a run is unknown. The planted keys are
+//
+//   - deep: a stray candidate in a newer run than its own (2 reads);
+//   - edge: the same, but the key lies outside the newer run's range,
+//     so its span there is empty (2 reads);
+//   - shallow: a stray candidate in an older run, never probed (1 read);
+//   - triple: strays in the newest and a middle run, so three
+//     candidates, two of them spilled (3 reads);
+//   - dup: the same stray twice, adjacent duplicates probed once (2 reads);
+//   - lost: a stray naming a run the view does not hold (fallback);
+//   - orphan: an absent key whose only candidate names such a run
+//     (fallback).
 func TestMapletGetBatchCandidateOrder(t *testing.T) {
-	build := func() (*Store, [3]uint64) {
+	type plant struct{ key, val uint64 }
+	const nKeys = 7
+	build := func() (*Store, [nKeys]uint64) {
 		s := New(Options{Policy: PolicyMaplet, MemtableSize: 64})
-		for k := uint64(0); k < 1000; k++ {
+		for i := uint64(0); i < 3000; i++ {
+			k := i * 7919 % 3000 // every run spans the key range
 			s.Put(k*5, k)
 		}
 		s.Flush()
@@ -214,23 +228,39 @@ func TestMapletGetBatchCandidateOrder(t *testing.T) {
 		for _, level := range s.view.Load().levels {
 			runs = append(runs, level...)
 		}
-		newest, oldest := runs[0], runs[len(runs)-1]
-		deep, shallow := oldest.entries[0].Key, newest.entries[0].Key
-		lost := oldest.entries[1].Key
-		for _, e := range []struct{ key, val uint64 }{
-			{deep, newest.id},    // probed first, misses
-			{shallow, oldest.id}, // never probed
-			{lost, s.idLimit - 1},
+		if len(runs) < 3 {
+			t.Fatalf("%d runs, want at least 3", len(runs))
+		}
+		newest, middle, oldest := runs[0], runs[len(runs)/2], runs[len(runs)-1]
+		// Keys from the middle of the oldest run lie inside the newer
+		// runs' spans, so a stray candidate there costs a search.
+		mid := oldest.entries[len(oldest.entries)/2:]
+		keys := [nKeys]uint64{
+			mid[0].Key, oldest.entries[0].Key, newest.entries[len(newest.entries)/2].Key,
+			mid[2].Key, mid[3].Key, mid[1].Key, 2, // 2 is no multiple of 5
+		}
+		if keys[1] >= newest.minKey() {
+			t.Fatalf("edge key %d is inside the newest run's range", keys[1])
+		}
+		deep, edge, shallow, triple, dup, lost, orphan := keys[0], keys[1], keys[2], keys[3], keys[4], keys[5], keys[6]
+		for _, e := range []plant{
+			{deep, newest.id}, {edge, newest.id}, {shallow, oldest.id},
+			{triple, newest.id}, {triple, middle.id},
+			{dup, newest.id}, {dup, newest.id},
+			{lost, s.idLimit - 1}, {orphan, s.idLimit - 1},
 		} {
 			if err := s.maplet.PutExpanding(e.key, e.val); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return s, [3]uint64{deep, shallow, lost}
+		return s, keys
 	}
 	scalar, planted := build()
 	batch, _ := build()
-	for i, want := range []int{2, 1} {
+	if n := len(batch.maplet.m.Get(planted[3])); n < 3 {
+		t.Fatalf("triple has %d candidates, want at least 3", n)
+	}
+	for i, want := range []int{2, 2, 1, 3, 2} {
 		before := batch.Device().Reads()
 		v, f := make([]uint64, 1), make([]bool, 1)
 		batch.GetBatch(planted[i:i+1], v, f)
@@ -238,8 +268,17 @@ func TestMapletGetBatchCandidateOrder(t *testing.T) {
 			t.Fatalf("planted key %d: (%d,%v) at %d reads, want (%d,true) at %d", planted[i], v[0], f[0], got, planted[i]/5, want)
 		}
 	}
+	fallbacks := batch.MapletFallbacks()
+	v, f := make([]uint64, 1), make([]bool, 1)
+	batch.GetBatch(planted[6:7], v, f)
+	if f[0] || batch.MapletFallbacks() != fallbacks+1 {
+		t.Fatalf("orphan key: found %v after %d fallbacks, want absent after one", f[0], batch.MapletFallbacks()-fallbacks)
+	}
+	// All of them in one batch, among ordinary hits and misses, charge
+	// what scalar Gets charge.
 	probes := append(batchProbes(1000), planted[:]...)
 	reads0, sreads0 := batch.Device().Reads(), scalar.Device().Reads()
+	fallbacks, sfallbacks := batch.MapletFallbacks(), scalar.MapletFallbacks()
 	values := make([]uint64, len(probes))
 	found := make([]bool, len(probes))
 	batch.GetBatch(probes, values, found)
@@ -252,43 +291,46 @@ func TestMapletGetBatchCandidateOrder(t *testing.T) {
 	if got, want := batch.Device().Reads()-reads0, scalar.Device().Reads()-sreads0; got != want {
 		t.Errorf("batch reads %d, scalar %d", got, want)
 	}
-	if got, want := batch.MapletFallbacks(), scalar.MapletFallbacks(); got != 1 || want != 1 {
-		t.Errorf("maplet fallbacks: batch %d, scalar %d; want 1 each (the lost key)", got, want)
+	if got, want := batch.MapletFallbacks()-fallbacks, scalar.MapletFallbacks()-sfallbacks; got != 2 || want != 2 {
+		t.Errorf("maplet fallbacks: batch %d, scalar %d; want 2 each (lost and orphan)", got, want)
 	}
 }
 
 // TestSearchBlocks checks the staged search against the scalar one on
-// spans of every length up to a few blocks, present and absent keys,
-// one probe and many.
+// spans of every length up to a few blocks, each starting inside its
+// run as a radix bucket does, for present and absent keys, all of a
+// span's keys at once and one.
 func TestSearchBlocks(t *testing.T) {
-	var probes []blockProbe
-	for n := 0; n <= 3*entriesPerBlock; n++ {
-		seg := make([]Entry, n)
-		for i := range seg {
-			seg[i] = Entry{Key: uint64(2*i + 1), Value: uint64(i)}
+	for n := 1; n <= 3*entriesPerBlock; n++ {
+		const pad = 3
+		seg := make([]Entry, pad, pad+n+pad)
+		for i := 0; i < n; i++ {
+			seg = append(seg, Entry{Key: uint64(2*i + 1), Value: uint64(i)})
 		}
-		for key := uint64(0); key <= uint64(2*n+1); key++ {
-			probes = append(probes, blockProbe{seg: seg, key: key})
-		}
-	}
-	for _, ps := range [][]blockProbe{probes, probes[len(probes)/2 : len(probes)/2+1]} {
-		searchBlocks(ps)
-		for _, p := range ps {
-			got, gok := p.result()
-			want, wok := search(p.seg, p.key)
-			if got != want || gok != wok {
-				t.Fatalf("len %d key %d: staged (%v,%v), scalar (%v,%v)", len(p.seg), p.key, got, gok, want, wok)
+		seg = append(seg, make([]Entry, pad)...)
+		for _, keys := range [][2]uint64{{0, uint64(2*n + 1)}, {uint64(n), uint64(n)}} {
+			var ps []readRec
+			for key := keys[0]; key <= keys[1]; key++ {
+				ps = append(ps, readRec{key: key, base: pad, n: uint32(n)})
+			}
+			searchBlocks(ps, seg)
+			for _, p := range ps {
+				got := seg[p.base]
+				want, wok := search(seg[pad:pad+n], p.key)
+				if (got.Key == p.key) != wok || (wok && got != want) || p.n != 1 {
+					t.Fatalf("len %d key %d: staged %v (n=%d), scalar (%v,%v)", n, p.key, got, p.n, want, wok)
+				}
 			}
 		}
 	}
 }
 
-// kvReadFrames builds the served kv_read store in-process — 2^15
-// workload keys (value = key) under PolicyMaplet, flushed — and 64
-// 256-key OpGet frames over it in which every odd key is absent.
-func kvReadFrames() (*Store, [][]uint64) {
-	const n, frame = 1 << 15, 256
-	s := New(Options{Policy: PolicyMaplet})
+// kvReadFrames builds the served kv_read store in-process — n workload
+// keys (value = key) under the given policy, flushed — and 64 256-key
+// OpGet frames over it in which every odd key is absent.
+func kvReadFrames(n int, policy FilterPolicy) (*Store, [][]uint64) {
+	const frame = 256
+	s := New(Options{Policy: policy})
 	keys := workload.Keys(n, 42)
 	for _, k := range keys {
 		s.Put(k, k)
@@ -299,7 +341,7 @@ func kvReadFrames() (*Store, [][]uint64) {
 	for f := range frames {
 		frames[f] = make([]uint64, frame)
 		for i := range frames[f] {
-			j := uint64(f*frame+i) * 2654435761 % n
+			j := uint64(f*frame+i) * 2654435761 % uint64(n)
 			if i&1 == 0 {
 				frames[f][i] = keys[j]
 			} else {
@@ -310,23 +352,40 @@ func kvReadFrames() (*Store, [][]uint64) {
 	return s, frames
 }
 
-// BenchmarkStoreGetBatch times Store.GetBatch at kv_read's shape, one
-// caller; ns/key is wall time per looked-up key.
+// BenchmarkStoreGetBatch times Store.GetBatch with one caller; ns/key is
+// wall time per looked-up key. The maplet rows sweep the store size:
+// 2^10 keys sit in the L1 and L2 caches, kv_read's 2^15 in L2, 2^18
+// spill past it; the bloom row is kv_write's read path at kv_read's
+// shape.
 func BenchmarkStoreGetBatch(b *testing.B) {
-	s, frames := kvReadFrames()
-	vals, found := make([]uint64, len(frames[0])), make([]bool, len(frames[0]))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.GetBatch(frames[i%len(frames)], vals, found)
+	for _, c := range []struct {
+		policy FilterPolicy
+		name   string
+		n      int
+	}{
+		{PolicyMaplet, "maplet", 1 << 10},
+		{PolicyMaplet, "maplet", 1 << 15},
+		{PolicyMaplet, "maplet", 1 << 18},
+		{PolicyBloom, "bloom", 1 << 15},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", c.name, c.n), func(b *testing.B) {
+			s, frames := kvReadFrames(c.n, c.policy)
+			vals, found := make([]uint64, len(frames[0])), make([]bool, len(frames[0]))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.GetBatch(frames[i%len(frames)], vals, found)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames[0])), "ns/key")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames[0])), "ns/key")
 }
 
-// BenchmarkStoreGetBatchParallel is BenchmarkStoreGetBatch with one
-// caller per P (-cpu 2 is the served run's two connections), so the
-// store's shared counters and locks are contended as in filterd.
+// BenchmarkStoreGetBatchParallel is BenchmarkStoreGetBatch at kv_read's
+// shape with one caller per P (-cpu 2 is the served run's two
+// connections), so the store's shared counters and locks are contended
+// as in filterd.
 func BenchmarkStoreGetBatchParallel(b *testing.B) {
-	s, frames := kvReadFrames()
+	s, frames := kvReadFrames(1<<15, PolicyMaplet)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		vals, found := make([]uint64, len(frames[0])), make([]bool, len(frames[0]))

@@ -394,11 +394,17 @@ func (r *run) index() {
 // span returns the entries of an indexed run among which key lies if
 // the run holds it.
 func (r *run) span(key uint64) []Entry {
+	base, n := r.bounds(key)
+	return r.entries[base : base+n]
+}
+
+// bounds returns span(key) as indices: it is entries[base:base+n].
+func (r *run) bounds(key uint64) (base, n uint32) {
 	i := (key - r.lo) >> r.shift
 	if i >= uint64(len(r.start)-1) {
-		return nil
+		return 0, 0
 	}
-	return r.entries[r.start[i]:r.start[i+1]]
+	return r.start[i], r.start[i+1] - r.start[i]
 }
 
 // memRun is a frozen memtable: immutable once published in a view,
@@ -679,9 +685,10 @@ func (s *Store) probeFilter(contains func() bool) (ok, usable bool) {
 	return contains(), true
 }
 
-// Put inserts or updates a key. On a durable store a logging failure
-// is fatal (panic): acknowledging an unlogged write would break the
-// durability promise. Use Apply to handle the error instead.
+// Put inserts or updates a key. An Apply error is fatal (panic): on a
+// durable store a logging failure, since acknowledging an unlogged
+// write would break the durability promise, and on a maplet store a
+// full index. Use Apply to handle the error instead.
 func (s *Store) Put(key, value uint64) {
 	if err := s.Apply(Entry{Key: key, Value: value}); err != nil {
 		panic(fmt.Sprintf("lsm: put: %v", err))
@@ -704,7 +711,9 @@ func (s *Store) Delete(key uint64) {
 // durable store Apply returns only once the batch is acknowledged
 // under the configured Durability mode — after the group-commit fsync
 // in DurabilityGroup/Always, after the OS write in DurabilityBuffered.
-// On a snapshot-only store it never fails.
+// A maplet store refuses, with core.ErrFull and before logging, a batch
+// its index might not have room for (mapletRoomLocked). Otherwise a
+// snapshot-only store never fails.
 func (s *Store) Apply(entries ...Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -715,6 +724,10 @@ func (s *Store) Apply(entries ...Entry) error {
 	}
 	if s.bgErr != nil {
 		err := s.bgErr
+		s.mu.Unlock()
+		return err
+	}
+	if err := s.mapletRoomLocked(len(entries)); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -768,6 +781,30 @@ func (s *Store) Apply(entries ...Entry) error {
 	if err := s.Checkpoint(); err != nil {
 		s.setBgErr(err)
 		return err
+	}
+	return nil
+}
+
+// mapletRoomLocked refuses a batch of n writes with core.ErrFull,
+// before anything is logged, when a maplet store's index could
+// overflow. Only fresh keys grow the maplet, each by at most one entry
+// when its memtable is flushed, so the maplet's entries plus every
+// unflushed key plus the batch must fit the capacity of its last
+// doubling; past that a flush could not index a key. Callers hold mu.
+func (s *Store) mapletRoomLocked(n int) error {
+	if s.maplet == nil {
+		return nil
+	}
+	unflushed := len(s.mem) + n
+	for _, fm := range s.view.Load().frozen {
+		unflushed += len(fm.entries)
+	}
+	s.maplet.mu.RLock()
+	entries, limit := s.maplet.m.Len(), mapletCapacity(s.maplet.m.FinalSlots())
+	s.maplet.mu.RUnlock()
+	if uint64(entries+unflushed) > limit {
+		return fmt.Errorf("lsm: maplet holds %d entries and %d unflushed keys, %d more would pass its capacity %d: %w",
+			entries, unflushed-n, n, limit, core.ErrFull)
 	}
 	return nil
 }

@@ -54,6 +54,76 @@ func TestMapletGetZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("maplet GetBatch allocates %.1f objects per 256-key batch, want 0", avg)
 	}
+	// kv_read's shape: 2^15 keys in three levels, frames of hits and
+	// misses in turn.
+	s, frames := kvReadFrames(1<<15, PolicyMaplet)
+	s.GetBatch(frames[0], vals, found)
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		s.GetBatch(frames[i%len(frames)], vals, found)
+		i++
+	}); avg != 0 {
+		t.Fatalf("maplet GetBatch at 2^15 keys allocates %.1f objects per 256-key batch, want 0", avg)
+	}
+}
+
+// TestMapletFullRefusesWrites fills a durable maplet store whose index
+// is a tiny maplet, NewMaplet(4, 3, w): two doublings take it to 64
+// slots, which hold mapletCapacity(64) entries. Apply then refuses with
+// core.ErrFull before logging anything, and none of the flushes on the
+// way panics. Every acknowledged key reads back, before and after a
+// reopen.
+func TestMapletFullRefusesWrites(t *testing.T) {
+	fs := fault.NewCrashFS(12)
+	s, err := OpenStore("db", mapletCrashOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.maplet = newMapletIndex(quotient.NewMaplet(4, 3, s.maplet.m.ValueBits()))
+	limit := int(mapletCapacity(s.maplet.m.FinalSlots()))
+	model := map[uint64]uint64{}
+	var refused error
+	for k := uint64(1); refused == nil && k < 1000; k++ {
+		if k%5 == 0 {
+			// An overwrite: a fresh key for the memtable all the same.
+			if err := s.Apply(Entry{Key: k / 5, Value: k}); err == nil {
+				model[k/5] = k
+			}
+		}
+		lsn := s.WAL().LastLSN()
+		refused = s.Apply(Entry{Key: k, Value: k * 3}, Entry{Key: k + 5000, Tombstone: true})
+		if refused != nil {
+			if got := s.WAL().LastLSN(); got != lsn {
+				t.Fatalf("a refused batch was logged: last LSN %d, then %d", lsn, got)
+			}
+			break
+		}
+		model[k] = k * 3
+	}
+	if !errors.Is(refused, core.ErrFull) {
+		t.Fatalf("Apply past the maplet's capacity: %v, want core.ErrFull", refused)
+	}
+	s.Flush()
+	if n := s.maplet.Len(); n > limit || n < limit-4 {
+		t.Fatalf("maplet holds %d entries at the refusal, capacity %d", n, limit)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		for k, want := range model {
+			if got, ok := s.Get(k); !ok || got != want {
+				t.Fatalf("%s: key %d = (%d, %v), want (%d, true)", when, k, got, ok, want)
+			}
+		}
+	}
+	check(s, "after the refusal")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore("db", mapletCrashOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, "after a reopen")
 }
 
 // TestMapletRemapKeepsIndexTight drives a churny workload (puts,

@@ -33,12 +33,12 @@ func (mi *mapletIndex) GetAppend(dst []uint64, key uint64) []uint64 {
 	return mi.m.GetAppend(dst, key)
 }
 
-// GetBatch resolves every key's candidates under one read lock; see
-// quotient.Maplet.GetBatch for the ends/dst contract.
-func (mi *mapletIndex) GetBatch(keys []uint64, ends []int32, dst []uint64) ([]int32, []uint64) {
+// ProbeBatch probes a chunk of keys under one read lock; see
+// quotient.Maplet.ProbeBatch for the contract.
+func (mi *mapletIndex) ProbeBatch(keys []uint64, at []int32, first []uint64, count []uint32, more []uint64) []uint64 {
 	mi.mu.RLock()
 	defer mi.mu.RUnlock()
-	return mi.m.GetBatch(keys, ends, dst)
+	return mi.m.ProbeBatch(keys, at, first, count, more)
 }
 
 // mapletMaxLoad is the load factor at which the maplet doubles before

@@ -35,8 +35,7 @@ const (
 // entries, so the maplet's capacity bounds it; but tiered levels open by
 // run count: level 1 always, and Tiering's last level merges in place.
 func mapletDepth(o *Options) int {
-	slots := uint64(1) << (mapletQ0 + mapletR0 - 1) // every r bit but one doubled
-	capacity := uint64(mapletMaxLoad * float64(slots))
+	capacity := mapletCapacity(1 << (mapletQ0 + mapletR0 - 1)) // every r bit but one doubled
 	d := 1
 	for c, t := uint64(o.MemtableSize), uint64(o.SizeRatio); c <= capacity/t; c *= t {
 		d++
@@ -45,6 +44,12 @@ func mapletDepth(o *Options) int {
 		return d
 	}
 	return max(d, 2)
+}
+
+// mapletCapacity is how many entries a maplet holds once it has
+// doubled to its final slot count and reached mapletMaxLoad.
+func mapletCapacity(finalSlots uint64) uint64 {
+	return uint64(mapletMaxLoad * float64(finalSlots))
 }
 
 // mapletTreeIDs bounds the ids the level tree and one flush-and-compact

@@ -22,7 +22,7 @@ import (
 // are equal, found by a birthday search over workload keys. The
 // fingerprint is q+r bits at every doubling, so a one-key probe maplet
 // with the store's initial geometry reads it off its Entries.
-func collidingPair(t *testing.T) (uint64, uint64) {
+func collidingPair(t testing.TB) (uint64, uint64) {
 	t.Helper()
 	probe := quotient.NewMaplet(mapletQ0, mapletR0, 1)
 	seen := make(map[uint64]uint64)
@@ -341,21 +341,27 @@ func TestRunIndexMatchesSearch(t *testing.T) {
 		if want := entriesPerBlock * (len(r.start) - 1); len(r.entries) > want || (want > entriesPerBlock && 2*len(r.entries) <= want) {
 			t.Errorf("%s: %d buckets for %d entries", name, len(r.start)-1, len(r.entries))
 		}
-		probes := make([]blockProbe, 0, 4*len(r.entries)+2)
+		probes := make([]uint64, 0, 4*len(r.entries)+2)
 		for _, e := range r.entries {
-			for _, k := range []uint64{e.Key, e.Key - 1, e.Key + 1, rng.Uint64()} {
-				probes = append(probes, blockProbe{seg: r.span(k), key: k})
-			}
+			probes = append(probes, e.Key, e.Key-1, e.Key+1, rng.Uint64())
 			if _, ok := search(r.span(e.Key), e.Key); !ok {
 				t.Fatalf("%s: key %d outside its span", name, e.Key)
 			}
 		}
-		probes = append(probes, blockProbe{seg: r.span(0), key: 0}, blockProbe{seg: r.span(math.MaxUint64), key: math.MaxUint64})
-		searchBlocks(probes)
-		for _, p := range probes {
-			got, gok := p.result()
+		probes = append(probes, 0, math.MaxUint64)
+		var recs []readRec
+		for _, k := range probes {
+			if base, n := r.bounds(k); n > 0 {
+				recs = append(recs, readRec{key: k, base: base, n: n})
+			} else if _, ok := search(r.entries, k); ok {
+				t.Fatalf("%s: key %d has an empty span", name, k)
+			}
+		}
+		searchBlocks(recs, r.entries)
+		for _, p := range recs {
+			got, gok := r.entries[p.base], r.entries[p.base].Key == p.key
 			want, wok := search(r.entries, p.key)
-			if got != want || gok != wok {
+			if gok != wok || (gok && got != want) {
 				t.Fatalf("%s key %d: span search (%v,%v), whole run (%v,%v)", name, p.key, got, gok, want, wok)
 			}
 		}

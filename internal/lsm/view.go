@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,14 +77,22 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 		sc.probeKeys, sc.probeOut, sc.resolved = probeKeys, probeOut, resolved
 		getBatchPool.Put(sc)
 	}()
+	clear(values[:len(keys)])
+	clear(found[:len(keys)])
 	s.mu.RLock()
-	for i, k := range keys {
-		values[i], found[i] = 0, false
-		if e, ok := s.mem[k]; ok {
-			values[i], found[i] = e.Value, !e.Tombstone
-			continue
+	if len(s.mem) == 0 {
+		pending = slices.Grow(pending, len(keys))[:len(keys)]
+		for i := range pending {
+			pending[i] = int32(i)
 		}
-		pending = append(pending, int32(i))
+	} else {
+		for i, k := range keys {
+			if e, ok := s.mem[k]; ok {
+				values[i], found[i] = e.Value, !e.Tombstone
+				continue
+			}
+			pending = append(pending, int32(i))
+		}
 	}
 	s.mu.RUnlock()
 	v := s.view.Load()
@@ -341,125 +350,60 @@ var mapletGetPool = sync.Pool{New: func() any { return new(mapletGetScratch) }}
 
 // mapletGetBatch is mapletGet over a pending sub-batch, with the same
 // results, ordering rules, retries and fallback, and the same charge:
-// one read per probed candidate. It is a batch kernel rather than a
-// loop of mapletGet: per attempt, one maplet probe (hash-once under a
-// single read lock) fetches every unresolved key's candidates, one pass
-// ranks each candidate's run in the view, every key's span in its
-// newest candidate run is searched together (searchBlocks), and only a
-// key that misses there walks its older candidates, newest first. The
-// batch's probes and fault-free reads reach the shared counters once
-// per call.
+// one read per probed candidate. It is one batch kernel, not a loop of
+// mapletGet. Each attempt takes the remaining keys a chunk at a time
+// and keeps a fixed record per key (readRec). The maplet's batch probe
+// (hash-once, under one read lock per chunk) gives each key its
+// candidate count and first candidate, with the rare extra candidates
+// spilled to a side list. One pass then places each key's newest
+// candidate run in the view and narrows the key to that run's span.
+// The branch-free search rounds (searchBlocks) search every span
+// together. Only a key that misses there walks its older candidates,
+// newest first. The batch's probes and fault-free reads reach the
+// shared counters once per call.
 func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pending []int32) {
 	sc := mapletBatchPool.Get().(*mapletBatchScratch)
 	defer mapletBatchPool.Put(sc)
 	// Fault pass: judge each key's maplet probe once, as a run filter
 	// probe is judged; faulted keys degrade to the filterless walk.
 	s.filterProbes.Add(int64(len(pending)))
-	rem := sc.rem[:0]
-	for _, i := range pending {
-		if ff := s.opts.FilterFaults; ff != nil {
+	rem := pending
+	if ff := s.opts.FilterFaults; ff != nil {
+		rem = sc.rem[:0]
+		for _, i := range pending {
 			if o := ff.Next(); o.Err != nil || o.FlipBit >= 0 {
 				s.filterFallbacks.Add(1)
 				values[i], found[i] = s.probeAllRuns(s.view.Load(), keys[i])
 				continue
 			}
+			rem = append(rem, i)
 		}
-		rem = append(rem, i)
+		sc.rem = rem
 	}
 	reads := 0
 	for attempt := 0; attempt < 4 && len(rem) > 0; attempt++ {
 		v := s.view.Load()
-		runs, rank := sc.rankRuns(v)
-		kbuf := sc.keys[:0]
-		for _, i := range rem {
-			kbuf = append(kbuf, keys[i])
+		sc.rankRuns(v)
+		retry := sc.retry[:0]
+		for at := 0; at < len(rem); at += core.BatchChunk {
+			chunk := rem[at:min(at+core.BatchChunk, len(rem))]
+			var n int
+			retry, n = s.mapletChunk(sc, keys, values, found, chunk, retry)
+			reads += n
 		}
-		ends, cand := s.maplet.GetBatch(kbuf, sc.ends[:0], sc.cand[:0])
-		state, hits := resize(sc.state, len(rem)), resize(sc.hits, len(rem))
-		crank := resize(sc.crank, len(cand))
-		sc.keys, sc.ends, sc.cand, sc.state, sc.hits, sc.crank = kbuf, ends, cand, state, hits, crank
-		// Rank pass: crank[ci] is candidate ci's position in runs (-1 for
-		// a duplicate: colliding fingerprints in one run sit adjacent in
-		// the value-ordered maplet run and are probed once).
-		// Each key with candidates all in the view stages its newest.
-		probes := sc.probes[:0]
-		lo := int32(0)
-		for j, hi := range ends {
-			state[j] = keyAbsent
-			newest := int32(-1)
-			for ci := lo; ci < hi; ci++ {
-				crank[ci] = -1
-				if ci > lo && cand[ci] == cand[ci-1] {
-					continue
-				}
-				id := cand[ci]
-				if id >= uint64(len(rank)) || rank[id] < 0 {
-					state[j] = keyRetry
-					break
-				}
-				crank[ci] = rank[id]
-				if newest < 0 || crank[ci] < crank[newest] {
-					newest = ci
-				}
-			}
-			if state[j] == keyAbsent && newest >= 0 {
-				probes = append(probes, blockProbe{
-					seg: runs[crank[newest]].span(kbuf[j]),
-					key: kbuf[j], j: int32(j), ci: newest,
-				})
-			}
-			lo = hi
-		}
-		reads += len(probes)
-		searchBlocks(probes)
-		for k := range probes {
-			p := &probes[k]
-			if e, ok := p.result(); ok {
-				state[p.j], hits[p.j] = keyHit, e
-				continue
-			}
-			// Missed: walk the key's older candidates in view order — the
-			// rest of the probed candidate's run, then the runs after it —
-			// re-staging this probe for each until one hits.
-			lo, hi, first, top := int32(0), ends[p.j], p.ci, crank[p.ci]
-			if p.j > 0 {
-				lo = ends[p.j-1]
-			}
-			for rk := top; hi-lo > 1 && rk < int32(len(runs)) && state[p.j] != keyHit; rk++ {
-				for ci := lo; ci < hi; ci++ {
-					if crank[ci] != rk || (rk == top && ci <= first) {
-						continue
-					}
-					reads++
-					p.seg, p.ci = runs[rk].span(p.key), ci
-					searchBlocks(probes[k : k+1])
-					if e, ok := p.result(); ok {
-						state[p.j], hits[p.j] = keyHit, e
-						break
-					}
-				}
-			}
-		}
-		clear(probes) // pool no references into the store's runs
-		sc.probes = probes
+		sc.retry = retry
 		if s.view.Load() != v {
-			continue // commit nothing; retry the whole remainder
-		}
-		next := rem[:0]
-		for j, i := range rem {
-			switch state[j] {
-			case keyHit:
-				values[i], found[i] = hits[j].Value, !hits[j].Tombstone
-			case keyAbsent:
+			// Retry the whole remainder; what this attempt wrote is
+			// rewritten, and a key it found that turns out absent must
+			// read as absent.
+			for _, i := range rem {
 				values[i], found[i] = 0, false
-			default:
-				next = append(next, i)
 			}
+			continue
 		}
-		rem = next
+		rem = rem[:copy(rem, retry)]
 	}
 	clear(sc.runs)
-	sc.rem = rem
 	s.devReads(reads)
 	for _, i := range rem {
 		s.mapletFallbacks.Add(1)
@@ -467,35 +411,170 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 	}
 }
 
-// A key's outcome in one mapletGetBatch attempt.
-const (
-	keyAbsent int8 = iota // no candidate, or every candidate probed without a hit
-	keyHit                // hits holds the key's newest entry
-	keyRetry              // a candidate's run is not in this view
-)
+// readRec is one key's record in mapletGetBatch's kernel: the key,
+// where its newest candidate run sits in the attempt's view, the span
+// of that run still open to the search, entries [base, base+n), and
+// the key's index in the chunk.
+type readRec struct {
+	key     uint64
+	base, n uint32
+	pos     int32
+	j       int32
+}
 
-// mapletBatchScratch pools mapletGetBatch's worklists. Its run
-// references are cleared before it is pooled, so it retains no store
-// data, only key copies, run ids, entry copies and positions.
+// mapletChunk runs one attempt of mapletGetBatch over at most
+// core.BatchChunk pending positions. It writes each resolved key's
+// answer, appends the positions that need another attempt (a candidate
+// run the view does not hold) to retry, and returns the reads charged.
+func (s *Store) mapletChunk(sc *mapletBatchScratch, keys, values []uint64, found []bool, chunk, retry []int32) ([]int32, int) {
+	first, count := sc.first[:len(chunk)], sc.count[:len(chunk)]
+	more := s.maplet.ProbeBatch(keys, chunk, first, count, sc.more[:0])
+	sc.more = more
+	// Keep the keys with a candidate, without a branch on each. The
+	// others are absent, as GetBatch has already written them.
+	cand := sc.cand[:]
+	nc := 0
+	for j := range chunk {
+		cand[nc] = uint16(j)
+		nc += int(min(count[j], 1))
+	}
+	// Place pass: rank each key's candidates in the view, keep the newest
+	// and narrow the key to its span there, tallying the keys per run. A
+	// key whose span is empty is read and missed without a search.
+	runs, rank, tally := sc.runs, sc.rank, sc.tally
+	clear(tally)
+	recs := &sc.recs
+	nr, reads := 0, 0
+	var spill []uint64 // the extra candidates of the key at hand
+	for _, j := range cand[:nc] {
+		i, c := chunk[j], count[j]
+		pos := int32(-1)
+		if id := first[j]; id < uint64(len(rank)) {
+			pos = rank[id]
+		}
+		if c > 1 {
+			// The key is placed in the newest of its candidates, unless
+			// one names a run this view does not hold.
+			spill, more = more[:c-1], more[c-1:]
+			for _, id := range spill {
+				if id >= uint64(len(rank)) || rank[id] < 0 {
+					pos = -1
+				}
+				if pos >= 0 {
+					pos = min(pos, rank[id])
+				}
+			}
+		}
+		if pos < 0 {
+			retry = append(retry, i)
+			continue
+		}
+		reads++
+		key := keys[i]
+		base, n := runs[pos].bounds(key)
+		switch {
+		case n > 0:
+			// Field by field: a composite literal is built on the stack and
+			// copied in, and the copy's wide load cannot forward from the
+			// narrow stores that built it.
+			p := &recs[nr]
+			p.key, p.base, p.n, p.pos, p.j = key, base, n, pos, int32(j)
+			tally[pos]++
+			nr++
+		case c > 1:
+			values[i], found[i], reads = s.olderCandidates(sc, key, first[j], spill, pos, reads)
+		}
+	}
+	// Group the records by run (a counting sort), so that each run's
+	// search reads its entries through one slice.
+	at := int32(0)
+	for pos, t := range tally {
+		tally[pos] = at
+		at += t
+	}
+	byRun := &sc.byRun
+	for k := range recs[:nr] {
+		pos := recs[k].pos
+		byRun[tally[pos]] = recs[k]
+		tally[pos]++
+	}
+	lo := int32(0)
+	for pos, hi := range tally {
+		searchBlocks(byRun[lo:hi], runs[pos].entries)
+		lo = hi
+	}
+	// Resolve pass: a key that missed its newest candidate walks the
+	// others, which follow the extra candidates of the keys before it in
+	// the side list.
+	for k := range byRun[:nr] {
+		p := &byRun[k]
+		i := chunk[p.j]
+		if e := &runs[p.pos].entries[p.base]; e.Key == p.key {
+			values[i], found[i] = e.Value, !e.Tombstone
+			continue
+		}
+		if c := count[p.j]; c > 1 {
+			off := 0
+			for _, c := range count[:p.j] {
+				off += int(max(c, 1) - 1)
+			}
+			values[i], found[i], reads = s.olderCandidates(sc, p.key, first[p.j], sc.more[off:off+int(c)-1], p.pos, reads)
+		}
+	}
+	return retry, reads
+}
+
+// olderCandidates walks a key's candidates after the newest, whose run
+// sits at position top of the view and missed: in view order, one read
+// each, until one holds the key. Candidates repeat only when colliding
+// fingerprints in one run left identical entries, and each run is read
+// once.
+func (s *Store) olderCandidates(sc *mapletBatchScratch, key, first uint64, more []uint64, top int32, reads int) (uint64, bool, int) {
+	for last := top; ; {
+		next := int32(-1) // the nearest candidate run past last
+		for k := -1; k < len(more); k++ {
+			id := first
+			if k >= 0 {
+				id = more[k]
+			}
+			if p := sc.rank[id]; p > last && (next < 0 || p < next) {
+				next = p
+			}
+		}
+		if next < 0 {
+			return 0, false, reads
+		}
+		reads++
+		if e, ok := search(sc.runs[next].span(key), key); ok {
+			return e.Value, !e.Tombstone, reads
+		}
+		last = next
+	}
+}
+
+// mapletBatchScratch pools mapletGetBatch's worklists and its per-chunk
+// records. Its run references are cleared before it is pooled, so it
+// retains no store data, only keys, run ids and positions.
 type mapletBatchScratch struct {
-	rem    []int32  // pending positions still unresolved
-	keys   []uint64 // their keys: the maplet probe's input
-	ends   []int32  // the probe's output: per-key candidate bounds
-	cand   []uint64 // and candidate run ids
-	crank  []int32  // each candidate's position in runs (-1: duplicate)
-	state  []int8   // per remaining key: keyAbsent, keyHit or keyRetry
-	hits   []Entry
-	probes []blockProbe
-	runs   []*run  // the attempt's view in probe order
-	rank   []int32 // run id → position in runs (-1: not in the view)
+	rem   []int32  // pending positions whose maplet probe was usable
+	retry []int32  // positions an attempt leaves for the next
+	more  []uint64 // the chunk's extra candidates, key by key
+	runs  []*run   // the attempt's view in probe order
+	rank  []int32  // run id → position in runs (-1: not in the view)
+	tally []int32  // per run: the chunk's records, then where they end
+	recs  [core.BatchChunk]readRec
+	byRun [core.BatchChunk]readRec
+	first [core.BatchChunk]uint64
+	count [core.BatchChunk]uint32
+	cand  [core.BatchChunk]uint16
 }
 
 var mapletBatchPool = sync.Pool{New: func() any { return new(mapletBatchScratch) }}
 
 // rankRuns flattens v's runs into probe order — levels top-down, runs
 // newest first — and indexes them by id.
-func (sc *mapletBatchScratch) rankRuns(v *view) (runs []*run, rank []int32) {
-	runs = sc.runs[:0]
+func (sc *mapletBatchScratch) rankRuns(v *view) {
+	runs := sc.runs[:0]
 	top := uint64(0)
 	for _, level := range v.levels {
 		for _, r := range level {
@@ -503,71 +582,40 @@ func (sc *mapletBatchScratch) rankRuns(v *view) (runs []*run, rank []int32) {
 			top = max(top, r.id)
 		}
 	}
-	rank = resize(sc.rank, int(top)+1)
-	for i := range rank {
-		rank[i] = -1
+	rank := sc.rank[:0]
+	for range top + 1 {
+		rank = append(rank, -1)
 	}
 	for i, r := range runs {
 		rank[r.id] = int32(i)
 	}
 	sc.runs, sc.rank = runs, rank
-	return runs, rank
+	sc.tally = append(sc.tally[:0], make([]int32, len(runs))...)
 }
 
-// resize returns s with length n, reallocating only when it lacks the
-// capacity; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// blockProbe is one staged search for key in seg, a sorted span of one
-// run. searchBlocks narrows the window seg[base:base+n] to at most one
-// entry, which is key's if seg holds it.
-type blockProbe struct {
-	seg     []Entry
-	key     uint64
-	base, n int
-	j, ci   int32 // the key's position in the attempt, and its candidate
-}
-
-// searchBlocks searches every probe's span at once. Each round halves
-// every open window with one branch-free step, so a round's loads are
-// independent and their cache misses overlap, where searching one key
-// at a time pays its ~7 dependent misses back to back.
-func searchBlocks(ps []blockProbe) {
+// searchBlocks searches every record's span at once: rec.key in seg,
+// the entries of one run. Each round halves every open window with one
+// branch-free step, so a round's loads are independent and their cache
+// misses overlap, where searching one key at a time pays its ~7
+// dependent misses back to back. A window of one entry steps in place,
+// so no record needs a branch; afterwards each window holds one entry,
+// which is the key's if the span holds it.
+func searchBlocks(recs []readRec, seg []Entry) {
 	rounds := 0
-	for i := range ps {
-		n := len(ps[i].seg)
-		ps[i].base, ps[i].n = 0, n
-		if n > 1 {
-			rounds = max(rounds, bits.Len(uint(n-1))) // halvings to reach 1
-		}
+	for k := range recs {
+		rounds = max(rounds, bits.Len32(recs[k].n-1)) // halvings to reach 1
 	}
 	for ; rounds > 0; rounds-- {
-		for i := range ps {
-			p := &ps[i]
+		for k := range recs {
+			p := &recs[k]
 			n, base := p.n, p.base
-			if n <= 1 {
-				continue
-			}
 			half := n >> 1
-			if p.seg[base+half].Key <= p.key {
+			if seg[base+half].Key <= p.key {
 				base += half // a conditional move: the compare's outcome is a coin flip
 			}
 			p.base, p.n = base, n-half
 		}
 	}
-}
-
-// result reports what searchBlocks found for the probe.
-func (p *blockProbe) result() (Entry, bool) {
-	if p.n == 1 && p.seg[p.base].Key == p.key {
-		return p.seg[p.base], true
-	}
-	return Entry{}, false
 }
 
 // probeAllRuns is the filterless fallback: binary-search every run whose

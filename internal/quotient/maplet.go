@@ -1,6 +1,8 @@
 package quotient
 
 import (
+	"math/bits"
+
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
 )
@@ -110,36 +112,210 @@ func (m *Maplet) appendFP(dst []uint64, fq, fr uint64) []uint64 {
 	return dst
 }
 
-// GetBatch resolves every key's candidate values in one pass,
-// hash-once / probe-many like Filter.ContainsBatch: a chunk's
-// fingerprints are all computed up front, a pure load loop fetches
-// each quotient's occupied-bit word so the cache misses overlap, and
-// only keys whose quotient is occupied pay for the cluster walk. Key
-// i's candidates land in dst[ends[i-1]:ends[i]] (ends[-1] reads as 0).
-// Both slices are appended to and returned so callers can pool the
-// backing arrays.
+// GetBatch resolves every key's candidate values in one pass (see
+// ProbeBatch). Key i's candidates land in dst[ends[i-1]:ends[i]]
+// (ends[-1] reads as 0). Both slices are appended to and returned so
+// callers can pool the backing arrays.
 func (m *Maplet) GetBatch(keys []uint64, ends []int32, dst []uint64) ([]int32, []uint64) {
-	occWords := m.t.occupied.Words()
-	var fqs, frs, ows [core.BatchChunk]uint64
+	var first [core.BatchChunk]uint64
+	var count [core.BatchChunk]uint32
 	for start := 0; start < len(keys); start += core.BatchChunk {
-		chunk := keys[start:]
-		if len(chunk) > core.BatchChunk {
-			chunk = chunk[:core.BatchChunk]
+		chunk := keys[start:min(start+core.BatchChunk, len(keys))]
+		// The extra candidates are appended to dst, then spread out from
+		// the top down so that each key's first candidate can sit in front
+		// of them: a key's block only ever moves up, past spilled values
+		// of keys already placed.
+		base := len(dst)
+		dst = m.ProbeBatch(chunk, nil, first[:], count[:], dst)
+		total := 0
+		for _, c := range count[:len(chunk)] {
+			total += int(c)
 		}
-		for i, k := range chunk {
-			fqs[i], frs[i] = m.fingerprint(k)
-		}
-		for i := range chunk {
-			ows[i] = occWords[fqs[i]>>6]
-		}
-		for i := range chunk {
-			if ows[i]>>(fqs[i]&63)&1 == 1 {
-				dst = m.appendFP(dst, fqs[i], frs[i])
+		spill := len(dst)
+		dst = append(dst, make([]uint64, base+total-len(dst))...)
+		at := base + total
+		for j := len(chunk) - 1; j >= 0; j-- {
+			c := int(count[j])
+			if c == 0 {
+				continue
 			}
-			ends = append(ends, int32(len(dst)))
+			spill -= c - 1
+			at -= c
+			copy(dst[at+1:at+c], dst[spill:spill+c-1])
+			dst[at] = first[j]
+		}
+		for j := range chunk {
+			base += int(count[j])
+			ends = append(ends, int32(base))
 		}
 	}
 	return ends, dst
+}
+
+// ProbeBatch is the maplet's batch probe, hash-once / probe-many like
+// Filter.ContainsBatch. It resolves the keys keys[at[j]], or keys[j]
+// when at is nil: at most core.BatchChunk of them. Key j's candidate
+// count goes to count[j] and, when it has one, its first (smallest)
+// candidate to first[j]. Any further candidates are appended to more,
+// key by key, in value order, and the extended slice is returned.
+//
+// It runs in passes, and only the first two see every key. The hash
+// pass computes every fingerprint. A pure load pass fetches each
+// quotient's occupied word, so the cache misses overlap, and keeps the
+// keys whose quotient is occupied. For those, a decode pass finds the
+// run in its quotient's shifted and continuation words, and a compare
+// pass reads the payload window at the run's start and matches every
+// slot in it at once. The few runs the word or the window does not
+// hold, and the keys with more than one candidate, take the scalar
+// walk: a slot scan of the run, which findRunFast locates unless the
+// decode found its start. No pass before that walk branches on a key.
+func (m *Maplet) ProbeBatch(keys []uint64, at []int32, first []uint64, count []uint32, more []uint64) []uint64 {
+	n := len(keys)
+	if at != nil {
+		n = len(at)
+	}
+	if n > core.BatchChunk {
+		panic("quotient: ProbeBatch takes at most core.BatchChunk keys")
+	}
+	first, count = first[:n], count[:n]
+	t := m.t
+	// live lists the occupied keys; runs[k] holds live key k's decoded
+	// run start, and then the list the scalar walk takes, st<<16 | j.
+	var fqs, frs, con, runs [core.BatchChunk]uint64
+	var live [core.BatchChunk]uint16
+	if at == nil {
+		copy(fqs[:n], keys)
+	} else {
+		for j, i := range at {
+			fqs[j] = keys[i]
+		}
+	}
+	seed, fpMask, r, rmask, mix := m.seed, hashutil.Mask(t.q+m.r), m.r&63, hashutil.Mask(m.r), !m.identity
+	for j := 0; j < n; j++ {
+		fp := fqs[j]
+		if mix {
+			fp = hashutil.MixSeed(fp, seed)
+		}
+		fp &= fpMask
+		fqs[j], frs[j] = fp>>r, fp&rmask
+	}
+	occW, shfW, conW := t.occupied.Words(), t.shifted.Words(), t.continuation.Words()
+	nl := 0
+	for j := 0; j < n; j++ {
+		fq := fqs[j]
+		count[j] = 0
+		live[nl] = uint16(j)
+		nl += int(occW[fq>>6] >> (fq & 63) & 1)
+	}
+	// Decode: find each run in its quotient's word. The cluster holding
+	// fq starts at cs, the last slot at or below it that is not shifted;
+	// fq's run is the c-th run of the cluster, c the occupied quotients in
+	// [cs, fq], and starts at the c-th clear continuation bit from cs.
+	// A run the word does not hold, or past the fourth of its cluster,
+	// gets a start of 64, which marks it for the scalar walk.
+	for k, j := range live[:nl] {
+		fq := fqs[j]
+		wi, b := fq>>6, fq&63
+		upto := ^uint64(0) >> (63 - b)
+		x := ^shfW[wi] & upto
+		cs := uint64(63-bits.LeadingZeros64(x|1)) & 63
+		from := ^uint64(0) << cs
+		c := bits.OnesCount64(occW[wi] & upto & from)
+		cw := conW[wi]
+		z1 := ^cw & from
+		z2 := z1 & (z1 - 1)
+		z3 := z2 & (z2 - 1)
+		z4 := z3 & (z3 - 1)
+		z := z1
+		if c >= 2 {
+			z = z2
+		}
+		if c >= 3 {
+			z = z3
+		}
+		if c >= 4 {
+			z = z4
+		}
+		st := uint64(bits.TrailingZeros64(z))
+		if c > 4 || x == 0 {
+			st = 64
+		}
+		runs[k], con[k] = st, cw
+	}
+	// Compare: the payload window at the run's start holds lanes whole
+	// slots (none below 64 slots, where a metadata word does not cover
+	// 64 of them). A slot's remainder field matches when it XORs to zero
+	// with fr's: adding the field's low bits to all-ones carries into its
+	// top bit exactly when they are not all zero, and never past it. A
+	// lane counts when the run reaches it; a run longer than the window
+	// is walked.
+	pw, w := t.payload.RawWords(), uint64(t.width)
+	vb, vmask := uint64(m.vBits)&63, hashutil.Mask(m.vBits)
+	lanes := uint64(0)
+	if t.q >= 6 {
+		lanes = 64 / w
+	}
+	rep := uint64(0) // the lowest bit of every lane
+	for i := uint64(0); i < lanes; i++ {
+		rep |= 1 << (i * w)
+	}
+	fields := rmask << vb * rep
+	tops := uint64(1) << ((w - 1) & 63) * rep
+	lows := fields &^ tops
+	mask := t.mask
+	ns := 0
+	for k, j := range live[:nl] {
+		fq, st := fqs[j], runs[k]
+		// The run is [s, s+l); l is 65 when it goes past the word.
+		l := uint64(bits.TrailingZeros64(^con[k]>>(st&63)>>1)) + 1
+		bp := (fq&^63 | st&63) & mask * w // in the table when it holds under 64 slots
+		wi, sh := bp>>6, bp&63
+		e := pw[wi]>>sh | pw[wi+1]<<1<<(63-sh)
+		x := (e ^ frs[j]<<vb*rep) & fields
+		span := min(l, lanes) * w // window bits the run covers
+		hit := ^((x&lows + lows) | x) & tops & (^uint64(0) >> ((64 - span) & 63))
+		c := uint64(bits.OnesCount64(hit))
+		first[j] = e >> ((uint64(bits.TrailingZeros64(hit)) + 1 - w) & 63) & vmask
+		count[j] = uint32(c)
+		_, over := bits.Sub64(lanes, l, 0) // 1: the run is longer than the window
+		_, multi := bits.Sub64(1, c, 0)
+		runs[ns] = st<<16 | uint64(j)
+		ns += int(over | multi | st>>6)
+	}
+	// The listed keys walk their run slot by slot. The run is sorted by
+	// payload, so fr's entries are adjacent and the scan stops at the
+	// first larger remainder.
+	for _, js := range runs[:ns] {
+		j, st := js&0xFFFF, js>>16
+		fq, fr := fqs[j], frs[j]
+		// A run whose start the decode found only needs its end.
+		s, l, ok := fq&^63|st, uint64(0), false
+		if st < 64 {
+			var e uint64
+			e, ok = firstZero(conW, s+1, t.slots)
+			l = e - s
+		}
+		if !ok {
+			s, l, _ = t.findRunFast(fq)
+		}
+		c := uint32(0)
+		for i := uint64(0); i < l; i++ {
+			e := t.payload.Get(int((s + i) & t.mask))
+			if r := e >> vb; r > fr {
+				break
+			} else if r < fr {
+				continue
+			}
+			if c == 0 {
+				first[j] = e & vmask
+			} else {
+				more = append(more, e&vmask)
+			}
+			c++
+		}
+		count[j] = c
+	}
+	return more
 }
 
 // Delete removes one (key, value) association. Returns ErrNotFound if no
@@ -204,6 +380,10 @@ func (m *Maplet) Expand() error {
 	m.r--
 	return nil
 }
+
+// FinalSlots returns the slot count after the last doubling Expand
+// allows, when one remainder bit is left: 2^(q+r−1).
+func (m *Maplet) FinalSlots() uint64 { return 1 << (m.t.q + m.r - 1) }
 
 // ValueBits returns the value width in bits.
 func (m *Maplet) ValueBits() uint { return m.vBits }
@@ -273,3 +453,5 @@ func (rm *ResolvingMaplet) SizeBits() int {
 func (rm *ResolvingMaplet) AuxLen() int { return len(rm.aux) }
 
 var _ core.Maplet = (*ResolvingMaplet)(nil)
+
+var dbgSlow, dbgN int

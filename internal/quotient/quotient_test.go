@@ -667,6 +667,85 @@ func TestMapletGetBatchMatchesGet(t *testing.T) {
 	}
 }
 
+// TestMapletProbeBatchMatchesGet drives ProbeBatch across geometries
+// that reach every path of its kernel: tables below 64 slots (no
+// window), remainders of one to twenty bits (runs of colliding
+// entries, many candidates per key), one to three slots per window,
+// loads up to 0.9 (long clusters, runs across words and past slot 0),
+// keys with several values, identity fingerprints, and keys taken in
+// order or through a shuffled index list.
+func TestMapletProbeBatchMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, g := range []struct {
+		q, r, v  uint
+		identity bool
+	}{
+		{4, 8, 4, false}, {6, 3, 2, false}, {8, 1, 1, false}, {10, 6, 5, false},
+		{12, 12, 5, false}, {9, 10, 40, false}, {7, 20, 12, false}, {10, 4, 3, true},
+	} {
+		for _, load := range []float64{0.3, 0.6, 0.9} {
+			m := NewMaplet(g.q, g.r, g.v)
+			if g.identity {
+				m = NewMapletIdentity(g.q, g.r, g.v)
+			}
+			var keys []uint64
+			for i := 0; m.LoadFactor() < load; i++ {
+				k := rng.Uint64()
+				if i%5 == 4 && len(keys) > 0 {
+					k = keys[rng.Intn(len(keys))] // a second value for a key
+				} else {
+					keys = append(keys, k)
+				}
+				if err := m.Put(k, rng.Uint64()); err != nil {
+					break
+				}
+			}
+			probe := append(append([]uint64{}, keys...), workload.DisjointKeys(len(keys), 61)...)
+			for _, ordered := range []bool{true, false} {
+				for at := 0; at < len(probe); at += core.BatchChunk {
+					chunk := probe[at:min(at+core.BatchChunk, len(probe))]
+					var idx []int32
+					src := chunk
+					if !ordered {
+						src = probe
+						idx = make([]int32, len(chunk))
+						for j := range idx {
+							idx[j] = int32(rng.Intn(len(probe)))
+						}
+					}
+					first := make([]uint64, len(chunk))
+					count := make([]uint32, len(chunk))
+					more := m.ProbeBatch(src, idx, first, count, nil)
+					for j := range chunk {
+						k := src[j]
+						if idx != nil {
+							k = src[idx[j]]
+						}
+						want := m.Get(k)
+						got := []uint64(nil)
+						if count[j] > 0 {
+							got = append(got, first[j])
+							got = append(got, more[:count[j]-1]...)
+							more = more[count[j]-1:]
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%+v load %.1f key %d: ProbeBatch %v, Get %v", g, load, k, got, want)
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%+v load %.1f key %d: ProbeBatch %v, Get %v", g, load, k, got, want)
+							}
+						}
+					}
+					if len(more) != 0 {
+						t.Fatalf("%+v: %d extra candidates left over", g, len(more))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMapletExpand(t *testing.T) {
 	m := NewMaplet(8, 12, 8)
 	keys := workload.Keys(200, 47)

@@ -60,7 +60,7 @@ go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano fuzz burst (10s each) =="
+echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano + maplet read fuzz burst (10s each) =="
 go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzSealedPayload -fuzztime 10s ./internal/persisttest >/dev/null
@@ -72,5 +72,6 @@ go test -run '^$' -fuzz FuzzFilterChurn -fuzztime 10s ./internal/quotient >/dev/
 go test -run '^$' -fuzz FuzzCounterCodec -fuzztime 10s ./internal/quotient >/dev/null
 go test -run '^$' -fuzz FuzzCuckooChurn -fuzztime 10s ./internal/cuckoo >/dev/null
 go test -run '^$' -fuzz FuzzRoundTripAndSearch -fuzztime 10s ./internal/ef >/dev/null
+go test -run '^$' -fuzz FuzzMapletGetBatch -fuzztime 10s ./internal/lsm >/dev/null
 
 echo "OK"
