@@ -108,7 +108,14 @@ func TestE1SpaceShape(t *testing.T) {
 }
 
 func TestE2Runs(t *testing.T) { runOne(t, "E2") }
-func TestE3Runs(t *testing.T) { runOne(t, "E3") }
+
+// TestE3Runs pins E3's FPR-per-expansion table to testdata/e3.json at
+// full scale: every cell is a false-positive rate of seeded keys
+// against seeded filters, so the run is deterministic. (At the test
+// scale the infinifilter column reads all zeros and would pin nothing;
+// the query-cost table holds wall-clock times and is not pinned.)
+// Regenerate with `go test ./internal/experiments -run TestE3Runs -update`.
+func TestE3Runs(t *testing.T) { wantGolden(t, "E3", runAt(t, "E3", 1)[:1]) }
 
 // TestE4Runs pins E4's -json rendering to testdata/e4.json: every cell
 // is a count or a rate of seeded keys against seeded filters, and the
