@@ -14,7 +14,6 @@ import (
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/cuckoo"
 	"beyondbloom/internal/experiments"
-	"beyondbloom/internal/infini"
 	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/ribbon"
 	"beyondbloom/internal/workload"
@@ -91,7 +90,7 @@ func BenchmarkFilterInsert_Cuckoo(b *testing.B) {
 }
 
 func BenchmarkFilterInsert_Infini(b *testing.B) {
-	f, err := infini.New(10)
+	f, err := quotient.NewInfini(10)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
 	"beyondbloom/internal/grafite"
-	"beyondbloom/internal/infini"
 	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/workload"
 	"beyondbloom/internal/xorfilter"
@@ -60,7 +59,7 @@ func main() {
 	fmt.Printf("maplet:   Get(keys[42]) = %v (PRS ≈ 1+ε)\n", m.Get(keys[42]))
 
 	// 6. Expansion: an InfiniFilter grows 64x with a stable FPR.
-	inf, err := infini.New(8)
+	inf, err := quotient.NewInfini(8)
 	must(err)
 	for _, k := range keys[:50000] {
 		must(inf.Insert(k))

@@ -24,8 +24,9 @@ const (
 	TypeSharded        uint16 = 21 // concurrent.Sharded
 	TypeBlockedChoices uint16 = 22 // bloom.BlockedChoices
 	TypeScalableBloom  uint16 = 23 // bloom.Scalable
-	TypeInfini         uint16 = 24 // infini.Filter
+	_                  uint16 = 24 // retired: infini.Filter's bucket-list layout
 	TypeTaffy          uint16 = 25 // taffy.Filter
+	TypeInfini         uint16 = 26 // quotient.Infini
 
 	// Application-layer kinds (not filters; decoded by their owners).
 	TypeLSMManifest   uint16 = 32 // lsm store manifest, v1 layout (pre-durability)

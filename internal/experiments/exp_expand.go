@@ -4,7 +4,6 @@ import (
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
-	"beyondbloom/internal/infini"
 	"beyondbloom/internal/metrics"
 	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/workload"
@@ -36,7 +35,7 @@ func runE3(cfg Config) []*metrics.Table {
 		panic(err) // parameters are statically valid
 	}
 	cc := cuckoo.NewChained(start, 13)
-	inf, err := infini.New(12)
+	inf, err := quotient.NewInfini(12)
 	if err != nil {
 		panic(err) // parameters are statically valid
 	}

@@ -11,8 +11,8 @@ import (
 	"beyondbloom/internal/concurrent"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
-	"beyondbloom/internal/infini"
 	"beyondbloom/internal/metrics"
+	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/taffy"
 	"beyondbloom/internal/workload"
 )
@@ -95,7 +95,7 @@ func e23Drift(cfg Config) *metrics.Table {
 	if err != nil {
 		panic(err) // parameters are statically valid
 	}
-	inf, err := infini.New(8)
+	inf, err := quotient.NewInfini(8)
 	if err != nil {
 		panic(err) // parameters are statically valid
 	}

@@ -2,12 +2,14 @@ package persisttest
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"beyondbloom/internal/codec"
 	"beyondbloom/internal/core"
 )
 
@@ -66,5 +68,22 @@ func TestGoldenFiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredInfiniImageRefused loads an image of the retired TypeID 24,
+// the InfiniFilter that kept a list of entries per bucket (testdata
+// holds the golden it wrote). Its kind is no longer registered, so the
+// load must fail with an error wrapping ErrCorrupt, not a panic.
+func TestRetiredInfiniImageRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "infini_type24.bbf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := codec.PeekKind(bytes.NewReader(old)); err != nil || kind != 24 {
+		t.Fatalf("fixture kind %d (%v), want the retired 24", kind, err)
+	}
+	if _, err := core.Load(bytes.NewReader(old)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("Load of a TypeID 24 image: %v, want an error wrapping codec.ErrCorrupt", err)
 	}
 }

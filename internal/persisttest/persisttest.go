@@ -15,7 +15,6 @@ import (
 	"beyondbloom/internal/concurrent"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
-	"beyondbloom/internal/infini"
 	"beyondbloom/internal/quotient"
 	"beyondbloom/internal/taffy"
 	"beyondbloom/internal/xorfilter"
@@ -30,12 +29,6 @@ type Fixture struct {
 	// encoding (shards for wrappers, 1 otherwise); the SizeBits
 	// cross-check scales its header-overhead allowance by it.
 	Components int
-	// EncodedSlackBits is extra allowance for filters whose SizeBits is
-	// deliberately not a byte count of their state — infini reports the
-	// paper's packed-slot layout, while its recovery encoding stores
-	// byte-aligned (fingerprint, length) pairs. Zero for every filter
-	// whose accounting and encoding describe the same bytes.
-	EncodedSlackBits int
 }
 
 // Keys returns n deterministic pseudo-random keys (golden files and
@@ -137,7 +130,7 @@ func Fixtures(n int) ([]Fixture, error) {
 	}
 	fixtures = append(fixtures, Fixture{Name: "bloom.Scalable", Filter: sb, Keys: keys, Components: 1})
 
-	inf, err := infini.New(4)
+	inf, err := quotient.NewInfini(4)
 	if err != nil {
 		return nil, fmt.Errorf("infini build: %w", err)
 	}
@@ -146,11 +139,7 @@ func Fixtures(n int) ([]Fixture, error) {
 			return nil, fmt.Errorf("infini insert: %w", err)
 		}
 	}
-	// infini's SizeBits models the paper's bit-packed slot layout
-	// (~len+5 bits per entry); the byte-aligned recovery encoding costs
-	// up to ~2x that, so the cross-check gets the difference as slack.
-	fixtures = append(fixtures, Fixture{Name: "infini", Filter: inf, Keys: keys, Components: 1,
-		EncodedSlackBits: inf.SizeBits()})
+	fixtures = append(fixtures, Fixture{Name: "infini", Filter: inf, Keys: keys, Components: 1})
 
 	tf, err := taffy.New(8, 1.0/128)
 	if err != nil {

@@ -69,14 +69,23 @@ func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
 		}},
 		// 4096 shards, none of which follow the header.
 		{"concurrent.Sharded", core.Spec{Type: core.TypeSharded, LogShards: 12, Seed: 1}, nil},
-		// 2^40 buckets claimed, 36 bucket bytes present.
+		// A table of 2^40 slots claimed, empty vectors present.
 		{"infini", core.Spec{Type: core.TypeInfini, Q: 40, Seed: 1}, func(e *codec.Enc) error {
 			e.U32(0)
 			e.U64(0)
 			e.U64(0)
-			e.F64(0.9)
-			e.Write(make([]byte, 36))
-			return nil
+			_, err := codec.Encode(e, codec.KindQTable, func(e *codec.Enc) error {
+				e.U8(40)
+				e.U8(17)
+				e.U64(0)
+				for range 3 {
+					if err := emptyVector(e); err != nil {
+						return err
+					}
+				}
+				return emptyPacked(e)
+			})
+			return err
 		}},
 		// 2^30 extents claimed, none present.
 		{"taffy", core.Spec{Type: core.TypeTaffy, N: 1 << 41, BitsPerKey: 0.01, Seed: 1}, func(e *codec.Enc) error {

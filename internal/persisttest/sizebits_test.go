@@ -33,7 +33,7 @@ func TestSizeBitsMatchesEncoding(t *testing.T) {
 			}
 			encodedBits := buf.Len() * 8
 			sizeBits := fx.Filter.SizeBits()
-			slackBits := 8*maxOverheadBytes*fx.Components + fx.EncodedSlackBits
+			slackBits := 8 * maxOverheadBytes * fx.Components
 			if encodedBits < sizeBits {
 				t.Errorf("encoding is %d bits but SizeBits reports %d: state missing from the file",
 					encodedBits, sizeBits)

@@ -11,12 +11,13 @@ import (
 
 func init() {
 	core.Register(core.TypeQuotient, "quotient", FromSpec)
+	core.Register(core.TypeInfini, "infini", InfiniFromSpec)
 }
 
 // writeTo serializes the shared physical table as one KindQTable frame:
 // geometry, slot usage, the three metadata bit vectors, and the packed
-// payload. Every table-based variant (set filter, maplet) reuses this
-// one codec.
+// payload. Every table-based variant (set filter, maplet, InfiniFilter)
+// reuses this one codec.
 func (t *table) writeTo(w io.Writer) (int64, error) {
 	return codec.Encode(w, codec.KindQTable, func(e *codec.Enc) error {
 		e.U8(uint8(t.q))
@@ -185,4 +186,61 @@ func (m *Maplet) decode(d *codec.Dec) error {
 	return nil
 }
 
-var _ core.Persistent = (*Filter)(nil)
+// WriteTo serializes the InfiniFilter as one frame: the construction
+// Spec, the doublings, the entry and void counts, and the nested table
+// frame. The current table width is implied, q = Spec.Q + doublings.
+func (f *Infini) WriteTo(w io.Writer) (int64, error) {
+	return core.EncodeFrame(w, f.spec, func(e *codec.Enc) error {
+		e.U32(uint32(f.exps))
+		e.U64(uint64(f.t.used))
+		e.U64(uint64(f.voids))
+		_, err := f.t.writeTo(e)
+		return err
+	})
+}
+
+// ReadFrom restores an InfiniFilter written by WriteTo into the receiver
+// (see core.DecodeFrame for the validation contract), checking the
+// table's geometry against the doublings and every code: none is 0,
+// each run ascends, and the entries and voids number what the header
+// says.
+func (f *Infini) ReadFrom(r io.Reader) (int64, error) {
+	return core.DecodeFrame(r, core.TypeInfini, f, infiniShape, (*Infini).decode)
+}
+
+// decode reads the fields WriteTo wrote into a shaped filter.
+func (f *Infini) decode(d *codec.Dec) error {
+	exps, n, voids := uint(d.U32()), d.U64(), d.U64()
+	t, err := readTable(d)
+	if err != nil {
+		return err
+	}
+	if q := uint(f.spec.Q) + exps; t.q != q || t.width != InfiniFreshBits+1 || n != uint64(t.used) {
+		return d.Corruptf("quotient: infini table q=%d width=%d used=%d, want q=%d width=%d used=%d",
+			t.q, t.width, t.used, q, InfiniFreshBits+1, n)
+	}
+	gotVoids := uint64(0)
+	c, last := t.scan(), entry{fq: ^uint64(0)}
+	var buf [256]entry
+	for k := c.read(buf[:]); k > 0; k = c.read(buf[:]) {
+		for _, e := range buf[:k] {
+			if e.v == 0 || e.fq == last.fq && e.v < last.v {
+				return d.Corruptf("quotient: infini code %#x in run %d is malformed or out of order", e.v, e.fq)
+			}
+			if e.v == 1 {
+				gotVoids++
+			}
+			last = e
+		}
+	}
+	if gotVoids != voids {
+		return d.Corruptf("quotient: infini header counts %d voids, table holds %d", voids, gotVoids)
+	}
+	f.t, f.exps, f.voids = t, int(exps), int(voids)
+	return nil
+}
+
+var (
+	_ core.Persistent = (*Filter)(nil)
+	_ core.Persistent = (*Infini)(nil)
+)

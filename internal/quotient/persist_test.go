@@ -77,3 +77,62 @@ func TestLoadRejectsInconsistentTables(t *testing.T) {
 		})
 	}
 }
+
+// TestInfiniLoadRejectsBadCodes hands the InfiniFilter loader images
+// whose table is consistent but whose codes or counters are not: a code
+// of 0 has no length marker, a void count must match the codes of 1,
+// and a run's codes must ascend. Each must fail with an error wrapping
+// codec.ErrCorrupt.
+func TestInfiniLoadRejectsBadCodes(t *testing.T) {
+	// firstFull returns the first full slot that starts a run of at
+	// least n slots.
+	firstFull := func(f *Infini, n uint64) uint64 {
+		for fq := uint64(0); fq < f.t.slots; fq++ {
+			if s, m, ok := f.t.findRun(fq); ok && m >= n {
+				return s
+			}
+		}
+		t.Fatalf("no run of %d slots", n)
+		return 0
+	}
+	faults := map[string]func(f *Infini){
+		"code 0 in a full slot": func(f *Infini) { f.t.payload.Set(int(firstFull(f, 1)), 0) },
+		"void count off by one": func(f *Infini) { f.voids++ },
+		"a void the header does not count": func(f *Infini) {
+			f.t.payload.Set(int(firstFull(f, 1)), 1)
+		},
+		"run out of order": func(f *Infini) {
+			s := firstFull(f, 2)
+			a, b := f.t.payload.Get(int(s)), f.t.payload.Get(int((s+1)&f.t.mask))
+			f.t.payload.Set(int(s), max(a, b)+1)
+		},
+	}
+	for name, fault := range faults {
+		t.Run(name, func(t *testing.T) {
+			f, err := NewInfini(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range workload.Keys(3000, 5) {
+				if err := f.Insert(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var good bytes.Buffer
+			if _, err := f.WriteTo(&good); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := new(Infini).ReadFrom(&good); err != nil {
+				t.Fatalf("the intact image does not load: %v", err)
+			}
+			fault(f)
+			var buf bytes.Buffer
+			if _, err := f.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := new(Infini).ReadFrom(&buf); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("load returned %v, want an error wrapping codec.ErrCorrupt", err)
+			}
+		})
+	}
+}

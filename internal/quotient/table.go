@@ -2,9 +2,10 @@
 // the tutorial): the classic quotient filter with three metadata bits per
 // slot (is_occupied, is_continuation, is_shifted) and Robin-Hood-style
 // shifting, the counting quotient filter with the variable-length counter
-// encoding, and a maplet variant that stores a small value next to each
-// remainder (§2.4). All variants support deletion, iteration, and
-// doubling (expansion by sacrificing one fingerprint bit, §2.2).
+// encoding, a maplet variant that stores a small value next to each
+// remainder (§2.4), and the InfiniFilter, whose slots hold fingerprints
+// of variable length (§2.2). All variants support deletion, iteration,
+// and doubling (expansion by sacrificing one fingerprint bit, §2.2).
 //
 // The variants share one slot table (table.go). An edit locates its run
 // once and shifts its cluster by words; a doubling or a merge reads the

@@ -51,7 +51,7 @@ sh scripts/filterd_smoke.sh
 echo "== benchmark smoke (1 iteration, -short) =="
 go test -short -run '^$' -bench 'Filter|Persist|LSMConcurrent' -benchtime 1x -benchmem . >/dev/null
 go test -short -run '^$' -bench 'StoreSeed|StoreGetBatch' -benchtime 1x ./internal/lsm >/dev/null
-go test -short -run '^$' -bench 'MapletExpand|MapletUpdate' -benchtime 1x ./internal/quotient >/dev/null
+go test -short -run '^$' -bench 'MapletExpand|MapletUpdate|InfiniInsert|InfiniContains' -benchtime 1x ./internal/quotient >/dev/null
 go test -short -run '^$' -bench 'Blocked(Contains|Insert)Batch|BlockedFill' -benchtime 1x ./internal/bloom >/dev/null
 go test -short -run '^$' -bench 'WireProbeFrame|JSONBody|LoadFilterFile' -benchtime 1x ./internal/server >/dev/null
 

@@ -55,7 +55,11 @@ FPR growth (one ε per link) and pays ~1.8µs per query across 33 links;
 `scalable_bloom` holds FPR flat by tightening each stage but pays 46
 bits/key and 7-probe queries. `infinifilter` holds ~1e-4 FPR flat through
 six doublings with single-structure queries — the paper's punchline —
-while the preallocated baseline needs the final size up front.""",
+while the preallocated baseline needs the final size up front. Its
+bits/key is the quotient table it lives on: 2^19 slots of 17 code bits
+plus 3 metadata bits, at load 0.5 after the last doubling, so 40.0. (The
+bucket-list layout it replaced reported 24.2, a formula for what the
+packed layout would cost, while its heap held ~400 bits/key.)""",
 
     "E4": """**Paper claim (§2.3).** An adaptive filter sees O(εn) false positives on
 *any* sequence of n negative queries, even adversarially repeated ones;
