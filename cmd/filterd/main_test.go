@@ -134,12 +134,16 @@ func TestOpenStorePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bare directory: %v", err)
 	}
-	for k := uint64(1); k <= 5000; k++ {
+	for k := uint64(2); k <= 10000; k += 2 {
 		s.Put(k, k)
 	}
 	s.Flush()
-	if s.Runs() == 0 || s.FilterMemoryBits() == 0 {
-		t.Errorf("bare directory: %d runs carry %d filter bits, want per-run filters", s.Runs(), s.FilterMemoryBits())
+	// Only a per-run filter is probed for an absent key inside the runs'
+	// key range; every policy's runs carry filter memory (their radix
+	// start tables), so FilterMemoryBits cannot tell.
+	probes := s.FilterProbes()
+	if _, ok := s.Get(4243); ok || s.Runs() == 0 || s.FilterProbes() == probes {
+		t.Errorf("bare directory: Get(4243) over %d runs probed %d filters, want per-run filters", s.Runs(), s.FilterProbes()-probes)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

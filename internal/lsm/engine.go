@@ -210,8 +210,8 @@ func (s *Store) merge(id uint64, fresh []Entry, runs []*run, drop bool) []Entry 
 	return out
 }
 
-// buildRun charges a new run's write I/O, builds its filters (a maplet
-// run's radix start table) and registers it with the engine.
+// buildRun charges a new run's write I/O, builds its filters and radix
+// start table and registers it with the engine.
 func (s *Store) buildRun(r *run) {
 	s.devWrite((len(r.entries) + entriesPerBlock - 1) / entriesPerBlock)
 	var bf *bloom.Filter
@@ -227,9 +227,7 @@ func (s *Store) buildRun(r *run) {
 		}
 		r.filter = bf
 	}
-	if s.maplet != nil {
-		r.index()
-	}
+	r.index()
 	if s.opts.RangeFilter != nil {
 		keys := make([]uint64, len(r.entries))
 		for i, e := range r.entries {

@@ -346,7 +346,8 @@ type run struct {
 	filter  core.Filter
 	rangeF  core.RangeFilter
 	level   int
-	// A maplet run's radix start table (see index).
+	// The run's radix start table (see index): every point read
+	// searches only the span it gives.
 	start []uint32
 	lo    uint64
 	shift uint8
@@ -354,9 +355,6 @@ type run struct {
 
 func (r *run) minKey() uint64 { return r.entries[0].Key }
 func (r *run) maxKey() uint64 { return r.entries[len(r.entries)-1].Key }
-
-// find binary-searches the run; the caller has already paid the I/O.
-func (r *run) find(key uint64) (Entry, bool) { return search(r.entries, key) }
 
 // search binary-searches a sorted span of entries for key.
 func search(seg []Entry, key uint64) (Entry, bool) {
@@ -391,8 +389,8 @@ func (r *run) index() {
 	r.start[1<<b] = uint32(n)
 }
 
-// span returns the entries of an indexed run among which key lies if
-// the run holds it.
+// span returns the entries of the run among which key lies if the run
+// holds it.
 func (r *run) span(key uint64) []Entry {
 	base, n := r.bounds(key)
 	return r.entries[base : base+n]
@@ -671,18 +669,17 @@ func (s *Store) devWrite(blocks int) {
 	}
 }
 
-// probeFilter consults a run's filter block. ok is the filter's answer;
-// usable is false when the probe faulted (the caller must treat the run
-// as maybe-containing and pay the data I/O).
-func (s *Store) probeFilter(contains func() bool) (ok, usable bool) {
-	s.filterProbes.Add(1)
-	if s.opts.FilterFaults != nil {
-		if o := s.opts.FilterFaults.Next(); o.Err != nil || o.FlipBit >= 0 {
+// filterFaulted judges one filter-block probe (run filter, range filter
+// or maplet) against Options.FilterFaults and counts a faulted one as a
+// fallback: it rules nothing out, so the caller pays the data I/O.
+func (s *Store) filterFaulted() bool {
+	if ff := s.opts.FilterFaults; ff != nil {
+		if o := ff.Next(); o.Err != nil || o.FlipBit >= 0 {
 			s.filterFallbacks.Add(1)
-			return false, false
+			return true
 		}
 	}
-	return contains(), true
+	return false
 }
 
 // Put inserts or updates a key. An Apply error is fatal (panic): on a

@@ -305,8 +305,9 @@ func churnWithReaders(t *testing.T, s *Store, n int) {
 // skewed keys — sizes 1 to 3 and 2^15, a single key, keys at 0 and
 // MaxUint64 — and checks every present key lies in its span, that
 // searchBlocks over the span answers exactly as a whole-run search
-// for present and absent keys, and that FilterMemoryBits counts the
-// tables.
+// for present and absent keys, and that under every policy every run of
+// a flushed and of a reopened store has a table, which FilterMemoryBits
+// counts.
 func TestRunIndexMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sets := map[string][]uint64{
@@ -367,21 +368,42 @@ func TestRunIndexMatchesSearch(t *testing.T) {
 		}
 	}
 
-	s := New(Options{Policy: PolicyMaplet, MemtableSize: 256})
-	for _, k := range workload.Keys(20000, 3) {
-		s.Put(k, k)
+	for p := PolicyNone; p <= PolicyMaplet; p++ {
+		s := New(Options{Policy: p, MemtableSize: 256})
+		for _, k := range workload.Keys(20000, 3) {
+			s.Put(k, k)
+		}
+		s.Flush()
+		checkRunTables(t, s)
+		checkRunTables(t, reopen(t, s, Options{}))
 	}
-	s.Flush()
-	tables := 0
+}
+
+// checkRunTables fails unless every run of s has a radix start table
+// and FilterMemoryBits is the maplet plus the per-run filters plus the
+// tables.
+func checkRunTables(t *testing.T, s *Store) {
+	t.Helper()
+	want, runs := 0, 0
+	if s.maplet != nil {
+		want = s.maplet.SizeBits()
+	}
 	for _, level := range s.view.Load().levels {
 		for _, r := range level {
 			if len(r.start) < 2 {
-				t.Fatalf("run %d has no radix table", r.id)
+				t.Fatalf("policy %d: run %d has no radix table", s.opts.Policy, r.id)
 			}
-			tables += 32 * len(r.start)
+			if r.filter != nil {
+				want += r.filter.SizeBits()
+			}
+			want += 32 * len(r.start)
+			runs++
 		}
 	}
-	if got, want := s.FilterMemoryBits(), s.maplet.SizeBits()+tables; got != want {
-		t.Fatalf("FilterMemoryBits = %d, want maplet %d + tables %d", got, s.maplet.SizeBits(), tables)
+	if runs == 0 {
+		t.Fatalf("policy %d: no runs", s.opts.Policy)
+	}
+	if got := s.FilterMemoryBits(); got != want {
+		t.Fatalf("policy %d: FilterMemoryBits = %d, want %d", s.opts.Policy, got, want)
 	}
 }

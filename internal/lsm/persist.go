@@ -671,7 +671,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		wg.Add(1)
 		go func(i int, sl slot) {
 			defer wg.Done()
-			runs[i], errs[i] = loadRunFiles(fsys, dir, sl.mr, sl.level, opts.RangeFilter, maplet != nil)
+			runs[i], errs[i] = loadRunFiles(fsys, dir, sl.mr, sl.level, opts.RangeFilter)
 		}(i, sl)
 	}
 	wg.Wait()
@@ -839,11 +839,10 @@ func checkStructural(opts *Options, memtableSize, sizeRatio int, policy FilterPo
 	return nil
 }
 
-// loadRunFiles reads one run's data file, its filter file when the
-// manifest promises one, and rebuilds its range filter from the
-// reloaded keys when a builder is configured, and its radix start
-// table when the maplet indexes it.
-func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBuilder RangeFilterBuilder, indexed bool) (*run, error) {
+// loadRunFiles reads one run's data file and its filter file when the
+// manifest promises one, and rebuilds from the reloaded keys its radix
+// start table and, when a builder is configured, its range filter.
+func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBuilder RangeFilterBuilder) (*run, error) {
 	raw, err := fsys.ReadFile(filepath.Join(dir, runDataName(mr.id)))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: run %d: %w", mr.id, err)
@@ -870,9 +869,7 @@ func loadRunFiles(fsys fault.FS, dir string, mr manifestRun, level int, rangeBui
 		}
 		r.filter = f
 	}
-	if indexed {
-		r.index()
-	}
+	r.index()
 	if rangeBuilder != nil && len(r.entries) > 0 {
 		keys := make([]uint64, len(r.entries))
 		for i, e := range r.entries {

@@ -35,31 +35,16 @@ func (s *Store) Get(key uint64) (uint64, bool) {
 	if s.opts.Policy == PolicyMaplet {
 		return s.mapletGet(key)
 	}
-	for level := 0; level < len(v.levels); level++ {
-		for _, r := range v.levels[level] { // newest first
-			if len(r.entries) == 0 || key < r.minKey() || key > r.maxKey() {
-				continue
-			}
-			if r.filter != nil {
-				// A faulted filter probe cannot rule the run out, so the
-				// lookup degrades to paying the data I/O.
-				if ok, usable := s.probeFilter(func() bool { return r.filter.Contains(key) }); usable && !ok {
-					continue
-				}
-			}
-			s.devRead(1)
-			if e, ok := r.find(key); ok {
-				return e.Value, !e.Tombstone
-			}
-		}
-	}
-	return 0, false
+	return s.probeRuns(v, key)
 }
 
 // GetBatch performs a batch of point lookups, writing the value and
 // presence of keys[i] into values[i] and found[i] (both must be at
 // least len(keys) long). Results and I/O accounting are identical to
-// calling Get per key; the win is on the filter side: each run's filter
+// calling Get per key, except that with FilterFaults armed the batch
+// draws its per-run filter faults run by run, not key by key, so a
+// different probe may fault and pay the extra read (the probe and fault
+// counts still match). The win is on the filter side: each run's filter
 // is probed with the whole surviving key batch through its native
 // batched path (hash-once/probe-many) before any data block is touched,
 // instead of re-entering the filter once per key. The batch's filter
@@ -71,10 +56,10 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 	sc := getBatchPool.Get().(*getBatchScratch)
 	pending := sc.pending[:0]
 	inRange, mustProbe := sc.inRange, sc.mustProbe
-	probeKeys, probeOut, resolved := sc.probeKeys, sc.probeOut, sc.resolved
+	probeKeys, probeOut, resolved, recs := sc.probeKeys, sc.probeOut, sc.resolved, sc.recs
 	defer func() {
 		sc.pending, sc.inRange, sc.mustProbe = pending, inRange, mustProbe
-		sc.probeKeys, sc.probeOut, sc.resolved = probeKeys, probeOut, resolved
+		sc.probeKeys, sc.probeOut, sc.resolved, sc.recs = probeKeys, probeOut, resolved, recs
 		getBatchPool.Put(sc)
 	}()
 	clear(values[:len(keys)])
@@ -118,7 +103,8 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 	// service request at steady state). inRange holds the pending batch
 	// positions whose key falls in the run's key range; probeKeys/
 	// probeOut hold the (smaller) sub-batch whose filter probe was
-	// usable; resolved marks batch positions answered by some run.
+	// usable; recs hold the spans the data pass searches; resolved marks
+	// batch positions answered by some run.
 	if cap(inRange) < len(pending) {
 		inRange = make([]int32, 0, len(pending))
 	}
@@ -130,6 +116,9 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 	}
 	if cap(probeOut) < len(pending) {
 		probeOut = make([]bool, len(pending))
+	}
+	if cap(recs) < len(pending) {
+		recs = make([]readRec, 0, len(pending))
 	}
 	probeOut = probeOut[:len(pending)]
 	if cap(resolved) < len(keys) {
@@ -167,15 +156,8 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 				probeKeys = probeKeys[:0]
 				probes += len(inRange)
 				for j, i := range inRange {
-					usable := true
-					if s.opts.FilterFaults != nil {
-						if o := s.opts.FilterFaults.Next(); o.Err != nil || o.FlipBit >= 0 {
-							s.filterFallbacks.Add(1)
-							usable = false
-						}
-					}
-					mustProbe[j] = !usable
-					if usable {
+					mustProbe[j] = s.filterFaulted()
+					if !mustProbe[j] {
 						probeKeys = append(probeKeys, keys[i])
 					}
 				}
@@ -192,16 +174,26 @@ func (s *Store) GetBatch(keys []uint64, values []uint64, found []bool) {
 					mustProbe[j] = true
 				}
 			}
-			// Data pass: pay one read per surviving key, resolve hits.
-			resolvedAny := false
+			// Data pass: pay one read per surviving key and narrow it to
+			// its span (an empty span misses without a search), search
+			// every span together, and resolve the hits.
+			recs = recs[:0]
 			for j, i := range inRange {
 				if !mustProbe[j] {
 					continue
 				}
 				reads++
-				if e, ok := r.find(keys[i]); ok {
-					values[i], found[i] = e.Value, !e.Tombstone
-					resolved[i] = true
+				if base, n := r.bounds(keys[i]); n > 0 {
+					recs = append(recs, readRec{key: keys[i], base: base, n: n, j: i})
+				}
+			}
+			searchBlocks(recs, r.entries)
+			resolvedAny := false
+			for k := range recs {
+				p := &recs[k]
+				if e := &r.entries[p.base]; e.Key == p.key {
+					values[p.j], found[p.j] = e.Value, !e.Tombstone
+					resolved[p.j] = true
 					resolvedAny = true
 				}
 			}
@@ -232,6 +224,7 @@ type getBatchScratch struct {
 	probeKeys []uint64
 	probeOut  []bool
 	resolved  []bool
+	recs      []readRec
 }
 
 var getBatchPool = sync.Pool{New: func() any { return new(getBatchScratch) }}
@@ -274,11 +267,8 @@ func frozenLookup(frozen []*memRun, key uint64) (Entry, bool) {
 //     overlapping run, which needs no maplet at all.
 func (s *Store) mapletGet(key uint64) (uint64, bool) {
 	s.filterProbes.Add(1)
-	if s.opts.FilterFaults != nil {
-		if o := s.opts.FilterFaults.Next(); o.Err != nil || o.FlipBit >= 0 {
-			s.filterFallbacks.Add(1)
-			return s.probeAllRuns(s.view.Load(), key)
-		}
+	if s.filterFaulted() {
+		return s.probeRuns(s.view.Load(), key)
 	}
 	sc := mapletGetPool.Get().(*mapletGetScratch)
 	defer mapletGetPool.Put(sc)
@@ -292,7 +282,7 @@ func (s *Store) mapletGet(key uint64) (uint64, bool) {
 		return value, found && live
 	}
 	s.mapletFallbacks.Add(1)
-	return s.probeAllRuns(s.view.Load(), key)
+	return s.probeRuns(s.view.Load(), key)
 }
 
 // mapletResolve probes a candidate list against one view snapshot.
@@ -368,12 +358,11 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 	// probe is judged; faulted keys degrade to the filterless walk.
 	s.filterProbes.Add(int64(len(pending)))
 	rem := pending
-	if ff := s.opts.FilterFaults; ff != nil {
+	if s.opts.FilterFaults != nil {
 		rem = sc.rem[:0]
 		for _, i := range pending {
-			if o := ff.Next(); o.Err != nil || o.FlipBit >= 0 {
-				s.filterFallbacks.Add(1)
-				values[i], found[i] = s.probeAllRuns(s.view.Load(), keys[i])
+			if s.filterFaulted() {
+				values[i], found[i] = s.probeRuns(s.view.Load(), keys[i])
 				continue
 			}
 			rem = append(rem, i)
@@ -407,14 +396,16 @@ func (s *Store) mapletGetBatch(keys []uint64, values []uint64, found []bool, pen
 	s.devReads(reads)
 	for _, i := range rem {
 		s.mapletFallbacks.Add(1)
-		values[i], found[i] = s.probeAllRuns(s.view.Load(), keys[i])
+		values[i], found[i] = s.probeRuns(s.view.Load(), keys[i])
 	}
 }
 
-// readRec is one key's record in mapletGetBatch's kernel: the key,
-// where its newest candidate run sits in the attempt's view, the span
-// of that run still open to the search, entries [base, base+n), and
-// the key's index in the chunk.
+// readRec is one key's record for searchBlocks: the key, the span of
+// its run still open to the search, entries [base, base+n), and where
+// its answer goes. In mapletGetBatch's kernel pos is where the key's
+// newest candidate run sits in the attempt's view and j the key's index
+// in the chunk; GetBatch's per-run data pass sets j to the key's batch
+// position.
 type readRec struct {
 	key     uint64
 	base, n uint32
@@ -618,16 +609,25 @@ func searchBlocks(recs []readRec, seg []Entry) {
 	}
 }
 
-// probeAllRuns is the filterless fallback: binary-search every run whose
-// key range covers key, newest first, paying one read per probed run.
-func (s *Store) probeAllRuns(v *view, key uint64) (uint64, bool) {
+// probeRuns is the per-run point read: it walks every run whose key
+// range covers key, newest first, skips a run whose filter rules the key
+// out, and pays one read per other run to search the key's span. It is
+// Get under the Bloom, Monkey and filterless policies and the maplet's
+// fallback, whose runs carry no filter.
+func (s *Store) probeRuns(v *view, key uint64) (uint64, bool) {
 	for level := 0; level < len(v.levels); level++ {
 		for _, r := range v.levels[level] { // newest first
 			if len(r.entries) == 0 || key < r.minKey() || key > r.maxKey() {
 				continue
 			}
+			if r.filter != nil {
+				s.filterProbes.Add(1)
+				if !s.filterFaulted() && !r.filter.Contains(key) {
+					continue
+				}
+			}
 			s.devRead(1)
-			if e, ok := r.find(key); ok {
+			if e, ok := search(r.span(key), key); ok {
 				return e.Value, !e.Tombstone
 			}
 		}
@@ -672,7 +672,8 @@ func (s *Store) Scan(lo, hi uint64) []Entry {
 				continue
 			}
 			if r.rangeF != nil {
-				if ok, usable := s.probeFilter(func() bool { return r.rangeF.MayContainRange(lo, hi) }); usable && !ok {
+				s.filterProbes.Add(1)
+				if !s.filterFaulted() && !r.rangeF.MayContainRange(lo, hi) {
 					continue
 				}
 			}
@@ -738,8 +739,9 @@ func (s *Store) Runs() int {
 	return n
 }
 
-// FilterMemoryBits returns the total filter footprint: the per-run
-// filters, or the global maplet plus its runs' radix start tables.
+// FilterMemoryBits returns the total in-memory index footprint: the
+// global maplet or the per-run filters, plus every run's radix start
+// table.
 func (s *Store) FilterMemoryBits() int {
 	total := 0
 	if s.maplet != nil {

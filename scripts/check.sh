@@ -72,6 +72,6 @@ go test -run '^$' -fuzz FuzzFilterChurn -fuzztime 10s ./internal/quotient >/dev/
 go test -run '^$' -fuzz FuzzCounterCodec -fuzztime 10s ./internal/quotient >/dev/null
 go test -run '^$' -fuzz FuzzCuckooChurn -fuzztime 10s ./internal/cuckoo >/dev/null
 go test -run '^$' -fuzz FuzzRoundTripAndSearch -fuzztime 10s ./internal/ef >/dev/null
-go test -run '^$' -fuzz FuzzMapletGetBatch -fuzztime 10s ./internal/lsm >/dev/null
+go test -run '^$' -fuzz FuzzGetBatch -fuzztime 10s ./internal/lsm >/dev/null
 
 echo "OK"
