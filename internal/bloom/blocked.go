@@ -183,12 +183,45 @@ func (f *Blocked) Contains(key uint64) bool {
 	return true
 }
 
-// ContainsBatch probes every key (see core.BatchFilter). Hash state for
-// a chunk is computed up front; a pure load loop then fetches every
-// key's first probe word — one load per key, no branches between them,
-// so each key's single potential cache miss is in flight at once — and
-// a fully branchless resolve loop finishes the remaining probes out of
-// the now-warm cache lines, AND-ing all k probe bits arithmetically.
+// useAVX512 routes Blocked.ContainsBatch through the AVX-512 kernel. It
+// is haveAVX512, fixed at init; only tests clear it, to force the Go
+// kernel.
+var useAVX512 = haveAVX512
+
+// ContainsBatch probes every key (see core.BatchFilter). On a CPU with
+// AVX-512 (haveAVX512) every whole group of 8 keys goes through the
+// vector kernel (blocked_amd64.s) and the tail of fewer than 8 keys
+// through containsBatchGo; elsewhere containsBatchGo probes them all.
+// Both give every key exactly Contains's answer.
+func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
+	out = out[:len(keys)]
+	if n := len(keys) &^ 7; n > 0 && useAVX512 && vectorFits(len(f.words), f.numBlocks, f.k) {
+		containsBatchAVX512(f.words, keys[:n], out[:n], f.spec.Seed*mixSeedMul, f.numBlocks, f.k)
+		keys, out = keys[n:], out[n:]
+	}
+	f.containsBatchGo(keys, out)
+}
+
+// vectorFits reports whether the AVX-512 kernel may probe a filter of
+// nWords words, numBlocks blocks and k probes. The kernel has no bounds
+// checks. It reads word base+j, j < 8, of block Reduce(h, numBlocks) <
+// numBlocks, which lies inside the array exactly when nWords is
+// 8·numBlocks; its 32-bit Reduce is exact only for numBlocks < 2^32;
+// and it resolves 1 to blockedMaxK probes. Every constructor and
+// blocks.decode keep all three, so this is an assertion, never a
+// filter's fallback.
+func vectorFits(nWords int, numBlocks uint64, k uint) bool {
+	return numBlocks >= 1 && numBlocks < 1<<32 && uint64(nWords) == numBlocks*blockWords &&
+		k >= 1 && k <= blockedMaxK
+}
+
+// containsBatchGo is the portable ContainsBatch kernel and the vector
+// kernel's reference. Hash state for a chunk is computed up front; a
+// pure load loop then fetches every key's first probe word — one load
+// per key, no branches between them, so each key's single potential
+// cache miss is in flight at once — and a fully branchless resolve loop
+// finishes the remaining probes out of the now-warm cache lines, AND-ing
+// all k probe bits arithmetically.
 // Resolving without an early exit does a few redundant L1 loads for
 // keys whose first probe already missed, but removes the 50/50
 // data-dependent branch whose mispredictions would flush the very
@@ -198,7 +231,7 @@ func (f *Blocked) Contains(key uint64) bool {
 // at DRAM size, because the load loop is what keeps the misses
 // overlapped. The resolve loop is one straight-line body for every k
 // (see probeSkip).
-func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
+func (f *Blocked) containsBatchGo(keys []uint64, out []bool) {
 	_ = out[:len(keys)]
 	words := f.words
 	seed := f.spec.Seed * mixSeedMul

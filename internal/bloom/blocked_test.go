@@ -271,9 +271,10 @@ func BenchmarkBlockedFillStripes(b *testing.B) { benchBlockedFill(b, runtime.GOM
 // benchBlockedContainsBatch probes a blocked filter of n keys at 12
 // bits/key with 4096-key batches, every other key absent: the shape of
 // the served probe_batch workload, whose filter is the n = 2^24 one.
-// ns/key is per probed key. Comparing the cache-resident size with the
-// DRAM-sized one tells whether the batched kernel waits on memory or
-// on its own instructions.
+// ns/key is per probed key. One sub-benchmark per ContainsBatch kernel,
+// kernel=go and kernel=avx512 (skipped on a CPU without AVX-512).
+// Comparing the cache-resident size with the DRAM-sized one tells
+// whether a kernel waits on memory or on its own instructions.
 func benchBlockedContainsBatch(b *testing.B, n int) {
 	f := newBenchBlocked(n)
 	n = f.Len()
@@ -286,12 +287,16 @@ func benchBlockedContainsBatch(b *testing.B, n int) {
 		probe[i] = hashutil.Mix64(j)
 	}
 	out := make([]bool, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := i * len(out) % len(probe)
-		f.ContainsBatch(probe[at:at+len(out)], out)
+	for _, kern := range batchKernels {
+		b.Run("kernel="+kern.name, func(b *testing.B) {
+			forceKernel(b, kern.avx)
+			for i := 0; i < b.N; i++ {
+				at := i * len(out) % len(probe)
+				f.ContainsBatch(probe[at:at+len(out)], out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/key")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/key")
 }
 
 // BenchmarkBlockedContainsBatchResident: 2^14 keys, a 24 KB filter.

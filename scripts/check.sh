@@ -18,6 +18,9 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== portable build: arm64 cross-compile and vet (the Go kernel only) =="
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/bloom
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -60,7 +63,7 @@ go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano + maplet read fuzz burst (10s each) =="
+echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano + maplet read + blocked Bloom kernel fuzz burst (10s each) =="
 go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzSealedPayload -fuzztime 10s ./internal/persisttest >/dev/null
@@ -73,5 +76,6 @@ go test -run '^$' -fuzz FuzzCounterCodec -fuzztime 10s ./internal/quotient >/dev
 go test -run '^$' -fuzz FuzzCuckooChurn -fuzztime 10s ./internal/cuckoo >/dev/null
 go test -run '^$' -fuzz FuzzRoundTripAndSearch -fuzztime 10s ./internal/ef >/dev/null
 go test -run '^$' -fuzz FuzzGetBatch -fuzztime 10s ./internal/lsm >/dev/null
+go test -run '^$' -fuzz FuzzBlockedContainsBatch -fuzztime 10s ./internal/bloom >/dev/null
 
 echo "OK"
