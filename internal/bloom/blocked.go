@@ -183,9 +183,9 @@ func (f *Blocked) Contains(key uint64) bool {
 	return true
 }
 
-// useAVX512 routes Blocked.ContainsBatch through the AVX-512 kernel. It
-// is haveAVX512, fixed at init; only tests clear it, to force the Go
-// kernel.
+// useAVX512 routes Blocked.ContainsBatch and insertStripe through the
+// AVX-512 kernels. It is haveAVX512, fixed at init; only tests clear it,
+// to force the Go kernels.
 var useAVX512 = haveAVX512
 
 // ContainsBatch probes every key (see core.BatchFilter). On a CPU with
@@ -195,23 +195,23 @@ var useAVX512 = haveAVX512
 // Both give every key exactly Contains's answer.
 func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 	out = out[:len(keys)]
-	if n := len(keys) &^ 7; n > 0 && useAVX512 && vectorFits(len(f.words), f.numBlocks, f.k) {
+	if n := len(keys) &^ 7; n > 0 && useAVX512 && vectorFits(uint64(len(f.words)), f.numBlocks, f.k) {
 		containsBatchAVX512(f.words, keys[:n], out[:n], f.spec.Seed*mixSeedMul, f.numBlocks, f.k)
 		keys, out = keys[n:], out[n:]
 	}
 	f.containsBatchGo(keys, out)
 }
 
-// vectorFits reports whether the AVX-512 kernel may probe a filter of
-// nWords words, numBlocks blocks and k probes. The kernel has no bounds
-// checks. It reads word base+j, j < 8, of block Reduce(h, numBlocks) <
-// numBlocks, which lies inside the array exactly when nWords is
-// 8·numBlocks; its 32-bit Reduce is exact only for numBlocks < 2^32;
-// and it resolves 1 to blockedMaxK probes. Every constructor and
-// blocks.decode keep all three, so this is an assertion, never a
-// filter's fallback.
-func vectorFits(nWords int, numBlocks uint64, k uint) bool {
-	return numBlocks >= 1 && numBlocks < 1<<32 && uint64(nWords) == numBlocks*blockWords &&
+// vectorFits reports whether the AVX-512 kernels may probe or insert
+// into a filter of nWords words, numBlocks blocks and k probes. The
+// kernels have no bounds checks. They touch word base+j, j < 8, of
+// block Reduce(h, numBlocks) < numBlocks, which lies inside the array
+// exactly when nWords is 8·numBlocks; their 32-bit Reduce is exact only
+// for numBlocks < 2^32; and they handle 1 to blockedMaxK probes. Every
+// constructor and blocks.decode keep all three, so this is an
+// assertion, never a filter's fallback.
+func vectorFits(nWords, numBlocks uint64, k uint) bool {
+	return numBlocks >= 1 && numBlocks < 1<<32 && nWords == numBlocks*blockWords &&
 		k >= 1 && k <= blockedMaxK
 }
 
@@ -334,10 +334,23 @@ func (f *Blocked) fill(n int, gen func(at int, dst []uint64), workers int) {
 }
 
 // insertStripe inserts the keys whose block lies in [lo, hi) and skips
-// the rest, in the three passes of ContainsBatch: hash a chunk into
-// stack arrays, keeping only the stripe's keys; warm every kept key's
-// block with a pure load loop so the chunk's misses overlap; then set
-// all k bits of each kept key with one unrolled body.
+// the rest. Like ContainsBatch, it sends every whole group of 8 keys
+// through the AVX-512 kernel (blocked_amd64.s) on a CPU that has it, and
+// the tail, or every key elsewhere, through insertStripeGo; both set
+// exactly the bits Insert does.
+func (f *Blocked) insertStripe(keys []uint64, lo, hi uint64) {
+	if n := len(keys) &^ 7; n > 0 && useAVX512 && vectorFits(uint64(len(f.words)), f.numBlocks, f.k) {
+		insertStripeAVX512(f.words, keys[:n], f.spec.Seed*mixSeedMul, f.numBlocks, lo, hi-lo, f.k)
+		keys = keys[n:]
+	}
+	f.insertStripeGo(keys, lo, hi)
+}
+
+// insertStripeGo is the portable insertStripe kernel and the vector
+// kernel's reference, in three passes: hash a chunk into stack arrays,
+// keeping only the stripe's keys; warm every kept key's block with a
+// pure load loop so the chunk's misses overlap; then set all k bits of
+// each kept key with one unrolled body.
 //
 // The set pass ORs into the live words and never writes a staged word
 // back: two keys of one chunk can share a word, and a stale staged copy
@@ -345,7 +358,7 @@ func (f *Blocked) fill(n int, gen func(at int, dst []uint64), workers int) {
 // only masks probe 0's bit (live ⊇ staged, so m &^ staged sets exactly
 // what m does), which is also what keeps the warming loads from being
 // dead code.
-func (f *Blocked) insertStripe(keys []uint64, lo, hi uint64) {
+func (f *Blocked) insertStripeGo(keys []uint64, lo, hi uint64) {
 	words := f.words
 	seed := f.spec.Seed * mixSeedMul
 	numBlocks, span := f.numBlocks, hi-lo

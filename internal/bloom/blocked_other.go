@@ -8,3 +8,7 @@ const haveAVX512 = false
 func containsBatchAVX512(words, keys []uint64, out []bool, seed, numBlocks uint64, k uint) {
 	panic("bloom: no AVX-512 kernel on this GOARCH")
 }
+
+func insertStripeAVX512(words, keys []uint64, seed, numBlocks, lo, span uint64, k uint) {
+	panic("bloom: no AVX-512 kernel on this GOARCH")
+}

@@ -207,8 +207,9 @@ func newBenchBlocked(n int) *Blocked {
 // benchBlockedInsert inserts 4096-key batches of absent keys into a
 // filter already holding n keys, so every word is touched memory and
 // the DRAM size measures read-modify-write misses, not page faults.
-// ns/key is per inserted key; batch selects InsertBatch over a scalar
-// Insert loop.
+// ns/key is per inserted key; batch selects InsertBatch, with one
+// sub-benchmark per insert kernel (kernel=go, and kernel=avx512 where
+// the CPU has it), over a scalar Insert loop.
 func benchBlockedInsert(b *testing.B, n int, batch bool) {
 	f := newBenchBlocked(n)
 	keys := make([]uint64, 1<<16)
@@ -216,18 +217,30 @@ func benchBlockedInsert(b *testing.B, n int, batch bool) {
 		keys[i] = hashutil.Mix64(uint64(f.Len() + i))
 	}
 	const size = 4096
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := i * size % len(keys)
-		if batch {
-			f.InsertBatch(keys[at : at+size])
-			continue
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			at := i * size % len(keys)
+			if batch {
+				f.InsertBatch(keys[at : at+size])
+				continue
+			}
+			for _, k := range keys[at : at+size] {
+				f.Insert(k)
+			}
 		}
-		for _, k := range keys[at : at+size] {
-			f.Insert(k)
-		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
+	if !batch {
+		b.ResetTimer()
+		run(b)
+		return
+	}
+	for _, kern := range batchKernels {
+		b.Run("kernel="+kern.name, func(b *testing.B) {
+			forceKernel(b, kern.avx)
+			run(b)
+		})
+	}
 }
 
 // BenchmarkBlockedInsertScalarResident: 2^14 keys, a 24 KB filter.
@@ -244,7 +257,8 @@ func BenchmarkBlockedInsertBatchDRAM(b *testing.B) { benchBlockedInsert(b, 1<<24
 
 // benchBlockedFill fills an empty 2^22-key filter at 12 bits/key (2^16
 // under -short) from the workload key generator on the given number of
-// stripes. ns/key is per inserted key and includes key generation.
+// stripes, once per insert kernel (kernel=go and kernel=avx512). ns/key
+// is per inserted key and includes key generation.
 func benchBlockedFill(b *testing.B, workers int) {
 	n := 1 << 22
 	if testing.Short() {
@@ -252,14 +266,18 @@ func benchBlockedFill(b *testing.B, workers int) {
 	}
 	gen := workload.Gen(1)
 	f := NewBlocked(n, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		clear(f.words)
-		b.StartTimer()
-		f.fill(n, gen, workers)
+	for _, kern := range batchKernels {
+		b.Run("kernel="+kern.name, func(b *testing.B) {
+			forceKernel(b, kern.avx)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				clear(f.words)
+				b.StartTimer()
+				f.fill(n, gen, workers)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
 }
 
 // BenchmarkBlockedFillOneStripe: one worker, the serial fill.

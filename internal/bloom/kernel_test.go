@@ -103,11 +103,113 @@ func TestBlockedContainsBatchKernels(t *testing.T) {
 	}
 }
 
-// TestBlockedAVX512ReduceWideFilters checks the vector kernel's 32-bit
-// Reduce identity at block counts up to 2^32-1 without allocating such
-// a filter: every probed key is built (through Unmix64) to hash into
-// the first 2^12 blocks, the only ones the word array holds, so both
-// kernels stay inside it and must agree.
+// insertStripeWith is f.insertStripe with the kernel switch set to avx
+// for the one call.
+func insertStripeWith(f *Blocked, avx bool, keys []uint64, lo, hi uint64) {
+	defer func(old bool) { useAVX512 = old }(useAVX512)
+	useAVX512 = avx
+	f.insertStripe(keys, lo, hi)
+}
+
+// TestBlockedInsertKernels checks each insert kernel against scalar
+// Insert at every k from 1 to blockedMaxK (bits/key 1 to 16), on the
+// filter sizes of TestBlockedContainsBatchKernels. InsertBatch takes one
+// key set in batches of every length around the 8-key vector group,
+// both sides of a 256-key chunk and the served 4096-key frame; after
+// each length the keys' blocks must hold exactly the scalar filter's
+// words, and are then cleared. Stripes that are empty, one block, a
+// third of the filter (the thirds differ in size) or the whole filter
+// must set the scalar words of their own blocks and leave every other
+// block zero. A word still set at the end was written outside every
+// key's block. Neither kernel may allocate.
+func TestBlockedInsertKernels(t *testing.T) {
+	lengths := []int{255, 256, 257, 4096}
+	for m := 0; m <= 17; m++ {
+		lengths = append(lengths, m)
+	}
+	keys := workload.Keys(4096+13, 21)
+	for _, n := range []int{1 << 14, 1 << 22} {
+		for bpk := 1; bpk <= 16; bpk++ {
+			scalar := NewBlocked(n, float64(bpk))
+			for _, k := range keys {
+				scalar.Insert(k)
+			}
+			bases := make([]uint64, len(keys))
+			for i, k := range keys {
+				bases[i], _, _ = scalar.hashState(k)
+			}
+			nb, third := scalar.numBlocks, scalar.numBlocks/3
+			stripes := [][2]uint64{
+				{0, 0}, {nb / 2, nb / 2}, {nb, nb}, // empty
+				{bases[0] / blockWords, bases[0]/blockWords + 1}, // one block, holding key 0
+				{0, third}, {third, 2*third + 1}, {2*third + 1, nb}, // uneven thirds
+				{0, nb}, // the whole filter
+			}
+			for _, kern := range batchKernels {
+				t.Run(fmt.Sprintf("n=%d/bits=%d/kernel=%s", n, bpk, kern.name), func(t *testing.T) {
+					forceKernel(t, kern.avx)
+					f := NewBlocked(n, float64(bpk))
+					// check compares every key's block with the scalar
+					// filter's, or with zero outside [lo, hi), then clears it.
+					check := func(lo, hi uint64, ctx string) {
+						t.Helper()
+						for i, b := range bases {
+							in := b/blockWords-lo < hi-lo
+							for j := b; j < b+blockWords; j++ {
+								want := scalar.words[j]
+								if !in {
+									want = 0
+								}
+								if f.words[j] != want {
+									t.Fatalf("%s: key %d's block %d, word %d = %#x, Insert %#x", ctx, i, b/blockWords, j-b, f.words[j], want)
+								}
+							}
+						}
+						for _, b := range bases {
+							clear(f.words[b : b+blockWords])
+						}
+					}
+					inserted := 0
+					for _, m := range lengths {
+						if m == 0 {
+							f.InsertBatch(keys[:0])
+							continue
+						}
+						for at := 0; at < len(keys); at += m {
+							f.InsertBatch(keys[at:min(at+m, len(keys))])
+						}
+						inserted += len(keys)
+						if f.Len() != inserted {
+							t.Fatalf("batch length %d: Len %d, want %d", m, f.Len(), inserted)
+						}
+						check(0, nb, fmt.Sprintf("batch length %d", m))
+					}
+					for _, s := range stripes {
+						f.insertStripe(keys, s[0], s[1])
+						check(s[0], s[1], fmt.Sprintf("stripe [%d, %d) of %d blocks", s[0], s[1], nb))
+					}
+					for j, w := range f.words {
+						if w != 0 {
+							t.Fatalf("word %d = %#x: a kernel wrote outside every key's block", j, w)
+						}
+					}
+					if avg := testing.AllocsPerRun(20, func() {
+						f.InsertBatch(keys[1:4097])
+					}); avg != 0 {
+						t.Fatalf("InsertBatch allocates %v per run, want 0", avg)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBlockedAVX512ReduceWideFilters checks the vector kernels' 32-bit
+// Reduce identity, and the insert kernel's stripe compare, at block
+// counts up to 2^32-1 without allocating such a filter: every key is
+// built (through Unmix64) to hash into the first 2^12 blocks, the only
+// ones the word array holds, so every kernel stays inside it and each
+// pair must agree.
 func TestBlockedAVX512ReduceWideFilters(t *testing.T) {
 	forceKernel(t, true)
 	const held = 1 << 12 // blocks the word array holds
@@ -115,6 +217,7 @@ func TestBlockedAVX512ReduceWideFilters(t *testing.T) {
 	for i := range words {
 		words[i] = hashutil.Mix64(uint64(i)) | hashutil.Mix64(uint64(i)+1<<40) // ~3/4 of bits set
 	}
+	goWords, avxWords := make([]uint64, len(words)), make([]uint64, len(words))
 	for _, numBlocks := range []uint64{held, 1 << 20, 3_000_000_017, 1<<31 + 7, 1<<32 - 1} {
 		for k := uint(1); k <= blockedMaxK; k++ {
 			f := &Blocked{blocks{words: words, numBlocks: numBlocks, k: k}}
@@ -122,12 +225,12 @@ func TestBlockedAVX512ReduceWideFilters(t *testing.T) {
 			// h < 2^(64+12-L), numBlocks <= 2^L, keeps Reduce(h,
 			// numBlocks) = h·numBlocks >> 64 below 2^12 = held.
 			shift := max(0, bits.Len64(numBlocks-1)-12)
-			keys := make([]uint64, 4096)
+			keys, keyBlocks := make([]uint64, 4096), make([]uint64, 4096)
 			for i := range keys {
 				h := hashutil.Mix64(uint64(i)) >> shift
 				keys[i] = hashutil.Unmix64(h) ^ f.spec.Seed*mixSeedMul
-				if b := hashutil.Reduce(hashutil.MixSeed(keys[i], f.spec.Seed), numBlocks); b >= held {
-					t.Fatalf("numBlocks %d: key %d lands in block %d", numBlocks, i, b)
+				if keyBlocks[i] = hashutil.Reduce(hashutil.MixSeed(keys[i], f.spec.Seed), numBlocks); keyBlocks[i] >= held {
+					t.Fatalf("numBlocks %d: key %d lands in block %d", numBlocks, i, keyBlocks[i])
 				}
 			}
 			want := make([]bool, len(keys))
@@ -146,6 +249,33 @@ func TestBlockedAVX512ReduceWideFilters(t *testing.T) {
 			if hits == 0 || hits == len(keys) {
 				t.Fatalf("numBlocks %d k=%d: %d of %d hits; the check cannot tell kernels apart", numBlocks, k, hits, len(keys))
 			}
+			// The insert kernel's stripe compare, base - lo·8 < span·8,
+			// on the same keys: the whole filter, its first held
+			// blocks, a stripe from inside the held blocks to the end,
+			// and stripes past every held block.
+			for _, s := range [][2]uint64{{0, numBlocks}, {0, held / 3}, {held / 3, numBlocks}, {held, numBlocks}, {numBlocks - 1, numBlocks}} {
+				clear(goWords)
+				clear(avxWords)
+				g := &Blocked{blocks{words: goWords, numBlocks: numBlocks, k: k}}
+				g.spec.Seed = f.spec.Seed
+				g.insertStripeGo(keys, s[0], s[1])
+				insertStripeAVX512(avxWords, keys, f.spec.Seed*mixSeedMul, numBlocks, s[0], s[1]-s[0], k)
+				set, kept := 0, 0
+				for j := range goWords {
+					if avxWords[j] != goWords[j] {
+						t.Fatalf("numBlocks %d k=%d, stripe %v: word %d: avx512 %#x, go %#x", numBlocks, k, s, j, avxWords[j], goWords[j])
+					}
+					set += bits.OnesCount64(goWords[j])
+				}
+				for _, b := range keyBlocks {
+					if b-s[0] < s[1]-s[0] {
+						kept++
+					}
+				}
+				if (set == 0) != (kept == 0) {
+					t.Fatalf("numBlocks %d k=%d, stripe %v: %d bits set for %d keys in the stripe", numBlocks, k, s, set, kept)
+				}
+			}
 		}
 	}
 }
@@ -156,7 +286,7 @@ func TestBlockedAVX512ReduceWideFilters(t *testing.T) {
 // everything else takes the Go kernel.
 func TestBlockedVectorFits(t *testing.T) {
 	for _, c := range []struct {
-		nWords    int
+		nWords    uint64 // uint64, not len's int: the wide cases hold on 32-bit builds too
 		numBlocks uint64
 		k         uint
 		want      bool
@@ -231,6 +361,55 @@ func FuzzBlockedContainsBatch(f *testing.F) {
 			}
 			if i&1 == 0 && !want {
 				t.Fatalf("false negative for inserted key %d", i)
+			}
+		}
+	})
+}
+
+// FuzzBlockedInsertBatch checks avx512 ≡ go ≡ scalar Insert on random
+// filters and stripes: bits/key, filter size, hash seed, the keys
+// already in the filter, the batch and the stripe [lo, hi) all come
+// from the input. The filter starts half full, so the kernels OR into
+// words that already hold bits.
+func FuzzBlockedInsertBatch(f *testing.F) {
+	f.Add(uint8(47), uint16(1000), uint64(BlockedSeed), uint64(1), uint16(4096), uint16(0), uint16(65535))
+	f.Add(uint8(3), uint16(17), uint64(7), uint64(2), uint16(13), uint16(1), uint16(1))
+	f.Add(uint8(0), uint16(0), uint64(0), uint64(0), uint16(0), uint16(0), uint16(0))
+	f.Add(uint8(255), uint16(65535), uint64(1<<63), uint64(9), uint16(257), uint16(100), uint16(7))
+	f.Fuzz(func(t *testing.T, bpkQ uint8, nKeys uint16, seed, keySeed uint64, batch, loQ, spanQ uint16) {
+		bpk := float64(bpkQ)/16 + 0.25 // 0.25 .. 16.2 bits/key: k 1..8
+		n := int(nKeys)%(1<<14) + 1
+		scalar := NewBlockedSeeded(n, bpk, seed)
+		for _, k := range workload.Keys(n/2, keySeed) {
+			scalar.Insert(k)
+		}
+		nb := scalar.numBlocks
+		lo := uint64(loQ) % (nb + 1)
+		hi := lo + uint64(spanQ)%(nb-lo+1)
+		clone := func() *Blocked {
+			c := *scalar
+			c.words = append([]uint64(nil), scalar.words...)
+			return &c
+		}
+		goF, avxF := clone(), clone()
+		keys := make([]uint64, int(batch)%4200)
+		for i := range keys {
+			keys[i] = workload.Key(uint64(i)+1<<48, keySeed)
+			if base, _, _ := scalar.hashState(keys[i]); base/blockWords-lo < hi-lo {
+				scalar.Insert(keys[i])
+			}
+		}
+		insertStripeWith(goF, false, keys, lo, hi)
+		avx := haveAVX512
+		if avx {
+			insertStripeWith(avxF, true, keys, lo, hi)
+		}
+		for j, want := range scalar.words {
+			if goF.words[j] != want {
+				t.Fatalf("bits/key %v k=%d, stripe [%d, %d) of %d: go kernel word %d = %#x, Insert %#x", bpk, scalar.K(), lo, hi, nb, j, goF.words[j], want)
+			}
+			if avx && avxF.words[j] != want {
+				t.Fatalf("bits/key %v k=%d, stripe [%d, %d) of %d: avx512 kernel word %d = %#x, Insert %#x", bpk, scalar.K(), lo, hi, nb, j, avxF.words[j], want)
 			}
 		}
 	})

@@ -64,7 +64,7 @@ func shape(s core.Spec) (*Filter, error) {
 	if s.FPBits < 2 || s.FPBits > 32 {
 		return nil, fmt.Errorf("cuckoo: fingerprint bits %d must be in [2,32]", s.FPBits)
 	}
-	if s.N < 0 || s.N > 1<<40 {
+	if s.N < 0 || int64(s.N) > 1<<40 {
 		return nil, fmt.Errorf("cuckoo: capacity %d out of range", s.N)
 	}
 	return &Filter{

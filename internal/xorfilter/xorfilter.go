@@ -69,7 +69,7 @@ func shape(s core.Spec) (*Filter, error) {
 	if s.Type != core.TypeXor || s.FPBits < 1 || s.FPBits > 32 || s.Seed == 0 {
 		return nil, fmt.Errorf("xorfilter: bad spec (type=%d fpBits=%d seed=%d)", s.Type, s.FPBits, s.Seed)
 	}
-	if s.N < 0 || s.N > 1<<40 {
+	if s.N < 0 || int64(s.N) > 1<<40 {
 		return nil, fmt.Errorf("xorfilter: key count %d out of range", s.N)
 	}
 	return &Filter{spec: s, segLen: segmentLen(s.N), fpBits: uint(s.FPBits)}, nil

@@ -21,6 +21,9 @@ go build ./...
 echo "== portable build: arm64 cross-compile and vet (the Go kernel only) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/bloom
 
+echo "== portable kernels run: the bloom tests at GOARCH=386 (the Go kernels only) =="
+GOARCH=386 go vet ./internal/bloom && GOARCH=386 go test ./internal/bloom
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -63,7 +66,7 @@ go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano + maplet read + blocked Bloom kernel fuzz burst (10s each) =="
+echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano + maplet read + blocked Bloom probe and insert kernel fuzz burst (10s each) =="
 go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
 go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
 go test -run '^$' -fuzz FuzzSealedPayload -fuzztime 10s ./internal/persisttest >/dev/null
@@ -77,5 +80,6 @@ go test -run '^$' -fuzz FuzzCuckooChurn -fuzztime 10s ./internal/cuckoo >/dev/nu
 go test -run '^$' -fuzz FuzzRoundTripAndSearch -fuzztime 10s ./internal/ef >/dev/null
 go test -run '^$' -fuzz FuzzGetBatch -fuzztime 10s ./internal/lsm >/dev/null
 go test -run '^$' -fuzz FuzzBlockedContainsBatch -fuzztime 10s ./internal/bloom >/dev/null
+go test -run '^$' -fuzz FuzzBlockedInsertBatch -fuzztime 10s ./internal/bloom >/dev/null
 
 echo "OK"
