@@ -1,391 +1,35 @@
 package beyondbloom
 
-// Batched-vs-scalar lookup micro-benchmarks. Each pair probes the same
-// filter with the same mixed (50% member / 50% absent) key stream, one
-// batch of batchBenchSize keys per benchmark iteration — the scalar
-// side as a plain Contains loop, the batch side through ContainsBatch —
-// so ns/op divides by batchBenchSize to give ns/key and the pair's
-// ratio is the batching speedup. scripts/bench.sh runs these and
-// records the results in BENCH_batch.json.
+// Batched-vs-scalar micro-benchmarks: one sub-benchmark per side of
+// each of experiment E24's pairs, over E24's own fixtures and closures
+// (internal/experiments/exp_claims.go), so `go test -bench FilterPairs
+// -cpuprofile` profiles exactly what E24 measures. ns/op is one call of
+// one side, a batch of the pair's size. The committed numbers are
+// E24's, measured interleaved: `go run ./cmd/beyondbloom exp E24 -json`
+// writes BENCH_batch.json (scripts/bench.sh). -short builds the
+// fixtures at 1/256 of E24's full scale.
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
-	"beyondbloom/internal/bloom"
-	"beyondbloom/internal/concurrent"
-	"beyondbloom/internal/core"
-	"beyondbloom/internal/cuckoo"
-	"beyondbloom/internal/quotient"
-	"beyondbloom/internal/workload"
-	"beyondbloom/internal/xorfilter"
+	"beyondbloom/internal/experiments"
 )
 
-// batchBenchN keys makes every filter tens of MB — far past L2 and a
-// TLB-hostile fraction of L3 — so the benchmarks measure the
-// memory-bound regime the batched engine exists for, not a
-// cache-resident toy where out-of-order execution already hides every
-// probe. -short shrinks the working set so a 1-iteration smoke run
-// (scripts/check.sh) stays cheap.
-const (
-	batchBenchN      = 1 << 24
-	batchBenchShortN = 1 << 16
-	batchBenchSize   = 256
-)
-
-func benchN(b *testing.B) int {
-	b.Helper()
+func BenchmarkFilterPairs(b *testing.B) {
+	cfg := experiments.Config{Scale: 1}
 	if testing.Short() {
-		return batchBenchShortN
+		cfg.Scale = 1.0 / 256
 	}
-	return batchBenchN
-}
-
-// The fixtures are read-only once built, so each is memoized and shared
-// by its Scalar/Batch pair and across the harness's repeated calls into
-// one Benchmark function — the multi-second builds happen once per
-// process. (-short runs in its own process, so the caches never mix
-// sizes.)
-var (
-	bloomBenchOnce    sync.Once
-	bloomBenchFilter  *bloom.Filter
-	bloomBenchKeys    []uint64
-	blockedBenchOnce  sync.Once
-	blockedBenchF     *bloom.Blocked
-	blockedBenchKeys  []uint64
-	choicesBenchOnce  sync.Once
-	choicesBenchF     *bloom.BlockedChoices
-	choicesBenchKeys  []uint64
-	cuckooBenchOnce   sync.Once
-	cuckooBenchFilter *cuckoo.Filter
-	cuckooBenchKeys   []uint64
-	quotientBenchOnce sync.Once
-	quotientBenchF    *quotient.Filter
-	quotientBenchKeys []uint64
-	xorBenchOnce      sync.Once
-	xorBenchFilter    *xorfilter.Filter
-	xorBenchKeys      []uint64
-	shardedBenchOnce  sync.Once
-	shardedBenchF     *concurrent.Sharded
-	shardedBenchKeys  []uint64
-	benchSetupErr     error
-)
-
-var benchSink bool
-
-// batchBenchProbes returns the mixed probe stream: even positions hold
-// members, odd positions absent keys, so batches of any alignment stay
-// half-and-half and the scalar early-exit branch is unpredictable —
-// exactly the LSM/k-mer/URL lookup profile.
-func batchBenchProbes(members, absent []uint64) []uint64 {
-	probes := make([]uint64, len(members)+len(absent))
-	for i := range members {
-		probes[2*i] = members[i]
-		probes[2*i+1] = absent[i]
-	}
-	return probes
-}
-
-func benchScalarLoop(b *testing.B, f core.Filter, probes []uint64) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := i * batchBenchSize % (len(probes) - batchBenchSize)
-		for _, k := range probes[base : base+batchBenchSize] {
-			benchSink = f.Contains(k)
-		}
-	}
-}
-
-func benchBatchLoop(b *testing.B, f core.BatchFilter, probes []uint64) {
-	b.Helper()
-	out := make([]bool, batchBenchSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := i * batchBenchSize % (len(probes) - batchBenchSize)
-		f.ContainsBatch(probes[base:base+batchBenchSize], out)
-	}
-	benchSink = out[0]
-}
-
-func bloomBenchSetup(b *testing.B) (*bloom.Filter, []uint64) {
-	bloomBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 31)
-		f := bloom.New(n, 1.0/1024)
-		for _, k := range members {
-			f.Insert(k)
-		}
-		bloomBenchFilter = f
-		bloomBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 31))
-	})
-	return bloomBenchFilter, bloomBenchKeys
-}
-
-func BenchmarkFilterBloomContainsScalar(b *testing.B) {
-	f, probes := bloomBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterBloomContainsBatch(b *testing.B) {
-	f, probes := bloomBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-func blockedBenchSetup(b *testing.B) (*bloom.Blocked, []uint64) {
-	blockedBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 32)
-		f := bloom.NewBlocked(n, 12)
-		for _, k := range members {
-			f.Insert(k)
-		}
-		blockedBenchF = f
-		blockedBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 32))
-	})
-	return blockedBenchF, blockedBenchKeys
-}
-
-func BenchmarkFilterBloomBlockedContainsScalar(b *testing.B) {
-	f, probes := blockedBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterBloomBlockedContainsBatch(b *testing.B) {
-	f, probes := blockedBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-func choicesBenchSetup(b *testing.B) (*bloom.BlockedChoices, []uint64) {
-	choicesBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 37)
-		f := bloom.NewBlockedChoices(n, 12)
-		for _, k := range members {
-			f.Insert(k)
-		}
-		choicesBenchF = f
-		choicesBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 37))
-	})
-	return choicesBenchF, choicesBenchKeys
-}
-
-func BenchmarkFilterBloomChoicesContainsScalar(b *testing.B) {
-	f, probes := choicesBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterBloomChoicesContainsBatch(b *testing.B) {
-	f, probes := choicesBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-func cuckooBenchSetup(b *testing.B) (*cuckoo.Filter, []uint64) {
-	cuckooBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 33)
-		f := cuckoo.New(n, 13)
-		for _, k := range members {
-			if benchSetupErr = f.Insert(k); benchSetupErr != nil {
-				return
-			}
-		}
-		cuckooBenchFilter = f
-		cuckooBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 33))
-	})
-	if cuckooBenchFilter == nil {
-		b.Fatal(benchSetupErr)
-	}
-	return cuckooBenchFilter, cuckooBenchKeys
-}
-
-func BenchmarkFilterCuckooContainsScalar(b *testing.B) {
-	f, probes := cuckooBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterCuckooContainsBatch(b *testing.B) {
-	f, probes := cuckooBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-func quotientBenchSetup(b *testing.B) (*quotient.Filter, []uint64) {
-	quotientBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 34)
-		q := uint(1)
-		for float64(uint64(1)<<q)*0.9 < float64(n) {
-			q++
-		}
-		f := quotient.New(q, 10)
-		for _, k := range members {
-			if benchSetupErr = f.Insert(k); benchSetupErr != nil {
-				return
-			}
-		}
-		quotientBenchF = f
-		quotientBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 34))
-	})
-	if quotientBenchF == nil {
-		b.Fatal(benchSetupErr)
-	}
-	return quotientBenchF, quotientBenchKeys
-}
-
-func BenchmarkFilterQuotientContainsScalar(b *testing.B) {
-	f, probes := quotientBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterQuotientContainsBatch(b *testing.B) {
-	f, probes := quotientBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-func xorBenchSetup(b *testing.B) (*xorfilter.Filter, []uint64) {
-	xorBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 35)
-		f, err := xorfilter.New(members, 10)
-		if err != nil {
-			benchSetupErr = err
-			return
-		}
-		xorBenchFilter = f
-		xorBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 35))
-	})
-	if xorBenchFilter == nil {
-		b.Fatal(benchSetupErr)
-	}
-	return xorBenchFilter, xorBenchKeys
-}
-
-func BenchmarkFilterXorContainsScalar(b *testing.B) {
-	f, probes := xorBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterXorContainsBatch(b *testing.B) {
-	f, probes := xorBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-func shardedBenchSetup(b *testing.B) (*concurrent.Sharded, []uint64) {
-	shardedBenchOnce.Do(func() {
-		n := benchN(b)
-		members := workload.Keys(n, 36)
-		// 16 shards: a 256-key batch puts ~16 keys in each shard's
-		// sub-batch, enough for the per-shard batched probe to matter on
-		// top of the one-lock-per-shard amortization.
-		s, err := concurrent.NewSharded(4, func(int) core.DeletableFilter {
-			return cuckoo.New(n/(1<<4), 13)
-		})
-		if err != nil {
-			benchSetupErr = err
-			return
-		}
-		for _, k := range members {
-			if benchSetupErr = s.Insert(k); benchSetupErr != nil {
-				return
-			}
-		}
-		shardedBenchF = s
-		shardedBenchKeys = batchBenchProbes(members, workload.DisjointKeys(n, 36))
-	})
-	if shardedBenchF == nil {
-		b.Fatal(benchSetupErr)
-	}
-	return shardedBenchF, shardedBenchKeys
-}
-
-func BenchmarkFilterShardedContainsScalar(b *testing.B) {
-	f, probes := shardedBenchSetup(b)
-	benchScalarLoop(b, f, probes)
-}
-
-func BenchmarkFilterShardedContainsBatch(b *testing.B) {
-	f, probes := shardedBenchSetup(b)
-	benchBatchLoop(b, f, probes)
-}
-
-// ---- batch-size x occupancy sweep ----------------------------------
-//
-// BenchmarkFilterBatchSweep maps where the batched kernel's win comes
-// from: the staged loads only pay off once a batch holds enough
-// independent misses to fill the memory pipeline, and occupancy sets
-// how much work each probe does after the loads land (cuckoo's second
-// bucket, quotient-style cluster walks). Sub-benchmarks are named
-// occNN/bsNNNN{Scalar,Batch} so bench_to_json.py pairs them like the
-// top-level benchmarks and BENCH_batch.json records the whole surface.
-
-var (
-	sweepBenchOnce    sync.Once
-	sweepBenchFilters map[int]*cuckoo.Filter // occupancy percent -> filter
-	sweepBenchProbes  map[int][]uint64
-)
-
-var sweepOccupancies = []int{50, 95}
-
-func sweepBenchSetup(b *testing.B) {
-	sweepBenchOnce.Do(func() {
-		// A notch below the headline benchmarks: the sweep runs 16
-		// pairs, and the regime (out of cache) matters more than the
-		// exact miss latency.
-		n := benchN(b) / 4
-		sweepBenchFilters = make(map[int]*cuckoo.Filter)
-		sweepBenchProbes = make(map[int][]uint64)
-		for _, occ := range sweepOccupancies {
-			members := workload.Keys(n*occ/100, uint64(40+occ))
-			f := cuckoo.New(n, 13)
-			for _, k := range members {
-				if benchSetupErr = f.Insert(k); benchSetupErr != nil {
-					return
+	experiments.ClaimPairs(cfg, func(pair, aName, bName string, opA, opB func()) {
+		for _, side := range []struct {
+			name string
+			op   func()
+		}{{aName, opA}, {bName, opB}} {
+			b.Run(pair+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					side.op()
 				}
-			}
-			sweepBenchFilters[occ] = f
-			sweepBenchProbes[occ] = batchBenchProbes(members, workload.DisjointKeys(len(members), uint64(40+occ)))
+			})
 		}
 	})
-	if benchSetupErr != nil {
-		b.Fatal(benchSetupErr)
-	}
-}
-
-func benchScalarLoopSized(b *testing.B, f core.Filter, probes []uint64, size int) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := i * size % (len(probes) - size)
-		for _, k := range probes[base : base+size] {
-			benchSink = f.Contains(k)
-		}
-	}
-}
-
-func benchBatchLoopSized(b *testing.B, f core.BatchFilter, probes []uint64, size int) {
-	b.Helper()
-	out := make([]bool, size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := i * size % (len(probes) - size)
-		f.ContainsBatch(probes[base:base+size], out)
-	}
-	benchSink = out[0]
-}
-
-func BenchmarkFilterBatchSweep(b *testing.B) {
-	sweepBenchSetup(b)
-	for _, occ := range sweepOccupancies {
-		f, probes := sweepBenchFilters[occ], sweepBenchProbes[occ]
-		for _, size := range []int{16, 64, 256, 1024} {
-			name := fmt.Sprintf("occ%02d/bs%04d", occ, size)
-			b.Run(name+"Scalar", func(b *testing.B) {
-				benchScalarLoopSized(b, f, probes, size)
-			})
-			b.Run(name+"Batch", func(b *testing.B) {
-				benchBatchLoopSized(b, f, probes, size)
-			})
-		}
-	}
 }

@@ -190,7 +190,7 @@ func BenchmarkRank1(b *testing.B) {
 	rs := NewRankSelect(v)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Rank1(int(uint(i*2654435761) % uint(v.Len())))
+		rs.Rank1(int(uint(i) * 2654435761 % uint(v.Len())))
 	}
 }
 
@@ -202,7 +202,7 @@ func BenchmarkSelect1(b *testing.B) {
 	rs := NewRankSelect(v)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Select1(int(uint(i*2654435761) % uint(rs.Ones())))
+		rs.Select1(int(uint(i) * 2654435761 % uint(rs.Ones())))
 	}
 }
 
@@ -210,6 +210,6 @@ func BenchmarkPackedGet(b *testing.B) {
 	p := NewPacked(1<<20, 13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Get(int(uint(i*2654435761) % uint(p.Len())))
+		p.Get(int(uint(i) * 2654435761 % uint(p.Len())))
 	}
 }

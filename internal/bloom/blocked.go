@@ -162,13 +162,17 @@ func probePos(g1, g2 uint64, i uint) uint64 {
 // Insert adds key. It never fails; over-inserting degrades the
 // false-positive rate like a classic Bloom filter, only block-locally.
 func (f *Blocked) Insert(key uint64) error {
-	base, g1, g2 := f.hashState(key)
+	f.set(f.hashState(key))
+	f.n++
+	return nil
+}
+
+// set sets the k probe bits of the key whose hash state this is.
+func (f *Blocked) set(base, g1, g2 uint64) {
 	for i := uint(0); i < f.k; i++ {
 		pos := probePos(g1, g2, i)
 		f.words[base+pos>>6] |= 1 << (pos & 63)
 	}
-	f.n++
-	return nil
 }
 
 // Contains reports whether key may have been inserted.
@@ -188,19 +192,45 @@ func (f *Blocked) Contains(key uint64) bool {
 // to force the Go kernels.
 var useAVX512 = haveAVX512
 
+// batchMin is the fewest keys the Go batch kernels take. Fewer cost
+// less as scalar calls (~35 ns a key) than the kernels' zeroing of their
+// 8 KiB of stack arrays (~100 ns a call, even an empty one).
+const batchMin = 8
+
 // ContainsBatch probes every key (see core.BatchFilter). On a CPU with
 // AVX-512 (haveAVX512) every whole group of 8 keys goes through the
-// vector kernel (blocked_amd64.s) and the tail of fewer than 8 keys
-// through containsBatchGo; elsewhere containsBatchGo probes them all.
-// Both give every key exactly Contains's answer.
+// vector kernel (blocked_amd64.s); the rest goes through containsBatchGo,
+// or through Contains when it is fewer than batchMin keys. All three
+// give every key exactly Contains's answer.
 func (f *Blocked) ContainsBatch(keys []uint64, out []bool) {
 	out = out[:len(keys)]
 	if n := len(keys) &^ 7; n > 0 && useAVX512 && vectorFits(uint64(len(f.words)), f.numBlocks, f.k) {
 		containsBatchAVX512(f.words, keys[:n], out[:n], f.spec.Seed*mixSeedMul, f.numBlocks, f.k)
 		keys, out = keys[n:], out[n:]
 	}
-	f.containsBatchGo(keys, out)
+	if len(keys) >= batchMin {
+		f.containsBatchGo(keys, out)
+		return
+	}
+	for i, k := range keys {
+		out[i] = f.Contains(k)
+	}
 }
+
+// GoKernels returns ContainsBatch and InsertBatch as they run on a CPU
+// without AVX-512: the portable kernels alone, for every batch length.
+// They exist to be measured beside the methods; HasVectorKernels says
+// whether the methods take another path here.
+func (f *Blocked) GoKernels() (contains func(keys []uint64, out []bool), insert func(keys []uint64)) {
+	return f.containsBatchGo, func(keys []uint64) {
+		f.insertStripeGo(keys, 0, f.numBlocks)
+		f.n += len(keys)
+	}
+}
+
+// HasVectorKernels reports whether Blocked's batch methods run the
+// AVX-512 kernels on this CPU.
+func HasVectorKernels() bool { return haveAVX512 }
 
 // vectorFits reports whether the AVX-512 kernels may probe or insert
 // into a filter of nWords words, numBlocks blocks and k probes. The
@@ -336,14 +366,23 @@ func (f *Blocked) fill(n int, gen func(at int, dst []uint64), workers int) {
 // insertStripe inserts the keys whose block lies in [lo, hi) and skips
 // the rest. Like ContainsBatch, it sends every whole group of 8 keys
 // through the AVX-512 kernel (blocked_amd64.s) on a CPU that has it, and
-// the tail, or every key elsewhere, through insertStripeGo; both set
+// the rest through insertStripeGo, or through a scalar loop that keeps
+// the stripe test when it is fewer than batchMin keys; all three set
 // exactly the bits Insert does.
 func (f *Blocked) insertStripe(keys []uint64, lo, hi uint64) {
 	if n := len(keys) &^ 7; n > 0 && useAVX512 && vectorFits(uint64(len(f.words)), f.numBlocks, f.k) {
 		insertStripeAVX512(f.words, keys[:n], f.spec.Seed*mixSeedMul, f.numBlocks, lo, hi-lo, f.k)
 		keys = keys[n:]
 	}
-	f.insertStripeGo(keys, lo, hi)
+	if len(keys) >= batchMin {
+		f.insertStripeGo(keys, lo, hi)
+		return
+	}
+	for _, k := range keys {
+		if base, g1, g2 := f.hashState(k); base/blockWords-lo < hi-lo {
+			f.set(base, g1, g2)
+		}
+	}
 }
 
 // insertStripeGo is the portable insertStripe kernel and the vector

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"beyondbloom/internal/core"
-	"beyondbloom/internal/hashutil"
 	"beyondbloom/internal/workload"
 )
 
@@ -185,76 +184,6 @@ func assertSameBlocked(t *testing.T, want, got *Blocked, ctx ...any) {
 	}
 }
 
-// newBenchBlocked returns a blocked filter of n keys at 12 bits/key.
-// Under -short a DRAM-sized n shrinks to 2^16, so a smoke run only
-// checks that the benchmark works.
-func newBenchBlocked(n int) *Blocked {
-	if testing.Short() && n > 1<<16 {
-		n = 1 << 16
-	}
-	f := NewBlocked(n, 12)
-	var keys [4096]uint64
-	for i := 0; i < n; i += len(keys) {
-		chunk := keys[:min(len(keys), n-i)]
-		for j := range chunk {
-			chunk[j] = hashutil.Mix64(uint64(i + j))
-		}
-		f.InsertBatch(chunk)
-	}
-	return f
-}
-
-// benchBlockedInsert inserts 4096-key batches of absent keys into a
-// filter already holding n keys, so every word is touched memory and
-// the DRAM size measures read-modify-write misses, not page faults.
-// ns/key is per inserted key; batch selects InsertBatch, with one
-// sub-benchmark per insert kernel (kernel=go, and kernel=avx512 where
-// the CPU has it), over a scalar Insert loop.
-func benchBlockedInsert(b *testing.B, n int, batch bool) {
-	f := newBenchBlocked(n)
-	keys := make([]uint64, 1<<16)
-	for i := range keys {
-		keys[i] = hashutil.Mix64(uint64(f.Len() + i))
-	}
-	const size = 4096
-	run := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			at := i * size % len(keys)
-			if batch {
-				f.InsertBatch(keys[at : at+size])
-				continue
-			}
-			for _, k := range keys[at : at+size] {
-				f.Insert(k)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
-	}
-	if !batch {
-		b.ResetTimer()
-		run(b)
-		return
-	}
-	for _, kern := range batchKernels {
-		b.Run("kernel="+kern.name, func(b *testing.B) {
-			forceKernel(b, kern.avx)
-			run(b)
-		})
-	}
-}
-
-// BenchmarkBlockedInsertScalarResident: 2^14 keys, a 24 KB filter.
-func BenchmarkBlockedInsertScalarResident(b *testing.B) { benchBlockedInsert(b, 1<<14, false) }
-
-// BenchmarkBlockedInsertBatchResident: 2^14 keys, a 24 KB filter.
-func BenchmarkBlockedInsertBatchResident(b *testing.B) { benchBlockedInsert(b, 1<<14, true) }
-
-// BenchmarkBlockedInsertScalarDRAM: 2^24 keys, a 24 MiB filter.
-func BenchmarkBlockedInsertScalarDRAM(b *testing.B) { benchBlockedInsert(b, 1<<24, false) }
-
-// BenchmarkBlockedInsertBatchDRAM: 2^24 keys, a 24 MiB filter.
-func BenchmarkBlockedInsertBatchDRAM(b *testing.B) { benchBlockedInsert(b, 1<<24, true) }
-
 // benchBlockedFill fills an empty 2^22-key filter at 12 bits/key (2^16
 // under -short) from the workload key generator on the given number of
 // stripes, once per insert kernel (kernel=go and kernel=avx512). ns/key
@@ -285,43 +214,6 @@ func BenchmarkBlockedFillOneStripe(b *testing.B) { benchBlockedFill(b, 1) }
 
 // BenchmarkBlockedFillStripes: GOMAXPROCS workers, what Fill runs.
 func BenchmarkBlockedFillStripes(b *testing.B) { benchBlockedFill(b, runtime.GOMAXPROCS(0)) }
-
-// benchBlockedContainsBatch probes a blocked filter of n keys at 12
-// bits/key with 4096-key batches, every other key absent: the shape of
-// the served probe_batch workload, whose filter is the n = 2^24 one.
-// ns/key is per probed key. One sub-benchmark per ContainsBatch kernel,
-// kernel=go and kernel=avx512 (skipped on a CPU without AVX-512).
-// Comparing the cache-resident size with the DRAM-sized one tells
-// whether a kernel waits on memory or on its own instructions.
-func benchBlockedContainsBatch(b *testing.B, n int) {
-	f := newBenchBlocked(n)
-	n = f.Len()
-	probe := make([]uint64, 1<<16)
-	for i := range probe {
-		j := uint64(i) * 2654435761 % uint64(n)
-		if i&1 == 1 {
-			j += uint64(n) // Mix64 is a bijection, so these are absent
-		}
-		probe[i] = hashutil.Mix64(j)
-	}
-	out := make([]bool, 4096)
-	for _, kern := range batchKernels {
-		b.Run("kernel="+kern.name, func(b *testing.B) {
-			forceKernel(b, kern.avx)
-			for i := 0; i < b.N; i++ {
-				at := i * len(out) % len(probe)
-				f.ContainsBatch(probe[at:at+len(out)], out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/key")
-		})
-	}
-}
-
-// BenchmarkBlockedContainsBatchResident: 2^14 keys, a 24 KB filter.
-func BenchmarkBlockedContainsBatchResident(b *testing.B) { benchBlockedContainsBatch(b, 1<<14) }
-
-// BenchmarkBlockedContainsBatchDRAM: 2^24 keys, a 24 MiB filter.
-func BenchmarkBlockedContainsBatchDRAM(b *testing.B) { benchBlockedContainsBatch(b, 1<<24) }
 
 func TestBlockedProbesStayInOneBlock(t *testing.T) {
 	f := NewBlocked(1000, 16)

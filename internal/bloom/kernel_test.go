@@ -43,7 +43,9 @@ func containsBatchWith(f *Blocked, avx bool, keys []uint64, out []bool) {
 // lengths cover every tail around the 8-key vector group, both sides of
 // a 256-key chunk and the served 4096-key frame, on sub-slices of keys
 // and out that start off the slices' alignment; out outside the batch
-// must stay untouched, and neither kernel may allocate.
+// must stay untouched, and neither kernel may allocate. The go subtest
+// calls containsBatchGo itself as well as ContainsBatch, which hands
+// fewer than batchMin keys to Contains instead.
 func TestBlockedContainsBatchKernels(t *testing.T) {
 	lengths := []int{255, 256, 257, 4096}
 	for m := 0; m <= 17; m++ {
@@ -68,29 +70,37 @@ func TestBlockedContainsBatchKernels(t *testing.T) {
 			for _, kern := range batchKernels {
 				t.Run(fmt.Sprintf("n=%d/bits=%d/kernel=%s", n, bpk, kern.name), func(t *testing.T) {
 					forceKernel(t, kern.avx)
+					batches := []func([]uint64, []bool){f.ContainsBatch}
+					if !kern.avx {
+						batches = append(batches, f.containsBatchGo)
+					}
 					out := make([]bool, len(probe)+16)
 					for _, m := range lengths {
 						for _, off := range [][2]int{{0, 0}, {1, 3}, {7, 5}} {
-							keys := probe[off[0] : off[0]+m]
-							for i := range out {
-								out[i] = i%3 == 0
-							}
-							f.ContainsBatch(keys, out[off[1]:])
-							for i, got := range out {
-								j := i - off[1]
-								switch {
-								case j >= 0 && j < m && got != want[off[0]+j]:
-									t.Fatalf("len %d, offsets %v: out[%d] = %v, Contains %v", m, off, j, got, want[off[0]+j])
-								case (j < 0 || j >= m) && got != (i%3 == 0):
-									t.Fatalf("len %d, offsets %v: wrote out[%d], outside the batch", m, off, j)
+							for _, batch := range batches {
+								keys := probe[off[0] : off[0]+m]
+								for i := range out {
+									out[i] = i%3 == 0
+								}
+								batch(keys, out[off[1]:])
+								for i, got := range out {
+									j := i - off[1]
+									switch {
+									case j >= 0 && j < m && got != want[off[0]+j]:
+										t.Fatalf("len %d, offsets %v: out[%d] = %v, Contains %v", m, off, j, got, want[off[0]+j])
+									case (j < 0 || j >= m) && got != (i%3 == 0):
+										t.Fatalf("len %d, offsets %v: wrote out[%d], outside the batch", m, off, j)
+									}
 								}
 							}
 						}
 					}
-					if avg := testing.AllocsPerRun(20, func() {
-						f.ContainsBatch(probe[1:4097], out[3:])
-					}); avg != 0 {
-						t.Fatalf("ContainsBatch allocates %v per run, want 0", avg)
+					for _, batch := range batches {
+						if avg := testing.AllocsPerRun(20, func() {
+							batch(probe[1:4097], out[3:])
+						}); avg != 0 {
+							t.Fatalf("ContainsBatch allocates %v per run, want 0", avg)
+						}
 					}
 				})
 			}
@@ -121,7 +131,9 @@ func insertStripeWith(f *Blocked, avx bool, keys []uint64, lo, hi uint64) {
 // third of the filter (the thirds differ in size) or the whole filter
 // must set the scalar words of their own blocks and leave every other
 // block zero. A word still set at the end was written outside every
-// key's block. Neither kernel may allocate.
+// key's block. Neither kernel may allocate. The go subtest calls
+// insertStripeGo itself as well as insertStripe, which hands fewer than
+// batchMin keys to a scalar loop instead.
 func TestBlockedInsertKernels(t *testing.T) {
 	lengths := []int{255, 256, 257, 4096}
 	for m := 0; m <= 17; m++ {
@@ -169,34 +181,44 @@ func TestBlockedInsertKernels(t *testing.T) {
 							clear(f.words[b : b+blockWords])
 						}
 					}
-					inserted := 0
-					for _, m := range lengths {
-						if m == 0 {
-							f.InsertBatch(keys[:0])
-							continue
-						}
-						for at := 0; at < len(keys); at += m {
-							f.InsertBatch(keys[at:min(at+m, len(keys))])
-						}
-						inserted += len(keys)
-						if f.Len() != inserted {
-							t.Fatalf("batch length %d: Len %d, want %d", m, f.Len(), inserted)
-						}
-						check(0, nb, fmt.Sprintf("batch length %d", m))
+					inserts := []func([]uint64, uint64, uint64){f.insertStripe}
+					if !kern.avx {
+						inserts = append(inserts, f.insertStripeGo)
 					}
-					for _, s := range stripes {
-						f.insertStripe(keys, s[0], s[1])
-						check(s[0], s[1], fmt.Sprintf("stripe [%d, %d) of %d blocks", s[0], s[1], nb))
+					for _, insert := range inserts {
+						for _, m := range lengths {
+							if m == 0 {
+								insert(keys[:0], 0, nb)
+								continue
+							}
+							for at := 0; at < len(keys); at += m {
+								insert(keys[at:min(at+m, len(keys))], 0, nb)
+							}
+							check(0, nb, fmt.Sprintf("batch length %d", m))
+						}
+						for _, s := range stripes {
+							insert(keys, s[0], s[1])
+							check(s[0], s[1], fmt.Sprintf("stripe [%d, %d) of %d blocks", s[0], s[1], nb))
+						}
 					}
 					for j, w := range f.words {
 						if w != 0 {
 							t.Fatalf("word %d = %#x: a kernel wrote outside every key's block", j, w)
 						}
 					}
-					if avg := testing.AllocsPerRun(20, func() {
-						f.InsertBatch(keys[1:4097])
-					}); avg != 0 {
-						t.Fatalf("InsertBatch allocates %v per run, want 0", avg)
+					for _, insert := range inserts {
+						if avg := testing.AllocsPerRun(20, func() {
+							insert(keys[1:4097], 0, nb)
+						}); avg != 0 {
+							t.Fatalf("InsertBatch allocates %v per run, want 0", avg)
+						}
+					}
+					for _, m := range []int{0, 3, 300} {
+						before := f.Len()
+						f.InsertBatch(keys[:m])
+						if f.Len() != before+m {
+							t.Fatalf("InsertBatch of %d keys: Len %d -> %d", m, before, f.Len())
+						}
 					}
 				})
 			}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
+
+	"beyondbloom/internal/codec"
 )
 
 func TestMapSet(t *testing.T) {
@@ -66,5 +70,25 @@ func TestBitsPerKey(t *testing.T) {
 	}
 	if got := BitsPerKey(fakeFilter{1000}, 0); got != 0 {
 		t.Fatalf("BitsPerKey with n=0 = %f, want 0", got)
+	}
+}
+
+// TestDecodeSpecRefusesKeyCountPastInt: a Spec's key count is a uint64
+// on the wire and an int in memory. A count past the largest int is
+// corrupt, not wrapped: 2^63 would read negative on any build, 2^40 as
+// 0 on a 32-bit one.
+func TestDecodeSpecRefusesKeyCountPastInt(t *testing.T) {
+	for _, n := range []uint64{1 << 20, 1 << 40, 1 << 63} {
+		var e codec.Enc
+		Spec{Type: TypeBloom, BitsPerKey: 10}.encode(&e)
+		binary.LittleEndian.PutUint64(e.Bytes()[2:], n) // after the U16 type
+		d := codec.NewDec(e.Bytes())
+		s := decodeSpec(d)
+		switch err := d.Err(); {
+		case n > math.MaxInt && !errors.Is(err, codec.ErrCorrupt):
+			t.Errorf("N = %d: decoded %d with error %v, want ErrCorrupt", n, s.N, err)
+		case n <= math.MaxInt && (err != nil || uint64(s.N) != n):
+			t.Errorf("N = %d: decoded %d with error %v", n, s.N, err)
+		}
 	}
 }

@@ -97,7 +97,11 @@ func (s Spec) encode(e *codec.Enc) {
 func decodeSpec(d *codec.Dec) Spec {
 	var s Spec
 	s.Type = d.U16()
-	s.N = int(d.U64())
+	if n := d.U64(); n <= math.MaxInt {
+		s.N = int(n)
+	} else {
+		d.Corruptf("spec claims %d keys, past the largest int", n)
+	}
 	s.BitsPerKey = d.F64()
 	s.FPBits = d.U8()
 	s.Q = d.U8()

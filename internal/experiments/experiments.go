@@ -1,4 +1,4 @@
-// Package experiments implements the E1–E14 experiment suite indexed in
+// Package experiments implements the E1–E24 experiment suite indexed in
 // DESIGN.md §2 — the stand-ins for the tutorial's (absent) tables and
 // figures. Every experiment regenerates a table whose shape the paper's
 // inline quantitative claims predict; EXPERIMENTS.md records paper-vs-
@@ -64,6 +64,7 @@ func All() []Experiment {
 		{"E21", "Filter service: batch-probe capacity and open-loop batching sweep (§3.3)", runE21},
 		{"E22", "Maplet-first LSM: device reads per lookup and the batched maplet probe path (§3.1)", runE22},
 		{"E23", "Growable filters: FPR drift, bits/key and pause-free expansion 2^10 -> 2^26 (§2.2)", runE23},
+		{"E24", "In-process claims: scalar vs batch and Go vs AVX-512 kernels as interleaved pairs (§2)", runE24},
 	}
 	sort.Slice(exps, func(i, j int) bool { return idNum(exps[i].ID) < idNum(exps[j].ID) })
 	return append(exps, ablations()...)

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,13 +22,13 @@ const smallScale = 0.05
 
 func TestAllRegistered(t *testing.T) {
 	exps := All()
-	if len(exps) != 29 { // E1-E23 plus ablations A1-A6
-		t.Fatalf("registry has %d experiments, want 29", len(exps))
+	if len(exps) != 30 { // E1-E24 plus ablations A1-A6
+		t.Fatalf("registry has %d experiments, want 30", len(exps))
 	}
 	for i, e := range exps {
 		want := "E" + itoa(i+1)
-		if i >= 23 {
-			want = "A" + itoa(i-22)
+		if i >= 24 {
+			want = "A" + itoa(i-23)
 		}
 		if e.ID != want {
 			t.Errorf("experiment %d has ID %s, want %s", i, e.ID, want)
@@ -283,6 +285,104 @@ func TestE23GrowthGates(t *testing.T) {
 	for _, gates := range metrics.Column[bool](acc, "gates") {
 		if !gates {
 			t.Errorf("every E23 check must gate:\n%s", acc)
+		}
+	}
+}
+
+// e24Doc is E24's -json document as typed rows. Decoding refuses
+// unknown fields, so a column E24 renames or adds fails the decode.
+type e24Doc struct {
+	Meta struct {
+		Experiment string `json:"experiment"`
+		Slices     int    `json:"slices"`
+		AVX512     bool   `json:"avx512"`
+	} `json:"meta"`
+	Pairs []struct {
+		Pair        string  `json:"pair"`
+		A           string  `json:"a"`
+		B           string  `json:"b"`
+		Keys        int     `json:"keys"`
+		Batch       int     `json:"batch"`
+		ANsPerKey   float64 `json:"a_ns_per_key"`
+		BNsPerKey   float64 `json:"b_ns_per_key"`
+		Speedup     float64 `json:"speedup"`
+		IQR         float64 `json:"iqr"`
+		Spread      float64 `json:"run_spread"`
+		AllocsPerOp float64 `json:"allocs_per_op"`
+	} `json:"pairs"`
+	Codec []struct {
+		Round       string  `json:"round"`
+		Keys        int     `json:"keys"`
+		NsPerKey    float64 `json:"ns_per_key"`
+		IQR         float64 `json:"iqr"`
+		AllocsPerOp float64 `json:"allocs_per_op"`
+		Gates       bool    `json:"gates"`
+	} `json:"codec"`
+	Acceptance []struct {
+		Check string  `json:"check"`
+		Value float64 `json:"value"`
+		Op    string  `json:"op"`
+		Bound float64 `json:"bound"`
+		OK    bool    `json:"ok"`
+		Gates bool    `json:"gates"`
+	} `json:"acceptance"`
+}
+
+func decodeE24(t *testing.T, what string, raw []byte) (doc e24Doc, pairs, rounds, checks []string) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("%s does not parse as E24's rows: %v", what, err)
+	}
+	if doc.Meta.Experiment != "E24" {
+		t.Fatalf("%s is experiment %q, want E24", what, doc.Meta.Experiment)
+	}
+	for _, p := range doc.Pairs {
+		pairs = append(pairs, p.Pair)
+	}
+	for _, r := range doc.Codec {
+		rounds = append(rounds, r.Round)
+	}
+	for _, c := range doc.Acceptance {
+		checks = append(checks, c.Check)
+	}
+	return doc, pairs, rounds, checks
+}
+
+// TestE24PairsMatchCommittedFile runs E24 at test scale, where only the
+// allocation checks gate, and holds BENCH_batch.json, E24's committed
+// full-scale output, to the same pairs, codec rounds and checks: a pair
+// added, renamed or dropped fails here until the file is regenerated
+// with scripts/bench.sh.
+func TestE24PairsMatchCommittedFile(t *testing.T) {
+	tables := runAt(t, "E24", 0.01)
+	// Under -race sync.Pool drops items by design, so the pooled
+	// scratch of concurrent.Sharded's batch probe allocates.
+	if failed := metrics.GatingFailures(tables); len(failed) != 0 && !raceEnabled {
+		t.Errorf("gating checks failed: %v", failed)
+	}
+	var buf bytes.Buffer
+	if err := metrics.WriteJSON(&buf, "E24", tables); err != nil {
+		t.Fatal(err)
+	}
+	run, pairs, rounds, checks := decodeE24(t, "E24 -json", buf.Bytes())
+	for _, c := range run.Acceptance {
+		if c.Gates != strings.HasSuffix(c.Check, "/allocs") {
+			t.Errorf("%s: gates %v at test scale; only the allocs checks gate there", c.Check, c.Gates)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_batch.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cPairs, cRounds, cChecks := decodeE24(t, "BENCH_batch.json", raw)
+	for _, c := range []struct {
+		what      string
+		run, file []string
+	}{{"pairs", pairs, cPairs}, {"codec rounds", rounds, cRounds}, {"checks", checks, cChecks}} {
+		if !slices.Equal(c.run, c.file) {
+			t.Errorf("BENCH_batch.json has %s %v, E24 %v: regenerate it with scripts/bench.sh", c.what, c.file, c.run)
 		}
 	}
 }

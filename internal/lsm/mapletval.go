@@ -54,10 +54,12 @@ func mapletCapacity(finalSlots uint64) uint64 {
 
 // mapletTreeIDs bounds the ids the level tree and one flush-and-compact
 // cycle hold at once: per level, its runs at rest (one leveled, up to
-// T−1 tiered) and one created.
-func mapletTreeIDs(o *Options) int {
+// T−1 tiered) and one created. It counts in 64 bits on every GOARCH, so
+// a 32-bit build accepts and refuses exactly the options a 64-bit one
+// does.
+func mapletTreeIDs(o *Options) uint64 {
 	// Capped so the product cannot overflow; past the cap no width fits.
-	d, t := mapletDepth(o), min(o.SizeRatio, 1<<mapletMaxRunBits)
+	d, t := uint64(mapletDepth(o)), min(uint64(o.SizeRatio), 1<<mapletMaxRunBits)
 	if o.Compaction == Leveling {
 		return 2 * d
 	}
@@ -68,12 +70,12 @@ func mapletTreeIDs(o *Options) int {
 // and checks that their L0RunBudget fits it.
 func mapletRunBits(o *Options) (uint, error) {
 	tree := mapletTreeIDs(o)
-	w := uint(bits.Len(uint(tree + defaultL0RunBudget)))
+	w := uint(bits.Len64(tree + defaultL0RunBudget))
 	if w > mapletMaxRunBits {
 		return 0, fmt.Errorf("lsm: MemtableSize %d, SizeRatio %d and Compaction %d can hold %d runs, more than a %d-bit maplet run id names",
 			o.MemtableSize, o.SizeRatio, o.Compaction, tree, mapletMaxRunBits)
 	}
-	if most := 1<<w - 1 - tree; o.L0RunBudget > most {
+	if most := uint64(1)<<w - 1 - tree; uint64(o.L0RunBudget) > most {
 		return 0, fmt.Errorf("lsm: L0RunBudget %d exceeds %d, the retired-run allowance of this maplet store's %d-bit run ids",
 			o.L0RunBudget, most, w)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -21,6 +22,10 @@ type hugeSpecFrame struct {
 	frame []byte
 }
 
+// huge is n, or the largest int where n does not fit (a 32-bit build):
+// a Spec claims at most that many keys there.
+func huge(n uint64) int { return int(min(n, math.MaxInt)) }
+
 // hugeSpecFrames returns one hugeSpecFrame per registered filter type.
 // Decoding any of them must not size an array from the Spec.
 func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
@@ -32,21 +37,21 @@ func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
 		spec core.Spec
 		fill func(*codec.Enc) error
 	}{
-		{"bloom", core.Spec{Type: core.TypeBloom, N: 1 << 58, BitsPerKey: 10}, func(e *codec.Enc) error {
+		{"bloom", core.Spec{Type: core.TypeBloom, N: huge(1 << 58), BitsPerKey: 10}, func(e *codec.Enc) error {
 			e.U64(0)
 			e.U32(7)
 			e.U64(0)
 			return emptyVector(e)
 		}},
-		{"bloom.Blocked", core.Spec{Type: core.TypeBlockedBloom, N: 1 << 58, BitsPerKey: 10}, blocked},
-		{"bloom.BlockedChoices", core.Spec{Type: core.TypeBlockedChoices, N: 1 << 58, BitsPerKey: 10}, blocked},
+		{"bloom.Blocked", core.Spec{Type: core.TypeBlockedBloom, N: huge(1 << 58), BitsPerKey: 10}, blocked},
+		{"bloom.BlockedChoices", core.Spec{Type: core.TypeBlockedChoices, N: huge(1 << 58), BitsPerKey: 10}, blocked},
 		// A chain of 62 stages with none of them in the payload.
-		{"bloom.Scalable", core.Spec{Type: core.TypeScalableBloom, N: 1 << 58, BitsPerKey: 0.01}, func(e *codec.Enc) error {
+		{"bloom.Scalable", core.Spec{Type: core.TypeScalableBloom, N: huge(1 << 58), BitsPerKey: 0.01}, func(e *codec.Enc) error {
 			e.U64(0)
 			e.U32(62)
 			return nil
 		}},
-		{"cuckoo", core.Spec{Type: core.TypeCuckoo, N: 1 << 40, FPBits: 8, Seed: 1}, func(e *codec.Enc) error {
+		{"cuckoo", core.Spec{Type: core.TypeCuckoo, N: huge(1 << 40), FPBits: 8, Seed: 1}, func(e *codec.Enc) error {
 			for range 5 {
 				e.U64(0) // buckets, n, rng, victim fp, victim bucket
 			}
@@ -63,7 +68,7 @@ func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
 			e.U32(0)
 			return nil
 		}},
-		{"xorfilter", core.Spec{Type: core.TypeXor, N: 1 << 40, FPBits: 8, Seed: 1}, func(e *codec.Enc) error {
+		{"xorfilter", core.Spec{Type: core.TypeXor, N: huge(1 << 40), FPBits: 8, Seed: 1}, func(e *codec.Enc) error {
 			e.U64(0)
 			return emptyPacked(e)
 		}},
@@ -88,7 +93,7 @@ func hugeSpecFrames(tb testing.TB) []hugeSpecFrame {
 			return err
 		}},
 		// 2^30 extents claimed, none present.
-		{"taffy", core.Spec{Type: core.TypeTaffy, N: 1 << 41, BitsPerKey: 0.01, Seed: 1}, func(e *codec.Enc) error {
+		{"taffy", core.Spec{Type: core.TypeTaffy, N: huge(1 << 41), BitsPerKey: 0.01, Seed: 1}, func(e *codec.Enc) error {
 			e.U8(40)
 			e.U32(0)
 			e.U64(0)

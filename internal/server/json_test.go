@@ -188,61 +188,6 @@ func TestJSONRepliesMatchEncoder(t *testing.T) {
 	}
 }
 
-// jsonPointBody, jsonPutBody and jsonKeysBody are the bodies the codec
-// tests and benchmarks use: a point probe, a put as the kv_write
-// workload sends it, and a list of n keys.
-var jsonPointBody = []byte(`{"key":11400714819323198485}`)
-
-func jsonPutBody(n int) []byte {
-	dst := []byte(`{"entries":[`)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		k := uint64(i+1) * 0x9E3779B97F4A7C15
-		dst = strconv.AppendUint(append(dst, `{"key":`...), k, 10)
-		dst = strconv.AppendUint(append(dst, `,"value":`...), k>>20, 10)
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}"...)
-}
-
-func jsonKeysBody(n int) []byte {
-	dst := []byte(`{"keys":[`)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendUint(dst, uint64(i)*0x9E3779B97F4A7C15, 10)
-	}
-	return append(dst, "]}"...)
-}
-
-// jsonRound is a data route's codec half over scratch: decode sc.body,
-// then append the reply (a contains answer with odd keys found, or the
-// put acknowledgement) to sc.resp.
-func jsonRound(sc *probeScratch, put bool) error {
-	if put {
-		entries, err := decodePutBody(sc.body, sc.entries)
-		if err != nil {
-			return err
-		}
-		sc.entries = entries
-		sc.resp = append(sc.resp[:0], okReply...)
-		return nil
-	}
-	point, err := decodeJSONKeys(OpContains, sc.body, &sc.req)
-	if err != nil {
-		return err
-	}
-	sc.size(len(sc.req.Keys))
-	for i, k := range sc.req.Keys {
-		sc.found[i] = k&1 == 1
-	}
-	sc.resp = appendContainsReply(sc.resp[:0], point, sc.found)
-	return nil
-}
-
 // TestJSONBodyZeroAlloc pins the JSON routes' codec half: at steady
 // state, decoding a body into pooled scratch and appending its reply
 // allocates nothing.

@@ -213,48 +213,19 @@ func TestBinaryCodecMatchesReference(t *testing.T) {
 	}
 }
 
-var wireSink int
-
-// BenchmarkWireProbeFrame decodes a 4096-key request frame and encodes
-// its contains response with every other key found: the codec half of
-// a served probe_batch round trip. ns/key is per key.
-func BenchmarkWireProbeFrame(b *testing.B) {
-	keys := make([]uint64, MaxWireBatch)
-	found := make([]bool, MaxWireBatch)
-	for i := range keys {
-		keys[i] = uint64(i) * 0x9E3779B97F4A7C15
-		found[i] = i&1 == 0
+// BenchmarkCodecRounds times each CodecRound: the codec half of a
+// served probe_batch frame, a point probe, a kv_write put and a
+// 4096-key JSON list. ns/key is per key of the request.
+func BenchmarkCodecRounds(b *testing.B) {
+	for _, r := range CodecRounds() {
+		b.Run(r.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := r.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.Keys), "ns/key")
+		})
 	}
-	frame := AppendBinaryRequest(nil, OpContains, keys)
-	var req Request
-	var resp []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeBinaryRequest(frame, &req); err != nil {
-			b.Fatal(err)
-		}
-		resp = AppendBinaryResponse(resp[:0], OpContains, found[:len(req.Keys)], nil)
-	}
-	wireSink = len(resp)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
-}
-
-// BenchmarkJSONBodyPoint, BenchmarkJSONBodyPut16 and
-// BenchmarkJSONBodyKeys4096 decode a JSON data-route body into warm
-// scratch and append its reply: the codec half of a served point
-// probe, of a kv_write put, and of a 4096-key probe_point preload.
-func BenchmarkJSONBodyPoint(b *testing.B)    { benchJSONBody(b, jsonPointBody, false) }
-func BenchmarkJSONBodyPut16(b *testing.B)    { benchJSONBody(b, jsonPutBody(16), true) }
-func BenchmarkJSONBodyKeys4096(b *testing.B) { benchJSONBody(b, jsonKeysBody(MaxWireBatch), false) }
-
-func benchJSONBody(b *testing.B, body []byte, put bool) {
-	sc := &probeScratch{body: body}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := jsonRound(sc, put); err != nil {
-			b.Fatal(err)
-		}
-	}
-	wireSink = len(sc.resp)
 }

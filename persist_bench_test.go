@@ -3,8 +3,9 @@ package beyondbloom
 // Persistence codec micro-benchmarks. Each sub-benchmark encodes or
 // decodes one filter type's full serialized state; b.SetBytes is the
 // encoded frame length, so `go test -bench Persist` reports MB/s
-// directly and scripts/bench.sh records the results in
-// BENCH_persist.json. -short shrinks the fixtures so the 1-iteration
+// directly. Nothing records them: the committed persistence numbers are
+// the served benchmark's core.load_mb_s and core.save_mb_s
+// (`go run -C bench .`). -short shrinks the fixtures so the 1-iteration
 // smoke run in scripts/check.sh stays cheap.
 
 import (
@@ -22,8 +23,7 @@ const (
 )
 
 // Fixture construction (multi-second at full size) happens once per
-// process and is shared by the encode/decode sides, like the batch
-// benchmark fixtures above.
+// process and is shared by the encode/decode sides.
 var (
 	persistBenchOnce sync.Once
 	persistBenchFix  []persisttest.Fixture

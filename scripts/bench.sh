@@ -1,59 +1,36 @@
 #!/bin/sh
-# Regenerate the committed BENCH_*.json files. Two kinds of source:
-#   go test -bench | scripts/bench_to_json.py (go's own benchmark format)
-#     BENCH_batch.json    batched vs scalar probes (batch_bench_test.go),
-#                         the blocked probe and insert kernels at
-#                         cache-resident and DRAM size (internal/bloom)
-#                         and the binary frame and JSON body codecs
-#                         (internal/server)
-#     BENCH_persist.json  persistence codec (persist_bench_test.go)
-#   beyondbloom exp EXX -json (typed rows + acceptance, written by Go;
-#   exits 1 when a gating check fails, and then the file is not replaced)
-#     BENCH_wal.json         E19 crash sweep + durability latency (exp_wal.go)
-#     BENCH_service.json     E21 filter-service sweep (exp_service.go)
-#     BENCH_lsm_maplet.json  E22 maplet-first LSM reads (exp_lsm_maplet.go)
-#     BENCH_growth.json      E23 growable-filter drift/pause (exp_growth.go)
-# Setup builds multi-MB filters, so a full run takes a few minutes.
+# Regenerate the committed BENCH_*.json files. Each is one experiment's
+# `beyondbloom exp EXX -json` output: typed rows + acceptance, written
+# by Go; the command exits 1 when a gating check fails, and then the
+# file is not replaced.
+#   BENCH_batch.json       E24 in-process claims as interleaved pairs:
+#                          scalar vs batch per filter, the batch-size
+#                          sweep, the blocked Go vs AVX-512 kernels, and
+#                          the wire/JSON codec rounds as context
+#                          (exp_claims.go; ~1 min, ~1.5 GB)
+#   BENCH_wal.json         E19 crash sweep + durability latency (exp_wal.go)
+#   BENCH_service.json     E21 filter-service sweep (exp_service.go)
+#   BENCH_lsm_maplet.json  E22 maplet-first LSM reads (exp_lsm_maplet.go)
+#   BENCH_growth.json      E23 growable-filter drift/pause (exp_growth.go)
+# Persistence throughput is the served benchmark's core.load_mb_s and
+# core.save_mb_s (go run -C bench .); persist_bench_test.go stays a
+# plain `go test -bench Persist`.
 #
 # Usage:
 #   scripts/bench.sh              rerun everything, overwrite the JSONs
-#   scripts/bench.sh --compare    rerun the batch section only and diff
-#                                 it against the committed
-#                                 BENCH_batch.json, flagging >10%
-#                                 regressions (exit 1 if any)
+#   scripts/bench.sh --compare    rerun E24 and gate on it: exit 1 if a
+#                                 batch kernel allocates or, at full
+#                                 scale, a gating speed-up falls under
+#                                 its floor; nothing is written
 set -eu
 cd "$(dirname "$0")/.."
 
-RAW=$(mktemp)
-trap 'rm -f "$RAW"' EXIT
-
-# The batch section: every package holding a probe-path benchmark.
-BATCH_BENCH='Filter.*Contains(Scalar|Batch)|FilterBatchSweep|BlockedContainsBatch|BlockedInsert(Scalar|Batch)|WireProbeFrame|JSONBody'
-BATCH_PKGS='. ./internal/bloom ./internal/server'
-
 if [ "${1:-}" = "--compare" ]; then
-	[ -f BENCH_batch.json ] || { echo "no committed BENCH_batch.json to compare against" >&2; exit 2; }
-	echo "== go test -bench $BATCH_BENCH (compare mode) =="
-	go test -run '^$' -bench "$BATCH_BENCH" \
-		-benchmem -benchtime 1s -timeout 1800s $BATCH_PKGS | tee "$RAW"
-	python3 scripts/bench_to_json.py <"$RAW" >BENCH_batch.new.json
-	status=0
-	python3 scripts/bench_compare.py BENCH_batch.json BENCH_batch.new.json || status=$?
-	rm -f BENCH_batch.new.json
-	exit $status
+	exec go run ./cmd/beyondbloom exp E24
 fi
 
-echo "== go test -bench $BATCH_BENCH =="
-go test -run '^$' -bench "$BATCH_BENCH" \
-	-benchmem -benchtime 1s -timeout 1800s $BATCH_PKGS | tee "$RAW"
-python3 scripts/bench_to_json.py <"$RAW" >BENCH_batch.json
-echo "wrote BENCH_batch.json"
-
-echo "== go test -bench Persist{Encode,Decode} =="
-go test -run '^$' -bench 'Persist(Encode|Decode)' \
-	-benchmem -benchtime 1s -timeout 1800s . | tee "$RAW"
-python3 scripts/bench_to_json.py <"$RAW" >BENCH_persist.json
-echo "wrote BENCH_persist.json"
+RAW=$(mktemp)
+trap 'rm -f "$RAW"' EXIT
 
 # exp_json ID FILE: one experiment through the typed path. A failing
 # gating check stops the script before FILE is replaced.
@@ -63,6 +40,7 @@ exp_json() {
 	cp "$RAW" "$2"
 	echo "wrote $2"
 }
+exp_json E24 BENCH_batch.json
 exp_json E19 BENCH_wal.json
 exp_json E21 BENCH_service.json
 exp_json E22 BENCH_lsm_maplet.json

@@ -21,8 +21,9 @@ go build ./...
 echo "== portable build: arm64 cross-compile and vet (the Go kernel only) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/bloom
 
-echo "== portable kernels run: the bloom tests at GOARCH=386 (the Go kernels only) =="
-GOARCH=386 go vet ./internal/bloom && GOARCH=386 go test ./internal/bloom
+echo "== 32-bit leg: vet and every test at GOARCH=386 (the Go kernels only) =="
+GOARCH=386 go vet ./...
+GOARCH=386 go test ./...
 
 echo "== go test -race =="
 go test -race ./...
@@ -58,8 +59,8 @@ echo "== benchmark smoke (1 iteration, -short) =="
 go test -short -run '^$' -bench 'Filter|Persist|LSMConcurrent' -benchtime 1x -benchmem . >/dev/null
 go test -short -run '^$' -bench 'StoreSeed|StoreGetBatch' -benchtime 1x ./internal/lsm >/dev/null
 go test -short -run '^$' -bench 'MapletExpand|MapletUpdate|InfiniInsert|InfiniContains' -benchtime 1x ./internal/quotient >/dev/null
-go test -short -run '^$' -bench 'Blocked(Contains|Insert)Batch|BlockedFill' -benchtime 1x ./internal/bloom >/dev/null
-go test -short -run '^$' -bench 'WireProbeFrame|JSONBody|LoadFilterFile' -benchtime 1x ./internal/server >/dev/null
+go test -short -run '^$' -bench 'BlockedFill' -benchtime 1x ./internal/bloom >/dev/null
+go test -short -run '^$' -bench 'CodecRounds|LoadFilterFile' -benchtime 1x ./internal/server >/dev/null
 
 echo "== served benchmark: vet, tests, smoke run (every answer verified) =="
 go vet -C bench .

@@ -39,9 +39,9 @@ parallelism contributes little: the quotient filter, whose probe is a
 sequential cluster walk batching can only hash-amortize, stays at ~1×.
 The cuckoo filter still gains 1.1–2× because its batched probe replaces
 the branchy slot-by-slot compare with one branch-free 64-bit window test
-per bucket. The full payoff is in the memory-bound regime:
-`scripts/bench.sh` measures multi-tens-of-MB filters and records 1.2–2.7×
-per-filter speedups in `BENCH_batch.json`.""",
+per bucket. The full payoff is in the memory-bound regime: E24 measures
+multi-tens-of-MB filters as interleaved scalar/batch pairs and records
+1.2–5.1× per-filter speedups in `BENCH_batch.json`.""",
 
     "E3": """**Paper claim (§2.2).** Plain quotient-filter doubling sacrifices one
 fingerprint bit per expansion, so its FPR doubles each time "and
@@ -275,7 +275,7 @@ both blocked variants beat classic on scalar probes (one or two
 parallel misses vs k serial); the batch columns on this L3-generous
 container compress toward 1× for the single-miss filters because out-
 of-order execution already overlaps their scalar misses —
-BENCH_batch.json on the same hardware shows the same compression, and
+E24's pairs (BENCH_batch.json) on the same hardware show the same compression, and
 the staged kernels' win tracks working-set size. The overfill table
 shows mean FPR degrading in near-lockstep (choices/blocked ~1.3-1.4×
 flat from 1× to 2× design load): two-choice balancing controls the
@@ -302,6 +302,32 @@ zero wrong membership answers in every cell (`wrong_results_total`,
 which gates). The dispatcher is the client's side of the service: the
 server itself answers point requests directly and probes a batch frame
 whole, so this is the batching a client gets by framing what it has.""",
+
+    "E24": """**Paper claim (§2, §3.3).** A blocked Bloom filter answers in one
+cache line per probe, and a batch of probes amortises its hashing and
+overlaps its cache misses. Both are claims of speed relative to a
+baseline, so each is measured as a ratio: two closures over one
+fixture, timed in 101 alternating ~1 ms slices (`metrics.Interleave`),
+so a slow minute of the host lands on both sides of a slice.
+
+**Measured** (ten full-scale runs on the 2-vCPU reference box, one
+afternoon; the table is the last). At 2^24 keys batching pays 4.1–5.1× for the blocked Bloom
+filter, whose AVX-512 probe kernel is 1.6–1.9× the Go one; 1.9–2.3×
+for two-choice blocked, 1.8–2.1× for xor, 1.8–2.0× for cuckoo and
+1.9–2.1× for sharded cuckoo; 1.3–1.5× for classic Bloom and 1.2–1.3×
+(1.16 once) for the quotient filter, whose probe is a cluster walk that batching
+can only hash-amortise. The sweep rises with batch size (cuckoo at 50 %
+occupancy: 1.3× at 16 keys, 1.6–1.8× at 1024). `InsertBatch` beats an
+`Insert` loop 2.8–4.4× at 2^24 keys. A one-key batch costs what a
+scalar call does (`contains_one` 0.89–0.95, `insert_one` 0.96–1.05);
+the Go kernels' 8 KiB of zeroed stack arrays made it 4–5× dearer
+before (0.22 and 0.23 with that dispatch restored). No pair allocates
+(gating at every scale). Eight speed-ups spread ≤ 10 % over the runs
+their floors come from and gate at full scale on 0.9 × their lowest
+reading; the rest moved 12–50 % with the host — the 2^24-key filters
+are a fraction of its 300 MiB shared L3, and the AVX-512 pairs moved
+most — and are listed with their spread. The codec rounds are absolute
+ns/key, context that never gates.""",
 
     "A1": """SuRF's own design space: hash suffixes cut point FPR (in space) but do
 nothing for correlated range queries, which need real suffixes — and even
