@@ -19,6 +19,7 @@ import (
 	"beyondbloom/internal/bitvec"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/hashutil"
+	"beyondbloom/internal/xorfilter"
 )
 
 // ErrConstruction is returned when peeling fails after all seed retries.
@@ -79,61 +80,22 @@ func (f *Filter) hashes(key uint64) (h [3]uint64, check uint64) {
 }
 
 func (f *Filter) build(keys, values []uint64) bool {
-	m := int(f.m)
-	xorKey := make([]uint64, m)
-	xorIdx := make([]int, m) // xor of key indices (to recover which key)
-	degree := make([]int32, m)
-	for i, k := range keys {
-		h, _ := f.hashes(k)
-		for _, s := range h {
-			xorKey[s] ^= k
-			xorIdx[s] ^= i
-			degree[s]++
-		}
-	}
-	type peeled struct {
-		slot uint64
-		idx  int
-	}
-	stack := make([]peeled, 0, len(keys))
-	queue := make([]int, 0, m)
-	for s := 0; s < m; s++ {
-		if degree[s] == 1 {
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if degree[s] != 1 {
-			continue
-		}
-		i := xorIdx[s]
-		k := keys[i]
-		stack = append(stack, peeled{slot: uint64(s), idx: i})
-		h, _ := f.hashes(k)
-		for _, hs := range h {
-			xorKey[hs] ^= k
-			xorIdx[hs] ^= i
-			degree[hs]--
-			if degree[hs] == 1 {
-				queue = append(queue, int(hs))
-			}
-		}
-	}
-	if len(stack) != len(keys) {
+	order, slots, ok := xorfilter.Peel(len(keys), int(f.m), func(i int) [3]uint64 {
+		h, _ := f.hashes(keys[i])
+		return h
+	})
+	if !ok {
 		return false
 	}
 	// Assign G in reverse peel order so each key's critical slot is
 	// written last: G[h0]^G[h1]^G[h2] must equal selector|check, where
 	// selector says which of the three slots is the critical one.
-	for i := len(stack) - 1; i >= 0; i-- {
-		p := stack[i]
-		k := keys[p.idx]
-		h, check := f.hashes(k)
+	for i := len(order) - 1; i >= 0; i-- {
+		idx, slot := order[i], slots[i]
+		h, check := f.hashes(keys[idx])
 		var sel uint64
 		for j, hs := range h {
-			if hs == p.slot {
+			if hs == slot {
 				sel = uint64(j)
 				break
 			}
@@ -141,12 +103,12 @@ func (f *Filter) build(keys, values []uint64) bool {
 		want := check<<2 | sel
 		g := want
 		for _, hs := range h {
-			if hs != p.slot {
+			if hs != slot {
 				g ^= f.g.Get(int(hs))
 			}
 		}
-		f.g.Set(int(p.slot), g)
-		f.v.Set(int(p.slot), values[p.idx])
+		f.g.Set(int(slot), g)
+		f.v.Set(int(slot), values[idx])
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -47,7 +48,7 @@ func runA1(cfg Config) []*metrics.Table {
 			corEmpty = append(corEmpty, [2]uint64{q.Lo, q.Hi})
 		}
 	}
-	t := metrics.NewTable("A1: SuRF suffix modes (n="+itoa(n)+")",
+	t := metrics.NewTable("A1: SuRF suffix modes (n="+strconv.Itoa(n)+")",
 		"variant", "bits/key", "point_fpr", "correlated_range_fpr")
 	for _, v := range []struct {
 		name string
@@ -113,7 +114,7 @@ func runA3(cfg Config) []*metrics.Table {
 	n := cfg.n(100000)
 	keys := workload.Keys(n*2, 109)
 	neg := workload.DisjointKeys(n, 109)
-	t := metrics.NewTable("A3: cuckoo fingerprint width (n="+itoa(n)+")",
+	t := metrics.NewTable("A3: cuckoo fingerprint width (n="+strconv.Itoa(n)+")",
 		"fp_bits", "bits/key", "measured_fpr", "achieved_load")
 	for _, fp := range []uint{4, 8, 12, 16} {
 		f := cuckoo.New(n, fp)
@@ -156,7 +157,7 @@ func runA4(cfg Config) []*metrics.Table {
 func runA6(cfg Config) []*metrics.Table {
 	n := cfg.n(400000)
 	t := metrics.NewTable("A6: sharded quotient filter (64 shards), mixed 90/10 read/write, GOMAXPROCS="+
-		itoa(runtime.GOMAXPROCS(0))+" (speedup bounded by available cores)",
+		strconv.Itoa(runtime.GOMAXPROCS(0))+" (speedup bounded by available cores)",
 		"goroutines", "Mops/sec", "speedup")
 	keys := workload.Keys(n, 121)
 	build := func() *concurrent.Sharded {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"beyondbloom/internal/adaptive"
 	"beyondbloom/internal/cuckoo"
 	"beyondbloom/internal/metrics"
@@ -39,7 +41,7 @@ func runE4(cfg Config) []*metrics.Table {
 		}
 	}
 	const repeats = 1000
-	advT := metrics.NewTable("E4a: adversarial repeat attack ("+itoa(len(attack))+" FPs x "+itoa(repeats)+" repeats)",
+	advT := metrics.NewTable("E4a: adversarial repeat attack ("+strconv.Itoa(len(attack))+" FPs x "+strconv.Itoa(repeats)+" repeats)",
 		"filter", "false_positives", "fp_per_repeat")
 	countFPs := func(contains func(uint64) bool, adapt func(uint64)) int {
 		total := 0

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"beyondbloom/internal/kmer"
 	"beyondbloom/internal/metrics"
 	"beyondbloom/internal/seqindex"
@@ -19,7 +21,7 @@ func runE12(cfg Config) []*metrics.Table {
 	const k = 17
 
 	// E12a: counter comparison.
-	cntT := metrics.NewTable("E12a: k-mer counting (k=17, genome "+itoa(genomeLen)+"bp)",
+	cntT := metrics.NewTable("E12a: k-mer counting (k=17, genome "+strconv.Itoa(genomeLen)+"bp)",
 		"counter", "distinct_kmers", "bits/distinct", "exact")
 	counter := kmer.NewCounter(k, genomeLen*2, 1.0/256)
 	exact := kmer.NewExactCounter(k, genomeLen*2)
@@ -141,7 +143,7 @@ func runE13(cfg Config) []*metrics.Table {
 	sbt := seqindex.NewSBT(sets, 12)
 	mantis := seqindex.NewMantis(k, sets)
 
-	t := metrics.NewTable("E13: SBT vs Mantis ("+itoa(numExp)+" experiments, theta=0.8)",
+	t := metrics.NewTable("E13: SBT vs Mantis ("+strconv.Itoa(numExp)+" experiments, theta=0.8)",
 		"index", "MiB", "exact", "probes/query", "false_hits", "missed_hits")
 	queries := 50
 	truth := func(q []uint64) map[int]bool {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/concurrent"
@@ -162,46 +161,21 @@ func e24Build(name string, cfg Config) *e24Fixture {
 	return fx
 }
 
-// e24Cycle hands out consecutive batch-key windows of keys, wrapping
-// around. Both sides of a pair take theirs from one cycle: each then
-// probes keys the other has not just pulled into the cache, and over
-// the slices both see the same stream.
-func e24Cycle(keys []uint64, batch int) func() []uint64 {
-	at := 0
-	return func() []uint64 {
-		if at+batch > len(keys) {
-			at = 0
-		}
-		at += batch
-		return keys[at-batch : at]
-	}
-}
-
-var e24Sink bool
-
 func e24Contains(fx *e24Fixture, batch int) (a, b func()) {
-	next := e24Cycle(fx.probes, batch)
-	out := make([]bool, batch)
-	return func() {
-			for _, k := range next() {
-				e24Sink = fx.f.Contains(k)
-			}
-		}, func() {
-			fx.f.ContainsBatch(next(), out)
-		}
+	return probePair(fx.f, fx.probes, batch)
 }
 
 func e24ContainsKernel(fx *e24Fixture, batch int) (a, b func()) {
 	f := fx.f.(*bloom.Blocked)
 	goContains, _ := f.GoKernels()
-	next := e24Cycle(fx.probes, batch)
+	next := cycle(fx.probes, batch)
 	out := make([]bool, batch)
 	return func() { goContains(next(), out) }, func() { f.ContainsBatch(next(), out) }
 }
 
 func e24Insert(fx *e24Fixture, batch int) (a, b func()) {
 	f := fx.f.(*bloom.Blocked)
-	next := e24Cycle(fx.fresh, batch)
+	next := cycle(fx.fresh, batch)
 	return func() {
 			for _, k := range next() {
 				f.Insert(k)
@@ -214,7 +188,7 @@ func e24Insert(fx *e24Fixture, batch int) (a, b func()) {
 func e24InsertKernel(fx *e24Fixture, batch int) (a, b func()) {
 	f := fx.f.(*bloom.Blocked)
 	_, goInsert := f.GoKernels()
-	next := e24Cycle(fx.fresh, batch)
+	next := cycle(fx.fresh, batch)
 	return func() { goInsert(next()) }, func() { f.InsertBatch(next()) }
 }
 
@@ -247,13 +221,7 @@ func ClaimPairs(cfg Config, visit func(pair, aName, bName string, a, b func())) 
 const e24Gate = 0.10
 
 func runE24(cfg Config) []*metrics.Table {
-	full := cfg.Scale == 0 || cfg.Scale >= 1
-	slices, slice := 101, time.Millisecond
-	if !full {
-		slices, slice = 21, 200*time.Microsecond
-	}
-	start := time.Now()
-	clock := func() time.Duration { return time.Since(start) }
+	slices, slice := cfg.slicing()
 	vector := bloom.HasVectorKernels()
 
 	pairs := metrics.NewTable(fmt.Sprintf("E24: interleaved pairs, B's speed-up over A (%d slices of ~%v a side)", slices, slice),
@@ -262,16 +230,14 @@ func runE24(cfg Config) []*metrics.Table {
 	acc := metrics.NewAcceptance("E24: acceptance")
 	eachE24Pair(cfg, func(p *e24Pair, n int, a, b func()) {
 		allocs := max(metrics.AllocsPerOp(100, a), metrics.AllocsPerOp(100, b))
-		ns := metrics.Interleave(slices, slice, clock, a, b)
+		ns := cfg.interleave(a, b)
 		speedup, iqr := metrics.Ratio(ns[0], ns[1])
-		_, aNs, _ := metrics.Quartiles(ns[0])
-		_, bNs, _ := metrics.Quartiles(ns[1])
 		bSide := p.b
 		if p.vector && !vector {
 			bSide = "go (no AVX-512)"
 		}
-		pairs.AddRow(p.name, p.a, bSide, n, p.batch, aNs/float64(p.batch), bNs/float64(p.batch), speedup, iqr, p.spread, allocs)
-		acc.AtLeast(p.name+"/speedup", speedup, p.floor, full && p.spread <= e24Gate && (vector || !p.vector))
+		pairs.AddRow(p.name, p.a, bSide, n, p.batch, perKey(ns[0], p.batch), perKey(ns[1], p.batch), speedup, iqr, p.spread, allocs)
+		acc.AtLeast(p.name+"/speedup", speedup, p.floor, cfg.full() && p.spread <= e24Gate && (vector || !p.vector))
 		acc.AtMost(p.name+"/allocs", allocs, 0, true)
 	})
 
@@ -284,7 +250,7 @@ func runE24(cfg Config) []*metrics.Table {
 			}
 		}
 		allocs := metrics.AllocsPerOp(100, op)
-		q1, ns, q3 := metrics.Quartiles(metrics.Interleave(slices, slice, clock, op)[0])
+		q1, ns, q3 := metrics.Quartiles(cfg.interleave(op)[0])
 		codec.AddRow(r.Name, r.Keys, ns/float64(r.Keys), (q3-q1)/ns, allocs, false)
 	}
 	return []*metrics.Table{pairs, codec, acc}

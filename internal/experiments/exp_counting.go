@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/dleft"
 	"beyondbloom/internal/metrics"
@@ -19,7 +21,7 @@ func runE7(cfg Config) []*metrics.Table {
 	total := distinct * 20
 	keys := workload.Keys(distinct, 7)
 
-	spaceT := metrics.NewTable("E7a: counting filters under Zipf skew ("+itoa(distinct)+" distinct, "+itoa(total)+" total)",
+	spaceT := metrics.NewTable("E7a: counting filters under Zipf skew ("+strconv.Itoa(distinct)+" distinct, "+strconv.Itoa(total)+" total)",
 		"filter", "zipf_s", "bits/distinct_key", "wrong_count_rate", "failed_inserts", "saturations")
 	for _, s := range []float64{1.1, 1.5, 2.0} {
 		ms := workload.ZipfMultiset(keys, total, s, 70+int64(s*10))

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/cuckoo"
@@ -23,7 +25,7 @@ func runE3(cfg Config) []*metrics.Table {
 	keys := workload.Keys(final, 3)
 	neg := workload.DisjointKeys(50000, 3)
 
-	fprT := metrics.NewTable("E3: FPR per expansion (start n="+itoa(start)+")",
+	fprT := metrics.NewTable("E3: FPR per expansion (start n="+strconv.Itoa(start)+")",
 		"n", "qf_doubling", "scalable_bloom", "chained_cuckoo", "infinifilter", "prealloc_bloom")
 	costT := metrics.NewTable("E3: query cost and memory at final size",
 		"strategy", "query_ns", "bits/key", "chain_len")

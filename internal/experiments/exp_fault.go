@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 
 	"beyondbloom/internal/adaptive"
 	"beyondbloom/internal/core"
@@ -67,7 +68,7 @@ func e16Adaptive(cfg Config) *metrics.Table {
 	}
 
 	t := metrics.NewTable("E16a: adaptive repair under remote faults ("+
-		itoa(len(attack))+" FPs x "+itoa(rounds)+" rounds)",
+		strconv.Itoa(len(attack))+" FPs x "+strconv.Itoa(rounds)+" rounds)",
 		"scenario", "positives_total", "rounds_to_clean", "remote_errors", "deferred", "repaired_late", "false_negatives")
 	ctx := context.Background()
 	for _, sc := range scenarios {
@@ -101,7 +102,7 @@ func e16Adaptive(cfg Config) *metrics.Table {
 		}
 		roundsTo := "never"
 		if converged >= 0 {
-			roundsTo = itoa(converged)
+			roundsTo = strconv.Itoa(converged)
 		}
 		t.AddRow(sc.name, positives, roundsTo, int(s.RemoteErrors), int(s.Deferred), int(s.RepairedLater), fns)
 	}
@@ -136,7 +137,7 @@ func e16LSM(cfg Config) *metrics.Table {
 		}},
 	}
 
-	t := metrics.NewTable("E16b: LSM lookups under device/filter faults (Monkey filters, n="+itoa(n)+")",
+	t := metrics.NewTable("E16b: LSM lookups under device/filter faults (Monkey filters, n="+strconv.Itoa(n)+")",
 		"scenario", "io_per_miss", "io_per_hit", "filter_fallbacks", "replica_reads", "failed_ios", "wrong_answers")
 	for _, sc := range scenarios {
 		opts := lsm.Options{Policy: lsm.PolicyMonkey, MemtableSize: 1024, SizeRatio: 4}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
@@ -32,7 +33,7 @@ func runE1(cfg Config) []*metrics.Table {
 	n = pow * 93 / 100 * 2
 	keys := workload.Keys(n, 1)
 	neg := workload.DisjointKeys(n*2, 1)
-	t := metrics.NewTable("E1: space vs false-positive rate (n="+itoa(n)+")",
+	t := metrics.NewTable("E1: space vs false-positive rate (n="+strconv.Itoa(n)+")",
 		"filter", "target_eps", "bits/key", "lower_bound", "overhead_x", "measured_fpr")
 
 	for _, logEps := range []uint{4, 8, 12, 16} {
@@ -88,9 +89,10 @@ func addE1Row(t *metrics.Table, name string, eps float64, f core.Filter, n int, 
 
 // runE2 reproduces §2.1's mechanics story: quotient (Robin Hood shifting)
 // and cuckoo (kicking) both slow down as occupancy rises; cuckoo inserts
-// start failing near 95%. The batch columns probe the same keys through
-// ContainsBatch in 256-key batches — hash-once/probe-many lookups whose
-// advantage grows with the filter's working set (see DESIGN.md).
+// start failing near 95%. The lookup and batch columns probe the
+// inserted keys through Contains and through ContainsBatch in 256-key
+// batches — hash-once/probe-many lookups whose advantage grows with the
+// filter's working set (see DESIGN.md) — all four probes interleaved.
 func runE2(cfg Config) []*metrics.Table {
 	n := cfg.n(200000)
 	keys := workload.Keys(n+n/2, 2)
@@ -102,81 +104,42 @@ func runE2(cfg Config) []*metrics.Table {
 	for float64(uint64(1)<<q)*0.94 < float64(n) {
 		q++
 	}
-	qf := quotient.New(q, 10)
-	cf := cuckoo.New(n, 12)
-	bands := []float64{0.5, 0.75, 0.9, 0.95}
-	start := 0
-	for _, band := range bands {
-		target := int(band * float64(n))
-		if target > len(keys) {
-			target = len(keys)
+	filters := []struct {
+		name string
+		f    interface {
+			core.MutableFilter
+			core.BatchFilter
 		}
+	}{{"quotient", quotient.New(q, 10)}, {"cuckoo", cuckoo.New(n, 12)}}
+	start := 0
+	for _, band := range []float64{0.5, 0.75, 0.9, 0.95} {
+		target := min(int(band*float64(n)), len(keys))
 		count := target - start
 		if count <= 0 {
 			continue
 		}
-		batch := keys[start:target]
-		insQF := opsPerSec(count, func() {
-			for _, k := range batch {
-				if qf.Insert(k) != nil {
-					break
+		var ins []float64
+		var ops []func()
+		probes, batch := keys[:count], min(256, count)
+		for _, fl := range filters {
+			ins = append(ins, opsPerSec(count, func() {
+				for _, k := range keys[start:target] {
+					if fl.f.Insert(k) != nil {
+						break
+					}
 				}
-			}
-		}) / 1e6
-		insCF := opsPerSec(count, func() {
-			for _, k := range batch {
-				if cf.Insert(k) != nil {
-					break
-				}
-			}
-		}) / 1e6
-		probes := keys[:count]
-		lookQF := bestOfRuns(count, func() {
-			for _, k := range probes {
-				qf.Contains(k)
-			}
-		}) / 1e6
-		lookCF := bestOfRuns(count, func() {
-			for _, k := range probes {
-				cf.Contains(k)
-			}
-		}) / 1e6
-		batchQF := batchLookupMops(qf, probes)
-		batchCF := batchLookupMops(cf, probes)
-		t.AddRow("quotient", band, insQF, lookQF, batchQF, batchQF/lookQF)
-		t.AddRow("cuckoo", band, insCF, lookCF, batchCF, batchCF/lookCF)
+			})/1e6)
+			scalar, batched := probePair(fl.f, probes, batch)
+			ops = append(ops, scalar, batched)
+		}
+		ns := cfg.interleave(ops...)
+		for i, fl := range filters {
+			speedup, _ := metrics.Ratio(ns[2*i], ns[2*i+1])
+			t.AddRow(fl.name, band, ins[i], 1e3/perKey(ns[2*i], batch), 1e3/perKey(ns[2*i+1], batch), speedup)
+		}
 		start = target
 	}
 	return []*metrics.Table{t}
-}
-
-// bestOfRuns times fn three times and returns the best ops/sec — only
-// valid for idempotent work (lookups), where repetition squeezes out
-// the scheduler noise a single sub-millisecond pass cannot.
-func bestOfRuns(n int, fn func()) float64 {
-	best := 0.0
-	for r := 0; r < 3; r++ {
-		if v := opsPerSec(n, fn); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// batchLookupMops measures ContainsBatch throughput over probes in
-// 256-key batches with a reused out slice, in millions of keys/sec.
-func batchLookupMops(f core.BatchFilter, probes []uint64) float64 {
-	const batchSize = 256
-	out := make([]bool, batchSize)
-	return bestOfRuns(len(probes), func() {
-		for base := 0; base < len(probes); base += batchSize {
-			end := base + batchSize
-			if end > len(probes) {
-				end = len(probes)
-			}
-			f.ContainsBatch(probes[base:end], out[:end-base])
-		}
-	}) / 1e6
 }
 
 // runE8 reproduces §2.7: static filters' build cost, query cost and
@@ -186,7 +149,7 @@ func runE8(cfg Config) []*metrics.Table {
 	n := cfg.n(500000)
 	keys := workload.Keys(n, 8)
 	neg := workload.DisjointKeys(n, 8)
-	t := metrics.NewTable("E8: static filters (n="+itoa(n)+", 8-bit fingerprints)",
+	t := metrics.NewTable("E8: static filters (n="+strconv.Itoa(n)+", 8-bit fingerprints)",
 		"filter", "bits/key", "build_ns/key", "query_ns/op", "measured_fpr")
 
 	var bf *bloom.Filter
@@ -196,47 +159,18 @@ func runE8(cfg Config) []*metrics.Table {
 			bf.Insert(k)
 		}
 	})
-	queryBloom := nsPerOp(len(neg), func() {
-		for _, k := range neg {
-			bf.Contains(k)
-		}
-	})
-	t.AddRow("bloom", core.BitsPerKey(bf, n), buildBloom, queryBloom, metrics.FPR(bf, neg))
-
 	var xf *xorfilter.Filter
 	buildXor := nsPerOp(n, func() {
 		xf, _ = xorfilter.New(keys, 8)
 	})
-	queryXor := nsPerOp(len(neg), func() {
-		for _, k := range neg {
-			xf.Contains(k)
-		}
-	})
-	t.AddRow("xor", core.BitsPerKey(xf, n), buildXor, queryXor, metrics.FPR(xf, neg))
-
 	var rf *ribbon.Filter
 	buildRibbon := nsPerOp(n, func() {
 		rf, _ = ribbon.New(keys, 8)
 	})
-	queryRibbon := nsPerOp(len(neg), func() {
-		for _, k := range neg {
-			rf.Contains(k)
-		}
-	})
-	t.AddRow("ribbon", core.BitsPerKey(rf, n), buildRibbon, queryRibbon, metrics.FPR(rf, neg))
+	batch := min(256, len(neg))
+	ns := cfg.interleave(lookups(bf, cycle(neg, batch)), lookups(xf, cycle(neg, batch)), lookups(rf, cycle(neg, batch)))
+	t.AddRow("bloom", core.BitsPerKey(bf, n), buildBloom, perKey(ns[0], batch), metrics.FPR(bf, neg))
+	t.AddRow("xor", core.BitsPerKey(xf, n), buildXor, perKey(ns[1], batch), metrics.FPR(xf, neg))
+	t.AddRow("ribbon", core.BitsPerKey(rf, n), buildRibbon, perKey(ns[2], batch), metrics.FPR(rf, neg))
 	return []*metrics.Table{t}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"beyondbloom/internal/bloom"
 	"beyondbloom/internal/core"
@@ -36,7 +36,7 @@ func runE20(cfg Config) []*metrics.Table {
 	keys := workload.Keys(n, 20)
 	neg := workload.DisjointKeys(4*n, 20)
 
-	frontier := metrics.NewTable("E20: Bloom variant frontier at equal bits/key (n="+itoa(n)+")",
+	frontier := metrics.NewTable("E20: Bloom variant frontier at equal bits/key (n="+strconv.Itoa(n)+")",
 		"bits/key", "filter", "fpr", "fpr_vs_classic", "scalar_ns/key", "batch_ns/key", "batch_speedup")
 
 	for _, bpk := range []float64{8, 10, 12, 16, 20, 24} {
@@ -51,31 +51,26 @@ func runE20(cfg Config) []*metrics.Table {
 			{"blocked", bloom.NewBlocked(n, bpk)},
 			{"choices", bloom.NewBlockedChoices(n, bpk)},
 		}
-		classicFPR := 0.0
-		for _, v := range variants {
+		fpr := make([]float64, len(variants))
+		var ops []func()
+		for i, v := range variants {
 			for _, k := range keys {
 				v.f.Insert(k)
 			}
-			fpr := metrics.FPR(v.f, neg)
-			if v.name == "bloom" {
-				classicFPR = fpr
-			}
+			fpr[i] = metrics.FPR(v.f, neg)
+			scalar, batched := probePair(v.f, neg, 256)
+			ops = append(ops, scalar, batched)
+		}
+		// One interleave over all six probes: classic, blocked and
+		// choices are compared within the same slices.
+		ns := cfg.interleave(ops...)
+		for i, v := range variants {
 			ratio := 0.0
-			if classicFPR > 0 {
-				ratio = fpr / classicFPR
+			if fpr[0] > 0 {
+				ratio = fpr[i] / fpr[0]
 			}
-			scalarMops := bestOfRuns(len(neg), func() {
-				for _, k := range neg {
-					v.f.Contains(k)
-				}
-			}) / 1e6
-			batchMops := batchLookupMops(v.f, neg)
-			scalarNs := 1e3 / scalarMops
-			batchNs := 1e3 / batchMops
-			frontier.AddRow(bpk, v.name,
-				fmt.Sprintf("%.2e", fpr), fmt.Sprintf("%.2f", ratio),
-				fmt.Sprintf("%.1f", scalarNs), fmt.Sprintf("%.1f", batchNs),
-				fmt.Sprintf("%.2f", scalarNs/batchNs))
+			speedup, _ := metrics.Ratio(ns[2*i], ns[2*i+1])
+			frontier.AddRow(bpk, v.name, fpr[i], ratio, perKey(ns[2*i], 256), perKey(ns[2*i+1], 256), speedup)
 		}
 	}
 
@@ -106,9 +101,7 @@ func runE20(cfg Config) []*metrics.Table {
 			if blockedFPR > 0 {
 				ratio = fpr / blockedFPR
 			}
-			overfill.AddRow(fmt.Sprintf("%.2f", load), v.name,
-				fmt.Sprintf("%.2e", fpr), fmt.Sprintf("%.2f", ratio),
-				fmt.Sprintf("%.3f", v.f.FillRatio()))
+			overfill.AddRow(load, v.name, fpr, ratio, v.f.FillRatio())
 		}
 	}
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"beyondbloom/internal/core"
 	"beyondbloom/internal/grafite"
 	"beyondbloom/internal/lsm"
@@ -20,7 +22,7 @@ func runE10(cfg Config) []*metrics.Table {
 	missQ := workload.DisjointKeys(cfg.n(50000), 10)
 	hitQ := keys[:cfg.n(50000)]
 
-	t := metrics.NewTable("E10: LSM point lookups (n="+itoa(n)+", T=4)",
+	t := metrics.NewTable("E10: LSM point lookups (n="+strconv.Itoa(n)+", T=4)",
 		"policy", "levels", "io_per_miss", "io_per_hit", "filter_MiB", "probes_per_miss")
 	for _, pc := range []struct {
 		name   string

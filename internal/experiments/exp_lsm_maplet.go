@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"slices"
+	"strconv"
 
 	"beyondbloom/internal/lsm"
 	"beyondbloom/internal/metrics"
@@ -40,7 +41,7 @@ func runE22(cfg Config) []*metrics.Table {
 		{"monkey", lsm.PolicyMonkey},
 		{"maplet_first", lsm.PolicyMaplet},
 	}
-	t := metrics.NewTable("E22: maplet-first point reads vs per-run filters (n="+itoa(n)+", T=4)",
+	t := metrics.NewTable("E22: maplet-first point reads vs per-run filters (n="+strconv.Itoa(n)+", T=4)",
 		"shape", "policy", "runs", "reads_per_hit", "reads_per_miss", "filter_bytes_per_key", "wrong_results").
 		Named("point_reads").With("n", n)
 	for _, sh := range shapes {
@@ -103,8 +104,9 @@ func runE22(cfg Config) []*metrics.Table {
 
 	// E22b: the native maplet batch path (one batched maplet probe, one
 	// view walk per attempt) vs scalar Gets over the same half-present
-	// half-absent stream. Timed best-of-3 to damp scheduler noise.
-	bt := metrics.NewTable("E22b: PolicyMaplet GetBatch vs scalar Get (n="+itoa(n)+")",
+	// half-absent stream: one scalar op and the four batch sizes in one
+	// interleave, each on its own cycle over the stream.
+	bt := metrics.NewTable("E22b: PolicyMaplet GetBatch vs scalar Get (n="+strconv.Itoa(n)+")",
 		"batch", "scalar_mkeys_s", "batch_mkeys_s", "speedup").Named("batch")
 	s := lsm.New(lsm.Options{Policy: lsm.PolicyMaplet, MemtableSize: 1024, SizeRatio: 4})
 	for i, k := range keys {
@@ -115,35 +117,32 @@ func runE22(cfg Config) []*metrics.Table {
 	for i := range missQ {
 		probe = append(probe, keys[i%len(keys)], missQ[i])
 	}
-	bestOf := func(fn func()) float64 {
-		best := nsPerOp(len(probe), fn)
-		for rep := 0; rep < 2; rep++ {
-			if ns := nsPerOp(len(probe), fn); ns < best {
-				best = ns
-			}
+	sizes := []int{16, 64, 256, 1024}
+	scalarKeys := min(256, len(probe))
+	next := cycle(probe, scalarKeys)
+	ops := []func(){func() {
+		for _, k := range next() {
+			s.Get(k)
 		}
-		return best
+	}}
+	for _, bs := range sizes {
+		next := cycle(probe, min(bs, len(probe)))
+		values, found := make([]uint64, bs), make([]bool, bs)
+		ops = append(ops, func() { s.GetBatch(next(), values, found) })
 	}
-	for _, bs := range []int{16, 64, 256, 1024} {
-		values := make([]uint64, bs)
-		found := make([]bool, bs)
-		scalarNs := bestOf(func() {
-			for _, k := range probe {
-				s.Get(k)
-			}
-		})
-		batchNs := bestOf(func() {
-			for off := 0; off < len(probe); off += bs {
-				end := off + bs
-				if end > len(probe) {
-					end = len(probe)
-				}
-				s.GetBatch(probe[off:end], values[:end-off], found[:end-off])
-			}
-		})
-		bt.AddRow(bs, 1e3/scalarNs, 1e3/batchNs, scalarNs/batchNs)
+	ns := cfg.interleave(ops...)
+	scalarNs := perKey(ns[0], scalarKeys)
+	for i, bs := range sizes {
+		keys := min(bs, len(probe))
+		// The ratio of the two ops' slice times, scaled to per key.
+		speedup, iqr := metrics.Ratio(ns[0], ns[i+1])
+		speedup *= float64(keys) / float64(scalarKeys)
+		if bs == 256 {
+			bt.With("speedup_256_iqr", iqr)
+		}
+		bt.AddRow(bs, 1e3/scalarNs, 1e3/perKey(ns[i+1], keys), speedup)
 	}
-	return []*metrics.Table{t, bt, e22Frontier(cfg, s, missQ), e22Acceptance(t, bt)}
+	return []*metrics.Table{t, bt, e22Frontier(cfg, s, missQ), e22Acceptance(t, bt, cfg.full())}
 }
 
 // e22Frontier charts what the initial remainder buys (E22c): standalone
@@ -155,10 +154,10 @@ func runE22(cfg Config) []*metrics.Table {
 // at full scale.
 func e22Frontier(cfg Config, s *lsm.Store, missQ []uint64) *metrics.Table {
 	q0, w, maxLoad := s.MapletGeometry()
-	ft := metrics.NewTable("E22c: maplet bits/key vs negative result size by initial remainder (q0="+itoa(int(q0))+", w="+itoa(int(w))+")",
+	ft := metrics.NewTable("E22c: maplet bits/key vs negative result size by initial remainder (q0="+strconv.Itoa(int(q0))+", w="+strconv.Itoa(int(w))+")",
 		"n", "r0", "bits_per_key", "nrs").Named("frontier")
 	sizes := []int{1 << 15}
-	if cfg.Scale == 0 || cfg.Scale >= 1 {
+	if cfg.full() {
 		sizes = append(sizes, 1<<20)
 	}
 	var cand []uint64
@@ -189,9 +188,12 @@ func e22Frontier(cfg Config, s *lsm.Store, missQ []uint64) *metrics.Table {
 
 // e22Acceptance gates on the exact-model cross-check, the maplet-first
 // reads per present key and its reads per absent key against Monkey's
-// on every shape (counters of a seeded workload); the batch-256
-// speedup against its 1.3x bar is wall-clock, so it is only reported.
-func e22Acceptance(reads, batch *metrics.Table) *metrics.Table {
+// on every shape (counters of a seeded workload). The batch-256
+// speed-up against the 1.3x bar is wall-clock, so it is only reported;
+// at full scale it also gates under E24's rule: over ten full-scale
+// runs its interleaved ratio read 2.68–2.91 (spread 8.5 %, under 10 %),
+// so its floor is 0.9 × the lowest of them.
+func e22Acceptance(reads, batch *metrics.Table, full bool) *metrics.Table {
 	a := metrics.NewAcceptance("E22: acceptance")
 	a.AtMost("wrong_results_total", total[int](reads, "wrong_results"), 0, true)
 	a.AtMost("maplet_hit_within_1_2", slices.Max(where(reads, "policy", "maplet_first", "reads_per_hit")), 1.2, true)
@@ -203,6 +205,8 @@ func e22Acceptance(reads, batch *metrics.Table) *metrics.Table {
 		excess = max(excess, m-monkey[i])
 	}
 	a.AtMost("maplet_miss_at_most_monkey", excess, 0, true)
-	a.AtLeast("batch_256_at_least_1_3x", where(batch, "batch", 256, "speedup")[0], 1.3, false)
+	speedup := where(batch, "batch", 256, "speedup")[0]
+	a.AtLeast("batch_256_at_least_1_3x", speedup, 1.3, false)
+	a.AtLeast("batch_256_speedup_floor", speedup, 2.41, full)
 	return a
 }

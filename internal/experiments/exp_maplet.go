@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"beyondbloom/internal/bloomier"
 	"beyondbloom/internal/cuckoo"
 	"beyondbloom/internal/metrics"
@@ -22,7 +24,7 @@ func runE5(cfg Config) []*metrics.Table {
 	neg := workload.DisjointKeys(n, 5)
 	const eps = 1.0 / 256
 
-	t := metrics.NewTable("E5: maplet result sizes (n="+itoa(n)+", eps=1/256, 8-bit values)",
+	t := metrics.NewTable("E5: maplet result sizes (n="+strconv.Itoa(n)+", eps=1/256, 8-bit values)",
 		"maplet", "PRS", "NRS", "wrong_value_rate", "bits/key", "dynamic")
 
 	measure := func(name string, get func(uint64) []uint64, bits int, dynamic string) {

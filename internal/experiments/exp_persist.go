@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"beyondbloom/internal/bloom"
@@ -89,7 +89,7 @@ func e17Throughput(cfg Config) *metrics.Table {
 		}},
 	}
 
-	t := metrics.NewTable("E17a: codec throughput ("+itoa(n)+" keys)",
+	t := metrics.NewTable("E17a: codec throughput ("+strconv.Itoa(n)+" keys)",
 		"filter", "encoded_MB", "encode_ms", "encode_MB/s", "decode_ms", "decode_MB/s")
 	for _, b := range build {
 		f := b.make()
@@ -107,10 +107,7 @@ func e17Throughput(cfg Config) *metrics.Table {
 			panic(err)
 		}
 		decSec := time.Since(start).Seconds()
-		t.AddRow(b.name,
-			fmt.Sprintf("%.2f", mb),
-			fmt.Sprintf("%.2f", encSec*1e3), fmt.Sprintf("%.0f", mb/encSec),
-			fmt.Sprintf("%.2f", decSec*1e3), fmt.Sprintf("%.0f", mb/decSec))
+		t.AddRow(b.name, mb, encSec*1e3, mb/encSec, decSec*1e3, mb/decSec)
 	}
 	return t
 }
@@ -159,11 +156,10 @@ func e17ReloadVsRebuild(cfg Config) *metrics.Table {
 		panic("e17: reloaded filter lost a key")
 	}
 
-	t := metrics.NewTable("E17b: reload vs rebuild, xor filter ("+itoa(n)+" keys)",
+	t := metrics.NewTable("E17b: reload vs rebuild, xor filter ("+strconv.Itoa(n)+" keys)",
 		"path", "seconds", "speedup")
-	t.AddRow("rebuild_from_keys", fmt.Sprintf("%.3f", buildSec), "1.0x")
-	t.AddRow("reload_from_file", fmt.Sprintf("%.3f", reloadSec),
-		fmt.Sprintf("%.1fx", buildSec/reloadSec))
+	t.AddRow("rebuild_from_keys", buildSec, 1.0)
+	t.AddRow("reload_from_file", reloadSec, buildSec/reloadSec)
 	return t
 }
 
@@ -200,12 +196,9 @@ func e17StoreReopen(cfg Config) *metrics.Table {
 		panic("e17: reopened store lost a key")
 	}
 
-	t := metrics.NewTable("E17c: reopen vs rebuild, LSM store ("+itoa(n)+" entries, PolicyBloom)",
+	t := metrics.NewTable("E17c: reopen vs rebuild, LSM store ("+strconv.Itoa(n)+" entries, PolicyBloom)",
 		"path", "seconds", "speedup", "runs", "reads", "writes")
-	t.AddRow("rebuild_with_puts", fmt.Sprintf("%.3f", buildSec), "1.0x",
-		itoa(s.Runs()), itoa(s.Device().Reads()), itoa(s.Device().Writes()))
-	t.AddRow("reopen_from_disk", fmt.Sprintf("%.3f", reopenSec),
-		fmt.Sprintf("%.1fx", buildSec/reopenSec),
-		itoa(reopened.Runs()), itoa(reopenedReads), itoa(reopenedWrites))
+	t.AddRow("rebuild_with_puts", buildSec, 1.0, s.Runs(), s.Device().Reads(), s.Device().Writes())
+	t.AddRow("reopen_from_disk", reopenSec, buildSec/reopenSec, reopened.Runs(), reopenedReads, reopenedWrites)
 	return t
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"sort"
+	"strconv"
 
 	"beyondbloom/internal/arf"
 	"beyondbloom/internal/core"
@@ -56,7 +57,7 @@ func runE6(cfg Config) []*metrics.Table {
 		{"proteus", proteus.New(keys, sample, 18)},
 	}
 
-	fprT := metrics.NewTable("E6a: empty-range FPR vs range length (n="+itoa(n)+")",
+	fprT := metrics.NewTable("E6a: empty-range FPR vs range length (n="+strconv.Itoa(n)+")",
 		"filter", "len=1", "len=16", "len=256", "len=4096", "len=65536", "bits/key")
 	lengths := []uint64{1, 16, 256, 4096, 65536}
 	queriesPerLen := cfg.n(3000)

@@ -61,8 +61,8 @@ func runE21(cfg Config) []*metrics.Table {
 	expect := make([]bool, q)
 	core.ContainsBatch(filter, stream, expect)
 
-	capTable, capScalar, capBatched := e21Capacity(filter, stream)
-	open := e21OpenLoop(cfg, filter, stream, expect, capScalar, capBatched)
+	capTable, capScalar := e21Capacity(cfg, filter, stream)
+	open := e21OpenLoop(cfg, filter, stream, expect, capScalar)
 	return []*metrics.Table{capTable, open, e21Acceptance(open)}
 }
 
@@ -81,42 +81,23 @@ func e21Acceptance(open *metrics.Table) *metrics.Table {
 }
 
 // e21Capacity measures the two probe kernels' saturation throughput
-// over the stream: one scalar Contains per request vs one ContainsBatch
-// per chunk. Their ratio is the capacity headroom batching can unlock
-// for the service.
-func e21Capacity(filter core.Filter, stream []uint64) (*metrics.Table, float64, float64) {
-	const rounds = 4
-
-	start := time.Now()
-	sink := false
-	for r := 0; r < rounds; r++ {
-		for _, k := range stream {
-			sink = sink != filter.Contains(k)
-		}
-	}
-	scalar := float64(rounds*len(stream)) / time.Since(start).Seconds()
-
-	out := make([]bool, core.BatchChunk)
-	start = time.Now()
-	for r := 0; r < rounds; r++ {
-		for off := 0; off < len(stream); off += core.BatchChunk {
-			end := off + core.BatchChunk
-			if end > len(stream) {
-				end = len(stream)
-			}
-			core.ContainsBatch(filter, stream[off:end], out[:end-off])
-		}
-	}
-	batched := float64(rounds*len(stream)) / time.Since(start).Seconds()
-	_ = sink
+// over the stream, interleaved: one scalar Contains per request vs one
+// ContainsBatch per chunk. Their ratio is the capacity headroom
+// batching can unlock for the service. It also returns the scalar
+// capacity in probes per second, which sets the open loop's offered load.
+func e21Capacity(cfg Config, filter core.BatchFilter, stream []uint64) (*metrics.Table, float64) {
+	chunk := min(core.BatchChunk, len(stream))
+	ns := cfg.interleave(probePair(filter, stream, chunk))
+	speedup, iqr := metrics.Ratio(ns[0], ns[1])
+	scalar, batched := 1e9/perKey(ns[0], chunk), 1e9/perKey(ns[1], chunk)
 
 	t := metrics.NewTable(
 		fmt.Sprintf("E21: probe-engine capacity (stream=%d, GOMAXPROCS=%d)", len(stream), runtime.GOMAXPROCS(0)),
 		"engine", "Mops_per_sec", "speedup_vs_scalar").
-		Named("capacity").With("stream", len(stream)).With("gomaxprocs", runtime.GOMAXPROCS(0))
+		Named("capacity").With("stream", len(stream)).With("gomaxprocs", runtime.GOMAXPROCS(0)).With("speedup_iqr", iqr)
 	t.AddRow("scalar", scalar/1e6, 1.0)
-	t.AddRow("batched", batched/1e6, batched/scalar)
-	return t, scalar, batched
+	t.AddRow("batched", batched/1e6, speedup)
+	return t, scalar
 }
 
 // e21Load is one open-loop run: the stream, its arrival schedule, and
@@ -196,7 +177,7 @@ func e21Replay(serve func(i int, nowNs int64) (int, int64), arr []int64, start t
 
 // e21OpenLoop sweeps offered load across the scalar capacity knee and
 // reports the latency distribution both server shapes deliver.
-func e21OpenLoop(cfg Config, filter core.Filter, stream []uint64, expect []bool, capScalar, capBatched float64) *metrics.Table {
+func e21OpenLoop(cfg Config, filter core.Filter, stream []uint64, expect []bool, capScalar float64) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("E21a: open-loop Poisson sweep (q=%d, maxbatch=%d; offered relative to scalar capacity %.1f Mops)",
 			len(stream), core.BatchChunk, capScalar/1e6),

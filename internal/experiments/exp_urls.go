@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"strconv"
 
 	"beyondbloom/internal/metrics"
 	"beyondbloom/internal/workload"
@@ -49,7 +50,7 @@ func runE14(cfg Config) []*metrics.Table {
 
 	// Per-window false blocks: the adaptive blocker should converge.
 	windows := 10
-	winT := metrics.NewTable("E14a: benign false blocks per window ("+itoa(streamLen)+" requests)",
+	winT := metrics.NewTable("E14a: benign false blocks per window ("+strconv.Itoa(streamLen)+" requests)",
 		rowHeaders(windows)...)
 	// missed_malicious counts malicious requests that slipped through —
 	// zero for every design except the seesaw's dynamic no-list, whose
@@ -84,7 +85,7 @@ func runE14(cfg Config) []*metrics.Table {
 func rowHeaders(windows int) []string {
 	hs := []string{"blocker"}
 	for w := 1; w <= windows; w++ {
-		hs = append(hs, "w"+itoa(w))
+		hs = append(hs, "w"+strconv.Itoa(w))
 	}
 	return hs
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"beyondbloom/internal/core"
 	"beyondbloom/internal/metrics"
 )
 
@@ -19,6 +20,9 @@ import (
 type Config struct {
 	Scale float64
 }
+
+// full reports whether c is the full (CLI) scale.
+func (c Config) full() bool { return c.Scale == 0 || c.Scale >= 1 }
 
 func (c Config) n(base int) int {
 	if c.Scale == 0 {
@@ -108,7 +112,9 @@ func where[K comparable](t *metrics.Table, key string, label K, value string) []
 	return cells
 }
 
-// opsPerSec times fn over n operations.
+// opsPerSec times one call of fn, which does n operations. Like
+// nsPerOp it is for one-shot work only (a build, a fill up to a load):
+// a repeatable operation is timed against its rivals by interleave.
 func opsPerSec(n int, fn func()) float64 {
 	start := time.Now()
 	fn()
@@ -119,9 +125,72 @@ func opsPerSec(n int, fn func()) float64 {
 	return float64(n) / el
 }
 
-// nsPerOp times fn over n operations.
+// nsPerOp times one call of fn, which does n operations.
 func nsPerOp(n int, fn func()) float64 {
 	start := time.Now()
 	fn()
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// slicing is the interleave geometry at c's scale: 101 slices of ~1 ms
+// a side at full scale, 21 of ~200 µs below it.
+func (c Config) slicing() (slices int, slice time.Duration) {
+	if c.full() {
+		return 101, time.Millisecond
+	}
+	return 21, 200 * time.Microsecond
+}
+
+var epoch = time.Now()
+
+// interleave is the suite's one timing method for a repeatable
+// operation: it times ops against each other with metrics.Interleave at
+// c's slicing, so a slow minute of the host slows every op of a slice
+// alike, and returns ns[j][i], op j's time per call in slice i. Whole
+// runs taken one after the other spread 47–80 % on a 2-vCPU guest.
+func (c Config) interleave(ops ...func()) [][]float64 {
+	slices, slice := c.slicing()
+	return metrics.Interleave(slices, slice, func() time.Duration { return time.Since(epoch) }, ops...)
+}
+
+// perKey is an op's median time per key over the slices, for an op
+// that handles keys keys per call.
+func perKey(ns []float64, keys int) float64 {
+	_, median, _ := metrics.Quartiles(ns)
+	return median / float64(keys)
+}
+
+// cycle hands out consecutive batch-key windows of keys, wrapping
+// around; batch is at most len(keys). Ops that share one cycle each
+// probe keys the others have not just pulled into the cache, and over
+// the slices all of them see the same stream.
+func cycle(keys []uint64, batch int) func() []uint64 {
+	at := 0
+	return func() []uint64 {
+		if at+batch > len(keys) {
+			at = 0
+		}
+		at += batch
+		return keys[at-batch : at]
+	}
+}
+
+var sink bool
+
+// lookups is an op that probes f with Contains, one key at a time,
+// over the next window of keys.
+func lookups(f core.Filter, next func() []uint64) func() {
+	return func() {
+		for _, k := range next() {
+			sink = f.Contains(k)
+		}
+	}
+}
+
+// probePair returns a scalar and a batched probe of f, each of batch
+// keys per call, from one cycle over keys.
+func probePair(f core.BatchFilter, keys []uint64, batch int) (scalar, batched func()) {
+	next := cycle(keys, batch)
+	out := make([]bool, batch)
+	return lookups(f, next), func() { f.ContainsBatch(next(), out) }
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,9 +28,9 @@ func TestAllRegistered(t *testing.T) {
 		t.Fatalf("registry has %d experiments, want 30", len(exps))
 	}
 	for i, e := range exps {
-		want := "E" + itoa(i+1)
+		want := "E" + strconv.Itoa(i+1)
 		if i >= 24 {
-			want = "A" + itoa(i-23)
+			want = "A" + strconv.Itoa(i-23)
 		}
 		if e.ID != want {
 			t.Errorf("experiment %d has ID %s, want %s", i, e.ID, want)
@@ -45,15 +47,25 @@ func TestAllRegistered(t *testing.T) {
 	}
 }
 
-// runAt runs one experiment at scale and returns its typed tables,
-// failing the test if any of them has no rows.
+// runs holds every run the tests made, so the tests that read one
+// experiment at one scale share one run.
+var runs = map[string][]*metrics.Table{}
+
+// runAt runs one experiment at scale, once per test binary, and
+// returns its typed tables, failing the test if any of them has no
+// rows.
 func runAt(t *testing.T, id string, scale float64) []*metrics.Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("missing %s", id)
 	}
-	tables := e.Run(Config{Scale: scale})
+	key := fmt.Sprint(id, "@", scale)
+	tables, done := runs[key]
+	if !done {
+		tables = e.Run(Config{Scale: scale})
+		runs[key] = tables
+	}
 	if len(tables) == 0 {
 		t.Fatalf("%s produced no tables", id)
 	}
@@ -384,6 +396,81 @@ func TestE24PairsMatchCommittedFile(t *testing.T) {
 		if !slices.Equal(c.run, c.file) {
 			t.Errorf("BENCH_batch.json has %s %v, E24 %v: regenerate it with scripts/bench.sh", c.what, c.file, c.run)
 		}
+	}
+}
+
+// shape lists, for each key of an experiment's -json document (meta
+// and every table), the fields its objects carry with the JSON kind of
+// each, and for an acceptance table also its check names.
+func shape(t *testing.T, what string, raw []byte) map[string][]string {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	out := map[string][]string{}
+	for name, v := range doc {
+		var rows []map[string]any
+		if name == "meta" {
+			rows = []map[string]any{{}}
+			if err := json.Unmarshal(v, &rows[0]); err != nil {
+				t.Fatalf("%s meta: %v", what, err)
+			}
+		} else if err := json.Unmarshal(v, &rows); err != nil {
+			t.Fatalf("%s table %s: %v", what, name, err)
+		}
+		fields := map[string]bool{}
+		for _, row := range rows {
+			for k, cell := range row {
+				fields[fmt.Sprintf("%s:%T", k, cell)] = true
+			}
+			if check, ok := row["check"].(string); ok && name == "acceptance" {
+				fields["check="+check] = true
+			}
+		}
+		for f := range fields {
+			out[name] = append(out[name], f)
+		}
+		slices.Sort(out[name])
+	}
+	return out
+}
+
+// TestCommittedFilesMatchRuns holds the committed BENCH files other
+// than E24's (TestE24PairsMatchCommittedFile) to a test-scale run of
+// the experiment that writes each: the same tables, the
+// same columns and meta fields with the same JSON kinds, and the same
+// acceptance checks. A field the run does not write is refused, and a
+// table or column added, renamed, dropped or retyped fails here until
+// the file is regenerated with scripts/bench.sh.
+func TestCommittedFilesMatchRuns(t *testing.T) {
+	for _, c := range []struct{ id, file string }{
+		{"E19", "BENCH_wal.json"},
+		{"E21", "BENCH_service.json"},
+		{"E22", "BENCH_lsm_maplet.json"},
+		{"E23", "BENCH_growth.json"},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			var run bytes.Buffer
+			if err := metrics.WriteJSON(&run, c.id, runOne(t, c.id)); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join("..", "..", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := shape(t, c.id+" -json", run.Bytes()), shape(t, c.file, raw)
+			for name, fields := range want {
+				if !slices.Equal(got[name], fields) {
+					t.Errorf("%s %s has %v, %s writes %v: regenerate it with scripts/bench.sh", c.file, name, got[name], c.id, fields)
+				}
+			}
+			for name := range got {
+				if _, ok := want[name]; !ok {
+					t.Errorf("%s has %s, which %s does not write", c.file, name, c.id)
+				}
+			}
+		})
 	}
 }
 

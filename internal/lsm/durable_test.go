@@ -4,7 +4,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"beyondbloom/internal/fault"
 )
@@ -400,5 +402,80 @@ func TestDurableConcurrentCheckpoints(t *testing.T) {
 		if v, ok := r.Get(k); !ok || v != k*7 {
 			t.Fatalf("acknowledged key %d lost (= %d, %v)", k, v, ok)
 		}
+	}
+}
+
+// blockingSyncFS holds every file Sync, while armed, until release is
+// closed, and reports each held Sync on entered.
+type blockingSyncFS struct {
+	*fault.CrashFS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingSyncFS) Create(name string) (fault.File, error) {
+	f, err := b.CrashFS.Create(name)
+	return blockingSyncFile{f, b}, err
+}
+
+func (b *blockingSyncFS) Append(name string) (fault.File, error) {
+	f, err := b.CrashFS.Append(name)
+	return blockingSyncFile{f, b}, err
+}
+
+type blockingSyncFile struct {
+	fault.File
+	fs *blockingSyncFS
+}
+
+func (f blockingSyncFile) Sync() error {
+	if f.fs.armed.Load() {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestAlwaysReadsDoNotWaitForFsync: under DurabilityAlways a writer's
+// fsync runs outside the store's lock, so a Get answers while another
+// writer's fsync is still in flight.
+func TestAlwaysReadsDoNotWaitForFsync(t *testing.T) {
+	fs := &blockingSyncFS{CrashFS: fault.NewCrashFS(3), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	opts := durableOpts(DurabilityAlways, fs)
+	opts.MemtableSize = 1024 // no flush: the writer's one fsync is its record's
+	s, err := OpenStore("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(1, 10)
+	fs.armed.Store(true)
+	put := make(chan struct{})
+	go func() {
+		s.Put(2, 20)
+		close(put)
+	}()
+	<-fs.entered
+	got := make(chan bool, 1)
+	go func() {
+		v, ok := s.Get(1)
+		got <- ok && v == 10
+	}()
+	select {
+	case ok := <-got:
+		if !ok {
+			t.Error("Get(1) answered wrong while an fsync was held")
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Get(1) waited for another writer's fsync")
+	}
+	fs.armed.Store(false)
+	close(fs.release)
+	<-put
+	if v, ok := s.Get(2); !ok || v != 20 {
+		t.Fatalf("Get(2) after the fsync = %d, %v", v, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,8 +12,9 @@
 //	             whole pending batch once, so concurrent writers share
 //	             fsyncs (group commit) while every acknowledged write is
 //	             on stable storage.
-//	ModeAlways   every append performs its own write+fsync before
-//	             returning: the naive fsync-per-op baseline.
+//	ModeAlways   appends are buffered as in ModeGroup, but Sync writes
+//	             and fsyncs one record per fsync: the naive fsync-per-op
+//	             baseline.
 //	ModeBuffered appends are written to the OS but never fsynced by
 //	             Sync (rotation still syncs); a crash may lose the
 //	             buffered tail. Acknowledgements promise ordering, not
@@ -324,16 +325,11 @@ func encodeRecord(firstLSN uint64, ops []Op) []byte {
 }
 
 // Enqueue assigns the next LSNs to ops and stages their record. It
-// performs no I/O in ModeGroup/ModeBuffered — callers may hold their
-// own locks — and returns the batch's last LSN, the Sync target that
-// acknowledges it. In ModeAlways it writes and fsyncs inline, so the
-// acknowledgement is implicit in a nil return.
+// performs no I/O in any mode — callers may hold their own locks — and
+// returns the batch's last LSN, the Sync target that acknowledges it.
 func (l *Log) Enqueue(ops []Op) (uint64, error) {
 	if len(ops) == 0 {
 		return l.LastLSN(), nil
-	}
-	if l.opts.Mode == ModeAlways {
-		return l.appendAlways(ops)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -349,42 +345,13 @@ func (l *Log) Enqueue(ops []Op) (uint64, error) {
 	return l.lastLSN, nil
 }
 
-// appendAlways is the fsync-per-op path: one serialized write+fsync
-// per record, no batching — the ablation's naive baseline.
-func (l *Log) appendAlways(ops []Op) (uint64, error) {
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	l.mu.Lock()
-	if err := l.deadLocked(); err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	first := l.lastLSN + 1
-	frame := encodeRecord(first, ops)
-	l.lastLSN = first + uint64(len(ops)) - 1
-	target := l.lastLSN
-	l.stats.Records++
-	l.stats.Ops += uint64(len(ops))
-	l.mu.Unlock()
-
-	err := l.writeFrames([]pendingFrame{{data: frame, lastLSN: target}}, true)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return 0, err
-	}
-	l.written, l.durable = target, target
-	return target, nil
-}
-
 // Sync is the acknowledgement barrier: it returns once every operation
 // up to lsn is durable (ModeGroup/ModeAlways) or handed to the OS
 // (ModeBuffered). Concurrent Sync calls share flushes: whichever
 // caller wins the I/O lock writes and fsyncs the whole pending queue,
 // and everyone whose LSN that covered returns without touching disk.
+// In ModeAlways the winner writes and fsyncs one pending record per
+// fsync instead, until lsn is acknowledged.
 func (l *Log) Sync(lsn uint64) error {
 	for {
 		l.mu.Lock()
@@ -412,6 +379,9 @@ func (l *Log) Sync(lsn uint64) error {
 		}
 		frames := l.pending
 		l.pending = nil
+		if l.opts.Mode == ModeAlways && len(frames) > 1 {
+			frames, l.pending = frames[:1], frames[1:]
+		}
 		l.mu.Unlock()
 
 		doSync := l.opts.Mode != ModeBuffered
@@ -443,9 +413,6 @@ func (l *Log) Append(ops []Op) (uint64, error) {
 	lsn, err := l.Enqueue(ops)
 	if err != nil {
 		return 0, err
-	}
-	if l.opts.Mode == ModeAlways {
-		return lsn, nil // already durable
 	}
 	return lsn, l.Sync(lsn)
 }

@@ -101,23 +101,49 @@ func (f *Filter) hashes(key uint64) (h [3]uint64, fp uint64) {
 	return
 }
 
-// build runs the peeling construction: repeatedly remove keys that are
-// the sole occupant of some slot, then assign fingerprints in reverse.
+// build runs the peeling construction: peel the keys' 3-hypergraph,
+// then assign fingerprints in reverse peel order.
 func (f *Filter) build(keys []uint64) bool {
-	m := int(3 * f.segLen)
-	// Per-slot XOR of incident key ids and degree counts.
-	xorKey := make([]uint64, m)
+	order, slots, ok := Peel(len(keys), int(3*f.segLen), func(i int) [3]uint64 {
+		h, _ := f.hashes(keys[i])
+		return h
+	})
+	if !ok {
+		return false // 2-core non-empty; retry with a new seed
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		slot := slots[i]
+		h, fp := f.hashes(keys[order[i]])
+		v := fp
+		for _, hs := range h {
+			if hs != slot {
+				v ^= f.slots.Get(int(hs))
+			}
+		}
+		f.slots.Set(int(slot), v)
+	}
+	return true
+}
+
+// Peel is the 3-hypergraph peeling that xor-style constructions build
+// on: key i of n occupies the three slots edge(i) of m. It repeatedly
+// removes a key that is the sole occupant of one of its slots and
+// returns the keys in removal order with that slot each, or ok false
+// when a 2-core remains. Assigning in reverse order writes each key's
+// slot after every other slot of the key is final. A key's three slots
+// must be distinct.
+func Peel(n, m int, edge func(i int) [3]uint64) (order []int, slots []uint64, ok bool) {
+	// Per-slot XOR of incident key indices, and degree counts.
+	xorIdx := make([]int, m)
 	degree := make([]int32, m)
-	for _, k := range keys {
-		h, _ := f.hashes(k)
-		for _, s := range h {
-			xorKey[s] ^= k
+	for i := 0; i < n; i++ {
+		for _, s := range edge(i) {
+			xorIdx[s] ^= i
 			degree[s]++
 		}
 	}
-	// Peel queue: slots of degree 1.
-	stackSlot := make([]uint64, 0, len(keys))
-	stackKey := make([]uint64, 0, len(keys))
+	order = make([]int, 0, n)
+	slots = make([]uint64, 0, n)
 	queue := make([]int, 0, m)
 	for s := 0; s < m; s++ {
 		if degree[s] == 1 {
@@ -130,35 +156,18 @@ func (f *Filter) build(keys []uint64) bool {
 		if degree[s] != 1 {
 			continue
 		}
-		k := xorKey[s]
-		stackSlot = append(stackSlot, uint64(s))
-		stackKey = append(stackKey, k)
-		h, _ := f.hashes(k)
-		for _, hs := range h {
-			xorKey[hs] ^= k
+		i := xorIdx[s]
+		order = append(order, i)
+		slots = append(slots, uint64(s))
+		for _, hs := range edge(i) {
+			xorIdx[hs] ^= i
 			degree[hs]--
 			if degree[hs] == 1 {
 				queue = append(queue, int(hs))
 			}
 		}
 	}
-	if len(stackKey) != len(keys) {
-		return false // 2-core non-empty; retry with a new seed
-	}
-	// Assign in reverse peel order.
-	for i := len(stackKey) - 1; i >= 0; i-- {
-		k := stackKey[i]
-		slot := stackSlot[i]
-		h, fp := f.hashes(k)
-		v := fp
-		for _, hs := range h {
-			if hs != slot {
-				v ^= f.slots.Get(int(hs))
-			}
-		}
-		f.slots.Set(int(slot), v)
-	}
-	return true
+	return order, slots, len(order) == n
 }
 
 // Contains reports whether key may be in the set.

@@ -9,9 +9,18 @@
 #                          the wire/JSON codec rounds as context
 #                          (exp_claims.go; ~1 min, ~1.5 GB)
 #   BENCH_wal.json         E19 crash sweep + durability latency (exp_wal.go)
-#   BENCH_service.json     E21 filter-service sweep (exp_service.go)
-#   BENCH_lsm_maplet.json  E22 maplet-first LSM reads (exp_lsm_maplet.go)
+#   BENCH_service.json     E21 filter-service capacity (scalar vs batched
+#                          probes interleaved, ratio IQR in meta) and
+#                          open-loop sweep (exp_service.go)
+#   BENCH_lsm_maplet.json  E22 maplet-first LSM reads, and E22b's scalar
+#                          Get vs GetBatch interleaved; its batch-256
+#                          floor gates at full scale (exp_lsm_maplet.go)
 #   BENCH_growth.json      E23 growable-filter drift/pause (exp_growth.go)
+# Every in-process speed ratio in these files comes from one timing
+# method, metrics.Interleave (Config.interleave in experiments.go).
+# TestCommittedFilesMatchRuns fails when a file and a test-scale run of
+# its experiment name different tables, columns or checks: rerun this
+# script after reshaping an experiment.
 # Persistence throughput is the served benchmark's core.load_mb_s and
 # core.save_mb_s (go run -C bench .); persist_bench_test.go stays a
 # plain `go test -bench Persist`.
