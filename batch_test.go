@@ -146,61 +146,3 @@ func TestBatchScalarEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// TestBatchAfterMutation re-checks equivalence after deletions and
-// further insertions for the dynamic filters, so the batched path can't
-// go stale against mutation (victim caches, run shifts, ...).
-func TestBatchAfterMutation(t *testing.T) {
-	keys := workload.Keys(propN, 98)
-	cf := cuckoo.New(propN, 13)
-	qf := quotient.New(15, 10)
-	for _, k := range keys[:propN/2] {
-		if err := cf.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-		if err := qf.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range keys[:propN/8] { // delete a quarter of the members
-		if err := cf.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-		if err := qf.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range keys[propN/2 : propN*5/8] { // insert fresh keys
-		if err := cf.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-		if err := qf.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, fx := range []batchFixture{{"cuckoo", cf, keys}, {"quotient", qf, keys}} {
-		assertBatchMatchesScalar(t, fx, keys)
-	}
-}
-
-// TestBatchSaturatedQuotient covers the degenerate always-true state.
-func TestBatchSaturatedQuotient(t *testing.T) {
-	qf := quotient.New(4, 2)
-	qf.SetAutoExpand(true)
-	for k := uint64(0); k < 1<<12; k++ {
-		if err := qf.Insert(k * 0x9E3779B97F4A7C15); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !qf.Saturated() {
-		t.Skip("filter did not saturate at this size")
-	}
-	batch := workload.Keys(500, 99)
-	out := make([]bool, len(batch))
-	qf.ContainsBatch(batch, out)
-	for i := range out {
-		if !out[i] {
-			t.Fatal("saturated filter must answer true for every key")
-		}
-	}
-}

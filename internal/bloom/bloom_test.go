@@ -9,19 +9,6 @@ import (
 	"beyondbloom/internal/workload"
 )
 
-func TestNoFalseNegatives(t *testing.T) {
-	keys := workload.Keys(10000, 1)
-	f := New(len(keys), 0.01)
-	for _, k := range keys {
-		if err := f.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fn := metrics.FalseNegatives(f, keys); fn != 0 {
-		t.Fatalf("%d false negatives", fn)
-	}
-}
-
 func TestFPRNearTarget(t *testing.T) {
 	for _, eps := range []float64{0.05, 0.01, 0.001} {
 		keys := workload.Keys(20000, 2)

@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestChoicesNoFalseNegatives(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{1 << 10, 1 << 14} {
-		f := NewBlockedChoices(n, 10)
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = rng.Uint64()
-			f.Insert(keys[i])
-		}
-		for i, k := range keys {
-			if !f.Contains(k) {
-				t.Fatalf("n=%d: inserted key %d (%#x) reported absent", n, i, k)
-			}
-		}
-		if f.Len() != n {
-			t.Fatalf("Len() = %d, want %d", f.Len(), n)
-		}
-	}
-}
-
 func TestChoicesBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	f := NewBlockedChoices(1<<14, 10)

@@ -44,21 +44,28 @@ func TestShardedContainsBatchMatchesScalar(t *testing.T) {
 // TestShardedInsertBatchMatchesScalar checks that a batched insert
 // leaves every shard as scalar inserts do: through the blocked Bloom
 // kernel (answers identical to a scalar-built twin on present and
-// absent keys) and through the scalar fallback for cuckoo shards.
+// absent keys) and through the scalar fallback for cuckoo and
+// two-choice blocked shards. Each batch-built filter's ContainsBatch
+// must also agree with its Contains, the two-choice shards' batched
+// probe included (the registry fixture's shards are cuckoo).
 func TestShardedInsertBatchMatchesScalar(t *testing.T) {
 	const n = 5000
-	newBlocked := func() *Sharded {
-		s, err := NewShardedMutable(3, func(int) core.MutableFilter { return bloom.NewBlocked(n, 10) })
+	newMutable := func(shard func(int) core.MutableFilter) *Sharded {
+		s, err := NewShardedMutable(3, shard)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
+	blocked := func(int) core.MutableFilter { return bloom.NewBlocked(n, 10) }
+	choices := func(int) core.MutableFilter { return bloom.NewBlockedChoices(n, 10) }
 	keys := workload.Keys(n, 14)
 	probes := append(append([]uint64{}, keys...), workload.DisjointKeys(4*n, 14)...)
+	out := make([]bool, len(probes))
 	for _, pair := range [][2]*Sharded{
-		{newBlocked(), newBlocked()},
+		{newMutable(blocked), newMutable(blocked)},
 		{newShardedCuckoo(t, 3, n), newShardedCuckoo(t, 3, n)},
+		{newMutable(choices), newMutable(choices)},
 	} {
 		scalar, batch := pair[0], pair[1]
 		for _, k := range keys {
@@ -69,9 +76,14 @@ func TestShardedInsertBatchMatchesScalar(t *testing.T) {
 		if err := batch.InsertBatch(keys); err != nil {
 			t.Fatal(err)
 		}
+		batch.ContainsBatch(probes, out)
 		for i, k := range probes {
-			if got, want := batch.Contains(k), scalar.Contains(k); got != want || (i < n && !got) {
+			got, want := batch.Contains(k), scalar.Contains(k)
+			if got != want || (i < n && !got) {
 				t.Fatalf("%T shards, probe %d: batch-built %v, scalar-built %v", scalar.shards[0].f, i, got, want)
+			}
+			if out[i] != got {
+				t.Fatalf("%T shards, probe %d: ContainsBatch %v, Contains %v", scalar.shards[0].f, i, out[i], got)
 			}
 		}
 	}

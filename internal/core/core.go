@@ -200,12 +200,6 @@ func BitsPerKey(f Filter, n int) float64 {
 	return float64(f.SizeBits()) / float64(n)
 }
 
-// LowerBoundBits returns the information-theoretic lower bound
-// log2(1/epsilon) in bits per key for a membership filter.
-func LowerBoundBits(epsilon float64) float64 {
-	return math.Log2(1 / epsilon)
-}
-
 // BloomBitsPerKey returns the bits/key a classic Bloom filter needs for a
 // target false-positive rate: 1.44 * log2(1/epsilon).
 func BloomBitsPerKey(epsilon float64) float64 {

@@ -28,12 +28,6 @@ func TestMapSet(t *testing.T) {
 	}
 }
 
-func TestLowerBoundBits(t *testing.T) {
-	if got := LowerBoundBits(1.0 / 256); math.Abs(got-8) > 1e-9 {
-		t.Fatalf("LowerBoundBits(2^-8) = %f, want 8", got)
-	}
-}
-
 func TestBloomBitsPerKey(t *testing.T) {
 	// 1.44 * 8 ≈ 11.54 for ε = 2^-8.
 	got := BloomBitsPerKey(1.0 / 256)

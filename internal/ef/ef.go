@@ -11,7 +11,6 @@ package ef
 
 import (
 	"math/bits"
-	"sort"
 
 	"beyondbloom/internal/bitvec"
 )
@@ -143,13 +142,4 @@ func (s *Sequence) SizeBits() int {
 		bitsTotal += s.low.SizeBits()
 	}
 	return bitsTotal
-}
-
-// FromUnsorted is a convenience constructor that copies, sorts, and
-// encodes vals (duplicates are kept).
-func FromUnsorted(vals []uint64, universe uint64) *Sequence {
-	cp := make([]uint64, len(vals))
-	copy(cp, vals)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return New(cp, universe)
 }

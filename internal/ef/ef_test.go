@@ -148,16 +148,6 @@ func TestOutOfUniversePanics(t *testing.T) {
 	New([]uint64{5}, 5)
 }
 
-func TestFromUnsorted(t *testing.T) {
-	s := FromUnsorted([]uint64{9, 1, 5, 5, 0}, 10)
-	want := []uint64{0, 1, 5, 5, 9}
-	for i, w := range want {
-		if s.Get(i) != w {
-			t.Fatalf("Get(%d)=%d want %d", i, s.Get(i), w)
-		}
-	}
-}
-
 func TestSpaceNearOptimal(t *testing.T) {
 	// Elias-Fano should use about log2(u/n) + 2 bits/element plus the
 	// rank directory. With our 32-bit-per-word directory, allow 4x slack;

@@ -65,10 +65,3 @@ func runE15(cfg Config) []*metrics.Table {
 	measure("after_deletes", writes)
 	return []*metrics.Table{t}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -192,10 +192,3 @@ func (g *DeBruijn) Components(trueCodes []uint64) int {
 	}
 	return comps
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -87,34 +87,3 @@ func (f *Filter) SizeBits() int {
 }
 
 var _ core.Filter = (*Filter)(nil)
-
-// Oracle wraps any filter with a query-distribution-aware FPR probe:
-// utility for experiments comparing weighted FPR under a skewed query
-// distribution (hot keys weighted by their frequency).
-func WeightedFPR(f core.Filter, queries []uint64, truth func(uint64) bool) float64 {
-	if len(queries) == 0 {
-		return 0
-	}
-	fp := 0
-	neg := 0
-	for _, q := range queries {
-		if truth(q) {
-			continue
-		}
-		neg++
-		if f.Contains(q) {
-			fp++
-		}
-	}
-	if neg == 0 {
-		return 0
-	}
-	return float64(fp) / float64(neg)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

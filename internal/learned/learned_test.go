@@ -70,21 +70,3 @@ func TestEmptySample(t *testing.T) {
 		t.Fatal("false negatives with empty sample")
 	}
 }
-
-func TestWeightedFPR(t *testing.T) {
-	keys, _ := buildWorkload(1000, 6)
-	keySet := map[uint64]bool{}
-	for _, k := range keys {
-		keySet[k] = true
-	}
-	f := New(keys, nil, 3, 10)
-	neg := workload.DisjointKeys(10000, 6)
-	got := WeightedFPR(f, neg, func(k uint64) bool { return keySet[k] })
-	plain := metrics.FPR(f, neg)
-	if got != plain {
-		t.Fatalf("WeightedFPR over pure negatives %g != FPR %g", got, plain)
-	}
-	if WeightedFPR(f, keys, func(k uint64) bool { return keySet[k] }) != 0 {
-		t.Fatal("all-positive stream must have zero weighted FPR")
-	}
-}

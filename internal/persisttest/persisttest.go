@@ -1,11 +1,14 @@
-// Package persisttest exercises the persistence layer across every
-// registered filter type in one place: round-trip property tests
-// (bit-identical re-encoding, identical query answers after reload),
-// SizeBits-versus-encoded-length cross-checks, golden files pinning
-// the version-1 wire format, and a fuzzer feeding mutated frames to
-// the registry loader. It lives apart from the filter packages so the
-// same fixtures drive every check and a new Persistent implementation
-// only needs a fixture entry here to inherit the whole suite.
+// Package persisttest states the point-filter contract once and checks
+// it on every registered filter type: no false negatives, batched
+// probes identical to scalar ones, a batched insert leaving the state
+// scalar inserts leave, a reloaded filter growing on like its source,
+// batches staying exact after deletes, and zero-allocation probes
+// (TestContract, one row per property); plus the persistence checks —
+// round trips, SizeBits-versus-encoded-length, golden files pinning
+// the version-1 wire format, and fuzzers feeding mutated frames to the
+// registry loader. It lives apart from the filter packages so the same
+// fixtures drive every check and a new Persistent implementation only
+// needs a fixture entry here to inherit the whole suite.
 package persisttest
 
 import (
@@ -20,7 +23,7 @@ import (
 	"beyondbloom/internal/xorfilter"
 )
 
-// Fixture is one built, populated filter ready for persistence checks.
+// Fixture is one built, populated filter ready for the contract checks.
 type Fixture struct {
 	Name   string
 	Filter core.Persistent
@@ -29,6 +32,11 @@ type Fixture struct {
 	// encoding (shards for wrappers, 1 otherwise); the SizeBits
 	// cross-check scales its header-overhead allowance by it.
 	Components int
+	// New builds an empty filter configured like Filter, a twin for a
+	// check to fill its own way. Filter is New() given Keys by scalar
+	// Insert in order. It is nil for xorfilter, which is built whole
+	// from its keys and takes no inserts.
+	New func() (core.Persistent, error)
 }
 
 // Keys returns n deterministic pseudo-random keys (golden files and
@@ -53,104 +61,58 @@ func Keys(n int, salt uint64) []uint64 {
 // with n keys each. Construction is fully deterministic: the same n
 // always yields bit-identical filters.
 func Fixtures(n int) ([]Fixture, error) {
-	keys := Keys(n, 1)
-	var fixtures []Fixture
-
-	bf := bloom.NewBits(n, 10)
-	for _, k := range keys {
-		if err := bf.Insert(k); err != nil {
-			return nil, fmt.Errorf("bloom insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "bloom", Filter: bf, Keys: keys, Components: 1})
-
-	bb := bloom.NewBlocked(n, 10)
-	for _, k := range keys {
-		if err := bb.Insert(k); err != nil {
-			return nil, fmt.Errorf("blocked insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "bloom.Blocked", Filter: bb, Keys: keys, Components: 1})
-
-	bc := bloom.NewBlockedChoices(n, 10)
-	for _, k := range keys {
-		if err := bc.Insert(k); err != nil {
-			return nil, fmt.Errorf("choices insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "bloom.BlockedChoices", Filter: bc, Keys: keys, Components: 1})
-
-	cf := cuckoo.New(n, 12)
-	for _, k := range keys {
-		if err := cf.Insert(k); err != nil {
-			return nil, fmt.Errorf("cuckoo insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "cuckoo", Filter: cf, Keys: keys, Components: 1})
-
-	qf := quotient.NewForCapacity(n, 1.0/1024)
-	for _, k := range keys {
-		if err := qf.Insert(k); err != nil {
-			return nil, fmt.Errorf("quotient insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "quotient", Filter: qf, Keys: keys, Components: 1})
-
-	xf, err := xorfilter.New(keys, 12)
-	if err != nil {
-		return nil, fmt.Errorf("xorfilter build: %w", err)
-	}
-	fixtures = append(fixtures, Fixture{Name: "xorfilter", Filter: xf, Keys: keys, Components: 1})
-
 	const logShards = 2
-	sf, err := concurrent.NewSharded(logShards, func(int) core.DeletableFilter {
-		return cuckoo.New(n>>logShards+16, 12)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sharded build: %w", err)
+	fixtures := []Fixture{
+		{Name: "bloom", New: func() (core.Persistent, error) { return bloom.NewBits(n, 10), nil }},
+		{Name: "bloom.Blocked", New: func() (core.Persistent, error) { return bloom.NewBlocked(n, 10), nil }},
+		{Name: "bloom.BlockedChoices", New: func() (core.Persistent, error) { return bloom.NewBlockedChoices(n, 10), nil }},
+		{Name: "cuckoo", New: func() (core.Persistent, error) { return cuckoo.New(n, 12), nil }},
+		{Name: "quotient", New: func() (core.Persistent, error) { return quotient.NewForCapacity(n, 1.0/1024), nil }},
+		{Name: "xorfilter"},
+		{Name: "concurrent.Sharded", Components: 1 << logShards, New: func() (core.Persistent, error) {
+			return persistent(concurrent.NewSharded(logShards, func(int) core.DeletableFilter {
+				return cuckoo.New(n>>logShards+16, 12)
+			}))
+		}},
+		// The growable filters start well under n so the fixtures capture
+		// real growth state (expansion counters, stage chains, mid-table
+		// migration) rather than a filter still in its first configuration.
+		{Name: "bloom.Scalable", New: func() (core.Persistent, error) { return persistent(bloom.NewScalable(n/8+1, 1.0/128)) }},
+		{Name: "infini", New: func() (core.Persistent, error) { return persistent(quotient.NewInfini(4)) }},
+		{Name: "taffy", New: func() (core.Persistent, error) { return persistent(taffy.New(8, 1.0/128)) }},
 	}
-	for _, k := range keys {
-		if err := sf.Insert(k); err != nil {
-			return nil, fmt.Errorf("sharded insert: %w", err)
+	keys := Keys(n, 1)
+	for i := range fixtures {
+		fx := &fixtures[i]
+		fx.Keys = keys
+		fx.Components = max(fx.Components, 1)
+		var err error
+		if fx.New == nil {
+			fx.Filter, err = persistent(xorfilter.New(keys, 12))
+		} else {
+			fx.Filter, err = fill(fx.New, keys)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s fixture: %w", fx.Name, err)
 		}
 	}
-	fixtures = append(fixtures, Fixture{Name: "concurrent.Sharded", Filter: sf, Keys: keys, Components: 1 << logShards})
-
-	// The growable filters start well under n so the fixtures capture
-	// real growth state (expansion counters, stage chains, mid-table
-	// migration) rather than a filter still in its first configuration.
-	sb, err := bloom.NewScalable(n/8+1, 1.0/128)
-	if err != nil {
-		return nil, fmt.Errorf("scalable build: %w", err)
-	}
-	for _, k := range keys {
-		if err := sb.Insert(k); err != nil {
-			return nil, fmt.Errorf("scalable insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "bloom.Scalable", Filter: sb, Keys: keys, Components: 1})
-
-	inf, err := quotient.NewInfini(4)
-	if err != nil {
-		return nil, fmt.Errorf("infini build: %w", err)
-	}
-	for _, k := range keys {
-		if err := inf.Insert(k); err != nil {
-			return nil, fmt.Errorf("infini insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "infini", Filter: inf, Keys: keys, Components: 1})
-
-	tf, err := taffy.New(8, 1.0/128)
-	if err != nil {
-		return nil, fmt.Errorf("taffy build: %w", err)
-	}
-	for _, k := range keys {
-		if err := tf.Insert(k); err != nil {
-			return nil, fmt.Errorf("taffy insert: %w", err)
-		}
-	}
-	fixtures = append(fixtures, Fixture{Name: "taffy", Filter: tf, Keys: keys, Components: 1})
-
 	return fixtures, nil
 }
+
+// fill builds an empty filter and inserts keys in order.
+func fill(newFilter func() (core.Persistent, error), keys []uint64) (core.Persistent, error) {
+	f, err := newFilter()
+	if err != nil {
+		return nil, err
+	}
+	m := f.(core.MutableFilter)
+	for _, k := range keys {
+		if err := m.Insert(k); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// persistent widens a constructor's concrete result to core.Persistent.
+func persistent[F core.Persistent](f F, err error) (core.Persistent, error) { return f, err }

@@ -122,13 +122,6 @@ func Build(keys []uint64, l1, l2 uint, bitsPerKey float64) *Filter {
 	return f
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func newSortedIndex(keys []uint64) *sortedIndex {
 	s := &sortedIndex{keys: make([]uint64, len(keys))}
 	copy(s.keys, keys)

@@ -8,9 +8,9 @@ import (
 	"beyondbloom/internal/lsm"
 )
 
-// FuzzRequestDecode throws arbitrary bytes at the single request-decode
-// entry point (binary frames and JSON bodies) and checks the parser's
-// contract: it either rejects with a typed error or returns a request
+// FuzzRequestDecode throws arbitrary bytes at the two request decoders
+// the handlers call (binary frames and JSON bodies) and checks their
+// contract: each either rejects with a typed error or returns a request
 // that is in-bounds, canonical (binary re-encodes to the input bytes),
 // and round-trips through the response encoder; a JSON body decodes as
 // encoding/json decodes it (checkOracle). The checked-in corpus under
@@ -38,19 +38,25 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte{'B', 'Q', wireVersion, 99, 0, 0, 0, 0}, true)                     // unknown op
 
 	f.Fuzz(func(t *testing.T, data []byte, binary bool) {
-		contentType := "application/json"
-		if binary {
-			contentType = BinaryContentType
-		}
-		// Reuse a slice with stale words, which no decode may show.
+		// Reuse a request with a stale op and stale words, which no
+		// decode may show: a binary frame carries its own op, a JSON
+		// body takes the route's.
 		stale := []uint64{0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead}
-		req := Request{Keys: stale[:0]}
-		err := DecodeRequest(contentType, OpContains, data, &req)
+		req := Request{Op: OpGet, Keys: stale[:0]}
+		var err error
+		if binary {
+			err = DecodeBinaryRequest(data, &req)
+		} else {
+			err = DecodeJSONKeys(OpContains, data, &req)
+		}
 		if !binary {
 			point, want, werr := oracleKeys(data)
 			var got []uint64
 			if err == nil {
 				got = req.Keys
+				if req.Op != OpContains {
+					t.Fatalf("%q: JSON decode op = %d, want the route's %d", data, req.Op, OpContains)
+				}
 				if p, _ := decodeJSONKeys(OpContains, data, &Request{}); p != point {
 					t.Fatalf("%q: point = %v, encoding/json says %v", data, p, point)
 				}

@@ -257,14 +257,3 @@ func DecodeBinaryResponse(data []byte, resp *Response) error {
 	}
 	return nil
 }
-
-// DecodeRequest dispatches on content type: BinaryContentType selects
-// the binary frame parser (which carries its own op); anything else is
-// parsed as JSON with the route-supplied op. This is the single entry
-// point the fuzz harness drives.
-func DecodeRequest(contentType string, op byte, data []byte, req *Request) error {
-	if contentType == BinaryContentType {
-		return DecodeBinaryRequest(data, req)
-	}
-	return DecodeJSONKeys(op, data, req)
-}

@@ -114,25 +114,6 @@ func TestBinaryRequestRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestDispatch checks the content-type switch: the binary
-// parser owns its op byte, the JSON parser takes the route's.
-func TestDecodeRequestDispatch(t *testing.T) {
-	var req Request
-	frame := AppendBinaryRequest(nil, OpGet, []uint64{5})
-	if err := DecodeRequest(BinaryContentType, OpContains, frame, &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpGet {
-		t.Fatalf("binary decode op = %d, want the frame's op %d", req.Op, OpGet)
-	}
-	if err := DecodeRequest("application/json", OpContains, []byte(`{"key": 5}`), &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpContains {
-		t.Fatalf("json decode op = %d, want the route's op %d", req.Op, OpContains)
-	}
-}
-
 // refBinaryResponse is a per-bit reference encoder for the response
 // frame, written straight from the format comment in wire.go.
 func refBinaryResponse(op byte, found []bool, values []uint64) []byte {

@@ -69,13 +69,6 @@ func passing(bf *bloom.Filter, keys []uint64) []uint64 {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Contains walks the stack: a "no" from a positive layer or a "yes"
 // carried to the end of a negative layer run decides the answer.
 func (f *Filter) Contains(key uint64) bool {

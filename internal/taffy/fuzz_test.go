@@ -67,10 +67,3 @@ func FuzzTaffy(f *testing.F) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -216,41 +216,6 @@ func TestCorruptRejected(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesScalar(t *testing.T) {
-	f, err := New(64, 1.0/64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.Keys(20_000, 11)
-	for _, k := range keys {
-		f.Insert(k)
-	}
-	probes := append(append([]uint64(nil), keys[:5_000]...), workload.DisjointKeys(5_000, 11)...)
-	out := make([]bool, len(probes))
-	f.ContainsBatch(probes, out)
-	for i, p := range probes {
-		if out[i] != f.Contains(p) {
-			t.Fatalf("batch/scalar disagree for key %d", p)
-		}
-	}
-}
-
-func TestContainsBatchZeroAlloc(t *testing.T) {
-	f, err := New(64, 1.0/256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.Keys(100_000, 99)
-	for _, k := range keys {
-		f.Insert(k)
-	}
-	probes := keys[:4096]
-	out := make([]bool, len(probes))
-	if avg := testing.AllocsPerRun(20, func() { f.ContainsBatch(probes, out) }); avg != 0 {
-		t.Fatalf("ContainsBatch allocates %.1f times per run, want 0", avg)
-	}
-}
-
 func TestBitsPerKeyBounded(t *testing.T) {
 	f, err := New(64, 1.0/256)
 	if err != nil {

@@ -32,20 +32,6 @@ func PoissonArrivals(n int, ratePerSec float64, seed int64) []int64 {
 	return out
 }
 
-// UniformArrivals returns n cumulative arrival offsets in nanoseconds
-// with constant spacing (a paced closed-form schedule, no jitter).
-func UniformArrivals(n int, ratePerSec float64) []int64 {
-	if ratePerSec <= 0 {
-		panic("workload: arrival rate must be positive")
-	}
-	out := make([]int64, n)
-	gapNs := 1e9 / ratePerSec
-	for i := range out {
-		out[i] = int64(float64(i+1) * gapNs)
-	}
-	return out
-}
-
 // LatencyRecorder accumulates request latencies (in nanoseconds) and
 // reports percentiles. It is not concurrency-safe: each loadgen worker
 // records into its own recorder, or one sink goroutine owns it.

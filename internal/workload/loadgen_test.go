@@ -26,16 +26,6 @@ func TestPoissonArrivals(t *testing.T) {
 	}
 }
 
-func TestUniformArrivals(t *testing.T) {
-	a := UniformArrivals(10, 1e6) // 1 µs apart
-	for i, v := range a {
-		want := int64(i+1) * 1000
-		if v != want {
-			t.Fatalf("arrival %d = %dns, want %dns", i, v, want)
-		}
-	}
-}
-
 func TestLatencyRecorderPercentiles(t *testing.T) {
 	r := NewLatencyRecorder(100)
 	for i := int64(100); i >= 1; i-- { // insert descending: 1..100

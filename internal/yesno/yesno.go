@@ -135,13 +135,6 @@ func (a *Adaptive) Check(url string, isMalicious bool) Verdict {
 // SizeBits returns the filter footprint including adaptivity bits.
 func (a *Adaptive) SizeBits() int { return a.filter.SizeBits() }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Stats aggregates a blocker's behaviour over a traffic stream.
 type Stats struct {
 	Requests      int

@@ -67,20 +67,7 @@ go vet -C bench .
 go test -C bench .
 go run -C bench . -smoke >/dev/null
 
-echo "== codec + sealed payload + WAL + wire + JSON body + taffy + quotient + cuckoo + Elias-Fano + maplet read + blocked Bloom probe and insert kernel fuzz burst (10s each) =="
-go test -run '^$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/codec >/dev/null
-go test -run '^$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/persisttest >/dev/null
-go test -run '^$' -fuzz FuzzSealedPayload -fuzztime 10s ./internal/persisttest >/dev/null
-go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/persisttest >/dev/null
-go test -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s ./internal/server >/dev/null
-go test -run '^$' -fuzz FuzzPutBody -fuzztime 10s ./internal/server >/dev/null
-go test -run '^$' -fuzz FuzzTaffy -fuzztime 10s ./internal/taffy >/dev/null
-go test -run '^$' -fuzz FuzzFilterChurn -fuzztime 10s ./internal/quotient >/dev/null
-go test -run '^$' -fuzz FuzzCounterCodec -fuzztime 10s ./internal/quotient >/dev/null
-go test -run '^$' -fuzz FuzzCuckooChurn -fuzztime 10s ./internal/cuckoo >/dev/null
-go test -run '^$' -fuzz FuzzRoundTripAndSearch -fuzztime 10s ./internal/ef >/dev/null
-go test -run '^$' -fuzz FuzzGetBatch -fuzztime 10s ./internal/lsm >/dev/null
-go test -run '^$' -fuzz FuzzBlockedContainsBatch -fuzztime 10s ./internal/bloom >/dev/null
-go test -run '^$' -fuzz FuzzBlockedInsertBatch -fuzztime 10s ./internal/bloom >/dev/null
+echo "== fuzz bursts: every fuzz target in the module (10s each) =="
+sh scripts/fuzz.sh 10s
 
 echo "OK"
