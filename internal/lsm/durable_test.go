@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -298,13 +299,11 @@ func TestCheckpointKeepsReferencedRetiredRuns(t *testing.T) {
 	if live == nil {
 		t.Fatal("no runs after 40 puts")
 	}
-	// Simulate the race: `live` lands on the deferred-retirement list
-	// (as a concurrent compaction would put it, between this
-	// checkpoint's pin and its drain) while the view — and therefore
+	// Put `live` on the retired list while the view — and therefore
 	// the manifest about to be written — still references it.
-	s.retMu.Lock()
+	s.idMu.Lock()
 	s.retired = append(s.retired, live)
-	s.retMu.Unlock()
+	s.idMu.Unlock()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -318,7 +317,7 @@ func TestCheckpointKeepsReferencedRetiredRuns(t *testing.T) {
 	if _, ok := s.persisted[live.id]; !ok {
 		t.Fatalf("run %d dropped from the persisted set while referenced", live.id)
 	}
-	s.retMu.Lock()
+	s.idMu.Lock()
 	kept := false
 	remaining := s.retired[:0]
 	for _, r := range s.retired {
@@ -329,7 +328,7 @@ func TestCheckpointKeepsReferencedRetiredRuns(t *testing.T) {
 		}
 	}
 	s.retired = remaining // undo the simulation before Close
-	s.retMu.Unlock()
+	s.idMu.Unlock()
 	if !kept {
 		t.Fatal("referenced retired run left the deferred list at the checkpoint that still references it")
 	}
@@ -349,20 +348,120 @@ func TestCheckpointKeepsReferencedRetiredRuns(t *testing.T) {
 
 // TestDurableConcurrentCheckpoints: explicit checkpoints racing
 // concurrent writers and the background engine never lose an
-// acknowledged write across close + reopen. Run with -race.
+// acknowledged write across close + reopen. One round catches a
+// checkpoint that frees the id of a run created after its pin in a
+// minority of runs (the next checkpoint then writes that run under the
+// id, the compaction's output takes it, and the manifest names a file
+// holding the wrong run), so the scenario repeats. Run with -race.
 func TestDurableConcurrentCheckpoints(t *testing.T) {
-	dir := t.TempDir()
+	root := t.TempDir()
 	opts := Options{
 		MemtableSize: 16,
 		Policy:       PolicyMaplet,
 		Background:   true,
 		Durability:   DurabilityGroup,
 	}
-	s, err := OpenStore(filepath.Join(dir, "db"), opts)
+	for round := 0; round < 50; round++ {
+		dir := filepath.Join(root, fmt.Sprint(round))
+		s, err := OpenStore(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writers, perWriter = 3, 150
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					k := uint64(w*perWriter + i + 1)
+					s.Put(k, k*7)
+				}
+			}(w)
+		}
+		ckErrs := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := s.Checkpoint(); err != nil {
+					ckErrs <- err
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		close(ckErrs)
+		for err := range ckErrs {
+			t.Fatalf("round %d: concurrent Checkpoint: %v", round, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+		r, err := OpenStore(dir, opts)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		for k := uint64(1); k <= writers*perWriter; k++ {
+			if v, ok := r.Get(k); !ok || v != k*7 {
+				t.Fatalf("round %d: acknowledged key %d lost (= %d, %v)", round, k, v, ok)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveryReturnsRetiredRunIDs crashes a durable maplet store
+// after every few dozen writes and recovers it, 40 times. A checkpoint
+// must record as free the ids of the retired runs it releases, or each
+// recovery loses them for good and the store runs out of its 2^w ids
+// (at the width these options derive, after some 30 crashes).
+func TestRecoveryReturnsRetiredRunIDs(t *testing.T) {
+	fs := fault.NewCrashFS(9)
+	opts := durableOpts(DurabilityGroup, fs)
+	opts.Policy, opts.MemtableSize = PolicyMaplet, 16
+	k := uint64(1)
+	for crash := 0; crash < 40; crash++ {
+		s, err := OpenStore("db", opts)
+		if err != nil {
+			t.Fatalf("crash %d: %v", crash, err)
+		}
+		s.idMu.Lock()
+		held := s.nextID - uint64(len(s.freeIDs))
+		s.idMu.Unlock()
+		if bound := mapletTreeIDs(&s.opts) + uint64(s.opts.L0RunBudget); held > bound {
+			t.Fatalf("recovered from crash %d holding %d run ids, bound %d", crash, held, bound)
+		}
+		for i := 0; i < 40; i++ {
+			s.Put(k%500, k)
+			k++
+		}
+		fs = fs.Recover()
+		opts.FS = fs
+	}
+}
+
+// TestSaveElsewhereBesideCheckpoints saves a durable Background maplet
+// store into fresh directories in a loop beside writers, the engine's
+// flushes and compactions, and a Checkpoint loop. Each image must
+// reopen with no free id naming one of its runs and must hold every
+// key acknowledged before its Save began.
+func TestSaveElsewhereBesideCheckpoints(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{
+		MemtableSize: 16,
+		Policy:       PolicyMaplet,
+		Background:   true,
+		Durability:   DurabilityGroup,
+	}
+	s, err := OpenStore(filepath.Join(root, "db"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, perWriter = 3, 150
+	const writers, perWriter = 3, 400
+	var acked [writers]atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -371,37 +470,64 @@ func TestDurableConcurrentCheckpoints(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				k := uint64(w*perWriter + i + 1)
 				s.Put(k, k*7)
+				acked[w].Store(int64(i + 1))
 			}
 		}(w)
 	}
-	ckErrs := make(chan error, 1)
-	wg.Add(1)
+	var done atomic.Bool
+	ckErr := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 25; i++ {
+		defer close(ckErr)
+		for !done.Load() {
 			if err := s.Checkpoint(); err != nil {
-				ckErrs <- err
+				ckErr <- err
 				return
 			}
 		}
 	}()
-	wg.Wait()
-	close(ckErrs)
-	for err := range ckErrs {
+	writing := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(writing)
+	}()
+	for i, last := 0, false; !last; i++ {
+		select {
+		case <-writing:
+			last = true // one more image, of the finished store
+		default:
+		}
+		var before [writers]int64
+		for w := range before {
+			before[w] = acked[w].Load()
+		}
+		dir := filepath.Join(root, fmt.Sprint("snap", i))
+		if err := s.Save(dir); err != nil {
+			t.Fatalf("Save %d: %v", i, err)
+		}
+		r, err := OpenStore(dir, Options{})
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		for _, id := range r.freeIDs {
+			if _, live := r.runByID[id]; live {
+				t.Fatalf("image %d: run id %d is live and free", i, id)
+			}
+		}
+		for w, n := range before {
+			for j := int64(0); j < n; j++ {
+				k := uint64(w*perWriter) + uint64(j) + 1
+				if v, ok := r.Get(k); !ok || v != k*7 {
+					t.Fatalf("image %d: key %d, acknowledged before Save, reads %d, %v", i, k, v, ok)
+				}
+			}
+		}
+	}
+	done.Store(true)
+	if err := <-ckErr; err != nil {
 		t.Fatalf("concurrent Checkpoint: %v", err)
 	}
 	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	r, err := OpenStore(filepath.Join(dir, "db"), opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	for k := uint64(1); k <= writers*perWriter; k++ {
-		if v, ok := r.Get(k); !ok || v != k*7 {
-			t.Fatalf("acknowledged key %d lost (= %d, %v)", k, v, ok)
-		}
+		t.Fatal(err)
 	}
 }
 

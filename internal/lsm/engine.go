@@ -256,48 +256,48 @@ func (s *Store) monkeyFPR(level int) float64 {
 	return fpr
 }
 
-// retireRun removes a compaction-superseded run from the engine's index
-// and returns its id to the pool. Synchronously the id is recycled on
-// the spot (the deterministic legacy order); in Background mode only
-// after the view swap (finishRetired), so a reader of the view that
-// still holds the run never resolves a maplet candidate against a new
-// run that took its id. Durable stores always defer, and drain inside
-// checkpoint() instead: a retired id may be recycled only after a
-// committed manifest stops referencing the run and its files are
-// deleted, or a recycled id's fresh data could collide with a stale
-// file.
+// retireRun removes a compaction-superseded run from the engine's index.
+// Its id returns to the pool here only in a synchronous snapshot-only
+// store, where the new run takes it at once (the deterministic legacy
+// order). Otherwise the run joins the retired list until release: in
+// Background mode a reader of the view that still holds the run must
+// never resolve a maplet candidate against a new run that took its id,
+// and in a durable store a recycled id's fresh data must never meet the
+// run's file, which stays until a committed manifest stops naming it.
 func (s *Store) retireRun(old *run) {
 	delete(s.runByID, old.id)
-	if s.deferRetire {
-		s.retMu.Lock()
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
+	if s.bg || s.wal != nil {
 		s.retired = append(s.retired, old)
-		s.retMu.Unlock()
 		return
 	}
-	s.recycleRun(old)
-}
-
-// recycleRun returns a retired run's id to the pool. The compaction
-// that retired the run has already moved or deleted its maplet entries.
-func (s *Store) recycleRun(old *run) {
-	s.idMu.Lock()
 	s.freeIDs = append(s.freeIDs, old.id)
-	s.idMu.Unlock()
 }
 
-// finishRetired performs the deferred half of retirement, id recycling,
-// strictly after the view swap that removed the runs (retire-after-swap).
-// Only non-durable Background stores use it; durable stores drain
-// selectively inside checkpoint(), after the commit that stops
-// referencing the runs.
-func (s *Store) finishRetired() {
-	s.retMu.Lock()
-	retired := s.retired
-	s.retired = nil
-	s.retMu.Unlock()
-	for _, old := range retired {
-		s.recycleRun(old)
+// release returns to the pool the ids of the first n retired runs that
+// keep does not name; the others stay retired. The Background engine of
+// a snapshot-only store releases them all after each publish. A
+// checkpoint passes the retired count its pin read and the runs its
+// committed manifest names: a run retired before a pin and absent from
+// the pinned view can never enter a later view. A run retired after the
+// pin may also have been created after it, by a flush whose compaction
+// is not published yet; freed now, its id could go to that compaction's
+// output while a later checkpoint, pinning the still-published view,
+// writes the run's file under it.
+func (s *Store) release(n int, keep map[uint64]bool) {
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
+	kept := s.retired[:0]
+	for i, old := range s.retired {
+		if i < n && !keep[old.id] {
+			s.freeIDs = append(s.freeIDs, old.id)
+		} else {
+			kept = append(kept, old)
+		}
 	}
+	clear(s.retired[len(kept):])
+	s.retired = kept
 }
 
 // compact cascades oversized levels downward: a level that is full

@@ -442,12 +442,11 @@ type Store struct {
 	// never read by queries (they use the published view).
 	tree    [][]*run
 	runByID map[uint64]*run
-	// retMu guards the deferred-retirement list: retireRun appends from
-	// the engine, finishRetired drains from whichever goroutine ran the
-	// last checkpoint (durable mode) or view swap (Background mode).
-	retMu       sync.Mutex
-	retired     []*run
-	deferRetire bool
+	// cycleMu spans each Background flush-compact-publish cycle, and pin
+	// takes it before mu, so no snapshot falls inside a cycle: its
+	// maplet image names only runs of its view, and every retired run
+	// is out of that view. The synchronous engine runs under mu instead.
+	cycleMu sync.Mutex
 
 	// Durable-mode state (zero for snapshot-only stores). lastLSN is
 	// guarded by mu and advances with every logged batch; flushedLSN and
@@ -467,11 +466,14 @@ type Store struct {
 	persisted  map[uint64]bool
 
 	// Run ids are recycled from a small pool so they stay below idLimit:
-	// 2^w for the maplet's w-bit values (mapletval.go), else 2^16. idMu
-	// guards the pool so Save can snapshot it mid-compaction.
+	// 2^w for the maplet's w-bit values (mapletval.go), else 2^16.
+	// retired holds the runs retirement took out of the tree whose ids
+	// have not come back yet (retireRun, release). idMu guards the pool
+	// and the list, so pin reads both at the instant of its view.
 	idMu    sync.Mutex
 	freeIDs []uint64
 	nextID  uint64
+	retired []*run
 	idLimit uint64
 	// maxDepth caps the level count: mapletDepth for maplet stores.
 	maxDepth int
@@ -552,7 +554,6 @@ func (s *Store) startBackground() {
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.flushCh = make(chan struct{}, 1)
 	s.bg = true
-	s.deferRetire = true
 	s.wg.Add(1)
 	go s.flusher()
 }
@@ -573,9 +574,6 @@ func (s *Store) Close() error {
 			s.wg.Wait()
 			s.mu.Lock()
 			s.bg = false
-			if s.wal == nil {
-				s.deferRetire = false
-			}
 			// The worker drained everything before exiting, but wake any
 			// stalled writer or waiting Flush so it re-checks under the new
 			// (synchronous) regime.
@@ -914,6 +912,8 @@ func (s *Store) flusher() {
 // checkpoint failure parks the store in a sticky error state. A durable
 // maplet store also checkpoints, recycling run ids, before a flush
 // whenever more than L0RunBudget retired runs hold theirs (mapletval.go).
+// A snapshot-only store takes its retired ids back after each publish:
+// no reader can load a view holding their runs from then on.
 func (s *Store) drainBackground() {
 	flushed := false
 	for {
@@ -921,9 +921,9 @@ func (s *Store) drainBackground() {
 		if len(v.frozen) == 0 {
 			break
 		}
-		s.retMu.Lock()
+		s.idMu.Lock()
 		held := len(s.retired)
-		s.retMu.Unlock()
+		s.idMu.Unlock()
 		if s.maplet != nil && s.wal != nil && held > s.opts.L0RunBudget {
 			if err := s.Checkpoint(); err != nil {
 				s.setBgErr(err)
@@ -932,14 +932,16 @@ func (s *Store) drainBackground() {
 			flushed = false
 		}
 		fm := v.frozen[len(v.frozen)-1] // oldest
+		s.cycleMu.Lock()
 		s.flushMem(fm)
 		s.compact()
 		s.mu.Lock()
 		s.publishLocked(fm)
 		s.mu.Unlock()
+		s.cycleMu.Unlock()
 		flushed = true
 		if s.wal == nil {
-			s.finishRetired()
+			s.release(math.MaxInt, nil)
 		}
 	}
 	if flushed && s.wal != nil {

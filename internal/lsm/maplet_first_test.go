@@ -318,7 +318,7 @@ func TestMapletImageOldKindsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var image bytes.Buffer
-	if err := s.writeMapletImage(&image); err != nil {
+	if err := writeMapletImage(&image, s.maplet.m); err != nil {
 		t.Fatal(err)
 	}
 	prefix, ok := bytes.CutSuffix(payload, image.Bytes())

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"io"
 	"sync"
 
 	"beyondbloom/internal/quotient"
@@ -89,12 +88,4 @@ func (mi *mapletIndex) Len() int {
 	mi.mu.RLock()
 	defer mi.mu.RUnlock()
 	return mi.m.Len()
-}
-
-// WriteTo serializes the maplet under the read lock, so Save pins a
-// consistent maplet image even mid-compaction.
-func (mi *mapletIndex) WriteTo(w io.Writer) (int64, error) {
-	mi.mu.RLock()
-	defer mi.mu.RUnlock()
-	return mi.m.WriteTo(w)
 }

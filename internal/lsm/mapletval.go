@@ -14,10 +14,14 @@ import (
 // The run-id width w names every id the store holds at once: the level
 // tree's runs, the runs one flush-and-compact cycle creates while those
 // it retires keep their ids, and up to L0RunBudget retired runs a
-// durable store keeps until its next checkpoint (drainBackground), in a
-// tree no deeper than the maplet's capacity admits (mapletDepth). w
-// follows from the options the manifest records and the default
-// L0RunBudget, so foreground builds and Background serves agree on it.
+// durable store keeps until a checkpoint releases them, in a tree no
+// deeper than the maplet's capacity admits (mapletDepth). A checkpoint
+// racing a compaction releases only the runs retired before its pin
+// (release), but the engine checkpoints before a flush whenever it
+// holds more (drainBackground), and being idle then, pins the view it
+// published last and releases them all. w follows from the options the
+// manifest records and the default L0RunBudget, so foreground builds
+// and Background serves agree on it.
 
 // The maplet starts at 2^mapletQ0 slots with mapletR0-bit remainders
 // and gives up one remainder bit per doubling: r0 = 16 keeps r ≥ 7 at

@@ -3,6 +3,7 @@ package lsm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -204,6 +205,66 @@ func TestRunIDBound(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}
+	}
+}
+
+// TestRunIDBoundConcurrentCheckpoints runs a Checkpoint loop beside
+// TestRunIDBound's durable shapes, each with L0RunBudget at its cap, so
+// its width has no id to spare. A checkpoint that races a compaction
+// releases only the runs retired before its pin, so the engine's own
+// checkpoints must still keep the ids held (minted and not free) within
+// the bound mapletRunBits derives the width from: the tree's ids plus
+// L0RunBudget retired runs.
+func TestRunIDBoundConcurrentCheckpoints(t *testing.T) {
+	for _, comp := range []CompactionPolicy{Leveling, Tiering, LazyLeveling} {
+		base := Options{Policy: PolicyMaplet, MemtableSize: 16, Compaction: comp}
+		opts := base
+		opts.L0RunBudget, opts.Background = maxL0RunBudget(t, base), true
+		opts.Durability, opts.FS = DurabilityBuffered, fault.NewCrashFS(1)
+		s, err := OpenStore("db", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var most atomic.Uint64
+		var stop atomic.Bool
+		ckErr := make(chan error, 1)
+		go func() {
+			defer close(ckErr)
+			for !stop.Load() {
+				if err := s.Checkpoint(); err != nil {
+					ckErr <- err
+					return
+				}
+			}
+		}()
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for !stop.Load() {
+				s.idMu.Lock()
+				held := s.nextID - uint64(len(s.freeIDs))
+				s.idMu.Unlock()
+				if held > most.Load() {
+					most.Store(held)
+				}
+				runtime.Gosched()
+			}
+		}()
+		churnWithReaders(t, s, 1<<9)
+		stop.Store(true)
+		<-sampled
+		if err := <-ckErr; err != nil {
+			t.Fatalf("comp=%d: Checkpoint: %v", comp, err)
+		}
+		bound := mapletTreeIDs(&s.opts) + uint64(s.opts.L0RunBudget)
+		if held := most.Load(); held > bound || bound >= s.idLimit {
+			t.Fatalf("comp=%d budget=%d: held %d run ids, bound %d, limit %d",
+				comp, s.opts.L0RunBudget, held, bound, s.idLimit)
+		}
+		t.Logf("comp=%d budget=%d: held %d run ids at most, bound %d", comp, s.opts.L0RunBudget, most.Load(), bound)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"maps"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -50,10 +52,10 @@ const entryBytes = 17
 
 // writeMapletImage frames the global maplet image as KindMapletRuns:
 // the run-id width, then the maplet frame itself.
-func (s *Store) writeMapletImage(w io.Writer) error {
+func writeMapletImage(w io.Writer, m *quotient.Maplet) error {
 	_, err := codec.Encode(w, codec.KindMapletRuns, func(e *codec.Enc) error {
-		e.U8(uint8(s.maplet.m.ValueBits()))
-		_, err := s.maplet.WriteTo(e)
+		e.U8(uint8(m.ValueBits()))
+		_, err := m.WriteTo(e)
 		return err
 	})
 	return err
@@ -150,47 +152,81 @@ func writeFileAtomic(fsys fault.FS, path string, data []byte) error {
 	return fsys.Rename(tmp, path)
 }
 
-// pinSnapshot captures a consistent persistence image under the store
-// mutex: the current view, the folded memtable (frozen memtables plus
-// the active one, newest writer winning), and the last assigned log
-// sequence number. Every operation with an LSN at or below the
-// returned watermark is contained in (view, mem).
-func (s *Store) pinSnapshot() (v *view, mem map[uint64]Entry, watermark uint64) {
+// snapshot is one instant of the store, pinned under mu: the view; the
+// folded memtable (frozen memtables plus the active one, newest writer
+// winning); the last assigned log sequence number, so every operation
+// at or below watermark is contained in (v, mem); the run-id
+// allocation state, whose pool also holds the ids of the retired runs v
+// lacks, which release frees once the image commits, or a store
+// recovered from the image would never hand them out again; how many
+// runs the retired list held; and, under PolicyMaplet, the maplet
+// image.
+type snapshot struct {
+	v         *view
+	mem       map[uint64]Entry
+	watermark uint64
+	nextID    uint64
+	freeIDs   []uint64
+	retired   int
+	maplet    []byte
+}
+
+// pin captures a snapshot between two engine cycles (cycleMu). Read
+// under mu with the view, the pool names no run of v: an id comes back
+// only once its run is out of every view published from then on
+// (release). The maplet's read lock, taken under mu too, holds off the
+// engine's edits until the image is encoded, so the image routes every
+// key to a run of v.
+func (s *Store) pin() (*snapshot, error) {
+	s.cycleMu.Lock()
 	s.mu.Lock()
-	v = s.view.Load()
-	mem = make(map[uint64]Entry, len(s.mem))
+	v := s.view.Load()
+	sn := &snapshot{v: v, mem: make(map[uint64]Entry, len(s.mem)), watermark: s.lastLSN}
 	for i := len(v.frozen) - 1; i >= 0; i-- { // oldest first
-		for k, e := range v.frozen[i].entries {
-			mem[k] = e
+		maps.Copy(sn.mem, v.frozen[i].entries)
+	}
+	maps.Copy(sn.mem, s.mem) // the active memtable is newest
+	s.idMu.Lock()
+	sn.nextID, sn.freeIDs, sn.retired = s.nextID, slices.Clone(s.freeIDs), len(s.retired)
+	for _, r := range s.retired {
+		if !viewHasRun(v, r.id) {
+			sn.freeIDs = append(sn.freeIDs, r.id)
 		}
 	}
-	for k, e := range s.mem { // the active memtable is newest
-		mem[k] = e
+	s.idMu.Unlock()
+	mi := s.maplet
+	if mi != nil {
+		mi.mu.RLock()
+		defer mi.mu.RUnlock()
 	}
-	watermark = s.lastLSN
 	s.mu.Unlock()
-	return v, mem, watermark
+	s.cycleMu.Unlock()
+	if mi != nil {
+		var buf bytes.Buffer
+		if err := writeMapletImage(&buf, mi.m); err != nil {
+			return nil, err
+		}
+		sn.maplet = buf.Bytes()
+	}
+	return sn, nil
 }
 
 // Save persists the store's complete state into dir: the MANIFEST
 // (structural options, I/O counters, memtable, level structure, free
 // id pool, and — under PolicyMaplet — the global maplet), one .bbr
-// data file per run, and one .bbf filter file per filtered run. Every
-// file is written crash-atomically (temp + fsync + rename + directory
-// fsync), so a crash mid-Save can never corrupt an existing snapshot.
-// Run files are encoded and written concurrently; they are independent
-// sibling frames. Function-valued options (range-filter builders,
-// fault injectors, retry policies) are not persisted — the caller
-// passes them again to OpenStore.
+// data file per run, and one .bbf filter file per filtered run, through
+// writeImage. Function-valued options (range-filter builders, fault
+// injectors, retry policies) are not persisted — the caller passes them
+// again to OpenStore.
 //
 // On a durable store, saving into the store's own directory is a
 // checkpoint (see Checkpoint); saving elsewhere writes a detached
 // snapshot that does not include the write-ahead log.
 //
 // Save is safe to call concurrently with queries, writes, and a
-// background compaction: it pins one view under the store mutex and
-// serializes that snapshot. Frozen memtables that have not flushed yet
-// are folded into the saved memtable image (newest writer wins), so no
+// background compaction: it pins one snapshot under the store mutex
+// and writes that. Frozen memtables that have not flushed yet are
+// folded into the saved memtable image (newest writer wins), so no
 // committed entry is lost; the reopened store re-flushes them on its
 // own schedule.
 func (s *Store) Save(dir string) error {
@@ -204,49 +240,57 @@ func (s *Store) Save(dir string) error {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return err
 	}
-	v, mem, _ := s.pinSnapshot()
-	s.idMu.Lock()
-	nextID := s.nextID
-	freeIDs := append([]uint64(nil), s.freeIDs...)
-	s.idMu.Unlock()
-
-	var runs []*run
-	for _, level := range v.levels {
-		runs = append(runs, level...)
-	}
-	errs := make([]error, len(runs))
-	var wg sync.WaitGroup
-	for i, r := range runs {
-		wg.Add(1)
-		go func(i int, r *run) {
-			defer wg.Done()
-			errs[i] = saveRunFiles(fsys, dir, r)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	// Run-file names durable before the manifest that references them.
-	if len(runs) > 0 {
-		if err := fsys.SyncDir(dir); err != nil {
-			return err
-		}
-	}
-	manifest, err := s.encodeManifest(v, mem, nextID, freeIDs, false, 0)
+	sn, err := s.pin()
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(fsys, filepath.Join(dir, ManifestName), manifest); err != nil {
-		return err
+	sn.watermark = 0 // a detached snapshot replays no log
+	_, err = s.writeImage(fsys, dir, sn, nil, false)
+	return err
+}
+
+// writeImage is the package's one write sequence: the files of every
+// run of sn's view that skip does not hold, in id order (the crash
+// sweeps count a workload's filesystem operations in a dry run, so
+// their order must not vary), each crash-atomically; a directory sync,
+// so the names are durable before a manifest names them; the MANIFEST,
+// crash-atomically; a second directory sync. The manifest's rename is
+// the commit point: a crash before it leaves the directory's previous
+// image whole. durable marks a WAL checkpoint. It returns the view's
+// runs in id order.
+func (s *Store) writeImage(fsys fault.FS, dir string, sn *snapshot, skip map[uint64]bool, durable bool) ([]*run, error) {
+	var runs []*run
+	for _, level := range sn.v.levels {
+		runs = append(runs, level...)
 	}
-	return fsys.SyncDir(dir)
+	slices.SortFunc(runs, func(a, b *run) int { return cmp.Compare(a.id, b.id) })
+	wrote := false
+	for _, r := range runs {
+		if _, ok := skip[r.id]; ok {
+			continue
+		}
+		if err := saveRunFiles(fsys, dir, r); err != nil {
+			return nil, err
+		}
+		wrote = true
+	}
+	if wrote {
+		if err := fsys.SyncDir(dir); err != nil {
+			return nil, err
+		}
+	}
+	manifest, err := s.encodeManifest(sn, durable)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeFileAtomic(fsys, filepath.Join(dir, ManifestName), manifest); err != nil {
+		return nil, err
+	}
+	return runs, fsys.SyncDir(dir)
 }
 
 // encodeManifest serializes the manifest frame for a pinned snapshot.
-// durable marks WAL checkpoints: watermark is then the LSN through
+// durable marks WAL checkpoints: the watermark is then the LSN through
 // which (view, mem) is complete, so replay applies only newer records.
 // The frame kind is TypeLSMManifestV3: the durability fields extended
 // the v1 layout mid-stream (v2), and the growable-run-filter flag
@@ -255,7 +299,7 @@ func (s *Store) Save(dir string) error {
 // fields are false/zero by construction), and an image from a format
 // newer than all three fails with a clear kind error instead of a
 // misparse.
-func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, freeIDs []uint64, durable bool, watermark uint64) ([]byte, error) {
+func (s *Store) encodeManifest(sn *snapshot, durable bool) ([]byte, error) {
 	var buf bytes.Buffer
 	_, err := codec.Encode(&buf, core.TypeLSMManifestV3, func(e *codec.Enc) error {
 		// Structural options: a reopened store must rebuild the exact same
@@ -282,28 +326,28 @@ func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, fre
 		e.U64(uint64(s.FilterProbes()))
 		e.U64(uint64(s.FilterFallbacks()))
 		// Run id allocation state.
-		e.U64(nextID)
-		e.U64s(freeIDs)
+		e.U64(sn.nextID)
+		e.U64s(sn.freeIDs)
 		// Durability: whether this manifest is a WAL checkpoint, and the
 		// replay watermark.
 		e.Bool(durable)
-		e.U64(watermark)
+		e.U64(sn.watermark)
 		// Memtable, sorted by key for a deterministic encoding.
-		memKeys := make([]uint64, 0, len(mem))
-		for k := range mem {
+		memKeys := make([]uint64, 0, len(sn.mem))
+		for k := range sn.mem {
 			memKeys = append(memKeys, k)
 		}
 		sort.Slice(memKeys, func(i, j int) bool { return memKeys[i] < memKeys[j] })
 		e.U64(uint64(len(memKeys)))
 		for _, k := range memKeys {
-			en := mem[k]
+			en := sn.mem[k]
 			e.U64(en.Key)
 			e.U64(en.Value)
 			e.Bool(en.Tombstone)
 		}
 		// Level structure: run ids in order (newest first within a level).
-		e.U64(uint64(len(v.levels)))
-		for _, level := range v.levels {
+		e.U64(uint64(len(sn.v.levels)))
+		for _, level := range sn.v.levels {
 			e.U64(uint64(len(level)))
 			for _, r := range level {
 				e.U64(r.id)
@@ -312,11 +356,9 @@ func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, fre
 		}
 		// Global maplet (PolicyMaplet): nested frame, versioned
 		// independently of the manifest (see writeMapletImage).
-		e.Bool(s.maplet != nil)
-		if s.maplet == nil {
-			return nil
-		}
-		return s.writeMapletImage(e)
+		e.Bool(sn.maplet != nil)
+		_, err := e.Write(sn.maplet)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -364,85 +406,51 @@ func (s *Store) Checkpoint() error {
 // checkpoint writes one full-consistency checkpoint. The protocol, in
 // crash-ordering terms:
 //
-//  1. Pin (view, folded memtable, watermark) under mu — complete
-//     through the watermark LSN by construction.
-//  2. Write run files the directory does not hold yet (temp + fsync +
-//     rename), then fsync the directory. Runs are immutable and ids
-//     recycle only after step 5 deletes stale files, so a persisted
-//     file never goes stale.
-//  3. Write the manifest the same way and fsync the directory. This
+//  1. Pin a snapshot under mu — complete through its watermark LSN by
+//     construction.
+//  2. writeImage, skipping run files the directory holds already: runs
+//     are immutable, and an id comes back only after step 5 deletes its
+//     files, so a persisted file never goes stale. The manifest's
 //     rename is the commit point: before it the old checkpoint + WAL
 //     recover the store, after it the new one does.
+//  3. Record the view's runs as persisted.
 //  4. Advance the replay watermark.
 //  5. Garbage-collect: delete run files the new manifest no longer
 //     references and WAL segments at or below the watermark. A crash
 //     here only leaves debris for OpenStore's sweep.
-//  6. Recycle retired run ids — but only those the committed manifest
-//     does not reference. A run retired by a concurrent flush or
-//     compaction after step 1's pin is still named by this manifest
-//     (its file must survive, its id must stay out of circulation);
-//     it stays on the deferred list until a later checkpoint commits
-//     without it.
+//  6. Release the runs retired before step 1's pin that the manifest
+//     does not name (see release); the others stay retired until a
+//     later checkpoint.
 //
 // Serialized by ckptMu; the snapshot pin is the only step that takes
 // mu, so checkpoints run concurrently with writers and readers.
 func (s *Store) checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	v, mem, watermark := s.pinSnapshot()
-	s.idMu.Lock()
-	nextID := s.nextID
-	freeIDs := append([]uint64(nil), s.freeIDs...)
-	s.idMu.Unlock()
-
-	refs := make(map[uint64]*run)
-	ids := make([]uint64, 0, 16)
-	for _, level := range v.levels {
-		for _, r := range level {
-			refs[r.id] = r
-			ids = append(ids, r.id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] }) // deterministic I/O order
-	wrote := false
-	for _, id := range ids {
-		if _, ok := s.persisted[id]; ok {
-			continue
-		}
-		if err := saveRunFiles(s.fs, s.dir, refs[id]); err != nil {
-			return err
-		}
-		wrote = true
-	}
-	if wrote {
-		if err := s.fs.SyncDir(s.dir); err != nil {
-			return err
-		}
-	}
-	manifest, err := s.encodeManifest(v, mem, nextID, freeIDs, true, watermark)
+	sn, err := s.pin()
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(s.fs, filepath.Join(s.dir, ManifestName), manifest); err != nil {
-		return err
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
+	runs, err := s.writeImage(s.fs, s.dir, sn, s.persisted, true)
+	if err != nil {
 		return err
 	}
 	// Commit point passed: bookkeeping, then garbage collection.
-	for _, id := range ids {
-		s.persisted[id] = refs[id].filter != nil
+	refs := make(map[uint64]bool, len(runs))
+	for _, r := range runs {
+		refs[r.id] = true
+		s.persisted[r.id] = r.filter != nil
 	}
-	if watermark > s.flushedLSN {
-		s.flushedLSN = watermark
+	if sn.watermark > s.flushedLSN {
+		s.flushedLSN = sn.watermark
 	}
 	stale := make([]uint64, 0, 4)
 	for id := range s.persisted {
-		if _, ok := refs[id]; !ok {
+		if !refs[id] {
 			stale = append(stale, id)
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
+	slices.Sort(stale)
 	for _, id := range stale {
 		if err := s.fs.Remove(filepath.Join(s.dir, runDataName(id))); err != nil {
 			return err
@@ -462,25 +470,7 @@ func (s *Store) checkpoint() error {
 	if err := s.wal.Retire(s.flushedLSN); err != nil {
 		return err
 	}
-	// Step 6: recycle retired runs the committed manifest no longer
-	// references — their files are gone (deleted above, or never
-	// written). Runs retired after the pin may still be referenced by
-	// this very manifest, so they stay deferred.
-	s.retMu.Lock()
-	kept := s.retired[:0]
-	var recyclable []*run
-	for _, old := range s.retired {
-		if _, referenced := refs[old.id]; referenced {
-			kept = append(kept, old)
-		} else {
-			recyclable = append(recyclable, old)
-		}
-	}
-	s.retired = kept
-	s.retMu.Unlock()
-	for _, old := range recyclable {
-		s.recycleRun(old)
-	}
+	s.release(sn.retired, refs)
 	return nil
 }
 
@@ -633,8 +623,22 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		}
 		s.maplet = newMapletIndex(maplet)
 	}
-	if nextID >= s.idLimit || slices.ContainsFunc(freeIDs, func(id uint64) bool { return id == 0 || id > nextID }) {
-		return nil, fmt.Errorf("%w: lsm: run ids %v up to %d outside the %d-id space", codec.ErrCorrupt, freeIDs, nextID, s.idLimit)
+	if nextID >= s.idLimit {
+		return nil, fmt.Errorf("%w: lsm: run ids up to %d outside the %d-id space", codec.ErrCorrupt, nextID, s.idLimit)
+	}
+	// Each id in 1..nextID names one run or one free slot at most: the
+	// pool would otherwise hand out an id a run still holds.
+	ids := slices.Clone(freeIDs)
+	for _, level := range levelRuns {
+		for _, mr := range level {
+			ids = append(ids, mr.id)
+		}
+	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		if id == 0 || id > nextID || i > 0 && id == ids[i-1] {
+			return nil, fmt.Errorf("%w: lsm: run id %d named twice by the pool and the levels, or outside 1..%d", codec.ErrCorrupt, id, nextID)
+		}
 	}
 	if numLevels > uint64(s.maxDepth) {
 		return nil, fmt.Errorf("%w: lsm: %d levels, deeper than this maplet store's %d", codec.ErrCorrupt, numLevels, s.maxDepth)
@@ -685,9 +689,6 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		r := runs[i]
 		s.ensureLevel(sl.level)
 		s.tree[sl.level] = append(s.tree[sl.level], r)
-		if _, dup := s.runByID[r.id]; dup {
-			return nil, fmt.Errorf("%w: lsm: run id %d appears twice in the manifest", codec.ErrCorrupt, r.id)
-		}
 		s.runByID[r.id] = r
 	}
 	// Publish the loaded tree as the initial view, then recover the log
@@ -747,7 +748,6 @@ func bootstrapDurable(dir string, opts Options, fsys fault.FS) (*Store, error) {
 func (s *Store) attachWAL(dir string, fsys fault.FS, want Durability, watermark uint64, hadWAL bool) error {
 	s.dir, s.fs = dir, fsys
 	s.opts.Durability = want
-	s.deferRetire = true
 	if s.persisted == nil {
 		s.persisted = make(map[uint64]bool)
 	}

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"beyondbloom/internal/codec"
 	"beyondbloom/internal/core"
+	"beyondbloom/internal/fault"
 	"beyondbloom/internal/surf"
 	"beyondbloom/internal/workload"
 )
@@ -203,8 +205,86 @@ func TestOpenStoreDetectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Id state that decodes cleanly but would hand out an id a run
+	// holds: a repeated free id, a free id naming a run, a run above
+	// nextID.
+	sn, err := s.pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top uint64
+	for _, level := range sn.v.levels {
+		for _, r := range level {
+			top = max(top, r.id)
+		}
+	}
+	spare := sn.nextID + 1
+	for name, edit := range map[string]func(*snapshot){
+		"repeated free id": func(b *snapshot) { b.nextID, b.freeIDs = spare, []uint64{spare, spare} },
+		"free id of a run": func(b *snapshot) { b.freeIDs = append(slices.Clone(b.freeIDs), top) },
+		"run above nextID": func(b *snapshot) { b.nextID, b.freeIDs = top-1, nil },
+	} {
+		bad := *sn
+		edit(&bad)
+		manifest, err := s.encodeManifest(&bad, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenStore(dir, Options{}); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: OpenStore = %v, want ErrCorrupt", name, err)
+		}
+	}
+	manifest, err := s.encodeManifest(sn, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := OpenStore(dir, Options{}); err != nil {
 		t.Fatalf("restored files should open cleanly: %v", err)
+	}
+}
+
+// TestSnapshotIsOneInstant writes a maplet store's image from a pin
+// taken before further flushes and compactions, which a concurrent
+// Save's pin may precede: the engine recycles ids meanwhile, so an
+// image that encoded the maplet after its pin would route keys of the
+// pinned runs to runs that took their ids. The reopened image must hold
+// every pinned key, before and after it writes runs of its own.
+func TestSnapshotIsOneInstant(t *testing.T) {
+	s := New(Options{MemtableSize: 16, Policy: PolicyMaplet})
+	for k := uint64(1); k <= 200; k++ {
+		s.Put(k, k*7)
+	}
+	sn, err := s.pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(201); k <= 400; k++ {
+		s.Put(k, k*7)
+	}
+	dir := t.TempDir()
+	if _, err := s.writeImage(fault.Disk, dir, sn, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"reopened", "after more flushes"} {
+		for k := uint64(1); k <= 200; k++ {
+			if v, ok := r.Get(k); !ok || v != k*7 {
+				t.Fatalf("%s: pinned key %d reads %d, %v", when, k, v, ok)
+			}
+		}
+		for k := uint64(1000); k < 1400; k++ {
+			r.Put(k, k)
+		}
+		r.Flush()
 	}
 }
 

@@ -31,6 +31,9 @@ go test -race ./...
 echo "== maplet slot tests, three times under the race detector =="
 go test -race -count=3 -run 'RunIDBound|CollidingEntries|Maplet' ./internal/lsm
 
+echo "== checkpoint and Save races, twenty times under the race detector =="
+go test -race -count=20 -run 'Checkpoint' ./internal/lsm
+
 echo "== filterd build at several GOMAXPROCS (stripe fill ≡ scalar reference) =="
 go test -cpu 1,2,4 -run TestBuildMatchesScalarReference ./cmd/filterd >/dev/null
 
